@@ -32,7 +32,7 @@ from .optimize import (ObjectiveSpec, aligned_state, pgam,
                        power_allocation_closed_form)
 from .presets import PRESET_NOTES, PRESETS, preset_text
 from .rates_cf import (cf_rate_inputs, cf_rates, cf_report_bidirectional)
-from .rates_mc import PowerConfig, RateReport, ergodic_rate_mc
+from .rates_mc import PowerConfig, RateReport, ergodic_rate_mc, noma_sinrs
 
 __all__ = ["ExperimentSpec", "parse_spec_text", "run_experiment", "main"]
 
@@ -383,10 +383,8 @@ def _tau_split_powers(config: SystemConfig, inputs, R_dth: float,
                      beta=config.beta, si_lambda=config.si_lambda,
                      R_dth=R_dth, R_uth=R_uth)
     if R_uth > 0.0:
-        u2u = inputs["u2u"]
-        sinr = (p_u2u * u2u.x1
-                / (config.Xi * p_u1u * u2u.y1 + p_b * u2u.y2 + pw.V
-                   + config.sigma_b_sq))
+        sinr = noma_sinrs(inputs, pw, pw.V, config.sigma_sq,
+                          config.sigma_b_sq)["u2u"]
         feasible = feasible and math.log2(1.0 + sinr) >= R_uth - 1e-12
     return pw, feasible
 

@@ -8,9 +8,26 @@ from dataclasses import dataclass
 from .channel import GeometryAngles
 from .geometry import CellGeometry
 
-__all__ = ["SystemConfig", "USERS"]
+__all__ = ["SystemConfig", "USERS", "validate_splits"]
 
 USERS = ("u1d", "u2d", "u1u", "u2u")
+
+
+def validate_splits(tau: float, alpha1: float, alpha2: float,
+                    ul_split: float) -> None:
+    """Check a (tau, alpha1, alpha2, ul_split) split of the power budget."""
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(
+            "tau must lie in (0, 1]; an uplink-only split is modeled "
+            "as a small positive tau such as 0.01")
+    if abs(alpha1 + alpha2 - 1.0) > 1e-9:
+        raise ValueError("alpha1 + alpha2 must equal 1")
+    if not alpha1 < alpha2:
+        raise ValueError(
+            "NOMA ordering requires alpha1 < alpha2 (the cell-edge "
+            "user gets the larger power share)")
+    if not 0.0 <= ul_split <= 1.0:
+        raise ValueError("ul_split must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -67,18 +84,7 @@ class SystemConfig:
                 raise ValueError(f"weight_{user} must be non-negative")
         if not self.P_t > 0:
             raise ValueError("total power budget must be positive")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError(
-                "tau must lie in (0, 1]; an uplink-only split is modeled "
-                "as a small positive tau such as 0.01")
-        if abs(self.alpha1 + self.alpha2 - 1.0) > 1e-9:
-            raise ValueError("alpha1 + alpha2 must equal 1")
-        if not self.alpha1 < self.alpha2:
-            raise ValueError(
-                "NOMA ordering requires alpha1 < alpha2 (the cell-edge "
-                "user gets the larger power share)")
-        if not 0.0 <= self.ul_split <= 1.0:
-            raise ValueError("ul_split must lie in [0, 1]")
+        validate_splits(self.tau, self.alpha1, self.alpha2, self.ul_split)
         if not 0.0 <= self.Xi <= 1.0:
             raise ValueError("SIC error factor Xi must lie in [0, 1]")
         if self.beta < 0:

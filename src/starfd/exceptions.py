@@ -1,12 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: configuration problems exit 1,
-numeric/infeasibility problems exit 2.
+The CLI exits 2 on these numeric and infeasibility problems; a
+configuration that fails validation exits 1.
 """
-
-
-class ConfigError(ValueError):
-    """A configuration file or parameter set failed validation."""
 
 
 class NumericError(RuntimeError):

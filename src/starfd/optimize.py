@@ -19,9 +19,10 @@ import numpy as np
 from .channel import GeometryAngles, StarRisState, element_layout
 from .config import USERS, SystemConfig
 from .exceptions import DegenerateGeometryError, InfeasibleError
-from .rates_cf import (CfRateInputs, cf_rate_inputs, cf_rates_bidirectional,
-                       cf_sinrs, oma_sinrs)
-from .rates_mc import PowerConfig, RateReport, noma_beneficial
+from .rates_cf import (CfRateInputs, cf_rate_inputs, cf_rates,
+                       cf_rates_bidirectional, cf_sinrs, oma_sinrs)
+from .rates_mc import (PowerConfig, RateReport, dl_sinr, noma_beneficial,
+                       relay_branches)
 
 __all__ = [
     "ObjectiveSpec",
@@ -43,6 +44,9 @@ _FD_STEP = 1e-6
 # Backtracking floor: a step size below this means no ascent direction is
 # left at working precision, which we treat as convergence.
 _MU_MIN = 1e-12
+# Fixed-point passes for the self-interference coupling of the power
+# allocation; feasible cells settle within a few dozen.
+_SI_PASSES = 200
 
 
 @dataclass(frozen=True)
@@ -223,31 +227,22 @@ def suboptimal_phases_bidirectional(config: SystemConfig, pw: PowerConfig,
     ones = np.ones(n)
     rho_kwargs = dict(rho_t=rho_t * ones, rho_r=(1.0 - rho_t) * ones)
 
-    def inputs_for(phi_t: np.ndarray, phi_r: np.ndarray):
+    def branches(phi_t: np.ndarray, phi_r: np.ndarray):
         state = StarRisState(phi_t=phi_t, phi_r=phi_r, **rho_kwargs)
-        return cf_rate_inputs(config, state)
+        return relay_branches(cf_rate_inputs(config, state), pw,
+                              config.sigma_sq)
 
-    sigma_sq = config.sigma_sq
     zero = np.zeros(n)
 
     # Side t feeds the center DL user's reception of the u2u message.
-    u1d_user = inputs_for(cand_t["user"], zero)["u1d"]
-    gamma1_t = (pw.p_u2u * u1d_user.y2
-                / (pw.p_u1u * u1d_user.y1 + sigma_sq))
-    u1d_bs = inputs_for(cand_t["bs"], zero)["u1d"]
-    gamma2_t = (pw.p_b1 * u1d_bs.x1
-                / (pw.Xi * pw.p_b2 * u1d_bs.x1 + pw.p_u1u * u1d_bs.y1
-                   + sigma_sq))
-    phi_t = cand_t["user"] if gamma1_t > gamma2_t else cand_t["bs"]
+    relay_t = branches(cand_t["user"], zero)[0]
+    bs_t = branches(cand_t["bs"], zero)[1]
+    phi_t = cand_t["user"] if relay_t > bs_t else cand_t["bs"]
 
     # Side r feeds the edge DL user's reception of the u1u message.
-    u2d_user = inputs_for(zero, cand_r["user"])["u2d"]
-    gamma1_r = (pw.p_u1u * u2d_user.y1
-                / (pw.p_u2u * u2d_user.y2 + sigma_sq))
-    u2d_bs = inputs_for(zero, cand_r["bs"])["u2d"]
-    gamma2_r = (pw.p_b2 * u2d_bs.x1
-                / (pw.p_b1 * u2d_bs.x1 + pw.p_u2u * u2d_bs.y2 + sigma_sq))
-    phi_r = cand_r["user"] if gamma1_r > gamma2_r else cand_r["bs"]
+    relay_r = branches(zero, cand_r["user"])[2]
+    bs_r = branches(zero, cand_r["bs"])[3]
+    phi_r = cand_r["user"] if relay_r > bs_r else cand_r["bs"]
 
     return phi_t, phi_r
 
@@ -381,19 +376,10 @@ def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
             reason = "converged"
             break
 
-    report = validate_constraints(
-        config, state, pw,
-        _cf_report_for_validation(config, state, pw, spec))
+    report = validate_constraints(config, state, pw,
+                                  cf_rates(config, state, pw))
     return OptimizationResult(state=state, pw=pw, trace=np.array(trace),
                               reason=reason, constraints=report)
-
-
-def _cf_report_for_validation(config: SystemConfig, state: StarRisState,
-                              pw: PowerConfig,
-                              spec: ObjectiveSpec) -> RateReport:
-    sinrs = cf_sinrs(config, state, pw)
-    rates = {u: math.log2(1.0 + g) for u, g in sinrs.items()}
-    return RateReport.noma(rates, config.weights, estimator="cf")
 
 
 def power_allocation_closed_form(config: SystemConfig, ris: StarRisState,
@@ -472,20 +458,31 @@ def power_allocation_closed_form(config: SystemConfig, ris: StarRisState,
         p_u2u = s_u * (p_b1 + p_b2) + t_u
         return p_b1, p_b2, p_u2u
 
-    v = 0.0
-    p_b1 = p_b2 = p_u2u = 0.0
-    for _ in range(200):
+    v, settled = 0.0, False
+    for _ in range(_SI_PASSES):
         p_b1, p_b2, p_u2u = solve(v)
         p_b = p_b1 + p_b2
         if p_b < 0:
             raise InfeasibleError(
                 f"downlink target {R_dth} bits/s/Hz infeasible: the "
                 "required BS power is negative")
-        v_new = config.beta * p_b ** config.si_lambda if config.beta else 0.0
+        try:
+            v_new = (config.beta * p_b ** config.si_lambda
+                     if config.beta else 0.0)
+        except OverflowError:
+            break
+        if not math.isfinite(v_new):
+            break
         if abs(v_new - v) <= 1e-15 * max(1.0, v):
-            v = v_new
+            settled = True
             break
         v = v_new
+    if not settled:
+        raise InfeasibleError(
+            "rate targets infeasible: the self-interference coupling does "
+            f"not settle within {_SI_PASSES} passes (the BS power the "
+            "targets need raises the residual SI faster than the powers "
+            "can absorb it)")
 
     p_u1u = P_t - p_b1 - p_b2 - p_u2u
     for name, value, target in (("p_b1", p_b1, "downlink"),
@@ -529,15 +526,12 @@ def validate_constraints(config: SystemConfig, ris: StarRisState,
     power_budget = ConstraintCheck(budget_margin >= -tol * pw.P_t,
                                    budget_margin)
 
-    inputs = cf_rate_inputs(config, ris)
-    u1d, u2d = inputs["u1d"], inputs["u2d"]
-    cross = math.log2(1.0 + pw.p_b2 * u1d.x1
-                      / (pw.p_b1 * u1d.x1 + pw.p_u1u * u1d.y1
-                         + pw.p_u2u * u1d.y2 + config.sigma_sq))
-    edge = math.log2(1.0 + pw.p_b2 * u2d.x1
-                     / (pw.p_b1 * u2d.x1 + pw.p_u1u * u2d.y1
-                        + pw.p_u2u * u2d.y2 + config.sigma_sq))
-    order_margin = cross - edge
+    # SIC order: the center user must decode the edge DL signal at least
+    # as well as the edge user does.
+    gammas = cf_sinrs(config, ris, pw)
+    cross = dl_sinr(cf_rate_inputs(config, ris)["u1d"], pw.p_b2, pw.p_b1,
+                    pw, config.sigma_sq)
+    order_margin = math.log2(1.0 + cross) - math.log2(1.0 + gammas["u2d"])
     decoding_order = ConstraintCheck(order_margin >= -tol, order_margin)
 
     dl_margin = report.rate("u2d") - pw.R_dth
@@ -553,7 +547,6 @@ def validate_constraints(config: SystemConfig, ris: StarRisState,
     # modulus identically; the check records that explicitly.
     unit_modulus = ConstraintCheck(True, 0.0)
 
-    gammas = cf_sinrs(config, ris, pw)
     omas = oma_sinrs(config, ris, pw)
     benefit = {}
     for user in USERS:

@@ -21,7 +21,8 @@ from .config import SystemConfig
 from .geometry import (exp_pathloss_center_disk, exp_pathloss_edge_disk,
                        exp_pathloss_fixed_point_to_disk,
                        exp_pathloss_two_random_points, pathloss)
-from .rates_mc import PowerConfig, RateReport
+from .rates_mc import (PowerConfig, RateReport, dl_sinr, noma_sinrs,
+                       relay_leg_rates, ul_sinr)
 
 __all__ = [
     "CfSwitches",
@@ -29,11 +30,6 @@ __all__ = [
     "CfRateInputs",
     "compute_moments",
     "cf_rate_inputs",
-    "cf_rate_dl_center",
-    "cf_rate_dl_edge",
-    "cf_rate_ul_center",
-    "cf_rate_ul_edge",
-    "cf_rate_strong_decodes_weak",
     "cf_rates",
     "cf_rates_simplified",
     "cf_rates_bidirectional",
@@ -73,9 +69,6 @@ class CfSwitches:
     bs_loopback: bool = True
 
 
-SIMPLIFIED = CfSwitches(False, False, False, False)
-
-
 @dataclass(frozen=True)
 class MomentSet:
     """Deterministic expectation terms shared by all closed-form rates."""
@@ -105,6 +98,10 @@ class CfRateInputs:
         for name in ("x1", "y1", "y2"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+
+    def __iter__(self):
+        """Unpack as the (signal, interference, interference) kernel terms."""
+        return iter((self.x1, self.y1, self.y2))
 
 
 @lru_cache(maxsize=128)
@@ -220,32 +217,11 @@ def cf_rate_inputs(config: SystemConfig, ris: StarRisState,
     }
 
 
-def _sinrs_from_inputs(inputs: Dict[str, CfRateInputs], pw: PowerConfig,
-                       sigma_sq: float,
-                       sigma_b_sq: float) -> Dict[str, float]:
-    u1d, u2d = inputs["u1d"], inputs["u2d"]
-    u1u, u2u = inputs["u1u"], inputs["u2u"]
-    v = pw.V
-    return {
-        "u1d": pw.p_b1 * u1d.x1 / (pw.Xi * pw.p_b2 * u1d.x1
-                                   + pw.p_u1u * u1d.y1
-                                   + pw.p_u2u * u1d.y2 + sigma_sq),
-        "u2d": pw.p_b2 * u2d.x1 / (pw.p_b1 * u2d.x1
-                                   + pw.p_u1u * u2d.y1
-                                   + pw.p_u2u * u2d.y2 + sigma_sq),
-        "u1u": pw.p_u1u * u1u.x1 / (pw.p_u2u * u1u.y1 + pw.P_b * u1u.y2
-                                    + v + sigma_b_sq),
-        "u2u": pw.p_u2u * u2u.x1 / (pw.Xi * pw.p_u1u * u2u.y1
-                                    + pw.P_b * u2u.y2 + v + sigma_b_sq),
-    }
-
-
 def cf_sinrs(config: SystemConfig, ris: StarRisState, pw: PowerConfig,
              switches: Optional[CfSwitches] = None) -> Dict[str, float]:
     """Closed-form (moment-ratio) SINRs of the four users."""
     inputs = cf_rate_inputs(config, ris, switches)
-    return _sinrs_from_inputs(inputs, pw, config.sigma_sq,
-                              config.sigma_b_sq)
+    return noma_sinrs(inputs, pw, pw.V, config.sigma_sq, config.sigma_b_sq)
 
 
 def oma_sinrs(config: SystemConfig, ris: StarRisState,
@@ -258,59 +234,15 @@ def oma_sinrs(config: SystemConfig, ris: StarRisState,
     (full-duplex) interference and the SI variance are unchanged.
     """
     inputs = cf_rate_inputs(config, ris)
-    u1d, u2d = inputs["u1d"], inputs["u2d"]
-    u1u, u2u = inputs["u1u"], inputs["u2u"]
     v = pw.V
     return {
-        "u1d": pw.P_b * u1d.x1 / (pw.p_u1u * u1d.y1 + pw.p_u2u * u1d.y2
-                                  + config.sigma_sq),
-        "u2d": pw.P_b * u2d.x1 / (pw.p_u1u * u2d.y1 + pw.p_u2u * u2d.y2
-                                  + config.sigma_sq),
-        "u1u": pw.p_u1u * u1u.x1 / (pw.P_b * u1u.y2 + v
-                                    + config.sigma_b_sq),
-        "u2u": pw.p_u2u * u2u.x1 / (pw.P_b * u2u.y2 + v
-                                    + config.sigma_b_sq),
+        "u1d": dl_sinr(inputs["u1d"], pw.P_b, 0.0, pw, config.sigma_sq),
+        "u2d": dl_sinr(inputs["u2d"], pw.P_b, 0.0, pw, config.sigma_sq),
+        "u1u": ul_sinr(inputs["u1u"], pw.p_u1u, 0.0, pw, v,
+                       config.sigma_b_sq),
+        "u2u": ul_sinr(inputs["u2u"], pw.p_u2u, 0.0, pw, v,
+                       config.sigma_b_sq),
     }
-
-
-def cf_rate_dl_center(config: SystemConfig, ris: StarRisState,
-                      pw: PowerConfig,
-                      switches: Optional[CfSwitches] = None) -> float:
-    """Ergodic DL rate of the cell-center user."""
-    return math.log2(1.0 + cf_sinrs(config, ris, pw, switches)["u1d"])
-
-
-def cf_rate_dl_edge(config: SystemConfig, ris: StarRisState,
-                    pw: PowerConfig,
-                    switches: Optional[CfSwitches] = None) -> float:
-    """Ergodic DL rate of the cell-edge user."""
-    return math.log2(1.0 + cf_sinrs(config, ris, pw, switches)["u2d"])
-
-
-def cf_rate_ul_center(config: SystemConfig, ris: StarRisState,
-                      pw: PowerConfig,
-                      switches: Optional[CfSwitches] = None) -> float:
-    """Ergodic UL rate of the cell-center user at the FD BS."""
-    return math.log2(1.0 + cf_sinrs(config, ris, pw, switches)["u1u"])
-
-
-def cf_rate_ul_edge(config: SystemConfig, ris: StarRisState,
-                    pw: PowerConfig,
-                    switches: Optional[CfSwitches] = None) -> float:
-    """Ergodic UL rate of the cell-edge user after imperfect SIC."""
-    return math.log2(1.0 + cf_sinrs(config, ris, pw, switches)["u2u"])
-
-
-def cf_rate_strong_decodes_weak(config: SystemConfig, ris: StarRisState,
-                                pw: PowerConfig,
-                                switches: Optional[CfSwitches] = None
-                                ) -> float:
-    """Ergodic rate at which the center user decodes the edge DL signal."""
-    u1d = cf_rate_inputs(config, ris, switches)["u1d"]
-    sinr = (pw.p_b2 * u1d.x1
-            / (pw.p_b1 * u1d.x1 + pw.p_u1u * u1d.y1 + pw.p_u2u * u1d.y2
-               + config.sigma_sq))
-    return math.log2(1.0 + sinr)
 
 
 def cf_rates(config: SystemConfig, ris: StarRisState, pw: PowerConfig,
@@ -360,23 +292,8 @@ def cf_rates_bidirectional(config: SystemConfig, ris: StarRisState,
     leg), with both legs evaluated as ergodic closed forms.
     """
     inputs = cf_rate_inputs(config, ris)
-    sinrs = _sinrs_from_inputs(inputs, pw, config.sigma_sq,
-                               config.sigma_b_sq)
-    u1d, u2d = inputs["u1d"], inputs["u2d"]
-    sigma_sq = config.sigma_sq
-
-    r_uc = math.log2(
-        1.0
-        + pw.p_u2u * u1d.y2 / (pw.p_u1u * u1d.y1 + sigma_sq)
-        + pw.p_b1 * u1d.x1 / (pw.Xi * pw.p_b2 * u1d.x1
-                              + pw.p_u1u * u1d.y1 + sigma_sq))
-    r_ue = math.log2(
-        1.0
-        + pw.p_u1u * u2d.y1 / (pw.p_u2u * u2d.y2 + sigma_sq)
-        + pw.p_b2 * u2d.x1 / (pw.p_b1 * u2d.x1 + pw.p_u2u * u2d.y2
-                              + sigma_sq))
-    r_u1u = math.log2(1.0 + sinrs["u1u"])
-    r_u2u = math.log2(1.0 + sinrs["u2u"])
+    r_uc, r_u2u, r_ue, r_u1u = relay_leg_rates(
+        inputs, pw, pw.V, config.sigma_sq, config.sigma_b_sq)
     return min(r_u2u, r_uc), min(r_u1u, r_ue)
 
 

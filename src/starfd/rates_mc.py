@@ -1,9 +1,16 @@
-"""Instantaneous SINRs and the Monte-Carlo ergodic-rate estimator.
+"""The SINR kernel and the Monte-Carlo ergodic-rate estimator.
 
-Every rate is log2(1 + SINR) in bits/s/Hz. The estimator draws positions,
-channels and a residual self-interference sample per trial from a
-per-trial generator keyed by (master seed, trial index), so results are
-independent of execution order and parallelism.
+Every rate is log2(1 + SINR) in bits/s/Hz. Every SINR is built from
+three reception ratios written once here: downlink reception, uplink
+reception at the full-duplex BS, and the relay branch of the
+bidirectional connections. The kernel takes signal and interference
+terms of either kind: the simulator feeds it one trial's realized
+channel powers, and the closed forms of :mod:`starfd.rates_cf` feed it
+their moments.
+
+The estimator draws positions, channels and a residual self-interference
+sample per trial from a per-trial generator keyed by (master seed, trial
+index), so results are independent of execution order and parallelism.
 """
 
 from __future__ import annotations
@@ -15,17 +22,16 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .channel import ChannelRealization, StarRisState, draw_realization, star_cascade
-from .config import USERS, SystemConfig
+from .config import USERS, SystemConfig, validate_splits
 
 __all__ = [
     "PowerConfig",
     "RateReport",
-    "sinr_dl_center",
-    "sinr_dl_edge",
-    "sinr_ul_center",
-    "sinr_ul_edge",
-    "rate_strong_decodes_weak",
-    "rates_bidirectional",
+    "dl_sinr",
+    "ul_sinr",
+    "noma_sinrs",
+    "relay_branches",
+    "relay_leg_rates",
     "noma_beneficial",
     "ergodic_rate_mc",
 ]
@@ -58,11 +64,11 @@ class PowerConfig:
     R_uth: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.P_t > 0:
-            raise ValueError("total power budget must be positive")
+        if not 0 < self.P_t < math.inf:
+            raise ValueError("total power budget must be positive and finite")
         for name in ("p_b1", "p_b2", "p_u1u", "p_u2u"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         total = self.p_b1 + self.p_b2 + self.p_u1u + self.p_u2u
         if total - self.P_t > _BUDGET_RTOL * self.P_t:
             raise ValueError(
@@ -100,18 +106,7 @@ class PowerConfig:
                     si_lambda: float = 1.0, R_dth: float = 0.0,
                     R_uth: float = 0.0) -> "PowerConfig":
         """Split the budget as P_b = tau*P_t (DL) and P_u = (1-tau)*P_t."""
-        if not 0.0 < tau <= 1.0:
-            raise ValueError(
-                "tau must lie in (0, 1]; an uplink-only split is modeled "
-                "as a small positive tau such as 0.01")
-        if abs(alpha1 + alpha2 - 1.0) > 1e-9:
-            raise ValueError("alpha1 + alpha2 must equal 1")
-        if not alpha1 < alpha2:
-            raise ValueError(
-                "NOMA ordering requires alpha1 < alpha2 (the cell-edge "
-                "user gets the larger power share)")
-        if not 0.0 <= ul_split <= 1.0:
-            raise ValueError("ul_split must lie in [0, 1]")
+        validate_splits(tau, alpha1, alpha2, ul_split)
         P_b = tau * P_t
         P_u = (1.0 - tau) * P_t
         return cls(P_t=P_t, p_b1=alpha1 * P_b, p_b2=alpha2 * P_b,
@@ -225,93 +220,99 @@ def _ul_terms(ch: ChannelRealization, ris: StarRisState):
     return abs(a) ** 2, b, c
 
 
-def sinr_dl_center(ch: ChannelRealization, ris: StarRisState,
-                   pw: PowerConfig, sigma_sq: float = 1.0) -> float:
-    """DL SINR of the cell-center user (imperfect SIC residual included)."""
-    a, c, d = _dl_center_terms(ch, ris)
-    return (pw.p_b1 * a
-            / (pw.Xi * pw.p_b2 * a + pw.p_u1u * c + pw.p_u2u * d
-               + sigma_sq))
+def _reception_terms(ch: ChannelRealization, ris: StarRisState
+                     ) -> Dict[str, Tuple[float, float, float]]:
+    """One trial's realized reception terms, keyed like the moments."""
+    return {"u1d": _dl_center_terms(ch, ris), "u2d": _dl_edge_terms(ch, ris),
+            "u1u": _ul_terms(ch, ris)}
 
 
-def sinr_dl_edge(ch: ChannelRealization, ris: StarRisState,
-                 pw: PowerConfig, sigma_sq: float = 1.0) -> float:
-    """DL SINR of the cell-edge user (decodes its signal under the
-    center user's full interference)."""
-    a, c, d = _dl_edge_terms(ch, ris)
-    return (pw.p_b2 * a
-            / (pw.p_b1 * a + pw.p_u1u * c + pw.p_u2u * d + sigma_sq))
+# The reception kernel. Every SINR of the model is one of three ratios,
+# fed either with one trial's realized channel powers (the simulator) or
+# with their moments (the closed forms, which pass si = V).
 
+def dl_sinr(terms, own: float, leak: float, pw: PowerConfig,
+            sigma_sq: float) -> float:
+    """DL reception own*a / (leak*a + p_u1u*c + p_u2u*d + sigma_sq).
 
-def sinr_ul_center(ch: ChannelRealization, ris: StarRisState,
-                   pw: PowerConfig, si_draw: float,
-                   sigma_b_sq: float = 1.0) -> float:
-    """UL SINR of the center user at the FD BS; ``si_draw`` is |s~|^2."""
-    if si_draw < 0:
-        raise ValueError("si_draw is a squared magnitude, must be >= 0")
-    a, b, c = _ul_terms(ch, ris)
-    return (pw.p_u1u * a
-            / (pw.p_u2u * b + pw.P_b * c + si_draw + sigma_b_sq))
-
-
-def sinr_ul_edge(ch: ChannelRealization, ris: StarRisState,
-                 pw: PowerConfig, si_draw: float,
-                 sigma_b_sq: float = 1.0) -> float:
-    """UL SINR of the edge user after (imperfect) SIC of the center user."""
-    if si_draw < 0:
-        raise ValueError("si_draw is a squared magnitude, must be >= 0")
-    a, b, c = _ul_terms(ch, ris)
-    return (pw.p_u2u * b
-            / (pw.Xi * pw.p_u1u * a + pw.P_b * c + si_draw + sigma_b_sq))
-
-
-def rate_strong_decodes_weak(ch: ChannelRealization, ris: StarRisState,
-                             pw: PowerConfig,
-                             sigma_sq: float = 1.0) -> float:
-    """Rate at which the center user decodes the edge user's DL signal."""
-    a, c, d = _dl_center_terms(ch, ris)
-    sinr = (pw.p_b2 * a
-            / (pw.p_b1 * a + pw.p_u1u * c + pw.p_u2u * d + sigma_sq))
-    return math.log2(1.0 + sinr)
-
-
-def _bidirectional_legs(ch: ChannelRealization, ris: StarRisState,
-                        pw: PowerConfig, si_draw: float,
-                        sigma_sq: float, sigma_b_sq: float):
-    """Instantaneous rates of the four relaying legs.
-
-    Returns (r_uc, r_u2u, r_ue, r_u1u): the combined-reception rate at each
-    DL user and the BS decode rate of the corresponding UL message.
+    ``terms`` is (a, c, d) at one DL user: the gain of the BS signal and
+    of the center and edge uplink users' signals. ``own`` is the BS power
+    of the decoded signal, ``leak`` the BS power that interferes with it
+    after SIC.
     """
-    a1, c1, d1 = _dl_center_terms(ch, ris)
-    a2, c2, d2 = _dl_edge_terms(ch, ris)
-    r_uc = math.log2(
-        1.0
-        + pw.p_u2u * d1 / (pw.p_u1u * c1 + sigma_sq)
-        + pw.p_b1 * a1 / (pw.Xi * pw.p_b2 * a1 + pw.p_u1u * c1 + sigma_sq))
-    r_ue = math.log2(
-        1.0
-        + pw.p_u1u * c2 / (pw.p_u2u * d2 + sigma_sq)
-        + pw.p_b2 * a2 / (pw.p_b1 * a2 + pw.p_u2u * d2 + sigma_sq))
-    r_u1u = math.log2(1.0 + sinr_ul_center(ch, ris, pw, si_draw,
-                                           sigma_b_sq))
-    r_u2u = math.log2(1.0 + sinr_ul_edge(ch, ris, pw, si_draw,
-                                         sigma_b_sq))
-    return r_uc, r_u2u, r_ue, r_u1u
+    a, c, d = terms
+    return own * a / (leak * a + pw.p_u1u * c + pw.p_u2u * d + sigma_sq)
 
 
-def rates_bidirectional(ch: ChannelRealization, ris: StarRisState,
-                        pw: PowerConfig, si_draw: float = 0.0,
-                        sigma_sq: float = 1.0,
-                        sigma_b_sq: float = 1.0) -> Tuple[float, float]:
-    """Instantaneous end-to-end rates of the two relayed connections.
+def ul_sinr(terms, own: float, leak: float, pw: PowerConfig, si: float,
+            sigma_b_sq: float) -> float:
+    """UL reception own*s / (leak*i + P_b*loop + si + sigma_b_sq) at the BS.
 
-    Each connection is the min of its BS decode leg and the combined
-    (direct surface path + BS relay, ratio-combined) reception leg.
+    ``terms`` is (s, i, loop): the gain of the decoded user's signal, of
+    its uplink partner's signal, and of the BS loop-back through the
+    surface. ``leak`` is the partner's power left in after SIC and ``si``
+    the residual self-interference |s~|^2.
     """
-    r_uc, r_u2u, r_ue, r_u1u = _bidirectional_legs(
-        ch, ris, pw, si_draw, sigma_sq, sigma_b_sq)
-    return min(r_u2u, r_uc), min(r_u1u, r_ue)
+    if si < 0:
+        raise ValueError("si is a squared magnitude, must be >= 0")
+    s, i, loop = terms
+    return own * s / (leak * i + pw.P_b * loop + si + sigma_b_sq)
+
+
+def _relay_sinr(own: float, s: float, other: float, i: float,
+                sigma_sq: float) -> float:
+    """A DL user hears one uplink user's signal over the other's."""
+    return own * s / (other * i + sigma_sq)
+
+
+def noma_sinrs(terms, pw: PowerConfig, si: float, sigma_sq: float,
+               sigma_b_sq: float) -> Dict[str, float]:
+    """SINRs of the four NOMA users from the u1d, u2d and u1u terms.
+
+    The edge uplink user is decoded from the center uplink terms with
+    the signal and partner roles swapped.
+    """
+    s1, s2, loop = terms["u1u"]
+    return {
+        "u1d": dl_sinr(terms["u1d"], pw.p_b1, pw.Xi * pw.p_b2, pw,
+                       sigma_sq),
+        "u2d": dl_sinr(terms["u2d"], pw.p_b2, pw.p_b1, pw, sigma_sq),
+        "u1u": ul_sinr(terms["u1u"], pw.p_u1u, pw.p_u2u, pw, si,
+                       sigma_b_sq),
+        "u2u": ul_sinr((s2, s1, loop), pw.p_u2u, pw.Xi * pw.p_u1u, pw, si,
+                       sigma_b_sq),
+    }
+
+
+def relay_branches(terms, pw: PowerConfig,
+                   sigma_sq: float) -> Tuple[float, float, float, float]:
+    """Branch SINRs of the two ratio-combined relay receptions.
+
+    Returns (relay_c, bs_c, relay_e, bs_e): at u1d the u2u message heard
+    over the surface and the BS's own signal, at u2d the u1u message and
+    the BS signal. The relayed message is wanted there, so it drops out
+    of the BS branch's interference.
+    """
+    a1, c1, d1 = terms["u1d"]
+    a2, c2, d2 = terms["u2d"]
+    return (_relay_sinr(pw.p_u2u, d1, pw.p_u1u, c1, sigma_sq),
+            dl_sinr((a1, c1, 0.0), pw.p_b1, pw.Xi * pw.p_b2, pw, sigma_sq),
+            _relay_sinr(pw.p_u1u, c2, pw.p_u2u, d2, sigma_sq),
+            dl_sinr((a2, 0.0, d2), pw.p_b2, pw.p_b1, pw, sigma_sq))
+
+
+def relay_leg_rates(terms, pw: PowerConfig, si: float, sigma_sq: float,
+                    sigma_b_sq: float) -> Tuple[float, float, float, float]:
+    """Rates (r_uc, r_u2u, r_ue, r_u1u) of the four relaying legs.
+
+    r_uc and r_ue are the combined receptions at the DL users, r_u2u and
+    r_u1u the BS decode rates of the corresponding UL messages. Each
+    relayed connection runs at the min of its two legs.
+    """
+    relay_c, bs_c, relay_e, bs_e = relay_branches(terms, pw, sigma_sq)
+    ul = noma_sinrs(terms, pw, si, sigma_sq, sigma_b_sq)
+    return (math.log2(1.0 + relay_c + bs_c), math.log2(1.0 + ul["u2u"]),
+            math.log2(1.0 + relay_e + bs_e), math.log2(1.0 + ul["u1u"]))
 
 
 def noma_beneficial(gamma_noma: float, gamma_oma: float) -> bool:
@@ -364,18 +365,14 @@ def ergodic_rate_mc(config: SystemConfig, ris: StarRisState,
         rng = _trial_rng(seed, t)
         ch = draw_realization(config, ris, rng)
         si = _draw_si(pw, rng)
+        terms = _reception_terms(ch, ris)
         if scenario == "noma-pair":
-            samples[t, 0] = math.log2(
-                1.0 + sinr_dl_center(ch, ris, pw, config.sigma_sq))
-            samples[t, 1] = math.log2(
-                1.0 + sinr_dl_edge(ch, ris, pw, config.sigma_sq))
-            samples[t, 2] = math.log2(
-                1.0 + sinr_ul_center(ch, ris, pw, si, config.sigma_b_sq))
-            samples[t, 3] = math.log2(
-                1.0 + sinr_ul_edge(ch, ris, pw, si, config.sigma_b_sq))
+            sinrs = noma_sinrs(terms, pw, si, config.sigma_sq,
+                               config.sigma_b_sq)
+            samples[t] = [math.log2(1.0 + sinrs[u]) for u in USERS]
         else:
-            samples[t] = _bidirectional_legs(
-                ch, ris, pw, si, config.sigma_sq, config.sigma_b_sq)
+            samples[t] = relay_leg_rates(terms, pw, si, config.sigma_sq,
+                                         config.sigma_b_sq)
 
     if scenario == "noma-pair":
         rates, stderr = {}, {}

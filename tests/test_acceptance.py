@@ -25,8 +25,8 @@ inside the logarithm, over fading and over user positions alike, so each
 rate is log2(1 + E[S] / E[I + N]) with S the signal power and I + N the
 interference plus noise. Part 1 builds that very quantity from the
 simulator's own draws: it averages the per-trial signal and interference
-terms that the ``sinr_*`` functions divide, and forms the SINR of the
-means with the same formulas. The closed-form geometry averages, Rician
+terms that the SINR kernel divides, and forms the SINR of the means with
+the same formulas, written out independently of the kernel. The closed-form geometry averages, Rician
 mixing weights, LoS cascades, loop-back assembly and each user's
 signal/interference pairing are thereby checked against an independent
 simulation of the same channel. The simulated ergodic rate
@@ -59,11 +59,10 @@ from starfd.geometry import (CellGeometry, _external_point_density,
 from starfd.optimize import (ObjectiveSpec, aligned_state, pgam,
                              power_allocation_closed_form)
 from starfd.presets import preset_text
-from starfd.rates_cf import (CfSwitches, cf_rate_dl_edge, cf_rate_inputs,
-                             cf_rate_strong_decodes_weak, cf_rate_ul_edge,
-                             cf_rates, cf_rates_simplified, compute_moments)
+from starfd.rates_cf import (CfSwitches, cf_rate_inputs, cf_rates,
+                             cf_rates_simplified, compute_moments)
 from starfd.rates_mc import (PowerConfig, _dl_center_terms, _dl_edge_terms,
-                             _draw_si, _trial_rng, _ul_terms)
+                             _draw_si, _trial_rng, _ul_terms, dl_sinr)
 from starfd.specfun import integrate_adaptive
 
 USERS = ("u1d", "u2d", "u1u", "u2u")
@@ -76,11 +75,12 @@ def moment_ratio_rates(config, state, pw, trials, seed):
 
     Runs the simulator's seeded stream (per-trial generator, channel
     draw, SI draw) and reduces its per-trial terms to sample means. Each
-    user's numerator and denominator are the linear forms of
-    ``sinr_dl_center``, ``sinr_dl_edge``, ``sinr_ul_center`` and
-    ``sinr_ul_edge``; the SI term is the mean of the SI draws. Returns
-    {user: (rate, stderr)}, the standard error by the delta method for
-    the ratio of two sample means.
+    user's numerator and denominator are the linear forms of the SINR
+    kernel in ``starfd.rates_mc`` (``noma_sinrs``), written out here
+    rather than called, so that a fault in the kernel shows as a gap to
+    the closed forms, which do call it. The SI term is the mean of the SI
+    draws. Returns {user: (rate, stderr)}, the standard error by the
+    delta method for the ratio of two sample means.
     """
     terms = np.empty((trials, 10))
     for t in range(trials):
@@ -222,13 +222,12 @@ class TestPowerAllocation:
         assert len(cases) == 50, f"only {len(cases)} feasible in {draws}"
 
         for config, state, inputs, pa, R_dth, R_uth in cases:
-            assert_allclose(cf_rate_dl_edge(config, state, pa), R_dth,
-                            rtol=1e-9)
-            assert_allclose(cf_rate_ul_edge(config, state, pa), R_uth,
-                            rtol=1e-9)
-            assert_allclose(
-                cf_rate_strong_decodes_weak(config, state, pa), R_dth,
-                rtol=1e-9)
+            report = cf_rates(config, state, pa)
+            assert_allclose(report.rate("u2d"), R_dth, rtol=1e-9)
+            assert_allclose(report.rate("u2u"), R_uth, rtol=1e-9)
+            cross = dl_sinr(inputs["u1d"], pa.p_b2, pa.p_b1, pa,
+                            config.sigma_sq)
+            assert_allclose(math.log2(1.0 + cross), R_dth, rtol=1e-9)
 
             gd, gu = 2.0 ** R_dth - 1.0, 2.0 ** R_uth - 1.0
             P_t, sig, sig_b = config.P_t, config.sigma_sq, config.sigma_b_sq

@@ -336,6 +336,22 @@ class TestMain:
         assert "infeasible" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unsettled_si_coupling_exits_2_and_writes_nothing(
+            self, tmp_path, capsys):
+        path = write_spec(tmp_path, """
+            sweep_variable = target_rate
+            sweep_grid = 0.2
+            power_scheme = closed-form
+            target_ul_rate = 0.1
+            sic_residual = 0.1
+            si_beta = 0.01
+        """)
+        out = tmp_path / "never.csv"
+        assert main(["run", str(path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "infeasible" in err and "self-interference" in err
+        assert not out.exists()
+
     def test_presets_list_and_show(self, capsys):
         assert main(["presets", "list"]) == 0
         listed = capsys.readouterr().out

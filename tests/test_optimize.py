@@ -16,10 +16,16 @@ from starfd.optimize import (ConstraintReport, ObjectiveSpec,
                              suboptimal_phases,
                              suboptimal_phases_bidirectional,
                              validate_constraints)
-from starfd.rates_cf import (CfRateInputs, cf_rate_dl_edge,
-                             cf_rate_strong_decodes_weak, cf_rate_ul_edge,
-                             cf_rates, compute_moments)
-from starfd.rates_mc import PowerConfig
+from starfd.rates_cf import (CfRateInputs, cf_rate_inputs, cf_rates,
+                             compute_moments)
+from starfd.rates_mc import PowerConfig, dl_sinr
+
+
+def cross_decode_rate(config, state, pw):
+    """Rate at which the center user decodes the edge DL signal."""
+    u1d = cf_rate_inputs(config, state)["u1d"]
+    return math.log2(1.0 + dl_sinr(u1d, pw.p_b2, pw.p_b1, pw,
+                                   config.sigma_sq))
 
 
 def compact_config(**overrides):
@@ -267,13 +273,11 @@ class TestPowerAllocation:
     def test_targets_reproduced_exactly(self):
         pa = power_allocation_closed_form(self.config, self.state, None,
                                           10_000.0, 0.5, 0.1)
-        assert_allclose(cf_rate_dl_edge(self.config, self.state, pa), 0.5,
+        report = cf_rates(self.config, self.state, pa)
+        assert_allclose(report.rate("u2d"), 0.5, rtol=1e-9)
+        assert_allclose(report.rate("u2u"), 0.1, rtol=1e-9)
+        assert_allclose(cross_decode_rate(self.config, self.state, pa), 0.5,
                         rtol=1e-9)
-        assert_allclose(cf_rate_ul_edge(self.config, self.state, pa), 0.1,
-                        rtol=1e-9)
-        assert_allclose(
-            cf_rate_strong_decodes_weak(self.config, self.state, pa), 0.5,
-            rtol=1e-9)
         spent = pa.p_b1 + pa.p_b2 + pa.p_u1u + pa.p_u2u
         assert_allclose(spent, 10_000.0, rtol=1e-9)
 
@@ -282,14 +286,13 @@ class TestPowerAllocation:
         state = aligned_state(config, rho_t=0.5)
         pa = power_allocation_closed_form(config, state, None, 10_000.0,
                                           1.0, 0.5)
-        assert_allclose(cf_rate_ul_edge(config, state, pa), 0.5,
+        assert_allclose(cf_rates(config, state, pa).rate("u2u"), 0.5,
                         rtol=1e-9)
         assert_allclose(pa.V, 1e-4 * pa.P_b ** 0.9, rtol=1e-12)
 
     def test_matches_numerical_root_finder(self):
         config = compact_config(beta=1e-4, si_lambda=0.9, Xi=0.02)
         state = aligned_state(config, rho_t=0.5)
-        from starfd.rates_cf import cf_rate_inputs
         inputs = cf_rate_inputs(config, state)
         P_t, R_dth, R_uth = 10_000.0, 1.0, 0.5
         pa = power_allocation_closed_form(config, state, inputs, P_t,
@@ -326,8 +329,21 @@ class TestPowerAllocation:
         pa = power_allocation_closed_form(self.config, self.state, None,
                                           5000.0, 0.0, 0.2)
         assert pa.p_b1 == 0.0 and pa.p_b2 == 0.0
-        assert_allclose(cf_rate_ul_edge(self.config, self.state, pa), 0.2,
-                        rtol=1e-9)
+        assert_allclose(cf_rates(self.config, self.state, pa).rate("u2u"),
+                        0.2, rtol=1e-9)
+
+    def test_unsettled_si_coupling_is_infeasible(self):
+        # On the baseline cell at 30 dBW with Xi = 0.1, these SI strengths
+        # couple the BS power back into the uplink target so strongly
+        # that the fixed point runs away instead of settling (past the
+        # float range at si_lambda > 1). The allocator must name the
+        # coupling, not return the last iterate.
+        for beta, si_lambda in ((1e-2, 1.0), (1e-3, 1.0), (1e-2, 1.1)):
+            config = make_config(Xi=0.1, beta=beta, si_lambda=si_lambda)
+            state = aligned_state(config, rho_t=0.5)
+            with pytest.raises(InfeasibleError, match="self-interference"):
+                power_allocation_closed_form(config, state, None,
+                                             config.P_t, 0.2, 0.1)
 
     def test_infeasible_targets_are_named(self):
         # The wide baseline cell cannot reconcile the two DL decoding

@@ -12,13 +12,12 @@ from starfd.geometry import (exp_pathloss_center_disk,
                              exp_pathloss_edge_disk,
                              exp_pathloss_fixed_point_to_disk,
                              exp_pathloss_two_random_points, pathloss)
-from starfd.rates_cf import (CfRateInputs, CfSwitches, cf_rate_dl_center,
-                             cf_rate_dl_edge, cf_rate_inputs,
-                             cf_rate_strong_decodes_weak, cf_rate_ul_center,
-                             cf_rate_ul_edge, cf_rates,
-                             cf_rates_bidirectional, cf_rates_simplified,
-                             cf_sinrs, compute_moments, oma_sinrs)
-from starfd.rates_mc import PowerConfig, ergodic_rate_mc
+from starfd.rates_cf import (CfRateInputs, CfSwitches, cf_rate_inputs,
+                             cf_rates, cf_rates_bidirectional,
+                             cf_rates_simplified, cf_sinrs, compute_moments,
+                             oma_sinrs)
+from starfd.rates_mc import (PowerConfig, dl_sinr, ergodic_rate_mc,
+                             noma_sinrs)
 
 USERS = ("u1d", "u2d", "u1u", "u2u")
 
@@ -189,11 +188,11 @@ class TestRateInputs:
         assert inputs["u1d"].y2 == 0.0
         assert inputs["u1u"].y2 == 0.0
         pw = baseline_power()
-        assert cf_rate_dl_edge(self.config, dark, pw) == 0.0
-        assert cf_rate_ul_edge(self.config, dark, pw) == 0.0
+        report = cf_rates(self.config, dark, pw)
+        assert report.rate("u2d") == 0.0
+        assert report.rate("u2u") == 0.0
         direct = math.log2(1.0 + pw.p_u1u * mo.q_center / 1.0)
-        assert_allclose(cf_rate_ul_center(self.config, dark, pw), direct,
-                        rtol=1e-14)
+        assert_allclose(report.rate("u1u"), direct, rtol=1e-14)
 
     def test_each_switch_drops_exactly_its_term(self):
         mo = compute_moments(self.config, self.ris)
@@ -229,14 +228,12 @@ class TestClosedFormRates:
         report = cf_rates(self.config, self.ris, self.pw)
         assert report.estimator == "cf"
         assert report.stderr is None
-        assert report.rate("u1d") == cf_rate_dl_center(
-            self.config, self.ris, self.pw)
-        assert report.rate("u2d") == cf_rate_dl_edge(
-            self.config, self.ris, self.pw)
-        assert report.rate("u1u") == cf_rate_ul_center(
-            self.config, self.ris, self.pw)
-        assert report.rate("u2u") == cf_rate_ul_edge(
-            self.config, self.ris, self.pw)
+        # The closed forms are the kernel fed with the moments, si = V.
+        sinrs = noma_sinrs(cf_rate_inputs(self.config, self.ris), self.pw,
+                           self.pw.V, self.config.sigma_sq,
+                           self.config.sigma_b_sq)
+        for user in USERS:
+            assert report.rate(user) == math.log2(1.0 + sinrs[user])
 
     def test_simplified_equals_switched_full(self):
         # The short forms assume perfect SIC and SI cancellation and drop
@@ -279,8 +276,10 @@ class TestClosedFormRates:
     def test_strong_decodes_weak_exceeds_edge_rate(self):
         # The center user sees a better channel on average, so it decodes
         # the edge signal at least as fast as the edge user itself.
-        cross = cf_rate_strong_decodes_weak(self.config, self.ris, self.pw)
-        edge = cf_rate_dl_edge(self.config, self.ris, self.pw)
+        u1d = cf_rate_inputs(self.config, self.ris)["u1d"]
+        cross = math.log2(1.0 + dl_sinr(u1d, self.pw.p_b2, self.pw.p_b1,
+                                        self.pw, self.config.sigma_sq))
+        edge = cf_rates(self.config, self.ris, self.pw).rate("u2d")
         assert cross > edge
 
     def test_oma_reference(self):
@@ -319,5 +318,6 @@ class TestClosedFormRates:
 
     def test_bidirectional_bounded_by_decode_legs(self):
         r_c, r_e = cf_rates_bidirectional(self.config, self.ris, self.pw)
-        assert r_c <= cf_rate_ul_edge(self.config, self.ris, self.pw)
-        assert r_e <= cf_rate_ul_center(self.config, self.ris, self.pw)
+        report = cf_rates(self.config, self.ris, self.pw)
+        assert r_c <= report.rate("u2u")
+        assert r_e <= report.rate("u1u")

@@ -6,11 +6,10 @@ from numpy.testing import assert_allclose
 
 from conftest import make_config
 from starfd.channel import StarRisState, draw_realization, star_cascade
-from starfd.rates_mc import (PowerConfig, RateReport, _draw_si, _trial_rng,
-                             ergodic_rate_mc, noma_beneficial,
-                             rate_strong_decodes_weak, rates_bidirectional,
-                             sinr_dl_center, sinr_dl_edge, sinr_ul_center,
-                             sinr_ul_edge)
+from starfd.rates_mc import (PowerConfig, RateReport, _draw_si,
+                             _reception_terms, _trial_rng, dl_sinr,
+                             ergodic_rate_mc, noma_beneficial, noma_sinrs,
+                             relay_leg_rates)
 
 
 def baseline_power(**overrides) -> PowerConfig:
@@ -21,6 +20,11 @@ def baseline_power(**overrides) -> PowerConfig:
 
 def random_state(n=20, rho_t=0.5, seed=3) -> StarRisState:
     return StarRisState.random_phases(n, rho_t, np.random.default_rng(seed))
+
+
+def trial_sinrs(ch, ris, pw, si=0.0):
+    """The kernel's four SINRs for one realization, unit noise powers."""
+    return noma_sinrs(_reception_terms(ch, ris), pw, si, 1.0, 1.0)
 
 
 class TestPowerConfig:
@@ -61,6 +65,13 @@ class TestPowerConfig:
         with pytest.raises(ValueError, match="p_u2u"):
             PowerConfig(P_t=1000.0, p_b1=500.0, p_b2=400.0,
                         p_u1u=200.0, p_u2u=-100.0)
+
+    def test_non_finite_power_rejected(self):
+        # NaN fails every comparison, so it needs its own check.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="p_b1 must be finite"):
+                PowerConfig(P_t=1000.0, p_b1=bad, p_b2=400.0,
+                            p_u1u=200.0, p_u2u=100.0)
 
     def test_zero_downlink_is_representable(self):
         # The allocator can return an all-uplink split; the explicit form
@@ -140,7 +151,8 @@ class TestSinrOps:
         expected = (pw.p_b1 * a
                     / (pw.Xi * pw.p_b2 * a + pw.p_u1u * c + pw.p_u2u * d
                        + 1.0))
-        assert_allclose(sinr_dl_center(ch, ris, pw), expected, rtol=1e-14)
+        assert_allclose(trial_sinrs(ch, ris, pw)["u1d"], expected,
+                        rtol=1e-14)
 
     def test_dl_edge_term_by_term(self):
         pw = baseline_power()
@@ -154,7 +166,8 @@ class TestSinrOps:
              * abs(star_cascade(ch.g_r_u2d, ris, "r", ch.g_r_u2u)) ** 2)
         expected = pw.p_b2 * a / (pw.p_b1 * a + pw.p_u1u * c
                                   + pw.p_u2u * d + 1.0)
-        assert_allclose(sinr_dl_edge(ch, ris, pw), expected, rtol=1e-14)
+        assert_allclose(trial_sinrs(ch, ris, pw)["u2d"], expected,
+                        rtol=1e-14)
 
     def test_ul_loopback_term(self):
         # With the user powers zeroed and no SI, the center UL SINR is the
@@ -169,8 +182,8 @@ class TestSinrOps:
         loop = l["br"] ** 2 * abs(
             np.sum(ris.side("t") * np.abs(ch.g_br) ** 2)) ** 2
         expected = pw.p_u1u * a / (600.0 * loop + 1.0)
-        assert_allclose(sinr_ul_center(ch, ris, pw, si_draw=0.0),
-                        expected, rtol=1e-14)
+        assert_allclose(trial_sinrs(ch, ris, pw)["u1u"], expected,
+                        rtol=1e-14)
 
     def test_interference_free_center(self):
         # No uplink users and perfect SIC: the center DL SINR is a pure SNR.
@@ -181,7 +194,7 @@ class TestSinrOps:
         a = abs(math.sqrt(l["b_u1d"]) * ch.h_b_u1d
                 + math.sqrt(l["br"] * l["r_u1d"])
                 * star_cascade(ch.g_r_u1d, ris, "t", ch.g_br)) ** 2
-        assert_allclose(sinr_dl_center(ch, ris, pw), 200.0 * a,
+        assert_allclose(trial_sinrs(ch, ris, pw)["u1d"], 200.0 * a,
                         rtol=1e-14)
 
     def test_dark_side_kills_edge_users(self):
@@ -189,35 +202,37 @@ class TestSinrOps:
         # toward the edge disk, so the edge DL SINR is exactly zero.
         dark_r = StarRisState.uniform(self.config.n_elements, rho_t=1.0)
         ch = draw_realization(self.config, dark_r, _trial_rng(17, 0))
-        assert sinr_dl_edge(ch, dark_r, baseline_power()) == 0.0
+        assert trial_sinrs(ch, dark_r, baseline_power())["u2d"] == 0.0
 
     def test_si_dominated_uplink(self):
         pw = baseline_power(beta=1e9)
         si = _draw_si(pw, np.random.default_rng(0))
-        assert sinr_ul_center(self.ch, self.ris, pw, si) < 1e-6
-        assert sinr_ul_edge(self.ch, self.ris, pw, si) < 1e-6
+        sinrs = trial_sinrs(self.ch, self.ris, pw, si)
+        assert sinrs["u1u"] < 1e-6
+        assert sinrs["u2u"] < 1e-6
 
     def test_negative_si_draw_rejected(self):
-        with pytest.raises(ValueError, match="si_draw"):
-            sinr_ul_center(self.ch, self.ris, baseline_power(), -1.0)
+        with pytest.raises(ValueError, match="si is a squared magnitude"):
+            trial_sinrs(self.ch, self.ris, baseline_power(), -1.0)
 
     def test_strong_decodes_weak_exceeds_own_share(self):
         # The edge signal carries more power, so the center user decodes
         # it at a higher rate than its own signal whenever Xi is small.
         pw = baseline_power()
-        own = math.log2(1.0 + sinr_dl_center(self.ch, self.ris, pw))
-        cross = rate_strong_decodes_weak(self.ch, self.ris, pw)
+        own = math.log2(1.0 + trial_sinrs(self.ch, self.ris, pw)["u1d"])
+        u1d = _reception_terms(self.ch, self.ris)["u1d"]
+        cross = math.log2(1.0 + dl_sinr(u1d, pw.p_b2, pw.p_b1, pw, 1.0))
         assert cross > own
 
     def test_bidirectional_min_structure(self):
         pw = baseline_power()
-        r_c, r_e = rates_bidirectional(self.ch, self.ris, pw)
-        assert 0.0 <= r_c and 0.0 <= r_e
-        # Each connection rate is bounded by its BS decode leg.
-        r_u1u = math.log2(1.0 + sinr_ul_center(self.ch, self.ris, pw, 0.0))
-        r_u2u = math.log2(1.0 + sinr_ul_edge(self.ch, self.ris, pw, 0.0))
-        assert r_c <= r_u2u + 1e-15
-        assert r_e <= r_u1u + 1e-15
+        legs = relay_leg_rates(_reception_terms(self.ch, self.ris), pw,
+                               0.0, 1.0, 1.0)
+        assert all(leg >= 0.0 for leg in legs)
+        # The BS decode legs are the NOMA uplink rates.
+        sinrs = trial_sinrs(self.ch, self.ris, pw)
+        assert legs[1] == math.log2(1.0 + sinrs["u2u"])
+        assert legs[3] == math.log2(1.0 + sinrs["u1u"])
 
 
 class TestNomaBeneficial:
@@ -245,10 +260,9 @@ class TestErgodicRateMc:
         rng = _trial_rng(9, 0)
         ch = draw_realization(self.config, self.ris, rng)
         si = _draw_si(self.pw, rng)
-        assert report.rate("u1d") == math.log2(
-            1.0 + sinr_dl_center(ch, self.ris, self.pw))
-        assert report.rate("u2u") == math.log2(
-            1.0 + sinr_ul_edge(ch, self.ris, self.pw, si))
+        sinrs = trial_sinrs(ch, self.ris, self.pw, si)
+        assert report.rate("u1d") == math.log2(1.0 + sinrs["u1d"])
+        assert report.rate("u2u") == math.log2(1.0 + sinrs["u2u"])
         assert report.stderr == {u: 0.0 for u in
                                  ("u1d", "u2d", "u1u", "u2u")}
 
@@ -263,7 +277,7 @@ class TestErgodicRateMc:
             rng = _trial_rng(23, t)
             ch = draw_realization(self.config, self.ris, rng)
             singles.append(math.log2(
-                1.0 + sinr_dl_center(ch, self.ris, self.pw)))
+                1.0 + trial_sinrs(ch, self.ris, self.pw)["u1d"]))
         assert_allclose(report.rate("u1d"),
                         math.fsum(singles) / trials, rtol=1e-15)
 
@@ -296,13 +310,12 @@ class TestErgodicRateMc:
         report = ergodic_rate_mc(self.config, self.ris, self.pw, 30,
                                  seed=7, scenario="bidirectional")
         legs = np.empty((30, 4))
-        from starfd.rates_mc import _bidirectional_legs
         for t in range(30):
             rng = _trial_rng(7, t)
             ch = draw_realization(self.config, self.ris, rng)
             si = _draw_si(self.pw, rng)
-            legs[t] = _bidirectional_legs(ch, self.ris, self.pw, si,
-                                          1.0, 1.0)
+            legs[t] = relay_leg_rates(_reception_terms(ch, self.ris),
+                                      self.pw, si, 1.0, 1.0)
         means = [math.fsum(legs[:, i]) / 30 for i in range(4)]
         assert report.rate("c") == min(means[1], means[0])
         assert report.rate("e") == min(means[3], means[2])
