@@ -112,14 +112,27 @@ class ExperimentSpec:
     resolved: Dict[str, str]
 
 
+class _NotFinite(ValueError):
+    """A float key holds NaN or an infinity."""
+
+
+def _finite(token: str) -> float:
+    # No key has a meaningful NaN or infinity, and past this point a NaN
+    # would slip through range checks written as ``x < 0``.
+    value = float(token)
+    if not math.isfinite(value):
+        raise _NotFinite(token)
+    return value
+
+
 def _parse_scalar(kind: str, raw: str):
     if kind == "float":
-        return float(raw)
+        return _finite(raw)
     if kind == "int":
         value = int(raw)
         return value
     if kind == "floats":
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
+        return tuple(_finite(tok) for tok in raw.replace(",", " ").split())
     if kind == "words":
         return tuple(raw.replace(",", " ").split())
     return raw
@@ -158,6 +171,8 @@ def parse_spec_text(text: str
     for key, (kind, _) in SPEC_KEYS.items():
         try:
             values[key] = _parse_scalar(kind, raw[key])
+        except _NotFinite:
+            errors.append(f"{key}: values must be finite, got {raw[key]!r}")
         except ValueError:
             errors.append(f"{key}: cannot parse {raw[key]!r} as {kind}")
     if errors:

@@ -75,23 +75,23 @@ class SystemConfig:
         if not (isinstance(self.n_elements, int) and self.n_elements >= 1):
             raise ValueError("n_elements must be a positive integer")
         for link in ("br",) + USERS:
-            if getattr(self, f"kappa_{link}") < 0:
+            if not getattr(self, f"kappa_{link}") >= 0:
                 raise ValueError(f"kappa_{link} must be non-negative")
         if not self.sigma_sq > 0 or not self.sigma_b_sq > 0:
             raise ValueError("noise powers must be positive")
         for user in USERS:
-            if getattr(self, f"weight_{user}") < 0:
+            if not getattr(self, f"weight_{user}") >= 0:
                 raise ValueError(f"weight_{user} must be non-negative")
         if not self.P_t > 0:
             raise ValueError("total power budget must be positive")
         validate_splits(self.tau, self.alpha1, self.alpha2, self.ul_split)
         if not 0.0 <= self.Xi <= 1.0:
             raise ValueError("SIC error factor Xi must lie in [0, 1]")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError("beta must be non-negative")
-        if self.si_lambda < 0:
+        if not self.si_lambda >= 0:
             raise ValueError("si_lambda must be non-negative")
-        if self.R_dth < 0 or self.R_uth < 0:
+        if not (self.R_dth >= 0 and self.R_uth >= 0):
             raise ValueError("target rates must be non-negative")
 
     def kappa(self, link: str) -> float:

@@ -8,8 +8,8 @@ configuration that fails validation exits 1.
 class NumericError(RuntimeError):
     """A numerical procedure failed to converge or exceeded its budget.
 
-    Carries a human-readable diagnostic (last term magnitude, subdivision
-    depth, ...) so the caller can decide whether a fallback applies.
+    Carries a human-readable diagnostic (the subdivision depth and panel
+    error of the adaptive integrator).
     """
 
 

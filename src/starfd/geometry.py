@@ -20,8 +20,8 @@ Four position-averaged expectations of ``l`` appear in the closed forms:
   center user), via Gauss-Legendre quadrature of the arccos distance
   density on [r1, r1 + 2R];
 - between two independent uniform points in the same disk (center user ->
-  center user), via a five-term hypergeometric expression with an
-  automatic quadrature fallback where the series diverges.
+  center user), via adaptive Gauss-Kronrod integration of the exact
+  distance density on [0, 2R].
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from typing import Literal
 
 import numpy as np
 
-from .exceptions import NumericError
-from .specfun import gauss_legendre, hyper_pFq, integrate_adaptive
+from .specfun import gauss_legendre, integrate_adaptive
 
 __all__ = [
     "CellGeometry",
@@ -205,38 +204,18 @@ def _two_point_density(r, R: float):
             * (np.arccos(u) - u * np.sqrt(1.0 - u * u)))
 
 
-def _two_point_series(R: float, m: float) -> float:
-    # Five-term hypergeometric expression, argument 4R^2. Divergent for
-    # 4R^2 >= 1; hyper_pFq raises and the caller falls back to quadrature.
-    z = 4.0 * R * R
-    pole = (m * m - 3.0 * m + 2.0) * R * R
-    f1 = hyper_pFq([0.5, m / 2 - 1.0, m / 2 - 0.5], [-0.5, 1.0], z)
-    f2 = hyper_pFq([1.5, m / 2 + 0.5, m / 2], [0.5, 3.0], z)
-    f3 = hyper_pFq([2.0, m / 2 + 0.5, m / 2 + 1.0], [1.5, 3.5], z)
-    f4 = hyper_pFq([2.0, m / 2 + 0.5, m / 2 + 1.0], [2.5, 2.5], z)
-    return (2.0 / pole
-            - 2.0 * f1 / pole
-            - f2
-            + 64.0 * m * R * f3 / (15.0 * math.pi)
-            - 64.0 * m * R * f4 / (9.0 * math.pi))
-
-
 def exp_pathloss_two_random_points(R: float, m: float) -> float:
     """E{(1+r)^(-m)} between two independent uniform points in one disk.
 
-    Tries the hypergeometric closed form first; when the series fails to
-    converge (it diverges whenever 2R >= 1, i.e. for every realistic disk
-    measured in meters) the exact distance density is integrated with the
-    adaptive oracle instead.
+    The exact distance density is integrated with the adaptive
+    Gauss-Kronrod integrator. (The five-term hypergeometric form of this
+    average diverges whenever 2R >= 1, i.e. for every realistic disk
+    measured in meters.)
     """
     if not R > 0:
         raise ValueError("disk radius must be positive")
     if not m > 2:
         raise ValueError("path-loss exponent must exceed 2")
-    try:
-        value = _two_point_series(R, m)
-    except NumericError:
-        value = integrate_adaptive(
-            lambda r: (1.0 + r) ** (-m) * float(_two_point_density(r, R)),
-            0.0, 2.0 * R, tol=1e-12)
-    return value
+    return integrate_adaptive(
+        lambda r: (1.0 + r) ** (-m) * float(_two_point_density(r, R)),
+        0.0, 2.0 * R, tol=1e-12)

@@ -22,7 +22,7 @@ from .exceptions import DegenerateGeometryError, InfeasibleError
 from .rates_cf import (CfRateInputs, cf_rate_inputs, cf_rates,
                        cf_rates_bidirectional, cf_sinrs, oma_sinrs)
 from .rates_mc import (PowerConfig, RateReport, dl_sinr, noma_beneficial,
-                       relay_branches)
+                       noma_sinrs, relay_branches)
 
 __all__ = [
     "ObjectiveSpec",
@@ -55,22 +55,17 @@ class ObjectiveSpec:
 
     weights: Dict[str, float]
     scenario: str = "noma-pair"
-    R_dth: float = 0.0
-    R_uth: float = 0.0
 
     def __post_init__(self) -> None:
         if self.scenario not in ("noma-pair", "bidirectional"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if any(w < 0 for w in self.weights.values()):
             raise ValueError("objective weights must be non-negative")
-        if self.R_dth < 0 or self.R_uth < 0:
-            raise ValueError("target rates must be non-negative")
 
     @classmethod
     def from_config(cls, config: SystemConfig,
                     scenario: str = "noma-pair") -> "ObjectiveSpec":
-        return cls(weights=config.weights, scenario=scenario,
-                   R_dth=config.R_dth, R_uth=config.R_uth)
+        return cls(weights=config.weights, scenario=scenario)
 
 
 @dataclass(frozen=True)
@@ -330,15 +325,14 @@ def _ascent_step(state: StarRisState, grads: Tuple[np.ndarray, ...],
 
 def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
          mu: float = 0.5, alpha_scale: float = 1.0, eps: float = 1e-9,
-         L: int = 500, objective: Optional[ObjectiveSpec] = None,
-         backtracking: bool = True) -> OptimizationResult:
+         L: int = 500, objective: Optional[ObjectiveSpec] = None
+         ) -> OptimizationResult:
     """Projected gradient ascent over surface phases and amplitudes.
 
     Maximizes the closed-form weighted sum rate starting from ``init``.
-    With ``backtracking`` (the default) the step size halves whenever a
-    step would lower the objective, which guarantees a monotone trace;
-    ``backtracking=False`` reproduces the plain fixed-step loop, whose
-    trace may dip and which stops at the first non-improving step.
+    The step size halves whenever a step would lower the objective, which
+    guarantees a monotone trace; the run stops once a step gains less
+    than ``eps``, or when no step down to 1e-12 gains at all.
     """
     if mu <= 0 or eps <= 0 or L < 1:
         raise ValueError("need mu > 0, eps > 0 and L >= 1")
@@ -359,15 +353,14 @@ def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
         grads = _fd_gradients(evaluate, state)
         candidate = _ascent_step(state, grads, step, alpha_scale)
         value = evaluate(candidate)
-        if backtracking:
-            while value < current and step > _MU_MIN:
-                step /= 2.0
-                candidate = _ascent_step(state, grads, step, alpha_scale)
-                value = evaluate(candidate)
-            if value < current:
-                # No ascent possible at the smallest step: a fixed point.
-                reason = "converged"
-                break
+        while value < current and step > _MU_MIN:
+            step /= 2.0
+            candidate = _ascent_step(state, grads, step, alpha_scale)
+            value = evaluate(candidate)
+        if value < current:
+            # No ascent possible at the smallest step: a fixed point.
+            reason = "converged"
+            break
         state = candidate
         trace.append(value)
         improvement = value - current
@@ -528,9 +521,10 @@ def validate_constraints(config: SystemConfig, ris: StarRisState,
 
     # SIC order: the center user must decode the edge DL signal at least
     # as well as the edge user does.
-    gammas = cf_sinrs(config, ris, pw)
-    cross = dl_sinr(cf_rate_inputs(config, ris)["u1d"], pw.p_b2, pw.p_b1,
-                    pw, config.sigma_sq)
+    inputs = cf_rate_inputs(config, ris)
+    gammas = noma_sinrs(inputs, pw, pw.V, config.sigma_sq,
+                        config.sigma_b_sq)
+    cross = dl_sinr(inputs["u1d"], pw.p_b2, pw.p_b1, pw, config.sigma_sq)
     order_margin = math.log2(1.0 + cross) - math.log2(1.0 + gammas["u2d"])
     decoding_order = ConstraintCheck(order_margin >= -tol, order_margin)
 
@@ -547,7 +541,7 @@ def validate_constraints(config: SystemConfig, ris: StarRisState,
     # modulus identically; the check records that explicitly.
     unit_modulus = ConstraintCheck(True, 0.0)
 
-    omas = oma_sinrs(config, ris, pw)
+    omas = oma_sinrs(inputs, pw, pw.V, config.sigma_sq, config.sigma_b_sq)
     benefit = {}
     for user in USERS:
         threshold = math.sqrt(1.0 + omas[user]) - 1.0

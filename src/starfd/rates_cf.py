@@ -224,24 +224,22 @@ def cf_sinrs(config: SystemConfig, ris: StarRisState, pw: PowerConfig,
     return noma_sinrs(inputs, pw, pw.V, config.sigma_sq, config.sigma_b_sq)
 
 
-def oma_sinrs(config: SystemConfig, ris: StarRisState,
-              pw: PowerConfig) -> Dict[str, float]:
+def oma_sinrs(terms, pw: PowerConfig, si: float, sigma_sq: float,
+              sigma_b_sq: float) -> Dict[str, float]:
     """Orthogonal-access reference SINRs for the NOMA-benefit check.
 
-    Convention: each user is served without its intra-pair partner — the
-    DL user gets the whole BS power with no SIC residual, the UL user
-    keeps its own power without the partner's interference. Cross-pair
-    (full-duplex) interference and the SI variance are unchanged.
+    Takes the same terms as :func:`noma_sinrs`. Convention: each user is
+    served without its intra-pair partner — the DL user gets the whole BS
+    power with no SIC residual, the UL user keeps its own power without
+    the partner's interference. Cross-pair (full-duplex) interference and
+    the SI term ``si`` are unchanged.
     """
-    inputs = cf_rate_inputs(config, ris)
-    v = pw.V
+    s1, s2, loop = terms["u1u"]
     return {
-        "u1d": dl_sinr(inputs["u1d"], pw.P_b, 0.0, pw, config.sigma_sq),
-        "u2d": dl_sinr(inputs["u2d"], pw.P_b, 0.0, pw, config.sigma_sq),
-        "u1u": ul_sinr(inputs["u1u"], pw.p_u1u, 0.0, pw, v,
-                       config.sigma_b_sq),
-        "u2u": ul_sinr(inputs["u2u"], pw.p_u2u, 0.0, pw, v,
-                       config.sigma_b_sq),
+        "u1d": dl_sinr(terms["u1d"], pw.P_b, 0.0, pw, sigma_sq),
+        "u2d": dl_sinr(terms["u2d"], pw.P_b, 0.0, pw, sigma_sq),
+        "u1u": ul_sinr(terms["u1u"], pw.p_u1u, 0.0, pw, si, sigma_b_sq),
+        "u2u": ul_sinr((s2, s1, loop), pw.p_u2u, 0.0, pw, si, sigma_b_sq),
     }
 
 

@@ -1,17 +1,16 @@
-"""Numerical kernels: hypergeometric series, Gauss-Legendre rules, and an
-adaptive integrator.
+"""Numerical kernels: Gauss-Legendre rules and an adaptive integrator.
 
 The adaptive integrator is deliberately self-contained (no external
-quadrature library): it serves as the ground-truth oracle for every
-closed-form disk expectation in :mod:`starfd.geometry`, so its behavior
-must be fully pinned by this module alone.
+quadrature library): it evaluates the two-point disk average of
+:mod:`starfd.geometry` and serves as the oracle for the other disk
+expectations there, so its behavior must be fully pinned by this module
+alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -20,18 +19,9 @@ from .exceptions import NumericError
 
 __all__ = [
     "QuadratureRule",
-    "hyper_pFq",
     "gauss_legendre",
     "integrate_adaptive",
 ]
-
-# Convergence policy for hyper_pFq: a term is negligible when it is below
-# REL_TERM_TOL * |partial sum|; we require three consecutive negligible
-# terms before declaring convergence, and give up after MAX_TERMS.
-REL_TERM_TOL = 1e-15
-CONSECUTIVE_SMALL = 3
-MAX_TERMS = 10_000
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -63,56 +53,6 @@ class QuadratureRule:
         half = 0.5 * (b - a)
         mid = 0.5 * (b + a)
         return float(half * np.sum(self.weights * f(mid + half * self.nodes)))
-
-
-def hyper_pFq(a: Sequence[float], b: Sequence[float], z: float) -> float:
-    """Partial-sum evaluation of the generalized hypergeometric series pFq.
-
-    Terms are built by the ratio recurrence
-    ``term_{k+1} = term_k * prod(a_i + k) / prod(b_j + k) * z / (k + 1)``.
-    The sum is declared converged when three consecutive terms are below
-    1e-15 of the running sum, and aborts with :class:`NumericError` after
-    10_000 terms (which is what happens for divergent parameter/argument
-    combinations, e.g. p > q + 1 with z != 0).
-
-    No ``b_j`` may be a non-positive integer (the recurrence would divide
-    by zero at k = -b_j).
-    """
-    a = [float(x) for x in a]
-    b = [float(x) for x in b]
-    for bj in b:
-        if bj <= 0 and float(bj).is_integer():
-            raise ValueError(
-                f"lower parameter {bj} is a non-positive integer; "
-                "the series is undefined")
-    if z == 0:
-        return 1.0
-
-    total = 1.0
-    term = 1.0
-    small_streak = 0
-    for k in range(MAX_TERMS):
-        num = 1.0
-        for ai in a:
-            num *= ai + k
-        den = 1.0
-        for bj in b:
-            den *= bj + k
-        term = term * num / den * z / (k + 1)
-        total += term
-        if not math.isfinite(total):
-            raise NumericError(
-                f"hypergeometric series overflowed at term {k + 1} "
-                f"(|term| = {abs(term):.3e})")
-        if abs(term) < REL_TERM_TOL * abs(total):
-            small_streak += 1
-            if small_streak >= CONSECUTIVE_SMALL:
-                return total
-        else:
-            small_streak = 0
-    raise NumericError(
-        f"hypergeometric series did not converge in {MAX_TERMS} terms "
-        f"(last |term| = {abs(term):.3e}, |sum| = {abs(total):.3e})")
 
 
 def gauss_legendre(n: int) -> QuadratureRule:

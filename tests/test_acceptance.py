@@ -6,7 +6,9 @@ under ``pytest -v``, in this order:
 1. closed-form rates vs the rate of the simulated moments on the
    baseline cell at three operating points (10% relative, 1e5 trials,
    < 2 min per point);
-2. geometry position averages vs the adaptive-integration oracle (1e-6);
+2. geometry position averages vs the adaptive-integration oracle, and
+   the two-point average, which the library computes with that
+   integrator, vs 30-digit mpmath quadrature (1e-6);
 3. closed-form power allocation: exact target reproduction (1e-9) and
    agreement with an independent nonlinear root-finder (1e-8) on 50
    randomized feasible cells;
@@ -52,7 +54,7 @@ from starfd.channel import StarRisState, _los_vectors, draw_realization
 from starfd.cli import parse_spec_text, run_experiment
 from starfd.exceptions import DegenerateGeometryError, InfeasibleError
 from starfd.geometry import (CellGeometry, _external_point_density,
-                             _two_point_density, exp_pathloss_center_disk,
+                             exp_pathloss_center_disk,
                              exp_pathloss_edge_disk,
                              exp_pathloss_fixed_point_to_disk,
                              exp_pathloss_two_random_points)
@@ -140,7 +142,8 @@ class TestClosedFormAgainstMonteCarlo:
 
 
 class TestGeometryMoments:
-    """Part 2: every position average within 1e-6 of adaptive quadrature."""
+    """Part 2: every position average within 1e-6 of an independent
+    quadrature."""
 
     def test_center_disk_matches_adaptive_oracle(self):
         for m in EXPONENTS:
@@ -174,14 +177,21 @@ class TestGeometryMoments:
                         rtol=1e-6, err_msg=f"r1={r1} R={R} m={m}")
 
     def test_two_random_points_matches_adaptive_oracle(self):
-        for m in EXPONENTS:
-            for R in RADII:
-                ref = integrate_adaptive(
-                    lambda r: ((1.0 + r) ** (-m)
-                               * float(_two_point_density(r, R))),
-                    0.0, 2.0 * R, tol=1e-12)
-                assert_allclose(exp_pathloss_two_random_points(R, m), ref,
-                                rtol=1e-6, err_msg=f"R={R} m={m}")
+        # The library itself evaluates this average with the adaptive
+        # integrator, so the reference is independent of it: tanh-sinh
+        # quadrature of the two-point distance density at 30 digits.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            for m in EXPONENTS:
+                for R in RADII:
+                    def integrand(r):
+                        u = r / (2 * R)
+                        density = (4 * r / (mp.pi * R ** 2)
+                                   * (mp.acos(u) - u * mp.sqrt(1 - u * u)))
+                        return (1 + r) ** (-m) * density
+                    ref = float(mp.quad(integrand, [0, 2 * R]))
+                    assert_allclose(exp_pathloss_two_random_points(R, m),
+                                    ref, rtol=1e-6, err_msg=f"R={R} m={m}")
 
 
 class TestPowerAllocation:

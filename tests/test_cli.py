@@ -116,6 +116,25 @@ class TestSpecParsing:
         """)
         assert spec.sweep_variable == "target_rate"
 
+    @pytest.mark.parametrize("key, extra", [
+        ("weight_u1d", {}),
+        ("pgam_eps", {"designs": "pgam", "pgam_iters": "2"}),
+        ("kappa_br", {}),
+        ("si_beta", {}),
+        ("sweep_grid", {}),
+    ])
+    def test_non_finite_value_exits_1_and_writes_nothing(
+            self, tmp_path, capsys, key, extra):
+        keys = {"sweep_variable": "snr_db", "sweep_grid": "30", **extra,
+                key: "nan"}
+        path = write_spec(tmp_path, "".join(f"{k} = {v}\n"
+                                            for k, v in keys.items()))
+        out = tmp_path / "never.csv"
+        assert main(["run", str(path), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "finite" in err
+        assert not out.exists()
+
     def test_every_preset_parses(self):
         for name in PRESETS:
             spec, errors = parse_spec_text(preset_text(name))

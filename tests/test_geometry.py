@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from starfd.geometry import (CellGeometry, UserPosition,
-                             _two_point_density, _two_point_series,
+                             _two_point_density,
                              exp_pathloss_center_disk,
                              exp_pathloss_edge_disk,
                              exp_pathloss_fixed_point_to_disk,
@@ -170,24 +170,15 @@ class TestFixedPointToDisk:
 
 class TestTwoRandomPoints:
     def test_reference_value_realistic_disk(self):
-        # 2R >= 1 here, so this exercises the quadrature fallback.
+        # A realistic disk: 2R >= 1, where the series form diverges.
         assert_allclose(exp_pathloss_two_random_points(50.0, 2.7),
                         5.507470997595e-04, rtol=1e-9)
 
     def test_series_reference_small_disk(self):
-        assert_allclose(_two_point_series(0.1, 2.7),
+        # A disk small enough (2R < 1) for the five-term hypergeometric
+        # form to converge; the reference value is that series.
+        assert_allclose(exp_pathloss_two_random_points(0.1, 2.7),
                         7.973325292455e-01, rtol=1e-10)
-
-    def test_series_matches_quadrature_where_convergent(self):
-        for R in (0.05, 0.2, 0.4):
-            for m in (2.1, 2.7, 3.5):
-                series = _two_point_series(R, m)
-                quad = integrate_adaptive(
-                    lambda r: ((1.0 + r) ** (-m)
-                               * float(_two_point_density(r, R))),
-                    0.0, 2.0 * R, tol=1e-13)
-                assert_allclose(series, quad, rtol=1e-9,
-                                err_msg=f"R={R} m={m}")
 
     def test_density_normalization(self):
         for R in (0.3, 5.0, 50.0):

@@ -222,15 +222,6 @@ class TestPgam:
         assert again.iterations <= 1
         assert abs(again.objective - first.objective) < 1e-9
 
-    def test_fixed_step_mode_stops_on_first_non_improvement(self):
-        config = toy_config()
-        pw = PowerConfig.from_config(config)
-        init = StarRisState.random_phases(4, 0.5, np.random.default_rng(9))
-        result = pgam(config, pw, init, L=300, backtracking=False)
-        assert result.reason in ("converged", "max-iters")
-        if result.reason == "converged":
-            assert result.trace[-1] - result.trace[-2] < 1e-9
-
     def test_bidirectional_objective(self):
         config = compact_config(n_elements=8)
         pw = PowerConfig.from_config(config)
@@ -430,6 +421,19 @@ class TestValidateConstraints:
             c.ok for c in (check.power_budget, check.decoding_order,
                            check.edge_dl_target, check.edge_ul_target,
                            check.energy_split, check.unit_modulus))
+
+    def test_moments_assembled_once(self, monkeypatch):
+        pw = PowerConfig.from_config(self.config)
+        report = cf_rates(self.config, self.state, pw)
+        calls = []
+
+        def counting(config, ris):
+            calls.append(ris)
+            return compute_moments(config, ris)
+
+        monkeypatch.setattr("starfd.rates_cf.compute_moments", counting)
+        validate_constraints(self.config, self.state, pw, report)
+        assert len(calls) == 1
 
     def test_bidirectional_report_rejected(self):
         pw = PowerConfig.from_config(self.config)

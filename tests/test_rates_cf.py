@@ -287,12 +287,15 @@ class TestClosedFormRates:
         # the NOMA SINR for every user. Xi > 0 so the edge UL comparison
         # is strict too (with perfect SIC the two coincide there).
         pw = baseline_power(Xi=0.1)
+        inputs = cf_rate_inputs(self.config, self.ris)
         gammas = cf_sinrs(self.config, self.ris, pw)
-        omas = oma_sinrs(self.config, self.ris, pw)
+        omas = oma_sinrs(inputs, pw, pw.V, self.config.sigma_sq,
+                         self.config.sigma_b_sq)
         for user in USERS:
             assert omas[user] > gammas[user]
         # Perfect SIC: the edge UL user sees no partner term either way.
-        assert (oma_sinrs(self.config, self.ris, self.pw)["u2u"]
+        assert (oma_sinrs(inputs, self.pw, self.pw.V, self.config.sigma_sq,
+                          self.config.sigma_b_sq)["u2u"]
                 == cf_sinrs(self.config, self.ris, self.pw)["u2u"])
 
     def test_edge_rates_agree_with_monte_carlo(self):

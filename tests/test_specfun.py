@@ -5,49 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from starfd.exceptions import NumericError
-from starfd.specfun import (QuadratureRule, gauss_legendre, hyper_pFq,
-                            integrate_adaptive)
-
-
-class TestHyperPFQ:
-    def test_0f0_is_exp(self):
-        assert_allclose(hyper_pFq([], [], 0.5), math.exp(0.5), rtol=1e-14)
-
-    def test_1f0_is_geometric(self):
-        assert_allclose(hyper_pFq([1], [], 0.3), 1.0 / 0.7, rtol=1e-14)
-
-    def test_3f2_reference_value(self):
-        # Independent oracle: mpmath.hyper with 50-digit working precision.
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 50
-        ref = float(mp.hyper([1, 2, 3], [4, 5], 0.1))
-        assert_allclose(hyper_pFq([1, 2, 3], [4, 5], 0.1), ref, rtol=1e-13)
-
-    def test_matches_extended_precision_on_random_tuples(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
-        rng = np.random.default_rng(20240817)
-        for _ in range(100):
-            p = int(rng.integers(0, 3))
-            q = int(rng.integers(p > 0, 3))  # keep q >= 1 when p > 1
-            a = list(np.round(rng.uniform(0.2, 4.0, size=p), 3))
-            b = list(np.round(rng.uniform(0.6, 4.0, size=q), 3))
-            z = float(np.round(rng.uniform(-0.9, 0.9), 4))
-            ref = float(mp.hyper(a, b, z))
-            assert_allclose(hyper_pFq(a, b, z), ref, rtol=1e-10,
-                            err_msg=f"a={a} b={b} z={z}")
-
-    def test_rejects_nonpositive_integer_lower_parameter(self):
-        with pytest.raises(ValueError):
-            hyper_pFq([1.0], [-2.0], 0.1)
-
-    def test_divergent_series_raises_with_diagnostic(self):
-        # 3F2 at |z| > 1 diverges; the error carries the last term size.
-        with pytest.raises(NumericError, match="term"):
-            hyper_pFq([0.5, 1.35, 0.85], [-0.5, 1.0], 1.0e4)
-
-    def test_z_zero(self):
-        assert hyper_pFq([2.0], [3.0], 0.0) == 1.0
+from starfd.specfun import QuadratureRule, gauss_legendre, integrate_adaptive
 
 
 class TestGaussLegendre:
