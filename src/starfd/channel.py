@@ -49,7 +49,9 @@ class StarRisState:
     response on side k is diag(rho_k * exp(j*phi_k))). Construction rejects
     states violating rho_t + rho_r = 1 beyond ``ES_TOL`` instead of
     renormalizing; phases are wrapped into [0, 2*pi). ``validate=False``
-    skips the energy check for transient probe states inside optimizers.
+    skips the energy check, for states off the feasible segment such as
+    finite-difference probes. Non-finite amplitudes or phases are
+    rejected either way.
     """
 
     rho_t: np.ndarray
@@ -68,6 +70,9 @@ class StarRisState:
             raise ValueError("amplitude and phase arrays must share a length")
         if self.rho_t.ndim != 1 or self.rho_t.size < 1:
             raise ValueError("state needs at least one element")
+        if not all(np.all(np.isfinite(getattr(self, name)))
+                   for name in ("rho_t", "rho_r", "phi_t", "phi_r")):
+            raise ValueError("amplitudes and phases must be finite")
         object.__setattr__(self, "phi_t",
                            np.mod(self.phi_t, 2.0 * math.pi))
         object.__setattr__(self, "phi_r",

@@ -3,9 +3,10 @@ coefficients, channel-aligned phase designs, and closed-form power
 allocation with constraint validation.
 
 The ascent objective is always the closed-form weighted sum rate, so a
-run is deterministic given its initial state. Gradients are central
-finite differences (the closed forms are cheap and no analytic gradient
-is available).
+run is deterministic given its initial state. Its gradient is analytic:
+the chain rule runs from the rates through the SINR kernel's partials to
+the moment triples, and from there through the few surface scalars the
+moments depend on, in O(N) per iteration.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ from .channel import GeometryAngles, StarRisState, element_layout
 from .config import USERS, SystemConfig
 from .exceptions import DegenerateGeometryError, InfeasibleError
 from .rates_cf import (CfRateInputs, cf_rate_inputs, cf_rates,
-                       cf_rates_bidirectional, cf_sinrs, oma_sinrs)
+                       cf_rates_bidirectional, cf_sinrs, compute_moments,
+                       oma_sinrs, surface_gradient)
 from .rates_mc import (PowerConfig, RateReport, dl_sinr, noma_beneficial,
-                       noma_sinrs, relay_branches)
+                       noma_sinrs, noma_sinrs_pullback, relay_branches,
+                       relay_leg_pullback, relay_leg_rates)
 
 __all__ = [
     "ObjectiveSpec",
@@ -39,8 +42,6 @@ __all__ = [
     "validate_constraints",
 ]
 
-# Finite-difference step, radians on phases and raw units on amplitudes.
-_FD_STEP = 1e-6
 # Backtracking floor: a step size below this means no ascent direction is
 # left at working precision, which we treat as convergence.
 _MU_MIN = 1e-12
@@ -59,7 +60,7 @@ class ObjectiveSpec:
     def __post_init__(self) -> None:
         if self.scenario not in ("noma-pair", "bidirectional"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if any(w < 0 for w in self.weights.values()):
+        if any(not w >= 0 for w in self.weights.values()):
             raise ValueError("objective weights must be non-negative")
 
     @classmethod
@@ -260,7 +261,11 @@ def aligned_state(config: SystemConfig, rho_t: float = 0.5,
 
 def _make_objective(config: SystemConfig, pw: PowerConfig,
                     objective: ObjectiveSpec
-                    ) -> Callable[[StarRisState], float]:
+                    ) -> Tuple[Callable[[StarRisState], float],
+                               Callable[[StarRisState],
+                                        Tuple[np.ndarray, ...]]]:
+    """The objective and its gradient in (phi_t, phi_r, rho_t, rho_r)."""
+    sigma_sq, sigma_b_sq = config.sigma_sq, config.sigma_b_sq
     if objective.scenario == "noma-pair":
         weights = objective.weights
 
@@ -268,41 +273,38 @@ def _make_objective(config: SystemConfig, pw: PowerConfig,
             sinrs = cf_sinrs(config, state, pw)
             return math.fsum(weights[u] * math.log2(1.0 + sinrs[u])
                              for u in USERS)
+
+        def term_grads(inputs):
+            sinrs = noma_sinrs(inputs, pw, pw.V, sigma_sq, sigma_b_sq)
+            # d/dg of w log2(1 + g)
+            scale = {u: weights[u] / ((1.0 + sinrs[u]) * math.log(2.0))
+                     for u in USERS}
+            return noma_sinrs_pullback(inputs, pw, pw.V, sigma_sq,
+                                       sigma_b_sq, scale)
     else:
         # Connection rates are equally weighted in the bidirectional sum.
         def evaluate(state: StarRisState) -> float:
             r_c, r_e = cf_rates_bidirectional(config, state, pw)
             return r_c + r_e
 
-    return evaluate
+        def term_grads(inputs):
+            r_uc, r_u2u, r_ue, r_u1u = relay_leg_rates(
+                inputs, pw, pw.V, sigma_sq, sigma_b_sq)
+            # Follow the legs that cf_rates_bidirectional's min(r_u2u,
+            # r_uc) and min(r_u1u, r_ue) return: min keeps its first
+            # argument unless the second is smaller.
+            c_relay, e_relay = r_uc < r_u2u, r_ue < r_u1u
+            legs = (float(c_relay), float(not c_relay),
+                    float(e_relay), float(not e_relay))
+            return relay_leg_pullback(inputs, pw, pw.V, sigma_sq,
+                                      sigma_b_sq, legs)
 
+    def gradient(state: StarRisState) -> Tuple[np.ndarray, ...]:
+        moments = compute_moments(config, state)
+        inputs = cf_rate_inputs(config, state, moments=moments)
+        return surface_gradient(config, state, term_grads(inputs), moments)
 
-def _fd_gradients(evaluate: Callable[[StarRisState], float],
-                  state: StarRisState) -> Tuple[np.ndarray, ...]:
-    """Central finite differences of the objective in all 4N coordinates.
-
-    Probe states skip the energy-split validation: an amplitude probe
-    rho +/- delta deliberately leaves the feasible segment, which is fine
-    because the closed forms are defined on all of R^2N.
-    """
-    arrays = {name: getattr(state, name).copy()
-              for name in ("phi_t", "phi_r", "rho_t", "rho_r")}
-
-    def probe(name: str, index: int, delta: float) -> float:
-        bumped = dict(arrays)
-        vec = arrays[name].copy()
-        vec[index] += delta
-        bumped[name] = vec
-        return evaluate(StarRisState(validate=False, **bumped))
-
-    grads = []
-    for name in ("phi_t", "phi_r", "rho_t", "rho_r"):
-        grad = np.empty(state.n_elements)
-        for n in range(state.n_elements):
-            grad[n] = (probe(name, n, _FD_STEP)
-                       - probe(name, n, -_FD_STEP)) / (2.0 * _FD_STEP)
-        grads.append(grad)
-    return tuple(grads)
+    return evaluate, gradient
 
 
 def _ascent_step(state: StarRisState, grads: Tuple[np.ndarray, ...],
@@ -311,8 +313,8 @@ def _ascent_step(state: StarRisState, grads: Tuple[np.ndarray, ...],
     new_phis = []
     for phi, grad in ((state.phi_t, g_phi_t), (state.phi_r, g_phi_r)):
         theta = np.exp(1j * phi)
-        # The finite differences give d f / d phi; the corresponding
-        # manifold gradient in theta is (df/dphi) * j*theta. Stepping in
+        # The gradient holds d f / d phi; the corresponding manifold
+        # gradient in theta is (df/dphi) * j*theta. Stepping in
         # the embedding space and renormalizing is the projected update.
         theta_new = project_phases(theta + mu * grad * (1j * theta))
         new_phis.append(np.angle(theta_new))
@@ -330,16 +332,18 @@ def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
     """Projected gradient ascent over surface phases and amplitudes.
 
     Maximizes the closed-form weighted sum rate starting from ``init``.
+    Each iteration takes the analytic gradient at the current state (no
+    objective evaluation) and evaluates the objective at the candidate.
     The step size halves whenever a step would lower the objective, which
     guarantees a monotone trace; the run stops once a step gains less
     than ``eps``, or when no step down to 1e-12 gains at all.
     """
-    if mu <= 0 or eps <= 0 or L < 1:
+    if not mu > 0 or not eps > 0 or L < 1:
         raise ValueError("need mu > 0, eps > 0 and L >= 1")
-    if alpha_scale <= 0:
+    if not alpha_scale > 0:
         raise ValueError("alpha_scale must be positive")
     spec = objective or ObjectiveSpec.from_config(config)
-    evaluate = _make_objective(config, pw, spec)
+    evaluate, gradient = _make_objective(config, pw, spec)
 
     current = evaluate(init)
     if not math.isfinite(current):
@@ -350,7 +354,7 @@ def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
     reason = "max-iters"
     step = mu
     for _ in range(L):
-        grads = _fd_gradients(evaluate, state)
+        grads = gradient(state)
         candidate = _ascent_step(state, grads, step, alpha_scale)
         value = evaluate(candidate)
         while value < current and step > _MU_MIN:

@@ -30,6 +30,7 @@ __all__ = [
     "CfRateInputs",
     "compute_moments",
     "cf_rate_inputs",
+    "surface_gradient",
     "cf_rates",
     "cf_rates_simplified",
     "cf_rates_bidirectional",
@@ -104,6 +105,25 @@ class CfRateInputs:
         return iter((self.x1, self.y1, self.y2))
 
 
+def _rician_weights(config: SystemConfig, i: int) -> Tuple[float, float,
+                                                           float]:
+    """(k_in k_out, k_in + k_out + 1, (k_in + 1)(k_out + 1)) of entry i.
+
+    varpi_i is the first over the third, varpi_hat_i the sum of rho^2 on
+    the entry's side times the second over the third.
+    """
+    _, out, inp = _XI_TABLE[i]
+    k_in = config.kappa(inp)
+    k_out = config.kappa(out)
+    return k_in * k_out, k_in + k_out + 1.0, (k_in + 1.0) * (k_out + 1.0)
+
+
+def _loopback_split(config: SystemConfig) -> Tuple[float, float]:
+    """(a, b) = (k/(k+1), 1/(k+1)) of the BS-surface link, a + b = 1."""
+    kappa = config.kappa("br")
+    return kappa / (kappa + 1.0), 1.0 / (kappa + 1.0)
+
+
 @lru_cache(maxsize=128)
 def _geometry_expectations(R: float, R_r: float, d_br: float,
                            m: float) -> Tuple[float, float, float, float,
@@ -137,11 +157,9 @@ def compute_moments(config: SystemConfig, ris: StarRisState) -> MomentSet:
 
     varpi, varpi_hat, xi = {}, {}, {}
     for i, (side, out, inp) in _XI_TABLE.items():
-        k_in = config.kappa(inp)
-        k_out = config.kappa(out)
-        denom = (k_in + 1.0) * (k_out + 1.0)
-        varpi[i] = k_in * k_out / denom
-        varpi_hat[i] = sum_rho_sq[side] * (k_in + k_out + 1.0) / denom
+        los_weight, spread, denom = _rician_weights(config, i)
+        varpi[i] = los_weight / denom
+        varpi_hat[i] = sum_rho_sq[side] * spread / denom
         xi[i] = abs(star_cascade(los[out], ris, side, los[inp])) ** 2
 
     # BS loop-back: the return leg is the conjugate of the outgoing one,
@@ -155,6 +173,33 @@ def compute_moments(config: SystemConfig, ris: StarRisState) -> MomentSet:
                      sum_rho_sq=sum_rho_sq, cross_phase=cross_phase)
 
 
+def _affine_terms(mo: MomentSet, sw: CfSwitches
+                  ) -> Dict[str, Tuple[Tuple[float, float, int], ...]]:
+    """The u1d, u2d and u1u triples as (base, coefficient, source) terms.
+
+    Each term is base + coefficient * m, with m = _mix(mo, source) for
+    sources 1..8 and the loop-back moment for source 9. A switched-off
+    surface term keeps its base alone.
+    """
+    def on(flag: bool, coeff: float) -> float:
+        return coeff if flag else 0.0
+
+    ups, l_br, q_edge = mo.upsilon, mo.l_br, mo.q_edge
+    return {
+        "u1d": ((mo.q_center,
+                 on(sw.ris_path_to_center_signal, l_br * ups), 1),
+                (mo.rho_2pt,
+                 on(sw.center_pair_ris_interference, ups ** 2), 2),
+                (0.0, q_edge * ups, 3)),
+        "u2d": ((0.0, l_br * q_edge, 4),
+                (0.0, q_edge * ups, 5),
+                (0.0, q_edge ** 2, 6)),
+        "u1u": ((mo.q_center, on(sw.ris_path_to_bs_signal, l_br * ups), 7),
+                (0.0, l_br * q_edge, 8),
+                (0.0, on(sw.bs_loopback, l_br ** 2), 9)),
+    }
+
+
 def _mix(moments: MomentSet, i: int) -> float:
     """The Rician second moment varpi_i * xi_i + varpi_hat_i."""
     return moments.varpi[i] * moments.xi[i] + moments.varpi_hat[i]
@@ -162,9 +207,7 @@ def _mix(moments: MomentSet, i: int) -> float:
 
 def _loopback_moment(config: SystemConfig, moments: MomentSet) -> float:
     """Second moment of the BS self-cascade (real by construction)."""
-    kappa = config.kappa("br")
-    a = kappa / (kappa + 1.0)
-    b = 1.0 / (kappa + 1.0)
+    a, b = _loopback_split(config)
     s = moments.zeta  # LoS loop-back sum, equal to sum rho_t e^{j phi_t}
     assembled = (a * a * moments.xi[9]
                  + 2.0 * a * b * moments.sum_rho_sq["t"]
@@ -185,36 +228,67 @@ def cf_rate_inputs(config: SystemConfig, ris: StarRisState,
                    moments: Optional[MomentSet] = None
                    ) -> Dict[str, CfRateInputs]:
     """Assemble the x1/y1/y2 moment triples for all four users."""
-    sw = switches or CfSwitches()
     mo = moments or compute_moments(config, ris)
+    source = {i: _mix(mo, i) for i in _XI_TABLE}
+    source[9] = _loopback_moment(config, mo)
+    inputs = {user: CfRateInputs(*(base + coeff * source[i]
+                                   for base, coeff, i in triple))
+              for user, triple in _affine_terms(
+                  mo, switches or CfSwitches()).items()}
+    x1, y1, y2 = inputs["u1u"]
+    # The edge uplink reuses the center uplink's terms with the
+    # signal/interference roles swapped; these are exact identities.
+    inputs["u2u"] = CfRateInputs(x1=y1, y1=x1, y2=y2)
+    return inputs
 
-    x1_u1d = mo.q_center
-    if sw.ris_path_to_center_signal:
-        x1_u1d += mo.l_br * mo.upsilon * _mix(mo, 1)
-    y1_u1d = mo.rho_2pt
-    if sw.center_pair_ris_interference:
-        y1_u1d += mo.upsilon ** 2 * _mix(mo, 2)
-    y2_u1d = mo.q_edge * mo.upsilon * _mix(mo, 3)
 
-    x1_u2d = mo.l_br * mo.q_edge * _mix(mo, 4)
-    y1_u2d = mo.q_edge * mo.upsilon * _mix(mo, 5)
-    y2_u2d = mo.q_edge ** 2 * _mix(mo, 6)
+def surface_gradient(config: SystemConfig, ris: StarRisState,
+                     term_grads: Dict[str, np.ndarray],
+                     moments: Optional[MomentSet] = None
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                np.ndarray]:
+    """Pull partials in the moment triples back to the surface, in O(N).
 
-    x1_u1u = mo.q_center
-    if sw.ris_path_to_bs_signal:
-        x1_u1u += mo.l_br * mo.upsilon * _mix(mo, 7)
-    y1_u1u = mo.l_br * mo.q_edge * _mix(mo, 8)
-    y2_u1u = (mo.l_br ** 2 * _loopback_moment(config, mo)
-              if sw.bs_loopback else 0.0)
+    ``term_grads`` holds the partials of some function f in the (x1, y1,
+    y2) triples of u1d, u2d and u1u from :func:`cf_rate_inputs` with all
+    switches on. Returns d f / d phi_t, phi_r, rho_t, rho_r.
 
-    return {
-        "u1d": CfRateInputs(x1=x1_u1d, y1=y1_u1d, y2=y2_u1d),
-        "u2d": CfRateInputs(x1=x1_u2d, y1=y1_u2d, y2=y2_u2d),
-        "u1u": CfRateInputs(x1=x1_u1u, y1=y1_u1u, y2=y2_u1u),
-        # The edge uplink reuses the center uplink's terms with the
-        # signal/interference roles swapped; these are exact identities.
-        "u2u": CfRateInputs(x1=y1_u1u, y1=x1_u1u, y2=y2_u1u),
-    }
+    Each term is affine in one source: a mix varpi_i xi_i + varpi_hat_i,
+    or the loop-back moment, which equals xi_9 + (2ab + b^2) sum rho_t^2
+    since a + b = 1. The sources see the surface through sum rho^2 and
+    xi_i = |s_i|^2 with s_i = c_i^T w, whose partials are
+    d xi / d phi_n = -2 Im(conj(s_i) c_n w_n) and
+    d xi / d rho_n = 2 Re(conj(s_i) c_n e^{j phi_n}).
+    """
+    mo = moments or compute_moments(config, ris)
+    d_source = dict.fromkeys(range(1, 10), 0.0)
+    for user, triple in _affine_terms(mo, CfSwitches()).items():
+        for grad, (_, coeff, i) in zip(term_grads[user], triple):
+            d_source[i] += grad * coeff
+
+    los = _los_vectors(config.n_elements, config.angles)
+    w = {"t": ris.side("t"), "r": ris.side("r")}
+    # wirt[side] = sum_i (d f / d xi_i) conj(s_i) c_i over the side's xi.
+    wirt = {k: np.zeros(config.n_elements, dtype=complex) for k in w}
+    d_sum_sq = {"t": 0.0, "r": 0.0}
+    for i, (side, out, inp) in _XI_TABLE.items():
+        los_weight, spread, denom = _rician_weights(config, i)
+        c = los[out] * los[inp]
+        s_i = np.sum(c * w[side])
+        wirt[side] += d_source[i] * los_weight / denom * np.conj(s_i) * c
+        d_sum_sq[side] += d_source[i] * spread / denom
+    a, b = _loopback_split(config)
+    wirt["t"] += (d_source[9] * np.conj(mo.zeta)
+                  * (los["br"] * np.conj(los["br"])))
+    d_sum_sq["t"] += d_source[9] * (2.0 * a * b + b * b)
+
+    g_phi, g_rho = {}, {}
+    for k, rho, phi in (("t", ris.rho_t, ris.phi_t),
+                        ("r", ris.rho_r, ris.phi_r)):
+        g_phi[k] = -2.0 * np.imag(wirt[k] * w[k])
+        g_rho[k] = 2.0 * (np.real(wirt[k] * np.exp(1j * phi))
+                          + rho * d_sum_sq[k])
+    return g_phi["t"], g_phi["r"], g_rho["t"], g_rho["r"]
 
 
 def cf_sinrs(config: SystemConfig, ris: StarRisState, pw: PowerConfig,

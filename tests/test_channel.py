@@ -72,6 +72,17 @@ class TestStarRisState:
                          validate=False)
         assert s.n_elements == 3
 
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_non_finite_values_rejected(self, validate):
+        finite = dict(rho_t=np.full(4, 0.5), rho_r=np.full(4, 0.5),
+                      phi_t=np.zeros(4), phi_r=np.zeros(4))
+        for name, bad in (("rho_t", math.nan), ("rho_r", math.nan),
+                          ("phi_t", math.inf), ("phi_r", -math.inf)):
+            vec = finite[name].copy()
+            vec[1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                StarRisState(validate=validate, **{**finite, name: vec})
+
     def test_phases_wrapped(self):
         s = StarRisState.uniform(2, phi_t=-math.pi / 2, phi_r=5 * math.pi)
         assert_allclose(s.phi_t, 1.5 * math.pi, rtol=1e-12)

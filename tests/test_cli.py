@@ -1,5 +1,9 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from textwrap import dedent
 
 import numpy as np
@@ -328,6 +332,20 @@ class TestMain:
         respec, errors = parse_spec_text(capsys.readouterr().out)
         assert errors == []
         assert respec.grid == (20.0, 30.0)
+
+    def test_python_m_starfd_validate(self, tmp_path):
+        # A source checkout runs the CLI as a module, without installing.
+        path = write_spec(tmp_path, MINI)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-m", "starfd", "validate", str(path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        spec, errors = parse_spec_text(done.stdout)
+        assert errors == []
+        assert spec.grid == (20.0, 30.0)
 
     def test_validation_failure_lists_errors(self, tmp_path, capsys):
         path = write_spec(tmp_path, MINI + "pathloss_exponent = 2\n")

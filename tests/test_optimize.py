@@ -10,7 +10,8 @@ from starfd.channel import GeometryAngles, StarRisState
 from starfd.exceptions import DegenerateGeometryError, InfeasibleError
 from starfd.geometry import CellGeometry
 from starfd.optimize import (ConstraintReport, ObjectiveSpec,
-                             OptimizationResult, aligned_state, pgam,
+                             OptimizationResult, _make_objective,
+                             aligned_state, pgam,
                              power_allocation_closed_form,
                              project_amplitudes, project_phases,
                              suboptimal_phases,
@@ -26,6 +27,31 @@ def cross_decode_rate(config, state, pw):
     u1d = cf_rate_inputs(config, state)["u1d"]
     return math.log2(1.0 + dl_sinr(u1d, pw.p_b2, pw.p_b1, pw,
                                    config.sigma_sq))
+
+
+def fd_gradients(evaluate, state, step=1e-4):
+    """Central finite differences of the objective in all 4N coordinates.
+
+    The oracle for the analytic PGAM gradient. Probe states skip the
+    energy-split check: an amplitude probe rho +/- step leaves the
+    feasible segment, and the closed forms are defined on all of R^2N.
+    """
+    arrays = {name: getattr(state, name) for name in
+              ("phi_t", "phi_r", "rho_t", "rho_r")}
+    grads = []
+    for name in arrays:
+        grad = np.empty(state.n_elements)
+        for n in range(state.n_elements):
+            values = []
+            for delta in (step, -step):
+                vec = arrays[name].copy()
+                vec[n] += delta
+                probe = StarRisState(validate=False,
+                                     **{**arrays, name: vec})
+                values.append(evaluate(probe))
+            grad[n] = (values[0] - values[1]) / (2.0 * step)
+        grads.append(grad)
+    return tuple(grads)
 
 
 def compact_config(**overrides):
@@ -192,6 +218,62 @@ class TestBidirectionalAlignment:
                         rtol=1e-12)
 
 
+class TestAnalyticGradient:
+    """The analytic PGAM gradient against central finite differences."""
+
+    CELLS = {"baseline": {},
+             "impaired": dict(Xi=0.05, beta=1e-2, si_lambda=1.1)}
+
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    @pytest.mark.parametrize("n", [20, 100])
+    @pytest.mark.parametrize("start", ["aligned", "random"])
+    @pytest.mark.parametrize("scenario", ["noma-pair", "bidirectional"])
+    def test_matches_finite_differences(self, scenario, start, n, cell):
+        config = make_config(n_elements=n, **self.CELLS[cell])
+        pw = PowerConfig.from_config(config)
+        if start == "aligned":
+            state = aligned_state(config, 0.5, pw, scenario)
+        else:
+            rng = np.random.default_rng(n)
+            rho_t = rng.uniform(0.05, 0.95, n)
+            state = StarRisState(rho_t=rho_t, rho_r=1.0 - rho_t,
+                                 phi_t=rng.uniform(0, 2 * np.pi, n),
+                                 phi_r=rng.uniform(0, 2 * np.pi, n))
+        evaluate, gradient = _make_objective(
+            config, pw, ObjectiveSpec.from_config(config, scenario))
+        for analytic, fd in zip(gradient(state),
+                                fd_gradients(evaluate, state)):
+            assert_allclose(analytic, fd, rtol=1e-6, atol=1e-10)
+
+    @pytest.mark.parametrize("scenario", ["noma-pair", "bidirectional"])
+    def test_evaluations_per_iteration_do_not_grow_with_n(
+            self, scenario, monkeypatch):
+        # Each iteration evaluates the objective at its candidate only; a
+        # finite-difference gradient would add 8N evaluations.
+        import starfd.optimize as optimize
+        calls = []
+        for name in ("cf_sinrs", "cf_rates_bidirectional"):
+            fn = getattr(optimize, name)
+            monkeypatch.setattr(
+                optimize, name,
+                lambda *args, _fn=fn, **kwargs: (calls.append(1),
+                                                 _fn(*args, **kwargs))[1])
+        per_iteration = {}
+        for n in (4, 64):
+            config = make_config(n_elements=n)
+            init = StarRisState.random_phases(n, 0.5,
+                                              np.random.default_rng(5))
+            calls.clear()
+            result = pgam(config, PowerConfig.from_config(config), init,
+                          eps=1e-15, L=5,
+                          objective=ObjectiveSpec.from_config(config,
+                                                              scenario))
+            assert result.iterations == 5
+            # The first call is the initial objective value.
+            per_iteration[n] = (len(calls) - 1) / result.iterations
+        assert per_iteration[64] == per_iteration[4]
+
+
 class TestPgam:
     def test_trace_monotone_and_state_feasible(self):
         config = toy_config()
@@ -254,6 +336,29 @@ class TestPgam:
         with pytest.raises(ValueError, match="reason"):
             OptimizationResult(state=init, pw=pw, trace=[0.0],
                                reason="stalled", constraints=None)
+
+    def test_nan_step_size_rejected(self):
+        config = make_config(n_elements=4)
+        with pytest.raises(ValueError, match="mu > 0"):
+            pgam(config, PowerConfig.from_config(config),
+                 aligned_state(config), mu=math.nan, L=5)
+
+    def test_nan_tolerance_rejected(self):
+        config = make_config(n_elements=4)
+        with pytest.raises(ValueError, match="eps > 0"):
+            pgam(config, PowerConfig.from_config(config),
+                 aligned_state(config), eps=math.nan, L=5)
+
+    def test_nan_alpha_scale_rejected(self):
+        config = make_config(n_elements=4)
+        with pytest.raises(ValueError, match="alpha_scale"):
+            pgam(config, PowerConfig.from_config(config),
+                 aligned_state(config), alpha_scale=math.nan, L=5)
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ObjectiveSpec(weights={"u1d": math.nan, "u2d": 0.8,
+                                   "u1u": 0.8, "u2u": 0.8})
 
 
 class TestPowerAllocation:
