@@ -9,13 +9,13 @@ rho_t + rho_r = 1 and per-side phase shifts.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Literal
 
 import numpy as np
 
-from .geometry import UserPosition, pathloss, sample_user_position
+from .geometry import pathloss
 
 if TYPE_CHECKING:
     from .config import SystemConfig
@@ -24,12 +24,9 @@ __all__ = [
     "ES_TOL",
     "StarRisState",
     "GeometryAngles",
-    "RicianSpec",
-    "ChannelRealization",
+    "ChannelBlock",
     "element_layout",
     "steering_vector",
-    "sample_rician",
-    "star_cascade",
     "draw_realization",
 ]
 
@@ -39,6 +36,10 @@ Side = Literal["t", "r"]
 ES_TOL = 1e-9
 
 RIS_LINKS = ("br", "u1d", "u2d", "u1u", "u2u")
+
+# The disk each user is uniform on, in the block draw's order.
+USER_REGIONS = {"u1d": "center", "u2d": "edge", "u1u": "center",
+                "u2u": "edge"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,77 +181,6 @@ def steering_vector(n_elements: int, azimuth: float, elevation: float,
     return np.exp(1j * phase)
 
 
-@dataclass(frozen=True, eq=False)
-class RicianSpec:
-    """Rician K-factor plus the deterministic unit-modulus LoS vector."""
-
-    kappa: float
-    los: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "los",
-                           np.asarray(self.los, dtype=complex))
-        if self.kappa < 0:
-            raise ValueError("Rician factor must be non-negative")
-        if np.any(np.abs(np.abs(self.los) - 1.0) > 1e-9):
-            raise ValueError("LoS entries must have unit modulus")
-
-
-def sample_rician(spec: RicianSpec, n_elements: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """One draw of sqrt(k/(k+1))*los + sqrt(1/(k+1))*CN(0, I)."""
-    if n_elements < 1:
-        raise ValueError("need at least one element")
-    if spec.los.size != n_elements:
-        raise ValueError("LoS vector length does not match element count")
-    a = math.sqrt(spec.kappa / (spec.kappa + 1.0))
-    b = math.sqrt(1.0 / (spec.kappa + 1.0))
-    nlos = (rng.standard_normal(n_elements)
-            + 1j * rng.standard_normal(n_elements)) / math.sqrt(2.0)
-    return a * spec.los + b * nlos
-
-
-def star_cascade(g_out: np.ndarray, state: StarRisState, side: Side,
-                 g_in: np.ndarray) -> complex:
-    """Scalar cascade sum_n g_out[n] * rho_n * e^{j phi_n} * g_in[n]."""
-    g_out = np.asarray(g_out)
-    g_in = np.asarray(g_in)
-    if g_out.size != state.n_elements or g_in.size != state.n_elements:
-        raise ValueError("channel vector length does not match the surface")
-    return complex(np.sum(g_out * state.side(side) * g_in))
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One random draw of every link plus the user positions.
-
-    ``pathlosses`` maps link names to bounded path-loss values:
-    b_u1d, b_u1u, u1d_u1u (direct links), br (BS-surface) and
-    r_u1d, r_u2d, r_u1u, r_u2u (surface-user links).
-    """
-
-    h_b_u1d: complex
-    h_b_u1u: complex
-    h_u1d_u1u: complex
-    g_br: np.ndarray
-    g_r_u1d: np.ndarray
-    g_r_u2d: np.ndarray
-    g_r_u1u: np.ndarray
-    g_r_u2u: np.ndarray
-    positions: Dict[str, UserPosition] = field(repr=False)
-    pathlosses: Dict[str, float] = field(repr=False)
-
-    def __post_init__(self) -> None:
-        n = self.g_br.size
-        for name in ("g_r_u1d", "g_r_u2d", "g_r_u1u", "g_r_u2u"):
-            if getattr(self, name).size != n:
-                raise ValueError("channel vectors must share a length")
-
-    @property
-    def n_elements(self) -> int:
-        return int(self.g_br.size)
-
-
 @lru_cache(maxsize=64)
 def _los_vectors(n_elements: int,
                  angles: GeometryAngles) -> Dict[str, np.ndarray]:
@@ -268,67 +198,102 @@ def _los_vectors(n_elements: int,
     return out
 
 
-def _cn_scalar(rng: np.random.Generator) -> complex:
-    return complex(rng.standard_normal(),
-                   rng.standard_normal()) / math.sqrt(2.0)
+@dataclass(frozen=True, eq=False)
+class ChannelBlock:
+    """``size`` independent draws of every link, one row per trial.
+
+    ``radius`` and ``angle`` give each user's polar position in its own
+    disk. ``pathlosses`` maps the direct links b_u1d, b_u1u, u1d_u1u and
+    the surface-user links r_u1d, r_u2d, r_u1u, r_u2u to per-trial
+    arrays, and the fixed BS-surface link br to one float. ``direct``
+    holds the Rayleigh scalars h_b_u1d, h_b_u1u, h_u1d_u1u (``size``
+    each); ``surface`` the Rician vectors of the links br, u1d, u2d, u1u
+    and u2u (``size`` x N each); ``si_pair`` the two standard normals
+    per trial behind the residual self-interference.
+    """
+
+    radius: Dict[str, np.ndarray]
+    angle: Dict[str, np.ndarray]
+    pathlosses: Dict[str, np.ndarray]
+    direct: Dict[str, np.ndarray]
+    surface: Dict[str, np.ndarray]
+    si_pair: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return int(self.si_pair.shape[0])
 
 
-def _surface_user_distance(pos: UserPosition, d_br: float) -> float:
+def _standard_cn(rng: np.random.Generator, shape) -> np.ndarray:
+    """CN(0, 1) entries from pairs of standard normals."""
+    pairs = rng.standard_normal((*shape, 2))
+    pairs /= math.sqrt(2.0)
+    return pairs.view(complex)[..., 0]
+
+
+def _surface_user_distance(radius: np.ndarray, angle: np.ndarray,
+                           d_br: float) -> np.ndarray:
     # Center-disk users are placed relative to the BS at the origin while
     # the surface sits at (d_br, 0); law of cosines gives the separation.
-    return math.sqrt(pos.radius ** 2 + d_br ** 2
-                     - 2.0 * pos.radius * d_br * math.cos(pos.angle))
+    return np.sqrt(radius ** 2 + d_br ** 2
+                   - 2.0 * radius * d_br * np.cos(angle))
 
 
 def draw_realization(config: "SystemConfig", ris: StarRisState,
-                     rng: np.random.Generator) -> ChannelRealization:
-    """Draw positions, path losses and all channel vectors for one trial.
+                     rng: np.random.Generator, size: int) -> ChannelBlock:
+    """Draw positions, path losses and all channels for ``size`` trials.
 
-    The draw order (positions, direct scalars, surface vectors) is fixed so
-    a given seed always produces the same realization. The surface state is
-    only cross-checked for size; channels do not depend on it.
+    The draw order (positions, direct scalars, surface vectors, SI pair)
+    is fixed so a given generator state always produces the same block.
+    The surface state is only cross-checked for size; channels do not
+    depend on it.
     """
     if ris.n_elements != config.n_elements:
         raise ValueError("surface state size does not match the config")
     geom = config.geometry
     n = config.n_elements
 
-    pos = {
-        "u1d": sample_user_position(geom, "center", rng),
-        "u2d": sample_user_position(geom, "edge", rng),
-        "u1u": sample_user_position(geom, "center", rng),
-        "u2u": sample_user_position(geom, "edge", rng),
-    }
+    # Uniform on each user's disk: radius density 2r/R^2, uniform angle.
+    uniforms = rng.random((2, len(USER_REGIONS), size))
+    radius, angle = {}, {}
+    for k, (user, region) in enumerate(USER_REGIONS.items()):
+        radius_max = geom.R if region == "center" else geom.R_r
+        radius[user] = radius_max * np.sqrt(uniforms[0, k])
+        angle[user] = 2.0 * math.pi * uniforms[1, k]
 
-    h_b_u1d = _cn_scalar(rng)
-    h_b_u1u = _cn_scalar(rng)
-    h_u1d_u1u = _cn_scalar(rng)
+    h = _standard_cn(rng, (3, size))
+    direct = {"b_u1d": h[0], "b_u1u": h[1], "u1d_u1u": h[2]}
 
     los = _los_vectors(n, config.angles)
-    vectors = {}
-    for link in RIS_LINKS:
-        spec = RicianSpec(kappa=getattr(config, f"kappa_{link}"),
-                          los=los[link])
-        vectors[link] = sample_rician(spec, n, rng)
+    # Each link's rows become sqrt(1/(k+1)) * CN(0, I) + sqrt(k/(k+1)) * los
+    # in place, so a block holds one copy of its surface vectors.
+    nlos = _standard_cn(rng, (len(RIS_LINKS), size, n))
+    surface = {}
+    for g, link in zip(nlos, RIS_LINKS):
+        kappa = getattr(config, f"kappa_{link}")
+        g *= math.sqrt(1.0 / (kappa + 1.0))
+        g += math.sqrt(kappa / (kappa + 1.0)) * los[link]
+        surface[link] = g
 
-    d_u1d_u1u = math.sqrt(
-        pos["u1d"].radius ** 2 + pos["u1u"].radius ** 2
-        - 2.0 * pos["u1d"].radius * pos["u1u"].radius
-        * math.cos(pos["u1d"].angle - pos["u1u"].angle))
+    si_pair = rng.standard_normal((size, 2))
+
+    d_u1d_u1u = np.sqrt(
+        radius["u1d"] ** 2 + radius["u1u"] ** 2
+        - 2.0 * radius["u1d"] * radius["u1u"]
+        * np.cos(angle["u1d"] - angle["u1u"]))
     distances = {
-        "b_u1d": pos["u1d"].radius,
-        "b_u1u": pos["u1u"].radius,
+        "b_u1d": radius["u1d"],
+        "b_u1u": radius["u1u"],
         "u1d_u1u": d_u1d_u1u,
         "br": geom.d_br,
-        "r_u1d": _surface_user_distance(pos["u1d"], geom.d_br),
-        "r_u2d": pos["u2d"].radius,
-        "r_u1u": _surface_user_distance(pos["u1u"], geom.d_br),
-        "r_u2u": pos["u2u"].radius,
+        "r_u1d": _surface_user_distance(radius["u1d"], angle["u1d"],
+                                        geom.d_br),
+        "r_u2d": radius["u2d"],
+        "r_u1u": _surface_user_distance(radius["u1u"], angle["u1u"],
+                                        geom.d_br),
+        "r_u2u": radius["u2u"],
     }
     losses = {k: pathloss(d, geom.m) for k, d in distances.items()}
 
-    return ChannelRealization(
-        h_b_u1d=h_b_u1d, h_b_u1u=h_b_u1u, h_u1d_u1u=h_u1d_u1u,
-        g_br=vectors["br"], g_r_u1d=vectors["u1d"],
-        g_r_u2d=vectors["u2d"], g_r_u1u=vectors["u1u"],
-        g_r_u2u=vectors["u2u"], positions=pos, pathlosses=losses)
+    return ChannelBlock(radius=radius, angle=angle, pathlosses=losses,
+                        direct=direct, surface=surface, si_pair=si_pair)

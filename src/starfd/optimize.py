@@ -20,7 +20,7 @@ import numpy as np
 from .channel import GeometryAngles, StarRisState, element_layout
 from .config import USERS, SystemConfig
 from .exceptions import DegenerateGeometryError, InfeasibleError
-from .rates_cf import (CfRateInputs, cf_rate_inputs, cf_rates,
+from .rates_cf import (CfRateInputs, MomentSet, cf_rate_inputs, cf_rates,
                        cf_rates_bidirectional, cf_sinrs, compute_moments,
                        oma_sinrs, surface_gradient)
 from .rates_mc import (PowerConfig, RateReport, dl_sinr, noma_beneficial,
@@ -261,16 +261,22 @@ def aligned_state(config: SystemConfig, rho_t: float = 0.5,
 
 def _make_objective(config: SystemConfig, pw: PowerConfig,
                     objective: ObjectiveSpec
-                    ) -> Tuple[Callable[[StarRisState], float],
-                               Callable[[StarRisState],
+                    ) -> Tuple[Callable[[StarRisState],
+                                        Tuple[float, MomentSet]],
+                               Callable[[StarRisState, MomentSet],
                                         Tuple[np.ndarray, ...]]]:
-    """The objective and its gradient in (phi_t, phi_r, rho_t, rho_r)."""
+    """The objective and its gradient in (phi_t, phi_r, rho_t, rho_r).
+
+    ``evaluate`` returns the objective with the moments it assembled;
+    ``gradient`` takes the state's moments back, so an accepted state's
+    moments are assembled once.
+    """
     sigma_sq, sigma_b_sq = config.sigma_sq, config.sigma_b_sq
     if objective.scenario == "noma-pair":
         weights = objective.weights
 
-        def evaluate(state: StarRisState) -> float:
-            sinrs = cf_sinrs(config, state, pw)
+        def value(state: StarRisState, moments: MomentSet) -> float:
+            sinrs = cf_sinrs(config, state, pw, moments=moments)
             return math.fsum(weights[u] * math.log2(1.0 + sinrs[u])
                              for u in USERS)
 
@@ -283,8 +289,8 @@ def _make_objective(config: SystemConfig, pw: PowerConfig,
                                        sigma_b_sq, scale)
     else:
         # Connection rates are equally weighted in the bidirectional sum.
-        def evaluate(state: StarRisState) -> float:
-            r_c, r_e = cf_rates_bidirectional(config, state, pw)
+        def value(state: StarRisState, moments: MomentSet) -> float:
+            r_c, r_e = cf_rates_bidirectional(config, state, pw, moments)
             return r_c + r_e
 
         def term_grads(inputs):
@@ -299,8 +305,12 @@ def _make_objective(config: SystemConfig, pw: PowerConfig,
             return relay_leg_pullback(inputs, pw, pw.V, sigma_sq,
                                       sigma_b_sq, legs)
 
-    def gradient(state: StarRisState) -> Tuple[np.ndarray, ...]:
+    def evaluate(state: StarRisState) -> Tuple[float, MomentSet]:
         moments = compute_moments(config, state)
+        return value(state, moments), moments
+
+    def gradient(state: StarRisState,
+                 moments: MomentSet) -> Tuple[np.ndarray, ...]:
         inputs = cf_rate_inputs(config, state, moments=moments)
         return surface_gradient(config, state, term_grads(inputs), moments)
 
@@ -333,7 +343,9 @@ def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
 
     Maximizes the closed-form weighted sum rate starting from ``init``.
     Each iteration takes the analytic gradient at the current state (no
-    objective evaluation) and evaluates the objective at the candidate.
+    objective evaluation, and no moment assembly: it reuses the moments
+    built when the state was evaluated) and evaluates the objective at
+    the candidate.
     The step size halves whenever a step would lower the objective, which
     guarantees a monotone trace; the run stops once a step gains less
     than ``eps``, or when no step down to 1e-12 gains at all.
@@ -345,7 +357,7 @@ def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
     spec = objective or ObjectiveSpec.from_config(config)
     evaluate, gradient = _make_objective(config, pw, spec)
 
-    current = evaluate(init)
+    current, moments = evaluate(init)
     if not math.isfinite(current):
         raise ValueError("objective is not finite at the initial state")
 
@@ -354,18 +366,18 @@ def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
     reason = "max-iters"
     step = mu
     for _ in range(L):
-        grads = gradient(state)
+        grads = gradient(state, moments)
         candidate = _ascent_step(state, grads, step, alpha_scale)
-        value = evaluate(candidate)
+        value, candidate_moments = evaluate(candidate)
         while value < current and step > _MU_MIN:
             step /= 2.0
             candidate = _ascent_step(state, grads, step, alpha_scale)
-            value = evaluate(candidate)
+            value, candidate_moments = evaluate(candidate)
         if value < current:
             # No ascent possible at the smallest step: a fixed point.
             reason = "converged"
             break
-        state = candidate
+        state, moments = candidate, candidate_moments
         trace.append(value)
         improvement = value - current
         current = value

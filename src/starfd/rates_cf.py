@@ -16,7 +16,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .channel import StarRisState, _los_vectors, star_cascade
+from .channel import StarRisState, _los_vectors
 from .config import SystemConfig
 from .geometry import (exp_pathloss_center_disk, exp_pathloss_edge_disk,
                        exp_pathloss_fixed_point_to_disk,
@@ -160,7 +160,8 @@ def compute_moments(config: SystemConfig, ris: StarRisState) -> MomentSet:
         los_weight, spread, denom = _rician_weights(config, i)
         varpi[i] = los_weight / denom
         varpi_hat[i] = sum_rho_sq[side] * spread / denom
-        xi[i] = abs(star_cascade(los[out], ris, side, los[inp])) ** 2
+        xi[i] = abs(complex(np.sum(los[out] * ris.side(side)
+                                   * los[inp]))) ** 2
 
     # BS loop-back: the return leg is the conjugate of the outgoing one,
     # so the LoS cascade collapses to the plain coefficient sum.
@@ -292,9 +293,10 @@ def surface_gradient(config: SystemConfig, ris: StarRisState,
 
 
 def cf_sinrs(config: SystemConfig, ris: StarRisState, pw: PowerConfig,
-             switches: Optional[CfSwitches] = None) -> Dict[str, float]:
+             switches: Optional[CfSwitches] = None,
+             moments: Optional[MomentSet] = None) -> Dict[str, float]:
     """Closed-form (moment-ratio) SINRs of the four users."""
-    inputs = cf_rate_inputs(config, ris, switches)
+    inputs = cf_rate_inputs(config, ris, switches, moments)
     return noma_sinrs(inputs, pw, pw.V, config.sigma_sq, config.sigma_b_sq)
 
 
@@ -357,13 +359,15 @@ def cf_rates_simplified(config: SystemConfig, ris: StarRisState,
 
 
 def cf_rates_bidirectional(config: SystemConfig, ris: StarRisState,
-                           pw: PowerConfig) -> Tuple[float, float]:
+                           pw: PowerConfig,
+                           moments: Optional[MomentSet] = None
+                           ) -> Tuple[float, float]:
     """Closed-form end-to-end rates (R_c, R_e) of the relayed connections.
 
     Each connection rate is min(BS decode leg, ratio-combined reception
     leg), with both legs evaluated as ergodic closed forms.
     """
-    inputs = cf_rate_inputs(config, ris)
+    inputs = cf_rate_inputs(config, ris, moments=moments)
     r_uc, r_u2u, r_ue, r_u1u = relay_leg_rates(
         inputs, pw, pw.V, config.sigma_sq, config.sigma_b_sq)
     return min(r_u2u, r_uc), min(r_u1u, r_ue)

@@ -4,13 +4,16 @@ Every rate is log2(1 + SINR) in bits/s/Hz. Every SINR is built from
 three reception ratios written once here: downlink reception, uplink
 reception at the full-duplex BS, and the relay branch of the
 bidirectional connections. The kernel takes signal and interference
-terms of either kind: the simulator feeds it one trial's realized
-channel powers, and the closed forms of :mod:`starfd.rates_cf` feed it
-their moments.
+terms of either kind: the simulator feeds it the realized channel
+powers of a block of trials as arrays, and the closed forms of
+:mod:`starfd.rates_cf` feed it their moments as floats.
 
 The estimator draws positions, channels and a residual self-interference
-sample per trial from a per-trial generator keyed by (master seed, trial
-index), so results are independent of execution order and parallelism.
+sample for a block of trials at a time, from a generator keyed by
+(master seed, block index), and scores the whole block with the same
+kernel as arrays. Blocks have a fixed size, so memory is bounded at any
+trial count, and results are independent of execution order and
+parallelism.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .channel import ChannelRealization, StarRisState, draw_realization, star_cascade
+from .channel import ChannelBlock, StarRisState, draw_realization
 from .config import USERS, SystemConfig, validate_splits
 
 __all__ = [
@@ -40,6 +43,8 @@ __all__ = [
 
 _BUDGET_RTOL = 1e-9
 _LN2 = math.log(2.0)
+# Trials per Monte-Carlo block: the unit of drawing, scoring and memory.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -185,54 +190,43 @@ class RateReport:
         return value
 
 
-def _dl_center_terms(ch: ChannelRealization, ris: StarRisState):
-    l = ch.pathlosses
-    a = (math.sqrt(l["b_u1d"]) * ch.h_b_u1d
-         + math.sqrt(l["br"] * l["r_u1d"])
-         * star_cascade(ch.g_r_u1d, ris, "t", ch.g_br))
-    c = (math.sqrt(l["u1d_u1u"]) * ch.h_u1d_u1u
-         + math.sqrt(l["r_u1d"] * l["r_u1u"])
-         * star_cascade(ch.g_r_u1d, ris, "t", ch.g_r_u1u))
-    d = (l["r_u1d"] * l["r_u2u"]
-         * abs(star_cascade(ch.g_r_u1d, ris, "t", ch.g_r_u2u)) ** 2)
-    return abs(a) ** 2, abs(c) ** 2, d
+def _power(z: np.ndarray) -> np.ndarray:
+    return np.abs(z) ** 2
 
 
-def _dl_edge_terms(ch: ChannelRealization, ris: StarRisState):
-    l = ch.pathlosses
-    a = (l["br"] * l["r_u2d"]
-         * abs(star_cascade(ch.g_r_u2d, ris, "r", ch.g_br)) ** 2)
-    c = (l["r_u2d"] * l["r_u1u"]
-         * abs(star_cascade(ch.g_r_u2d, ris, "r", ch.g_r_u1u)) ** 2)
-    d = (l["r_u2d"] * l["r_u2u"]
-         * abs(star_cascade(ch.g_r_u2d, ris, "r", ch.g_r_u2u)) ** 2)
-    return a, c, d
+def _block_terms(block: ChannelBlock, ris: StarRisState
+                 ) -> Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each trial's realized reception terms, keyed like the moments."""
+    l, h, g = block.pathlosses, block.direct, block.surface
+    w = {"t": ris.side("t"), "r": ris.side("r")}
 
+    def cascade(out: str, side: str, inp: str) -> np.ndarray:
+        # sum_n g_out[n] w_n g_in[n] for every trial of the block.
+        return np.sum(g[out] * w[side] * g[inp], axis=1)
 
-def _ul_terms(ch: ChannelRealization, ris: StarRisState):
-    l = ch.pathlosses
-    a = (math.sqrt(l["b_u1u"]) * ch.h_b_u1u
-         + math.sqrt(l["br"] * l["r_u1u"])
-         * star_cascade(ch.g_br, ris, "t", ch.g_r_u1u))
-    b = (l["br"] * l["r_u2u"]
-         * abs(star_cascade(ch.g_br, ris, "t", ch.g_r_u2u)) ** 2)
+    u1d = (_power(np.sqrt(l["b_u1d"]) * h["b_u1d"]
+                  + np.sqrt(l["br"] * l["r_u1d"]) * cascade("u1d", "t", "br")),
+           _power(np.sqrt(l["u1d_u1u"]) * h["u1d_u1u"]
+                  + np.sqrt(l["r_u1d"] * l["r_u1u"])
+                  * cascade("u1d", "t", "u1u")),
+           l["r_u1d"] * l["r_u2u"] * _power(cascade("u1d", "t", "u2u")))
+    u2d = (l["br"] * l["r_u2d"] * _power(cascade("u2d", "r", "br")),
+           l["r_u2d"] * l["r_u1u"] * _power(cascade("u2d", "r", "u1u")),
+           l["r_u2d"] * l["r_u2u"] * _power(cascade("u2d", "r", "u2u")))
     # BS loop-back through the surface: the return leg is the conjugate of
     # the outgoing one, so the cascade reduces to sum_n w_n |g_br[n]|^2.
-    loop = np.sum(ris.side("t") * np.abs(ch.g_br) ** 2)
-    c = l["br"] ** 2 * abs(loop) ** 2
-    return abs(a) ** 2, b, c
-
-
-def _reception_terms(ch: ChannelRealization, ris: StarRisState
-                     ) -> Dict[str, Tuple[float, float, float]]:
-    """One trial's realized reception terms, keyed like the moments."""
-    return {"u1d": _dl_center_terms(ch, ris), "u2d": _dl_edge_terms(ch, ris),
-            "u1u": _ul_terms(ch, ris)}
+    loop = np.sum(w["t"] * _power(g["br"]), axis=1)
+    u1u = (_power(np.sqrt(l["b_u1u"]) * h["b_u1u"]
+                  + np.sqrt(l["br"] * l["r_u1u"]) * cascade("br", "t", "u1u")),
+           l["br"] * l["r_u2u"] * _power(cascade("br", "t", "u2u")),
+           l["br"] ** 2 * _power(loop))
+    return {"u1d": u1d, "u2d": u2d, "u1u": u1u}
 
 
 # The reception kernel. Every SINR of the model is one of three ratios,
-# fed either with one trial's realized channel powers (the simulator) or
-# with their moments (the closed forms, which pass si = V).
+# fed either with the realized channel powers of a block of trials, as
+# arrays (the simulator), or with their moments, as floats (the closed
+# forms, which pass si = V).
 
 def dl_sinr(terms, own: float, leak: float, pw: PowerConfig,
             sigma_sq: float) -> float:
@@ -256,10 +250,16 @@ def ul_sinr(terms, own: float, leak: float, pw: PowerConfig, si: float,
     surface. ``leak`` is the partner's power left in after SIC and ``si``
     the residual self-interference |s~|^2.
     """
-    if si < 0:
+    if np.any(si < 0):
         raise ValueError("si is a squared magnitude, must be >= 0")
     s, i, loop = terms
     return own * s / (leak * i + pw.P_b * loop + si + sigma_b_sq)
+
+
+def _log2(x):
+    # The closed forms pass floats and keep math.log2; the simulator
+    # passes one block of trials as arrays.
+    return np.log2(x) if isinstance(x, np.ndarray) else math.log2(x)
 
 
 def _relay_sinr(own: float, s: float, other: float, i: float,
@@ -368,8 +368,8 @@ def relay_leg_rates(terms, pw: PowerConfig, si: float, sigma_sq: float,
     """
     relay_c, bs_c, relay_e, bs_e = relay_branches(terms, pw, sigma_sq)
     ul = noma_sinrs(terms, pw, si, sigma_sq, sigma_b_sq)
-    return (math.log2(1.0 + relay_c + bs_c), math.log2(1.0 + ul["u2u"]),
-            math.log2(1.0 + relay_e + bs_e), math.log2(1.0 + ul["u1u"]))
+    return (_log2(1.0 + relay_c + bs_c), _log2(1.0 + ul["u2u"]),
+            _log2(1.0 + relay_e + bs_e), _log2(1.0 + ul["u1u"]))
 
 
 def relay_leg_pullback(terms, pw: PowerConfig, si: float, sigma_sq: float,
@@ -413,25 +413,49 @@ def noma_beneficial(gamma_noma: float, gamma_oma: float) -> bool:
     return gamma_noma > math.sqrt(1.0 + gamma_oma) - 1.0
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+def _blocks(config: SystemConfig, ris: StarRisState, trials: int,
+            seed: int):
+    """The trial stream as blocks of at most ``_BLOCK`` trials.
+
+    Block b holds trials b * _BLOCK onward and draws them from a
+    generator keyed by (seed, b).
+    """
+    for b, start in enumerate(range(0, trials, _BLOCK)):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+        yield draw_realization(config, ris, rng, min(_BLOCK, trials - start))
 
 
-def _draw_si(pw: PowerConfig, rng: np.random.Generator) -> float:
-    # s~ is CN(0, V); the SINRs consume |s~|^2. Drawn for every trial so
-    # the realization stream layout does not depend on beta.
-    z = rng.standard_normal(2)
-    return 0.5 * pw.V * float(z[0] ** 2 + z[1] ** 2)
+def _block_si(block: ChannelBlock, pw: PowerConfig) -> np.ndarray:
+    # s~ is CN(0, V); the SINRs consume |s~|^2. The pair is drawn for
+    # every trial so the stream layout does not depend on beta.
+    return 0.5 * pw.V * np.sum(block.si_pair ** 2, axis=1)
 
 
-def _mean_and_stderr(values: np.ndarray) -> Tuple[float, float]:
-    n = values.size
-    mean = math.fsum(values) / n
+def _block_rates(block: ChannelBlock, ris: StarRisState, pw: PowerConfig,
+                 config: SystemConfig, scenario: str) -> np.ndarray:
+    """Per-trial rates of one block: the four users, or the four legs."""
+    terms = _block_terms(block, ris)
+    si = _block_si(block, pw)
+    if scenario == "noma-pair":
+        sinrs = noma_sinrs(terms, pw, si, config.sigma_sq,
+                           config.sigma_b_sq)
+        return np.array([np.log2(1.0 + sinrs[u]) for u in USERS])
+    return np.array(relay_leg_rates(terms, pw, si, config.sigma_sq,
+                                    config.sigma_b_sq))
+
+
+def _mean_and_stderr(counts, sums, m2s) -> Tuple[float, float]:
+    """Mean and its standard error from per-block counts, sums and sums
+    of squared deviations from the block mean (Chan et al.'s pairwise
+    combination)."""
+    n = sum(counts)
+    mean = math.fsum(sums) / n
     if n < 2:
         return mean, 0.0
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, math.sqrt(var / n)
+    m2 = math.fsum(m2s) + math.fsum(
+        c * (s / c - mean) ** 2 for c, s in zip(counts, sums))
+    return mean, math.sqrt(m2 / (n - 1) / n)
 
 
 def ergodic_rate_mc(config: SystemConfig, ris: StarRisState,
@@ -439,9 +463,10 @@ def ergodic_rate_mc(config: SystemConfig, ris: StarRisState,
                     scenario: str = "noma-pair") -> RateReport:
     """Monte-Carlo ergodic rates over positions, channels and SI draws.
 
-    Per-trial generators are spawned from the master seed by trial index
-    and reductions use compensated summation, so the estimate is exactly
-    reproducible and independent of any execution-order choices.
+    Trials are drawn and scored in blocks of at most ``_BLOCK``, block b
+    from a generator keyed by (seed, b), so memory is bounded at any
+    ``trials`` and the estimate is independent of execution order. Block
+    sums use compensated summation, so it is exactly reproducible.
 
     For the bidirectional scenario the ergodic connection rate is the min
     of the two ergodic leg rates (matching the closed forms); the reported
@@ -452,28 +477,23 @@ def ergodic_rate_mc(config: SystemConfig, ris: StarRisState,
     if scenario not in ("noma-pair", "bidirectional"):
         raise ValueError(f"unknown scenario {scenario!r}")
 
-    samples = np.empty((trials, 4))
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        ch = draw_realization(config, ris, rng)
-        si = _draw_si(pw, rng)
-        terms = _reception_terms(ch, ris)
-        if scenario == "noma-pair":
-            sinrs = noma_sinrs(terms, pw, si, config.sigma_sq,
-                               config.sigma_b_sq)
-            samples[t] = [math.log2(1.0 + sinrs[u]) for u in USERS]
-        else:
-            samples[t] = relay_leg_rates(terms, pw, si, config.sigma_sq,
-                                         config.sigma_b_sq)
+    counts, sums, m2s = [], [], []
+    for block in _blocks(config, ris, trials, seed):
+        rates = _block_rates(block, ris, pw, config, scenario)
+        block_sums = [math.fsum(row) for row in rates]
+        means = np.array(block_sums) / block.size
+        counts.append(block.size)
+        sums.append(block_sums)
+        m2s.append(np.sum((rates - means[:, None]) ** 2, axis=1))
+    legs = [_mean_and_stderr(counts, s, m)
+            for s, m in zip(zip(*sums), zip(*m2s))]
 
     if scenario == "noma-pair":
-        rates, stderr = {}, {}
-        for i, user in enumerate(USERS):
-            rates[user], stderr[user] = _mean_and_stderr(samples[:, i])
+        rates = {u: legs[i][0] for i, u in enumerate(USERS)}
+        stderr = {u: legs[i][1] for i, u in enumerate(USERS)}
         return RateReport.noma(rates, config.weights, estimator="mc",
                                trials=trials, stderr=stderr)
 
-    legs = [_mean_and_stderr(samples[:, i]) for i in range(4)]
     (m_uc, se_uc), (m_u2u, se_u2u), (m_ue, se_ue), (m_u1u, se_u1u) = legs
     if m_u2u <= m_uc:
         r_c, se_c = m_u2u, se_u2u

@@ -1,4 +1,8 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenarios and scalar reference paths for the test suite."""
+
+import math
+
+import numpy as np
 
 from starfd.channel import GeometryAngles
 from starfd.config import SystemConfig
@@ -24,3 +28,55 @@ def make_config(**overrides) -> SystemConfig:
     )
     kwargs.update(overrides)
     return SystemConfig(**kwargs)
+
+
+def star_cascade(g_out, state, side, g_in) -> complex:
+    """Scalar cascade sum_n g_out[n] * rho_n * e^{j phi_n} * g_in[n].
+
+    The reference for the simulator's batched cascades, which contract
+    the row-wise products of a whole block with the surface response.
+    """
+    g_out = np.asarray(g_out)
+    g_in = np.asarray(g_in)
+    if g_out.size != state.n_elements or g_in.size != state.n_elements:
+        raise ValueError("channel vector length does not match the surface")
+    return complex(np.sum(g_out * state.side(side) * g_in))
+
+
+def trial_channels(block, t):
+    """Row t of a channel block: path losses, direct scalars and surface
+    vectors, each keyed like the block."""
+    losses = {k: float(v if np.ndim(v) == 0 else v[t])
+              for k, v in block.pathlosses.items()}
+    direct = {k: complex(v[t]) for k, v in block.direct.items()}
+    surface = {k: v[t] for k, v in block.surface.items()}
+    return losses, direct, surface
+
+
+def scalar_terms(block, t, ris):
+    """Trial t's reception terms built one scalar cascade at a time."""
+    l, h, g = trial_channels(block, t)
+    u1d = (abs(math.sqrt(l["b_u1d"]) * h["b_u1d"]
+               + math.sqrt(l["br"] * l["r_u1d"])
+               * star_cascade(g["u1d"], ris, "t", g["br"])) ** 2,
+           abs(math.sqrt(l["u1d_u1u"]) * h["u1d_u1u"]
+               + math.sqrt(l["r_u1d"] * l["r_u1u"])
+               * star_cascade(g["u1d"], ris, "t", g["u1u"])) ** 2,
+           l["r_u1d"] * l["r_u2u"]
+           * abs(star_cascade(g["u1d"], ris, "t", g["u2u"])) ** 2)
+    u2d = (l["br"] * l["r_u2d"]
+           * abs(star_cascade(g["u2d"], ris, "r", g["br"])) ** 2,
+           l["r_u2d"] * l["r_u1u"]
+           * abs(star_cascade(g["u2d"], ris, "r", g["u1u"])) ** 2,
+           l["r_u2d"] * l["r_u2u"]
+           * abs(star_cascade(g["u2d"], ris, "r", g["u2u"])) ** 2)
+    # The BS loop-back: the return leg is the conjugate of the outgoing
+    # one, so the cascade reduces to sum_n w_n |g_br[n]|^2.
+    u1u = (abs(math.sqrt(l["b_u1u"]) * h["b_u1u"]
+               + math.sqrt(l["br"] * l["r_u1u"])
+               * star_cascade(g["br"], ris, "t", g["u1u"])) ** 2,
+           l["br"] * l["r_u2u"]
+           * abs(star_cascade(g["br"], ris, "t", g["u2u"])) ** 2,
+           l["br"] ** 2
+           * abs(np.sum(ris.side("t") * np.abs(g["br"]) ** 2)) ** 2)
+    return {"u1d": u1d, "u2d": u2d, "u1u": u1u}

@@ -4,7 +4,7 @@ Every shipped property is checked end to end, one verdict line per check
 under ``pytest -v``, in this order:
 
 1. closed-form rates vs the rate of the simulated moments on the
-   baseline cell at three operating points (10% relative, 1e5 trials,
+   baseline cell at three operating points (10% relative, 1e6 trials,
    < 2 min per point);
 2. geometry position averages vs the adaptive-integration oracle, and
    the two-point average, which the library computes with that
@@ -50,7 +50,7 @@ import scipy.optimize as sciopt
 from numpy.testing import assert_allclose
 
 from conftest import make_config
-from starfd.channel import StarRisState, _los_vectors, draw_realization
+from starfd.channel import StarRisState, _los_vectors
 from starfd.cli import parse_spec_text, run_experiment
 from starfd.exceptions import DegenerateGeometryError, InfeasibleError
 from starfd.geometry import (CellGeometry, _external_point_density,
@@ -63,8 +63,8 @@ from starfd.optimize import (ObjectiveSpec, aligned_state, pgam,
 from starfd.presets import preset_text
 from starfd.rates_cf import (CfSwitches, cf_rate_inputs, cf_rates,
                              cf_rates_simplified, compute_moments)
-from starfd.rates_mc import (PowerConfig, _dl_center_terms, _dl_edge_terms,
-                             _draw_si, _trial_rng, _ul_terms, dl_sinr)
+from starfd.rates_mc import (PowerConfig, _block_si, _block_terms, _blocks,
+                             dl_sinr)
 from starfd.specfun import integrate_adaptive
 
 USERS = ("u1d", "u2d", "u1u", "u2u")
@@ -75,39 +75,45 @@ RADII = (1.0, 10.0, 30.0, 50.0)
 def moment_ratio_rates(config, state, pw, trials, seed):
     """Rates log2(1 + mean(signal) / mean(interference + noise)).
 
-    Runs the simulator's seeded stream (per-trial generator, channel
-    draw, SI draw) and reduces its per-trial terms to sample means. Each
-    user's numerator and denominator are the linear forms of the SINR
-    kernel in ``starfd.rates_mc`` (``noma_sinrs``), written out here
-    rather than called, so that a fault in the kernel shows as a gap to
-    the closed forms, which do call it. The SI term is the mean of the SI
-    draws. Returns {user: (rate, stderr)}, the standard error by the
+    Runs the simulator's seeded block stream (channel draw, per-trial
+    terms, SI draw) and reduces its per-trial terms to sample means,
+    keeping only per-block sums, so memory stays bounded at any trial
+    count. Each user's numerator and denominator are the linear forms of
+    the SINR kernel in ``starfd.rates_mc`` (``noma_sinrs``), written out
+    here rather than called, so that a fault in the kernel shows as a gap
+    to the closed forms, which do call it. The SI term is the mean of the
+    SI draws. Returns {user: (rate, stderr)}, the standard error by the
     delta method for the ratio of two sample means.
     """
-    terms = np.empty((trials, 10))
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        ch = draw_realization(config, state, rng)
-        si = _draw_si(pw, rng)
-        terms[t] = (*_dl_center_terms(ch, state),
-                    *_dl_edge_terms(ch, state), *_ul_terms(ch, state), si)
-    a1, c1, d1, a2, c2, d2, a_u, b_u, c_u, si = terms.T
     sig, sig_b = config.sigma_sq, config.sigma_b_sq
-    pairs = {
-        "u1d": (pw.p_b1 * a1, pw.Xi * pw.p_b2 * a1 + pw.p_u1u * c1
-                + pw.p_u2u * d1 + sig),
-        "u2d": (pw.p_b2 * a2, pw.p_b1 * a2 + pw.p_u1u * c2
-                + pw.p_u2u * d2 + sig),
-        "u1u": (pw.p_u1u * a_u, pw.p_u2u * b_u + pw.P_b * c_u + si
-                + sig_b),
-        "u2u": (pw.p_u2u * b_u, pw.Xi * pw.p_u1u * a_u + pw.P_b * c_u
-                + si + sig_b),
-    }
+    partial = {user: [] for user in USERS}
+    for block in _blocks(config, state, trials, seed):
+        terms = _block_terms(block, state)
+        a1, c1, d1 = terms["u1d"]
+        a2, c2, d2 = terms["u2d"]
+        a_u, b_u, c_u = terms["u1u"]
+        si = _block_si(block, pw)
+        pairs = {
+            "u1d": (pw.p_b1 * a1, pw.Xi * pw.p_b2 * a1 + pw.p_u1u * c1
+                    + pw.p_u2u * d1 + sig),
+            "u2d": (pw.p_b2 * a2, pw.p_b1 * a2 + pw.p_u1u * c2
+                    + pw.p_u2u * d2 + sig),
+            "u1u": (pw.p_u1u * a_u, pw.p_u2u * b_u + pw.P_b * c_u + si
+                    + sig_b),
+            "u2u": (pw.p_u2u * b_u, pw.Xi * pw.p_u1u * a_u + pw.P_b * c_u
+                    + si + sig_b),
+        }
+        for user, (num, den) in pairs.items():
+            partial[user].append((np.sum(num), np.sum(den),
+                                  np.sum(num * num), np.sum(den * den),
+                                  np.sum(num * den)))
     out = {}
-    for user, (num, den) in pairs.items():
-        sinr = num.mean() / den.mean()
-        se_sinr = (np.std(num - sinr * den, ddof=1)
-                   / (math.sqrt(trials) * den.mean()))
+    for user, rows in partial.items():
+        s_n, s_d, s_nn, s_dd, s_nd = (math.fsum(col) for col in zip(*rows))
+        sinr = s_n / s_d
+        # Sample variance of num - sinr * den, whose mean is 0.
+        var = (s_nn - 2.0 * sinr * s_nd + sinr ** 2 * s_dd) / (trials - 1)
+        se_sinr = math.sqrt(var / trials) / (s_d / trials)
         out[user] = (math.log2(1.0 + sinr),
                      se_sinr / ((1.0 + sinr) * math.log(2.0)))
     return out
@@ -115,7 +121,7 @@ def moment_ratio_rates(config, state, pw, trials, seed):
 
 class TestClosedFormAgainstMonteCarlo:
     """Part 1: each closed-form rate within 10% of the rate of the
-    simulated moments it stands for, 1e5 trials, baseline cell."""
+    simulated moments it stands for, 1e6 trials, baseline cell."""
 
     @pytest.mark.parametrize("snr_db", [20.0, 30.0, 40.0])
     def test_rates_agree_within_ten_percent(self, snr_db):
@@ -123,7 +129,8 @@ class TestClosedFormAgainstMonteCarlo:
         state = aligned_state(config, 0.5)
         pw = PowerConfig.from_config(config)
         started = time.monotonic()
-        ref = moment_ratio_rates(config, state, pw, trials=100_000, seed=42)
+        ref = moment_ratio_rates(config, state, pw, trials=1_000_000,
+                                 seed=42)
         elapsed = time.monotonic() - started
         assert elapsed < 120.0, f"MC point took {elapsed:.0f}s"
         cf = cf_rates(config, state, pw)

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import BASELINE_ANGLES, make_config
-from starfd.channel import (GeometryAngles, RicianSpec, StarRisState,
-                            draw_realization, sample_rician, star_cascade,
-                            steering_vector)
+from conftest import BASELINE_ANGLES, make_config, star_cascade
+from starfd.channel import (GeometryAngles, StarRisState, _los_vectors,
+                            draw_realization, steering_vector)
+
+
+def draw(config, seed, size, ris=None):
+    ris = ris or StarRisState.uniform(config.n_elements)
+    return draw_realization(config, ris, np.random.default_rng(seed), size)
 
 
 class TestSteeringVector:
@@ -101,33 +105,33 @@ class TestStarRisState:
 
 
 class TestSampleRician:
+    """The Rician surface vectors of the block draw."""
+
     def test_pure_los_limit(self):
-        los = steering_vector(8, 0.4, 0.9, 0.5)
-        spec = RicianSpec(kappa=1e12, los=los)
-        g = sample_rician(spec, 8, np.random.default_rng(0))
+        config = make_config(n_elements=8, kappa_br=1e12)
+        los = _los_vectors(8, config.angles)["br"]
+        g = draw(config, 0, 4).surface["br"]
         assert np.max(np.abs(g - los)) < 1e-5
 
     def test_rayleigh_moments(self):
-        n = 1_000_000
-        spec = RicianSpec(kappa=0.0, los=np.ones(n, dtype=complex))
-        g = sample_rician(spec, n, np.random.default_rng(2))
+        config = make_config(n_elements=1000, kappa_u2d=0.0)
+        g = draw(config, 2, 1000).surface["u2d"]
         assert abs(np.mean(np.abs(g) ** 2) - 1.0) < 0.01
         assert abs(np.mean(g)) < 0.01
 
     def test_unit_power_at_kappa_three(self):
-        n = 1_000_000
-        spec = RicianSpec(kappa=3.0, los=np.ones(n, dtype=complex))
-        g = sample_rician(spec, n, np.random.default_rng(3))
+        config = make_config(n_elements=1000)
+        g = draw(config, 3, 1000).surface["u1u"]
         assert abs(np.mean(np.abs(g) ** 2) - 1.0) < 0.01
 
-    def test_length_mismatch(self):
-        spec = RicianSpec(kappa=1.0, los=np.ones(4, dtype=complex))
-        with pytest.raises(ValueError):
-            sample_rician(spec, 5, np.random.default_rng(0))
-
     def test_los_modulus_checked(self):
-        with pytest.raises(ValueError, match="unit modulus"):
-            RicianSpec(kappa=1.0, los=np.array([1.0, 2.0], dtype=complex))
+        # The LoS components the draw adds have unit modulus, at every
+        # array shape (planar and linear).
+        for n in (1, 7, 16, 100):
+            for link, los in _los_vectors(n, BASELINE_ANGLES).items():
+                assert los.shape == (n,)
+                assert_allclose(np.abs(los), 1.0, rtol=1e-12,
+                                err_msg=link)
 
 
 class TestStarCascade:
@@ -208,54 +212,57 @@ class TestGeometryAngles:
 class TestDrawRealization:
     def test_deterministic_under_seed(self):
         config = make_config()
-        ris = StarRisState.uniform(20)
-        a = draw_realization(config, ris, np.random.default_rng(99))
-        b = draw_realization(config, ris, np.random.default_rng(99))
-        assert a.h_b_u1d == b.h_b_u1d
-        assert np.array_equal(a.g_br, b.g_br)
-        assert np.array_equal(a.g_r_u2u, b.g_r_u2u)
-        assert a.positions == b.positions
-        assert a.pathlosses == b.pathlosses
+        a = draw(config, 99, 16)
+        b = draw(config, 99, 16)
+        for field in ("radius", "angle", "pathlosses", "direct", "surface"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.keys() == y.keys()
+            for key in x:
+                assert np.array_equal(x[key], y[key]), (field, key)
+        assert np.array_equal(a.si_pair, b.si_pair)
+
+    def test_block_shapes(self):
+        config = make_config(n_elements=7)
+        block = draw(config, 1, 5)
+        assert block.size == 5
+        for name, g in block.surface.items():
+            assert g.shape == (5, 7), name
+        for name, h in block.direct.items():
+            assert h.shape == (5,), name
+        assert block.si_pair.shape == (5, 2)
 
     def test_pathlosses_bounded(self):
         config = make_config()
-        ris = StarRisState.uniform(20)
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            ch = draw_realization(config, ris, rng)
-            for name, value in ch.pathlosses.items():
-                assert 0.0 < value <= 1.0, name
+        block = draw(config, 5, 200)
+        for name, value in block.pathlosses.items():
+            assert np.all((0.0 < value) & (value <= 1.0)), name
 
     def test_zero_kappa_vectors_are_zero_mean(self):
         config = make_config(kappa_br=0.0, kappa_u1d=0.0, kappa_u2d=0.0,
                              kappa_u1u=0.0, kappa_u2u=0.0)
-        ris = StarRisState.uniform(20)
-        rng = np.random.default_rng(17)
-        total = np.zeros(20, dtype=complex)
-        n_draws = 5000
-        for _ in range(n_draws):
-            total += draw_realization(config, ris, rng).g_br
+        g = draw(config, 17, 5000).surface["br"]
         # 20 * 5000 = 1e5 entry draws; the entry mean should be tiny.
-        assert abs(np.mean(total / n_draws)) < 0.01
+        assert abs(np.mean(g)) < 0.01
 
     def test_positions_in_expected_regions(self):
         config = make_config()
-        ris = StarRisState.uniform(20)
-        ch = draw_realization(config, ris, np.random.default_rng(23))
-        assert ch.positions["u1d"].region == "center"
-        assert ch.positions["u2d"].region == "edge"
-        assert ch.positions["u1u"].radius <= 50.0
-        assert ch.positions["u2u"].radius <= 30.0
+        block = draw(config, 23, 2000)
+        for user, radius_max in (("u1d", 50.0), ("u1u", 50.0),
+                                 ("u2d", 30.0), ("u2u", 30.0)):
+            assert np.all(block.radius[user] <= radius_max), user
+            # Uniform on the disk: P(r <= R / 2) = 1/4.
+            assert abs(np.mean(block.radius[user] <= radius_max / 2)
+                       - 0.25) < 0.04, user
+            assert np.all((0.0 <= block.angle[user])
+                          & (block.angle[user] < 2.0 * math.pi)), user
 
     def test_surface_size_mismatch_rejected(self):
         config = make_config()
         with pytest.raises(ValueError, match="does not match"):
-            draw_realization(config, StarRisState.uniform(8),
-                             np.random.default_rng(0))
+            draw(config, 0, 4, ris=StarRisState.uniform(8))
 
     def test_fixed_link_pathloss(self):
         config = make_config()
-        ch = draw_realization(config, StarRisState.uniform(20),
-                              np.random.default_rng(31))
-        assert_allclose(ch.pathlosses["br"], (1.0 + 60.0) ** -2.7,
+        block = draw(config, 31, 3)
+        assert_allclose(block.pathlosses["br"], (1.0 + 60.0) ** -2.7,
                         rtol=1e-14)

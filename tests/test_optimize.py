@@ -241,8 +241,10 @@ class TestAnalyticGradient:
                                  phi_r=rng.uniform(0, 2 * np.pi, n))
         evaluate, gradient = _make_objective(
             config, pw, ObjectiveSpec.from_config(config, scenario))
-        for analytic, fd in zip(gradient(state),
-                                fd_gradients(evaluate, state)):
+        _, moments = evaluate(state)
+        for analytic, fd in zip(gradient(state, moments),
+                                fd_gradients(lambda s: evaluate(s)[0],
+                                             state)):
             assert_allclose(analytic, fd, rtol=1e-6, atol=1e-10)
 
     @pytest.mark.parametrize("scenario", ["noma-pair", "bidirectional"])
@@ -272,6 +274,27 @@ class TestAnalyticGradient:
             # The first call is the initial objective value.
             per_iteration[n] = (len(calls) - 1) / result.iterations
         assert per_iteration[64] == per_iteration[4]
+
+    def test_accepted_state_moments_assembled_once(self, monkeypatch):
+        # Each state's moments are built when it is evaluated, and the
+        # next gradient reuses them: one assembly for the initial state,
+        # one per iteration, and two for the final cf_rates and
+        # validate_constraints.
+        import starfd.optimize as optimize
+        import starfd.rates_cf as rates_cf
+        calls = []
+        for module in (optimize, rates_cf):
+            fn = module.compute_moments
+            monkeypatch.setattr(
+                module, "compute_moments",
+                lambda *args, _fn=fn, **kwargs: (calls.append(1),
+                                                 _fn(*args, **kwargs))[1])
+        config = make_config()
+        result = pgam(config, PowerConfig.from_config(config),
+                      aligned_state(config, 0.5), eps=1e-15, L=5)
+        assert result.iterations == 5
+        assert result.trace.size == 6
+        assert len(calls) == 1 + 5 + 2
 
 
 class TestPgam:

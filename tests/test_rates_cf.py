@@ -6,8 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_config
-from starfd.channel import (RicianSpec, StarRisState, _los_vectors,
-                            sample_rician, star_cascade)
+from starfd.channel import StarRisState, _los_vectors, draw_realization
 from starfd.geometry import (exp_pathloss_center_disk,
                              exp_pathloss_edge_disk,
                              exp_pathloss_fixed_point_to_disk,
@@ -30,6 +29,13 @@ def baseline_power(**overrides) -> PowerConfig:
 
 def random_state(n=20, rho_t=0.5, seed=3) -> StarRisState:
     return StarRisState.random_phases(n, rho_t, np.random.default_rng(seed))
+
+
+def surface_draws(config, ris, seed, draws, block=10_000):
+    """``draws`` Rician surface vectors per link, in blocks of rows."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws // block):
+        yield draw_realization(config, ris, rng, block).surface
 
 
 class TestMoments:
@@ -109,16 +115,12 @@ class TestMoments:
         # E|g_out^T Theta g_in|^2 must equal varpi*xi + varpi_hat.
         config, ris = self.config, self.ris
         mo = self.moments
-        los = _los_vectors(config.n_elements, config.angles)
-        spec_out = RicianSpec(config.kappa("u2d"), los["u2d"])
-        spec_in = RicianSpec(config.kappa("br"), los["br"])
-        rng = np.random.default_rng(99)
+        w = ris.side("r")
         draws = 100_000
         acc = 0.0
-        for _ in range(draws):
-            g_out = sample_rician(spec_out, config.n_elements, rng)
-            g_in = sample_rician(spec_in, config.n_elements, rng)
-            acc += abs(star_cascade(g_out, ris, "r", g_in)) ** 2
+        for g in surface_draws(config, ris, 99, draws):
+            acc += np.sum(np.abs(np.sum(g["u2d"] * w * g["br"], axis=1))
+                          ** 2)
         expected = mo.varpi[4] * mo.xi[4] + mo.varpi_hat[4]
         assert_allclose(acc / draws, expected, rtol=0.02)
 
@@ -139,15 +141,12 @@ class TestMoments:
     def test_loopback_moment_against_monte_carlo(self):
         from starfd.rates_cf import _loopback_moment
         config, ris = self.config, self.ris
-        los = _los_vectors(config.n_elements, config.angles)
-        spec = RicianSpec(config.kappa("br"), los["br"])
-        rng = np.random.default_rng(5)
         w = ris.side("t")
         acc = 0.0
         draws = 100_000
-        for _ in range(draws):
-            g = sample_rician(spec, config.n_elements, rng)
-            acc += abs(np.sum(w * np.abs(g) ** 2)) ** 2
+        for g in surface_draws(config, ris, 5, draws):
+            acc += np.sum(np.abs(np.sum(w * np.abs(g["br"]) ** 2, axis=1))
+                          ** 2)
         assert_allclose(acc / draws,
                         _loopback_moment(config, self.moments), rtol=0.02)
 

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import make_config
-from starfd.channel import StarRisState, draw_realization, star_cascade
-from starfd.rates_mc import (PowerConfig, RateReport, _draw_si,
-                             _reception_terms, _trial_rng, dl_sinr,
+import starfd.rates_mc as rates_mc
+from conftest import make_config, scalar_terms, star_cascade, trial_channels
+from starfd.channel import StarRisState
+from starfd.rates_mc import (_BLOCK, PowerConfig, RateReport, _block_si,
+                             _block_terms, _blocks, dl_sinr,
                              ergodic_rate_mc, noma_beneficial, noma_sinrs,
                              relay_leg_rates)
+
+USERS = ("u1d", "u2d", "u1u", "u2u")
 
 
 def baseline_power(**overrides) -> PowerConfig:
@@ -22,9 +25,15 @@ def random_state(n=20, rho_t=0.5, seed=3) -> StarRisState:
     return StarRisState.random_phases(n, rho_t, np.random.default_rng(seed))
 
 
-def trial_sinrs(ch, ris, pw, si=0.0):
-    """The kernel's four SINRs for one realization, unit noise powers."""
-    return noma_sinrs(_reception_terms(ch, ris), pw, si, 1.0, 1.0)
+def first_block(config, ris, seed, size):
+    """Block 0 of the simulator's stream at ``seed``, ``size`` trials."""
+    return next(_blocks(config, ris, size, seed))
+
+
+def trial_sinrs(block, ris, pw, si=0.0, t=0):
+    """The kernel's four SINRs for trial t of a block, unit noise powers."""
+    sinrs = noma_sinrs(_block_terms(block, ris), pw, si, 1.0, 1.0)
+    return {u: float(sinrs[u][t]) for u in USERS}
 
 
 class TestPowerConfig:
@@ -130,109 +139,124 @@ class TestRateReport:
 
 
 class TestSinrOps:
+    """The simulator's batched terms through the kernel, row by row,
+    against the reception formulas written out with scalar cascades."""
+
     def setup_method(self):
         self.config = make_config()
         self.ris = random_state()
-        rng = _trial_rng(17, 0)
-        self.ch = draw_realization(self.config, self.ris, rng)
+        self.block = first_block(self.config, self.ris, 17, 4)
+
+    def rows(self):
+        for t in range(self.block.size):
+            yield (t,) + trial_channels(self.block, t)
 
     def test_dl_center_term_by_term(self):
         pw = baseline_power(Xi=0.05)
-        ch, ris = self.ch, self.ris
-        l = ch.pathlosses
-        a = abs(math.sqrt(l["b_u1d"]) * ch.h_b_u1d
-                + math.sqrt(l["br"] * l["r_u1d"])
-                * star_cascade(ch.g_r_u1d, ris, "t", ch.g_br)) ** 2
-        c = abs(math.sqrt(l["u1d_u1u"]) * ch.h_u1d_u1u
-                + math.sqrt(l["r_u1d"] * l["r_u1u"])
-                * star_cascade(ch.g_r_u1d, ris, "t", ch.g_r_u1u)) ** 2
-        d = (l["r_u1d"] * l["r_u2u"]
-             * abs(star_cascade(ch.g_r_u1d, ris, "t", ch.g_r_u2u)) ** 2)
-        expected = (pw.p_b1 * a
-                    / (pw.Xi * pw.p_b2 * a + pw.p_u1u * c + pw.p_u2u * d
-                       + 1.0))
-        assert_allclose(trial_sinrs(ch, ris, pw)["u1d"], expected,
-                        rtol=1e-14)
+        ris = self.ris
+        for t, l, h, g in self.rows():
+            a = abs(math.sqrt(l["b_u1d"]) * h["b_u1d"]
+                    + math.sqrt(l["br"] * l["r_u1d"])
+                    * star_cascade(g["u1d"], ris, "t", g["br"])) ** 2
+            c = abs(math.sqrt(l["u1d_u1u"]) * h["u1d_u1u"]
+                    + math.sqrt(l["r_u1d"] * l["r_u1u"])
+                    * star_cascade(g["u1d"], ris, "t", g["u1u"])) ** 2
+            d = (l["r_u1d"] * l["r_u2u"]
+                 * abs(star_cascade(g["u1d"], ris, "t", g["u2u"])) ** 2)
+            expected = (pw.p_b1 * a
+                        / (pw.Xi * pw.p_b2 * a + pw.p_u1u * c
+                           + pw.p_u2u * d + 1.0))
+            assert_allclose(trial_sinrs(self.block, ris, pw, t=t)["u1d"],
+                            expected, rtol=1e-14)
 
     def test_dl_edge_term_by_term(self):
         pw = baseline_power()
-        ch, ris = self.ch, self.ris
-        l = ch.pathlosses
-        a = (l["br"] * l["r_u2d"]
-             * abs(star_cascade(ch.g_r_u2d, ris, "r", ch.g_br)) ** 2)
-        c = (l["r_u2d"] * l["r_u1u"]
-             * abs(star_cascade(ch.g_r_u2d, ris, "r", ch.g_r_u1u)) ** 2)
-        d = (l["r_u2d"] * l["r_u2u"]
-             * abs(star_cascade(ch.g_r_u2d, ris, "r", ch.g_r_u2u)) ** 2)
-        expected = pw.p_b2 * a / (pw.p_b1 * a + pw.p_u1u * c
-                                  + pw.p_u2u * d + 1.0)
-        assert_allclose(trial_sinrs(ch, ris, pw)["u2d"], expected,
-                        rtol=1e-14)
+        ris = self.ris
+        for t, l, h, g in self.rows():
+            a = (l["br"] * l["r_u2d"]
+                 * abs(star_cascade(g["u2d"], ris, "r", g["br"])) ** 2)
+            c = (l["r_u2d"] * l["r_u1u"]
+                 * abs(star_cascade(g["u2d"], ris, "r", g["u1u"])) ** 2)
+            d = (l["r_u2d"] * l["r_u2u"]
+                 * abs(star_cascade(g["u2d"], ris, "r", g["u2u"])) ** 2)
+            expected = pw.p_b2 * a / (pw.p_b1 * a + pw.p_u1u * c
+                                      + pw.p_u2u * d + 1.0)
+            assert_allclose(trial_sinrs(self.block, ris, pw, t=t)["u2d"],
+                            expected, rtol=1e-14)
 
     def test_ul_loopback_term(self):
         # With the user powers zeroed and no SI, the center UL SINR is the
         # direct+surface signal over the BS loop-back plus noise.
         pw = PowerConfig(P_t=1000.0, p_b1=200.0, p_b2=400.0,
                          p_u1u=400.0, p_u2u=0.0)
-        ch, ris = self.ch, self.ris
-        l = ch.pathlosses
-        a = abs(math.sqrt(l["b_u1u"]) * ch.h_b_u1u
-                + math.sqrt(l["br"] * l["r_u1u"])
-                * star_cascade(ch.g_br, ris, "t", ch.g_r_u1u)) ** 2
-        loop = l["br"] ** 2 * abs(
-            np.sum(ris.side("t") * np.abs(ch.g_br) ** 2)) ** 2
-        expected = pw.p_u1u * a / (600.0 * loop + 1.0)
-        assert_allclose(trial_sinrs(ch, ris, pw)["u1u"], expected,
-                        rtol=1e-14)
+        ris = self.ris
+        for t, l, h, g in self.rows():
+            a = abs(math.sqrt(l["b_u1u"]) * h["b_u1u"]
+                    + math.sqrt(l["br"] * l["r_u1u"])
+                    * star_cascade(g["br"], ris, "t", g["u1u"])) ** 2
+            loop = l["br"] ** 2 * abs(
+                np.sum(ris.side("t") * np.abs(g["br"]) ** 2)) ** 2
+            expected = pw.p_u1u * a / (600.0 * loop + 1.0)
+            assert_allclose(trial_sinrs(self.block, ris, pw, t=t)["u1u"],
+                            expected, rtol=1e-14)
 
     def test_interference_free_center(self):
         # No uplink users and perfect SIC: the center DL SINR is a pure SNR.
         pw = PowerConfig(P_t=1000.0, p_b1=200.0, p_b2=800.0,
                          p_u1u=0.0, p_u2u=0.0)
-        ch, ris = self.ch, self.ris
-        l = ch.pathlosses
-        a = abs(math.sqrt(l["b_u1d"]) * ch.h_b_u1d
-                + math.sqrt(l["br"] * l["r_u1d"])
-                * star_cascade(ch.g_r_u1d, ris, "t", ch.g_br)) ** 2
-        assert_allclose(trial_sinrs(ch, ris, pw)["u1d"], 200.0 * a,
-                        rtol=1e-14)
+        ris = self.ris
+        for t, l, h, g in self.rows():
+            a = abs(math.sqrt(l["b_u1d"]) * h["b_u1d"]
+                    + math.sqrt(l["br"] * l["r_u1d"])
+                    * star_cascade(g["u1d"], ris, "t", g["br"])) ** 2
+            assert_allclose(trial_sinrs(self.block, ris, pw, t=t)["u1d"],
+                            200.0 * a, rtol=1e-14)
 
     def test_dark_side_kills_edge_users(self):
         # All energy on the transmit side leaves nothing for refraction
         # toward the edge disk, so the edge DL SINR is exactly zero.
         dark_r = StarRisState.uniform(self.config.n_elements, rho_t=1.0)
-        ch = draw_realization(self.config, dark_r, _trial_rng(17, 0))
-        assert trial_sinrs(ch, dark_r, baseline_power())["u2d"] == 0.0
+        block = first_block(self.config, dark_r, 17, 4)
+        sinrs = noma_sinrs(_block_terms(block, dark_r), baseline_power(),
+                           0.0, 1.0, 1.0)
+        assert np.all(sinrs["u2d"] == 0.0)
 
     def test_si_dominated_uplink(self):
         pw = baseline_power(beta=1e9)
-        si = _draw_si(pw, np.random.default_rng(0))
-        sinrs = trial_sinrs(self.ch, self.ris, pw, si)
-        assert sinrs["u1u"] < 1e-6
-        assert sinrs["u2u"] < 1e-6
+        si = _block_si(self.block, pw)
+        sinrs = noma_sinrs(_block_terms(self.block, self.ris), pw, si,
+                           1.0, 1.0)
+        assert np.all(sinrs["u1u"] < 1e-6)
+        assert np.all(sinrs["u2u"] < 1e-6)
 
     def test_negative_si_draw_rejected(self):
         with pytest.raises(ValueError, match="si is a squared magnitude"):
-            trial_sinrs(self.ch, self.ris, baseline_power(), -1.0)
+            trial_sinrs(self.block, self.ris, baseline_power(), -1.0)
+        # One negative draw in a block is enough.
+        si = np.array([0.0, 1.0, -1e-300, 2.0])
+        with pytest.raises(ValueError, match="si is a squared magnitude"):
+            noma_sinrs(_block_terms(self.block, self.ris), baseline_power(),
+                       si, 1.0, 1.0)
 
     def test_strong_decodes_weak_exceeds_own_share(self):
         # The edge signal carries more power, so the center user decodes
         # it at a higher rate than its own signal whenever Xi is small.
         pw = baseline_power()
-        own = math.log2(1.0 + trial_sinrs(self.ch, self.ris, pw)["u1d"])
-        u1d = _reception_terms(self.ch, self.ris)["u1d"]
-        cross = math.log2(1.0 + dl_sinr(u1d, pw.p_b2, pw.p_b1, pw, 1.0))
-        assert cross > own
+        own = np.log2(1.0 + noma_sinrs(_block_terms(self.block, self.ris),
+                                       pw, 0.0, 1.0, 1.0)["u1d"])
+        u1d = _block_terms(self.block, self.ris)["u1d"]
+        cross = np.log2(1.0 + dl_sinr(u1d, pw.p_b2, pw.p_b1, pw, 1.0))
+        assert np.all(cross > own)
 
     def test_bidirectional_min_structure(self):
         pw = baseline_power()
-        legs = relay_leg_rates(_reception_terms(self.ch, self.ris), pw,
-                               0.0, 1.0, 1.0)
-        assert all(leg >= 0.0 for leg in legs)
+        terms = _block_terms(self.block, self.ris)
+        legs = relay_leg_rates(terms, pw, 0.0, 1.0, 1.0)
+        assert all(np.all(leg >= 0.0) for leg in legs)
         # The BS decode legs are the NOMA uplink rates.
-        sinrs = trial_sinrs(self.ch, self.ris, pw)
-        assert legs[1] == math.log2(1.0 + sinrs["u2u"])
-        assert legs[3] == math.log2(1.0 + sinrs["u1u"])
+        sinrs = noma_sinrs(terms, pw, 0.0, 1.0, 1.0)
+        assert np.array_equal(legs[1], np.log2(1.0 + sinrs["u2u"]))
+        assert np.array_equal(legs[3], np.log2(1.0 + sinrs["u1u"]))
 
 
 class TestNomaBeneficial:
@@ -257,27 +281,23 @@ class TestErgodicRateMc:
 
     def test_single_trial_matches_direct_evaluation(self):
         report = ergodic_rate_mc(self.config, self.ris, self.pw, 1, seed=9)
-        rng = _trial_rng(9, 0)
-        ch = draw_realization(self.config, self.ris, rng)
-        si = _draw_si(self.pw, rng)
-        sinrs = trial_sinrs(ch, self.ris, self.pw, si)
-        assert report.rate("u1d") == math.log2(1.0 + sinrs["u1d"])
-        assert report.rate("u2u") == math.log2(1.0 + sinrs["u2u"])
-        assert report.stderr == {u: 0.0 for u in
-                                 ("u1d", "u2d", "u1u", "u2u")}
+        block = first_block(self.config, self.ris, 9, 1)
+        sinrs = trial_sinrs(block, self.ris, self.pw,
+                            _block_si(block, self.pw))
+        assert report.rate("u1d") == np.log2(1.0 + sinrs["u1d"])
+        assert report.rate("u2u") == np.log2(1.0 + sinrs["u2u"])
+        assert report.stderr == {u: 0.0 for u in USERS}
 
     def test_mean_is_average_of_single_trials(self):
-        # Per-trial generators are keyed by index, so the 20-trial estimate
-        # must equal the average over the 20 single-trial evaluations.
+        # The estimate must equal the average of the per-trial rates
+        # that its one block scores.
         trials = 20
         report = ergodic_rate_mc(self.config, self.ris, self.pw, trials,
                                  seed=23)
-        singles = []
-        for t in range(trials):
-            rng = _trial_rng(23, t)
-            ch = draw_realization(self.config, self.ris, rng)
-            singles.append(math.log2(
-                1.0 + trial_sinrs(ch, self.ris, self.pw)["u1d"]))
+        block = first_block(self.config, self.ris, 23, trials)
+        singles = np.log2(1.0 + noma_sinrs(
+            _block_terms(block, self.ris), self.pw,
+            _block_si(block, self.pw), 1.0, 1.0)["u1d"])
         assert_allclose(report.rate("u1d"),
                         math.fsum(singles) / trials, rtol=1e-15)
 
@@ -309,14 +329,10 @@ class TestErgodicRateMc:
     def test_bidirectional_min_of_leg_means(self):
         report = ergodic_rate_mc(self.config, self.ris, self.pw, 30,
                                  seed=7, scenario="bidirectional")
-        legs = np.empty((30, 4))
-        for t in range(30):
-            rng = _trial_rng(7, t)
-            ch = draw_realization(self.config, self.ris, rng)
-            si = _draw_si(self.pw, rng)
-            legs[t] = relay_leg_rates(_reception_terms(ch, self.ris),
-                                      self.pw, si, 1.0, 1.0)
-        means = [math.fsum(legs[:, i]) / 30 for i in range(4)]
+        block = first_block(self.config, self.ris, 7, 30)
+        legs = relay_leg_rates(_block_terms(block, self.ris), self.pw,
+                               _block_si(block, self.pw), 1.0, 1.0)
+        means = [math.fsum(leg) / 30 for leg in legs]
         assert report.rate("c") == min(means[1], means[0])
         assert report.rate("e") == min(means[3], means[2])
         assert set(report.stderr) == {"c", "e"}
@@ -338,3 +354,66 @@ class TestErgodicRateMc:
         with pytest.raises(ValueError, match="scenario"):
             ergodic_rate_mc(self.config, self.ris, self.pw, 5, seed=1,
                             scenario="duplex")
+
+
+class TestBlockedStream:
+    """The batched simulator against its scalar reference, and the
+    fixed block size that bounds its memory."""
+
+    @pytest.mark.parametrize("n", [1, 20, 100])
+    @pytest.mark.parametrize("scenario", ["noma-pair", "bidirectional"])
+    def test_every_row_matches_the_scalar_path(self, scenario, n):
+        config = make_config(n_elements=n, Xi=0.05, beta=1e-3)
+        ris = random_state(n, rho_t=0.3, seed=n)
+        pw = PowerConfig.from_config(config)
+        block = first_block(config, ris, 11, _BLOCK)
+        assert block.size == _BLOCK
+        si = _block_si(block, pw)
+        sigma_sq, sigma_b_sq = config.sigma_sq, config.sigma_b_sq
+        batched_terms = _block_terms(block, ris)
+        batched = rates_mc._block_rates(block, ris, pw, config, scenario)
+        for t in range(block.size):
+            terms = scalar_terms(block, t, ris)
+            for user, triple in terms.items():
+                assert_allclose([x[t] for x in batched_terms[user]], triple,
+                                rtol=1e-12, atol=0)
+            if scenario == "noma-pair":
+                sinrs = noma_sinrs(terms, pw, float(si[t]), sigma_sq,
+                                   sigma_b_sq)
+                scalar = [math.log2(1.0 + sinrs[u]) for u in USERS]
+            else:
+                scalar = relay_leg_rates(terms, pw, float(si[t]),
+                                         sigma_sq, sigma_b_sq)
+            # log2(1 + x) rounds 1 + x first, so a rate carries an
+            # absolute error of about 2^-52 / ln 2, whatever its size:
+            # small rates are compared in absolute terms.
+            assert_allclose(batched[:, t], scalar, rtol=1e-12, atol=1e-12)
+
+    def test_trials_are_drawn_in_bounded_blocks(self, monkeypatch):
+        config = make_config()
+        ris = random_state()
+        sizes = []
+        draw = rates_mc.draw_realization
+
+        def recording_draw(config, ris, rng, size):
+            sizes.append(size)
+            return draw(config, ris, rng, size)
+
+        monkeypatch.setattr(rates_mc, "draw_realization", recording_draw)
+        report = ergodic_rate_mc(config, ris, baseline_power(),
+                                 2 * _BLOCK + 1, seed=4)
+        assert sizes == [_BLOCK, _BLOCK, 1]
+        assert report.trials == 2 * _BLOCK + 1
+
+    def test_blocks_are_keyed_by_seed_and_index(self):
+        # Block b draws from the generator keyed by (seed, b), so a full
+        # block is the same whatever the total trial count.
+        config = make_config()
+        ris = random_state()
+        two = list(_blocks(config, ris, 2 * _BLOCK, 8))
+        three = list(_blocks(config, ris, 2 * _BLOCK + 5, 8))
+        assert [b.size for b in three] == [_BLOCK, _BLOCK, 5]
+        for a, b in zip(two, three):
+            assert np.array_equal(a.surface["u2u"], b.surface["u2u"])
+            assert np.array_equal(a.si_pair, b.si_pair)
+        assert not np.array_equal(two[0].si_pair, two[1].si_pair)
