@@ -1,5 +1,5 @@
-"""Cell geometry: user-position distributions on the two coverage disks and
-the deterministic path-loss expectations used by the closed-form rates.
+"""Cell geometry: the two coverage disks, the bounded path loss and the
+deterministic path-loss expectations used by the closed-form rates.
 
 Layout. The base station (BS) sits at the center of the cell-center disk
 of radius ``R``; cell-center users are uniform on that disk. The surface
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -36,16 +35,12 @@ from .specfun import gauss_legendre, integrate_adaptive
 
 __all__ = [
     "CellGeometry",
-    "UserPosition",
-    "sample_user_position",
     "pathloss",
     "exp_pathloss_center_disk",
     "exp_pathloss_edge_disk",
     "exp_pathloss_fixed_point_to_disk",
     "exp_pathloss_two_random_points",
 ]
-
-Region = Literal["center", "edge"]
 
 
 @dataclass(frozen=True)
@@ -76,38 +71,6 @@ class CellGeometry:
     def r1(self) -> float:
         """Clearance between the surface and the center-disk rim."""
         return self.d_br - self.R
-
-
-@dataclass(frozen=True)
-class UserPosition:
-    """Polar position inside one coverage disk.
-
-    ``radius`` is measured from the disk's own center (the BS for the
-    center region, the surface for the edge region).
-    """
-
-    radius: float
-    angle: float
-    region: Region
-
-    def __post_init__(self) -> None:
-        if self.radius < 0:
-            raise ValueError("radius must be non-negative")
-        if self.region not in ("center", "edge"):
-            raise ValueError(f"unknown region {self.region!r}")
-
-
-def sample_user_position(geometry: CellGeometry, region: Region,
-                         rng: np.random.Generator) -> UserPosition:
-    """Draw a uniform position on the requested disk.
-
-    The radius has density 2r/R^2 on [0, R_region] (uniform area), the
-    angle is uniform on [0, 2*pi).
-    """
-    radius_max = geometry.R if region == "center" else geometry.R_r
-    radius = radius_max * math.sqrt(rng.uniform())
-    angle = rng.uniform(0.0, 2.0 * math.pi)
-    return UserPosition(radius=radius, angle=angle, region=region)
 
 
 def pathloss(distance, m: float):

@@ -3,10 +3,10 @@ coefficients, channel-aligned phase designs, and closed-form power
 allocation with constraint validation.
 
 The ascent objective is always the closed-form weighted sum rate, so a
-run is deterministic given its initial state. Its gradient is analytic:
-the chain rule runs from the rates through the SINR kernel's partials to
-the moment triples, and from there through the few surface scalars the
-moments depend on, in O(N) per iteration.
+run is deterministic given its initial state. Its gradient is analytic,
+in O(N) per iteration: the partials in the nine moment terms come from
+the SINR kernel itself by complex step, and the chain rule carries them
+through the few surface scalars the moments depend on.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from .rates_cf import (CfRateInputs, MomentSet, cf_rate_inputs, cf_rates,
                        cf_rates_bidirectional, cf_sinrs, compute_moments,
                        oma_sinrs, surface_gradient)
 from .rates_mc import (PowerConfig, RateReport, dl_sinr, noma_beneficial,
-                       noma_sinrs, noma_sinrs_pullback, relay_branches,
-                       relay_leg_pullback, relay_leg_rates)
+                       noma_sinrs, relay_branches, relay_leg_rates)
 
 __all__ = [
     "ObjectiveSpec",
@@ -48,6 +47,11 @@ _MU_MIN = 1e-12
 # Fixed-point passes for the self-interference coupling of the power
 # allocation; feasible cells settle within a few dozen.
 _SI_PASSES = 200
+# Complex-step size: far below any term's scale, so Im f(t + ih) / h is
+# the partial to rounding, and no difference is ever taken.
+_CS_STEP = 1e-30
+# The moment triples the gradient differentiates; u2u reads u1u's terms.
+_TRIPLES = ("u1d", "u2d", "u1u")
 
 
 @dataclass(frozen=True)
@@ -259,6 +263,26 @@ def aligned_state(config: SystemConfig, rho_t: float = 0.5,
                         phi_t=phi_t, phi_r=phi_r)
 
 
+def _term_partials(f: Callable[[Dict[str, Tuple]], np.ndarray],
+                   inputs: Dict[str, CfRateInputs]) -> Dict[str, np.ndarray]:
+    """Partials of ``f`` in the u1d, u2d and u1u moment terms.
+
+    Complex step (Squire and Trapp, SIAM Review 1998): term k gets the
+    probe i*h*e_k, and d f / d t_k = Im f / h. The nine probes run as one
+    evaluation of ``f`` on arrays of nine complex entries. This is exact
+    to rounding only while ``f`` is analytic in the terms: no abs,
+    comparison or min may act on them. The kernel meets this (its
+    ``si >= 0`` check reads si only); a choice between rates has to be
+    made on real values before the probe.
+    """
+    base = np.array([list(inputs[u]) for u in _TRIPLES]).reshape(9, 1)
+    probed = base + 1j * _CS_STEP * np.eye(9)
+    terms = {u: tuple(probed[3 * k:3 * k + 3])
+             for k, u in enumerate(_TRIPLES)}
+    partials = np.imag(f(terms)).reshape(3, 3) / _CS_STEP
+    return dict(zip(_TRIPLES, partials))
+
+
 def _make_objective(config: SystemConfig, pw: PowerConfig,
                     objective: ObjectiveSpec
                     ) -> Tuple[Callable[[StarRisState],
@@ -272,6 +296,8 @@ def _make_objective(config: SystemConfig, pw: PowerConfig,
     moments are assembled once.
     """
     sigma_sq, sigma_b_sq = config.sigma_sq, config.sigma_b_sq
+    # rate_sum(inputs) is the objective as a function of the moment terms,
+    # for _term_partials, with any choice between legs fixed at inputs.
     if objective.scenario == "noma-pair":
         weights = objective.weights
 
@@ -280,30 +306,32 @@ def _make_objective(config: SystemConfig, pw: PowerConfig,
             return math.fsum(weights[u] * math.log2(1.0 + sinrs[u])
                              for u in USERS)
 
-        def term_grads(inputs):
-            sinrs = noma_sinrs(inputs, pw, pw.V, sigma_sq, sigma_b_sq)
-            # d/dg of w log2(1 + g)
-            scale = {u: weights[u] / ((1.0 + sinrs[u]) * math.log(2.0))
-                     for u in USERS}
-            return noma_sinrs_pullback(inputs, pw, pw.V, sigma_sq,
-                                       sigma_b_sq, scale)
+        def rate_sum(inputs):
+            def f(terms):
+                sinrs = noma_sinrs(terms, pw, pw.V, sigma_sq, sigma_b_sq)
+                return sum(weights[u] * np.log2(1.0 + sinrs[u])
+                           for u in USERS)
+            return f
     else:
         # Connection rates are equally weighted in the bidirectional sum.
         def value(state: StarRisState, moments: MomentSet) -> float:
             r_c, r_e = cf_rates_bidirectional(config, state, pw, moments)
             return r_c + r_e
 
-        def term_grads(inputs):
-            r_uc, r_u2u, r_ue, r_u1u = relay_leg_rates(
-                inputs, pw, pw.V, sigma_sq, sigma_b_sq)
+        def rate_sum(inputs):
             # Follow the legs that cf_rates_bidirectional's min(r_u2u,
             # r_uc) and min(r_u1u, r_ue) return: min keeps its first
             # argument unless the second is smaller.
-            c_relay, e_relay = r_uc < r_u2u, r_ue < r_u1u
-            legs = (float(c_relay), float(not c_relay),
-                    float(e_relay), float(not e_relay))
-            return relay_leg_pullback(inputs, pw, pw.V, sigma_sq,
-                                      sigma_b_sq, legs)
+            r_uc, r_u2u, r_ue, r_u1u = relay_leg_rates(
+                inputs, pw, pw.V, sigma_sq, sigma_b_sq)
+            c = 0 if r_uc < r_u2u else 1
+            e = 2 if r_ue < r_u1u else 3
+
+            def f(terms):
+                legs = relay_leg_rates(terms, pw, pw.V, sigma_sq,
+                                       sigma_b_sq)
+                return legs[c] + legs[e]
+            return f
 
     def evaluate(state: StarRisState) -> Tuple[float, MomentSet]:
         moments = compute_moments(config, state)
@@ -312,7 +340,9 @@ def _make_objective(config: SystemConfig, pw: PowerConfig,
     def gradient(state: StarRisState,
                  moments: MomentSet) -> Tuple[np.ndarray, ...]:
         inputs = cf_rate_inputs(config, state, moments=moments)
-        return surface_gradient(config, state, term_grads(inputs), moments)
+        return surface_gradient(config, state,
+                                _term_partials(rate_sum(inputs), inputs),
+                                moments)
 
     return evaluate, gradient
 
@@ -405,9 +435,9 @@ def power_allocation_closed_form(config: SystemConfig, ris: StarRisState,
     through the BS power, which a fixed-point pass resolves. Whatever
     budget remains goes to the center UL user.
     """
-    if P_t <= 0:
+    if not P_t > 0:
         raise ValueError("total power budget must be positive")
-    if R_dth < 0 or R_uth < 0:
+    if not R_dth >= 0 or not R_uth >= 0:
         raise ValueError("target rates must be non-negative")
     inputs = cf if cf is not None else cf_rate_inputs(config, ris)
 

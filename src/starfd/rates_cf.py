@@ -84,7 +84,7 @@ class MomentSet:
     xi: Dict[int, float]
     zeta: complex
     sum_rho_sq: Dict[str, float]
-    cross_phase: Dict[str, complex]
+    cross_phase: Dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -150,10 +150,12 @@ def compute_moments(config: SystemConfig, ris: StarRisState) -> MomentSet:
     los = _los_vectors(config.n_elements, config.angles)
     sum_rho_sq = {"t": float(np.sum(ris.rho_t ** 2)),
                   "r": float(np.sum(ris.rho_r ** 2))}
-    s_side = {"t": complex(np.sum(ris.side("t"))),
-              "r": complex(np.sum(ris.side("r")))}
-    cross_phase = {k: s_side[k] * s_side[k].conjugate() - sum_rho_sq[k]
-                   for k in ("t", "r")}
+    # |s|^2 below is written as (s * conj(s)).real rounds it, like zeta_sq
+    # in _loopback_moment; abs(s) ** 2 would move the closed-form bytes.
+    cross_phase = {}
+    for k in ("t", "r"):
+        s = complex(np.sum(ris.side(k)))
+        cross_phase[k] = s.real * s.real + s.imag * s.imag - sum_rho_sq[k]
 
     varpi, varpi_hat, xi = {}, {}, {}
     for i, (side, out, inp) in _XI_TABLE.items():
@@ -207,21 +209,15 @@ def _mix(moments: MomentSet, i: int) -> float:
 
 
 def _loopback_moment(config: SystemConfig, moments: MomentSet) -> float:
-    """Second moment of the BS self-cascade (real by construction)."""
+    """Second moment of the BS self-cascade."""
     a, b = _loopback_split(config)
-    s = moments.zeta  # LoS loop-back sum, equal to sum rho_t e^{j phi_t}
-    assembled = (a * a * moments.xi[9]
-                 + 2.0 * a * b * moments.sum_rho_sq["t"]
-                 + b * b * (2.0 * moments.sum_rho_sq["t"]
-                            + moments.cross_phase["t"])
-                 + a * b * (moments.zeta * s.conjugate()
-                            + moments.zeta.conjugate() * s))
-    value = assembled.real
-    if abs(assembled.imag) > 1e-9 * max(abs(value), 1e-300):
-        raise ArithmeticError(
-            "loop-back moment has a non-negligible imaginary residue "
-            f"({assembled.imag:.3e}); the assembly must be real")
-    return value
+    zeta = moments.zeta  # LoS loop-back sum, equal to sum rho_t e^{j phi_t}
+    zeta_sq = zeta.real * zeta.real + zeta.imag * zeta.imag
+    return (a * a * moments.xi[9]
+            + 2.0 * a * b * moments.sum_rho_sq["t"]
+            + b * b * (2.0 * moments.sum_rho_sq["t"]
+                       + moments.cross_phase["t"])
+            + a * b * (zeta_sq + zeta_sq))
 
 
 def cf_rate_inputs(config: SystemConfig, ris: StarRisState,

@@ -33,16 +33,13 @@ __all__ = [
     "dl_sinr",
     "ul_sinr",
     "noma_sinrs",
-    "noma_sinrs_pullback",
     "relay_branches",
     "relay_leg_rates",
-    "relay_leg_pullback",
     "noma_beneficial",
     "ergodic_rate_mc",
 ]
 
 _BUDGET_RTOL = 1e-9
-_LN2 = math.log(2.0)
 # Trials per Monte-Carlo block: the unit of drawing, scoring and memory.
 _BLOCK = 1024
 
@@ -83,9 +80,9 @@ class PowerConfig:
                 f"powers sum to {total!r}, over the budget {self.P_t!r}")
         if not 0.0 <= self.Xi <= 1.0:
             raise ValueError("SIC error factor Xi must lie in [0, 1]")
-        if self.beta < 0 or self.si_lambda < 0:
+        if not self.beta >= 0 or not self.si_lambda >= 0:
             raise ValueError("SI model constants must be non-negative")
-        if self.R_dth < 0 or self.R_uth < 0:
+        if not self.R_dth >= 0 or not self.R_uth >= 0:
             raise ValueError("target rates must be non-negative")
 
     @property
@@ -226,7 +223,8 @@ def _block_terms(block: ChannelBlock, ris: StarRisState
 # The reception kernel. Every SINR of the model is one of three ratios,
 # fed either with the realized channel powers of a block of trials, as
 # arrays (the simulator), or with their moments, as floats (the closed
-# forms, which pass si = V).
+# forms, which pass si = V). The optimizer differentiates it by feeding
+# the moments as complex arrays, so no branch may look at a term.
 
 def dl_sinr(terms, own: float, leak: float, pw: PowerConfig,
             sigma_sq: float) -> float:
@@ -258,7 +256,7 @@ def ul_sinr(terms, own: float, leak: float, pw: PowerConfig, si: float,
 
 def _log2(x):
     # The closed forms pass floats and keep math.log2; the simulator
-    # passes one block of trials as arrays.
+    # passes one block of trials as arrays, the optimizer complex probes.
     return np.log2(x) if isinstance(x, np.ndarray) else math.log2(x)
 
 
@@ -266,37 +264,6 @@ def _relay_sinr(own: float, s: float, other: float, i: float,
                 sigma_sq: float) -> float:
     """A DL user hears one uplink user's signal over the other's."""
     return own * s / (other * i + sigma_sq)
-
-
-# Partials of the three ratios in their terms. Each ratio has the form
-# gamma = n.t / (d.t + e) over its terms t, so d gamma / d t = (n - gamma
-# d) / (d.t + e). The value functions above stay as they are, so the
-# simulator's arithmetic does not change.
-
-def dl_sinr_partials(terms, own: float, leak: float, pw: PowerConfig,
-                     sigma_sq: float) -> np.ndarray:
-    """Partials of :func:`dl_sinr` in its terms (a, c, d)."""
-    a, c, d = terms
-    den = leak * a + pw.p_u1u * c + pw.p_u2u * d + sigma_sq
-    gamma = own * a / den
-    return np.array([own - gamma * leak, -gamma * pw.p_u1u,
-                     -gamma * pw.p_u2u]) / den
-
-
-def ul_sinr_partials(terms, own: float, leak: float, pw: PowerConfig,
-                     si: float, sigma_b_sq: float) -> np.ndarray:
-    """Partials of :func:`ul_sinr` in its terms (s, i, loop)."""
-    s, i, loop = terms
-    den = leak * i + pw.P_b * loop + si + sigma_b_sq
-    gamma = own * s / den
-    return np.array([own, -gamma * leak, -gamma * pw.P_b]) / den
-
-
-def _relay_sinr_partials(own: float, s: float, other: float, i: float,
-                         sigma_sq: float) -> Tuple[float, float]:
-    """Partials of :func:`_relay_sinr` in (s, i)."""
-    den = other * i + sigma_sq
-    return own / den, -own * s * other / den ** 2
 
 
 def noma_sinrs(terms, pw: PowerConfig, si: float, sigma_sq: float,
@@ -315,29 +282,6 @@ def noma_sinrs(terms, pw: PowerConfig, si: float, sigma_sq: float,
                        sigma_b_sq),
         "u2u": ul_sinr((s2, s1, loop), pw.p_u2u, pw.Xi * pw.p_u1u, pw, si,
                        sigma_b_sq),
-    }
-
-
-def noma_sinrs_pullback(terms, pw: PowerConfig, si: float, sigma_sq: float,
-                        sigma_b_sq: float,
-                        weights: Dict[str, float]) -> Dict[str, np.ndarray]:
-    """Gradient of sum_u weights[u] * noma_sinrs(...)[u] in the terms.
-
-    Returns the partials in the u1d, u2d and u1u triples; the u2u SINR
-    reads the u1u triple with its first two terms swapped, so its
-    partials are swapped back.
-    """
-    s1, s2, loop = terms["u1u"]
-    u2u = ul_sinr_partials((s2, s1, loop), pw.p_u2u, pw.Xi * pw.p_u1u, pw,
-                           si, sigma_b_sq)
-    return {
-        "u1d": weights["u1d"] * dl_sinr_partials(
-            terms["u1d"], pw.p_b1, pw.Xi * pw.p_b2, pw, sigma_sq),
-        "u2d": weights["u2d"] * dl_sinr_partials(
-            terms["u2d"], pw.p_b2, pw.p_b1, pw, sigma_sq),
-        "u1u": (weights["u1u"] * ul_sinr_partials(
-                    terms["u1u"], pw.p_u1u, pw.p_u2u, pw, si, sigma_b_sq)
-                + weights["u2u"] * u2u[[1, 0, 2]]),
     }
 
 
@@ -370,41 +314,6 @@ def relay_leg_rates(terms, pw: PowerConfig, si: float, sigma_sq: float,
     ul = noma_sinrs(terms, pw, si, sigma_sq, sigma_b_sq)
     return (_log2(1.0 + relay_c + bs_c), _log2(1.0 + ul["u2u"]),
             _log2(1.0 + relay_e + bs_e), _log2(1.0 + ul["u1u"]))
-
-
-def relay_leg_pullback(terms, pw: PowerConfig, si: float, sigma_sq: float,
-                       sigma_b_sq: float, weights: Tuple[float, float,
-                                                         float, float]
-                       ) -> Dict[str, np.ndarray]:
-    """Gradient of sum_k weights[k] * relay_leg_rates(...)[k] in the terms.
-
-    Returns the partials in the u1d, u2d and u1u triples. r_uc reads the
-    u1d triple, r_ue the u2d triple, and both BS decode legs the u1u
-    triple.
-    """
-    w_uc, w_u2u, w_ue, w_u1u = weights
-    a1, c1, d1 = terms["u1d"]
-    a2, c2, d2 = terms["u2d"]
-    relay_c, bs_c, relay_e, bs_e = relay_branches(terms, pw, sigma_sq)
-    ul = noma_sinrs(terms, pw, si, sigma_sq, sigma_b_sq)
-    # d log2(1 + g) = d g / ((1 + g) ln 2)
-    grads = noma_sinrs_pullback(
-        terms, pw, si, sigma_sq, sigma_b_sq,
-        {"u1d": 0.0, "u2d": 0.0,
-         "u1u": w_u1u / ((1.0 + ul["u1u"]) * _LN2),
-         "u2u": w_u2u / ((1.0 + ul["u2u"]) * _LN2)})
-    relay_s, relay_i = _relay_sinr_partials(pw.p_u2u, d1, pw.p_u1u, c1,
-                                            sigma_sq)
-    bs = dl_sinr_partials((a1, c1, 0.0), pw.p_b1, pw.Xi * pw.p_b2, pw,
-                          sigma_sq)
-    grads["u1d"] = (w_uc / ((1.0 + relay_c + bs_c) * _LN2)
-                    * np.array([bs[0], bs[1] + relay_i, relay_s]))
-    relay_s, relay_i = _relay_sinr_partials(pw.p_u1u, c2, pw.p_u2u, d2,
-                                            sigma_sq)
-    bs = dl_sinr_partials((a2, 0.0, d2), pw.p_b2, pw.p_b1, pw, sigma_sq)
-    grads["u2d"] = (w_ue / ((1.0 + relay_e + bs_e) * _LN2)
-                    * np.array([bs[0], relay_s, bs[2] + relay_i]))
-    return grads
 
 
 def noma_beneficial(gamma_noma: float, gamma_oma: float) -> bool:

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from starfd.geometry import (CellGeometry, UserPosition,
-                             _two_point_density,
+from conftest import make_config
+from starfd.channel import StarRisState, draw_realization
+from starfd.geometry import (CellGeometry, _two_point_density,
                              exp_pathloss_center_disk,
                              exp_pathloss_edge_disk,
                              exp_pathloss_fixed_point_to_disk,
-                             exp_pathloss_two_random_points, pathloss,
-                             sample_user_position)
+                             exp_pathloss_two_random_points, pathloss)
 from starfd.specfun import integrate_adaptive
 
 # Grid shared by the oracle-agreement tests below.
@@ -206,21 +206,25 @@ class TestTwoRandomPoints:
 
 
 class TestSampling:
-    GEOM = CellGeometry(R=50.0, R_r=30.0, d_br=60.0, m=2.7)
+    """User positions as the channel block draw samples them."""
+
+    CONFIG = make_config(n_elements=1)
+    GEOM = CONFIG.geometry
+
+    def draw(self, rng, size):
+        return draw_realization(self.CONFIG, StarRisState.uniform(1), rng,
+                                size)
 
     def test_mean_radius(self):
         # E{r} = 2R/3 for a uniform disk.
-        rng = np.random.default_rng(3)
-        radii = [sample_user_position(self.GEOM, "center", rng).radius
-                 for _ in range(200_000)]
+        radii = self.draw(np.random.default_rng(3), 200_000).radius["u1d"]
         assert_allclose(np.mean(radii), 2.0 * 50.0 / 3.0, rtol=5e-3)
 
     def test_radius_cdf(self):
         # One-sample KS distance against F(r) = (r/R)^2.
-        rng = np.random.default_rng(5)
         n = 100_000
-        radii = np.sort([sample_user_position(self.GEOM, "edge", rng).radius
-                         for _ in range(n)])
+        radii = np.sort(
+            self.draw(np.random.default_rng(5), n).radius["u2d"])
         cdf = (radii / 30.0) ** 2
         emp_hi = np.arange(1, n + 1) / n
         emp_lo = np.arange(0, n) / n
@@ -228,33 +232,30 @@ class TestSampling:
         assert ks < 0.01
 
     def test_regions_use_their_own_radius(self):
-        rng = np.random.default_rng(9)
-        for _ in range(1000):
-            assert sample_user_position(self.GEOM, "center", rng).radius <= 50.0
-            pos = sample_user_position(self.GEOM, "edge", rng)
-            assert pos.radius <= 30.0
-            assert pos.region == "edge"
-            assert 0.0 <= pos.angle < 2.0 * math.pi
+        block = self.draw(np.random.default_rng(9), 1000)
+        for user, radius_max in (("u1d", 50.0), ("u1u", 50.0),
+                                 ("u2d", 30.0), ("u2u", 30.0)):
+            assert np.all(block.radius[user] <= radius_max)
+            assert np.all(block.angle[user] >= 0.0)
+            assert np.all(block.angle[user] < 2.0 * math.pi)
 
     def test_deterministic_under_seed(self):
-        a = [sample_user_position(self.GEOM, "center",
-                                  np.random.default_rng(42))
-             for _ in range(1)]
-        b = [sample_user_position(self.GEOM, "center",
-                                  np.random.default_rng(42))
-             for _ in range(1)]
-        assert a == b
+        a = self.draw(np.random.default_rng(42), 1)
+        b = self.draw(np.random.default_rng(42), 1)
+        for user in a.radius:
+            assert a.radius[user] == b.radius[user]
+            assert a.angle[user] == b.angle[user]
 
     def test_sampled_pathloss_matches_closed_form(self):
+        # The direct-link path loss of a center user has a coefficient of
+        # variation near 12 (users close to the BS), so a mean over 2e5
+        # samples has a 2.7% standard error. Both center users of 15
+        # blocks of 2e5 give 6e6 samples, which puts the 2% bound at
+        # about 4 standard errors.
         rng = np.random.default_rng(13)
-        vals = [pathloss(sample_user_position(self.GEOM, "center", rng).radius,
-                         self.GEOM.m)
-                for _ in range(200_000)]
-        assert_allclose(np.mean(vals),
+        vals = []
+        for _ in range(15):
+            block = self.draw(rng, 200_000)
+            vals += [block.pathlosses["b_u1d"], block.pathlosses["b_u1u"]]
+        assert_allclose(np.mean(np.concatenate(vals)),
                         exp_pathloss_center_disk(50.0, 2.7), rtol=0.02)
-
-    def test_invalid_position_rejected(self):
-        with pytest.raises(ValueError):
-            UserPosition(radius=-1.0, angle=0.0, region="center")
-        with pytest.raises(ValueError, match="region"):
-            UserPosition(radius=1.0, angle=0.0, region="nowhere")

@@ -222,7 +222,11 @@ class TestAnalyticGradient:
     """The analytic PGAM gradient against central finite differences."""
 
     CELLS = {"baseline": {},
-             "impaired": dict(Xi=0.05, beta=1e-2, si_lambda=1.1)}
+             "impaired": dict(Xi=0.05, beta=1e-2, si_lambda=1.1),
+             # Only the u2u rate, which reads u1u's terms with the signal
+             # and partner roles swapped.
+             "u2u-only": dict(weight_u1d=0.0, weight_u2d=0.0,
+                              weight_u1u=0.0, weight_u2u=0.8)}
 
     @pytest.mark.parametrize("cell", sorted(CELLS))
     @pytest.mark.parametrize("n", [20, 100])
@@ -498,6 +502,15 @@ class TestPowerAllocation:
         with pytest.raises(ValueError, match="non-negative"):
             power_allocation_closed_form(self.config, self.state, None,
                                          1000.0, -0.5, 0.1)
+        # NaN fails every comparison, so the checks are written to reject
+        # it rather than let it reach the SI fixed point.
+        with pytest.raises(ValueError, match="positive"):
+            power_allocation_closed_form(self.config, self.state, None,
+                                         math.nan, 0.5, 0.1)
+        for targets in ((math.nan, 0.1), (0.5, math.nan)):
+            with pytest.raises(ValueError, match="non-negative"):
+                power_allocation_closed_form(self.config, self.state, None,
+                                             1000.0, *targets)
 
 
 class TestValidateConstraints:

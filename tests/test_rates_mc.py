@@ -81,6 +81,13 @@ class TestPowerConfig:
             with pytest.raises(ValueError, match="p_b1 must be finite"):
                 PowerConfig(P_t=1000.0, p_b1=bad, p_b2=400.0,
                             p_u1u=200.0, p_u2u=100.0)
+        for name, match in (("beta", "SI model constants"),
+                            ("si_lambda", "SI model constants"),
+                            ("R_dth", "target rates"),
+                            ("R_uth", "target rates")):
+            with pytest.raises(ValueError, match=match):
+                PowerConfig(P_t=1000.0, p_b1=300.0, p_b2=400.0,
+                            p_u1u=200.0, p_u2u=100.0, **{name: math.nan})
 
     def test_zero_downlink_is_representable(self):
         # The allocator can return an all-uplink split; the explicit form
