@@ -76,7 +76,7 @@ class CellGeometry:
 def pathloss(distance, m: float):
     """Bounded path loss ``(1 + d)^(-m)``; accepts scalars or arrays."""
     d = np.asarray(distance, dtype=float)
-    if np.any(d < 0):
+    if not np.all(d >= 0):
         raise ValueError("distance must be non-negative")
     out = (1.0 + d) ** (-m)
     return float(out) if out.ndim == 0 else out
@@ -138,7 +138,7 @@ def exp_pathloss_fixed_point_to_disk(r1: float, R: float, m: float,
         raise ValueError("clearance r1 must be positive")
     if not R > 0:
         raise ValueError("disk radius must be positive")
-    if m < 0:
+    if not m >= 0:
         raise ValueError("path-loss exponent must be non-negative")
     if n_nodes < 8:
         raise ValueError("need at least 8 quadrature nodes")

@@ -23,8 +23,9 @@ from .exceptions import DegenerateGeometryError, InfeasibleError
 from .rates_cf import (CfRateInputs, MomentSet, cf_rate_inputs, cf_rates,
                        cf_rates_bidirectional, cf_sinrs, compute_moments,
                        oma_sinrs, surface_gradient)
-from .rates_mc import (PowerConfig, RateReport, dl_sinr, noma_beneficial,
-                       noma_sinrs, relay_branches, relay_leg_rates)
+from .rates_mc import (PowerConfig, RateReport, binding_legs, dl_sinr,
+                       noma_beneficial, noma_sinrs, relay_branches,
+                       relay_leg_rates)
 
 __all__ = [
     "ObjectiveSpec",
@@ -319,13 +320,9 @@ def _make_objective(config: SystemConfig, pw: PowerConfig,
             return r_c + r_e
 
         def rate_sum(inputs):
-            # Follow the legs that cf_rates_bidirectional's min(r_u2u,
-            # r_uc) and min(r_u1u, r_ue) return: min keeps its first
-            # argument unless the second is smaller.
-            r_uc, r_u2u, r_ue, r_u1u = relay_leg_rates(
-                inputs, pw, pw.V, sigma_sq, sigma_b_sq)
-            c = 0 if r_uc < r_u2u else 1
-            e = 2 if r_ue < r_u1u else 3
+            # Follow the legs that cf_rates_bidirectional returns.
+            c, e = binding_legs(relay_leg_rates(inputs, pw, pw.V, sigma_sq,
+                                                sigma_b_sq))
 
             def f(terms):
                 legs = relay_leg_rates(terms, pw, pw.V, sigma_sq,

@@ -10,7 +10,7 @@ magnitudes of the current surface state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
@@ -21,11 +21,10 @@ from .config import SystemConfig
 from .geometry import (exp_pathloss_center_disk, exp_pathloss_edge_disk,
                        exp_pathloss_fixed_point_to_disk,
                        exp_pathloss_two_random_points, pathloss)
-from .rates_mc import (PowerConfig, RateReport, dl_sinr, noma_sinrs,
-                       relay_leg_rates, ul_sinr)
+from .rates_mc import (PowerConfig, RateReport, binding_legs, dl_sinr,
+                       noma_sinrs, relay_leg_rates, ul_sinr)
 
 __all__ = [
-    "CfSwitches",
     "MomentSet",
     "CfRateInputs",
     "compute_moments",
@@ -54,23 +53,6 @@ _XI_TABLE = {
 
 
 @dataclass(frozen=True)
-class CfSwitches:
-    """Term switches connecting the full rate expressions to the short forms.
-
-    Each flag keeps (True) or drops (False) one term that the simplified
-    expressions omit: the surface boost on the center user's desired DL
-    signal, the surface path inside the center-pair uplink interference,
-    the surface boost on the center uplink signal at the BS, and the BS
-    loop-back self-cascade.
-    """
-
-    ris_path_to_center_signal: bool = True
-    center_pair_ris_interference: bool = True
-    ris_path_to_bs_signal: bool = True
-    bs_loopback: bool = True
-
-
-@dataclass(frozen=True)
 class MomentSet:
     """Deterministic expectation terms shared by all closed-form rates."""
 
@@ -84,7 +66,7 @@ class MomentSet:
     xi: Dict[int, float]
     zeta: complex
     sum_rho_sq: Dict[str, float]
-    cross_phase: Dict[str, float]
+    cross_phase: float
 
 
 @dataclass(frozen=True)
@@ -97,7 +79,7 @@ class CfRateInputs:
 
     def __post_init__(self) -> None:
         for name in ("x1", "y1", "y2"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
 
     def __iter__(self):
@@ -150,12 +132,11 @@ def compute_moments(config: SystemConfig, ris: StarRisState) -> MomentSet:
     los = _los_vectors(config.n_elements, config.angles)
     sum_rho_sq = {"t": float(np.sum(ris.rho_t ** 2)),
                   "r": float(np.sum(ris.rho_r ** 2))}
-    # |s|^2 below is written as (s * conj(s)).real rounds it, like zeta_sq
-    # in _loopback_moment; abs(s) ** 2 would move the closed-form bytes.
-    cross_phase = {}
-    for k in ("t", "r"):
-        s = complex(np.sum(ris.side(k)))
-        cross_phase[k] = s.real * s.real + s.imag * s.imag - sum_rho_sq[k]
+    # The loop-back's cross term |sum w_t|^2 - sum rho_t^2. |s|^2 is
+    # written as (s * conj(s)).real rounds it, like zeta_sq in
+    # _loopback_moment; abs(s) ** 2 would move the closed-form bytes.
+    s = complex(np.sum(ris.side("t")))
+    cross_phase = s.real * s.real + s.imag * s.imag - sum_rho_sq["t"]
 
     varpi, varpi_hat, xi = {}, {}, {}
     for i, (side, out, inp) in _XI_TABLE.items():
@@ -176,30 +157,24 @@ def compute_moments(config: SystemConfig, ris: StarRisState) -> MomentSet:
                      sum_rho_sq=sum_rho_sq, cross_phase=cross_phase)
 
 
-def _affine_terms(mo: MomentSet, sw: CfSwitches
+def _affine_terms(mo: MomentSet
                   ) -> Dict[str, Tuple[Tuple[float, float, int], ...]]:
     """The u1d, u2d and u1u triples as (base, coefficient, source) terms.
 
     Each term is base + coefficient * m, with m = _mix(mo, source) for
-    sources 1..8 and the loop-back moment for source 9. A switched-off
-    surface term keeps its base alone.
+    sources 1..8 and the loop-back moment for source 9.
     """
-    def on(flag: bool, coeff: float) -> float:
-        return coeff if flag else 0.0
-
     ups, l_br, q_edge = mo.upsilon, mo.l_br, mo.q_edge
     return {
-        "u1d": ((mo.q_center,
-                 on(sw.ris_path_to_center_signal, l_br * ups), 1),
-                (mo.rho_2pt,
-                 on(sw.center_pair_ris_interference, ups ** 2), 2),
+        "u1d": ((mo.q_center, l_br * ups, 1),
+                (mo.rho_2pt, ups ** 2, 2),
                 (0.0, q_edge * ups, 3)),
         "u2d": ((0.0, l_br * q_edge, 4),
                 (0.0, q_edge * ups, 5),
                 (0.0, q_edge ** 2, 6)),
-        "u1u": ((mo.q_center, on(sw.ris_path_to_bs_signal, l_br * ups), 7),
+        "u1u": ((mo.q_center, l_br * ups, 7),
                 (0.0, l_br * q_edge, 8),
-                (0.0, on(sw.bs_loopback, l_br ** 2), 9)),
+                (0.0, l_br ** 2, 9)),
     }
 
 
@@ -215,13 +190,11 @@ def _loopback_moment(config: SystemConfig, moments: MomentSet) -> float:
     zeta_sq = zeta.real * zeta.real + zeta.imag * zeta.imag
     return (a * a * moments.xi[9]
             + 2.0 * a * b * moments.sum_rho_sq["t"]
-            + b * b * (2.0 * moments.sum_rho_sq["t"]
-                       + moments.cross_phase["t"])
+            + b * b * (2.0 * moments.sum_rho_sq["t"] + moments.cross_phase)
             + a * b * (zeta_sq + zeta_sq))
 
 
 def cf_rate_inputs(config: SystemConfig, ris: StarRisState,
-                   switches: Optional[CfSwitches] = None,
                    moments: Optional[MomentSet] = None
                    ) -> Dict[str, CfRateInputs]:
     """Assemble the x1/y1/y2 moment triples for all four users."""
@@ -230,8 +203,7 @@ def cf_rate_inputs(config: SystemConfig, ris: StarRisState,
     source[9] = _loopback_moment(config, mo)
     inputs = {user: CfRateInputs(*(base + coeff * source[i]
                                    for base, coeff, i in triple))
-              for user, triple in _affine_terms(
-                  mo, switches or CfSwitches()).items()}
+              for user, triple in _affine_terms(mo).items()}
     x1, y1, y2 = inputs["u1u"]
     # The edge uplink reuses the center uplink's terms with the
     # signal/interference roles swapped; these are exact identities.
@@ -247,8 +219,8 @@ def surface_gradient(config: SystemConfig, ris: StarRisState,
     """Pull partials in the moment triples back to the surface, in O(N).
 
     ``term_grads`` holds the partials of some function f in the (x1, y1,
-    y2) triples of u1d, u2d and u1u from :func:`cf_rate_inputs` with all
-    switches on. Returns d f / d phi_t, phi_r, rho_t, rho_r.
+    y2) triples of u1d, u2d and u1u from :func:`cf_rate_inputs`. Returns
+    d f / d phi_t, phi_r, rho_t, rho_r.
 
     Each term is affine in one source: a mix varpi_i xi_i + varpi_hat_i,
     or the loop-back moment, which equals xi_9 + (2ab + b^2) sum rho_t^2
@@ -259,7 +231,7 @@ def surface_gradient(config: SystemConfig, ris: StarRisState,
     """
     mo = moments or compute_moments(config, ris)
     d_source = dict.fromkeys(range(1, 10), 0.0)
-    for user, triple in _affine_terms(mo, CfSwitches()).items():
+    for user, triple in _affine_terms(mo).items():
         for grad, (_, coeff, i) in zip(term_grads[user], triple):
             d_source[i] += grad * coeff
 
@@ -289,10 +261,9 @@ def surface_gradient(config: SystemConfig, ris: StarRisState,
 
 
 def cf_sinrs(config: SystemConfig, ris: StarRisState, pw: PowerConfig,
-             switches: Optional[CfSwitches] = None,
              moments: Optional[MomentSet] = None) -> Dict[str, float]:
     """Closed-form (moment-ratio) SINRs of the four users."""
-    inputs = cf_rate_inputs(config, ris, switches, moments)
+    inputs = cf_rate_inputs(config, ris, moments=moments)
     return noma_sinrs(inputs, pw, pw.V, config.sigma_sq, config.sigma_b_sq)
 
 
@@ -315,10 +286,10 @@ def oma_sinrs(terms, pw: PowerConfig, si: float, sigma_sq: float,
     }
 
 
-def cf_rates(config: SystemConfig, ris: StarRisState, pw: PowerConfig,
-             switches: Optional[CfSwitches] = None) -> RateReport:
+def cf_rates(config: SystemConfig, ris: StarRisState,
+             pw: PowerConfig) -> RateReport:
     """All four closed-form rates plus the weighted sum."""
-    sinrs = cf_sinrs(config, ris, pw, switches)
+    sinrs = cf_sinrs(config, ris, pw)
     rates = {u: math.log2(1.0 + g) for u, g in sinrs.items()}
     return RateReport.noma(rates, config.weights, estimator="cf")
 
@@ -328,29 +299,18 @@ def cf_rates_simplified(config: SystemConfig, ris: StarRisState,
     """The short-form rates: perfect SIC and SI cancellation, no surface
     boost on center-user signals, no BS loop-back.
 
-    Assembled directly from the short expressions (not by switching
-    terms off in the full ones), so the equivalence between the two
-    routes is a checkable identity.
+    The full moment terms with the four omitted surface terms cut back
+    to their bases (the direct links, and zero for the loop-back), scored
+    by the same kernel as the full forms with Xi = beta = 0.
     """
     mo = compute_moments(config, ris)
-    sigma_sq, sigma_b_sq = config.sigma_sq, config.sigma_b_sq
-
-    sinr_u1d = (pw.p_b1 * mo.q_center
-                / (pw.p_u1u * mo.rho_2pt
-                   + pw.p_u2u * mo.q_edge * mo.upsilon * _mix(mo, 3)
-                   + sigma_sq))
-    x1_u2d = mo.l_br * mo.q_edge * _mix(mo, 4)
-    sinr_u2d = (pw.p_b2 * x1_u2d
-                / (pw.p_b1 * x1_u2d
-                   + pw.p_u1u * mo.q_edge * mo.upsilon * _mix(mo, 5)
-                   + pw.p_u2u * mo.q_edge ** 2 * _mix(mo, 6) + sigma_sq))
-    edge_ul = mo.l_br * mo.q_edge * _mix(mo, 8)
-    sinr_u1u = pw.p_u1u * mo.q_center / (pw.p_u2u * edge_ul + sigma_b_sq)
-    sinr_u2u = pw.p_u2u * edge_ul / sigma_b_sq
-
-    rates = {u: math.log2(1.0 + g)
-             for u, g in (("u1d", sinr_u1d), ("u2d", sinr_u2d),
-                          ("u1u", sinr_u1u), ("u2u", sinr_u2u))}
+    full = cf_rate_inputs(config, ris, moments=mo)
+    terms = {"u1d": (mo.q_center, mo.rho_2pt, full["u1d"].y2),
+             "u2d": full["u2d"],
+             "u1u": (mo.q_center, full["u1u"].y1, 0.0)}
+    sinrs = noma_sinrs(terms, replace(pw, Xi=0.0, beta=0.0), 0.0,
+                       config.sigma_sq, config.sigma_b_sq)
+    rates = {u: math.log2(1.0 + g) for u, g in sinrs.items()}
     return RateReport.noma(rates, config.weights, estimator="cf")
 
 
@@ -364,9 +324,10 @@ def cf_rates_bidirectional(config: SystemConfig, ris: StarRisState,
     leg), with both legs evaluated as ergodic closed forms.
     """
     inputs = cf_rate_inputs(config, ris, moments=moments)
-    r_uc, r_u2u, r_ue, r_u1u = relay_leg_rates(
-        inputs, pw, pw.V, config.sigma_sq, config.sigma_b_sq)
-    return min(r_u2u, r_uc), min(r_u1u, r_ue)
+    legs = relay_leg_rates(inputs, pw, pw.V, config.sigma_sq,
+                           config.sigma_b_sq)
+    c, e = binding_legs(legs)
+    return legs[c], legs[e]
 
 
 def cf_report_bidirectional(config: SystemConfig, ris: StarRisState,

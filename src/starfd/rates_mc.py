@@ -35,6 +35,7 @@ __all__ = [
     "noma_sinrs",
     "relay_branches",
     "relay_leg_rates",
+    "binding_legs",
     "noma_beneficial",
     "ergodic_rate_mc",
 ]
@@ -316,6 +317,16 @@ def relay_leg_rates(terms, pw: PowerConfig, si: float, sigma_sq: float,
             _log2(1.0 + relay_e + bs_e), _log2(1.0 + ul["u1u"]))
 
 
+def binding_legs(legs) -> Tuple[int, int]:
+    """Indices (c, e) into (r_uc, r_u2u, r_ue, r_u1u) of the binding legs.
+
+    Each relayed connection runs at the min of its two legs; on a tie
+    the BS decode leg (r_u2u, r_u1u) binds.
+    """
+    r_uc, r_u2u, r_ue, r_u1u = legs
+    return 0 if r_uc < r_u2u else 1, 2 if r_ue < r_u1u else 3
+
+
 def noma_beneficial(gamma_noma: float, gamma_oma: float) -> bool:
     """True when the NOMA SINR strictly beats the OMA-equivalent threshold
     sqrt(1 + gamma_oma) - 1."""
@@ -403,15 +414,8 @@ def ergodic_rate_mc(config: SystemConfig, ris: StarRisState,
         return RateReport.noma(rates, config.weights, estimator="mc",
                                trials=trials, stderr=stderr)
 
-    (m_uc, se_uc), (m_u2u, se_u2u), (m_ue, se_ue), (m_u1u, se_u1u) = legs
-    if m_u2u <= m_uc:
-        r_c, se_c = m_u2u, se_u2u
-    else:
-        r_c, se_c = m_uc, se_uc
-    if m_u1u <= m_ue:
-        r_e, se_e = m_u1u, se_u1u
-    else:
-        r_e, se_e = m_ue, se_ue
+    c, e = binding_legs([mean for mean, _ in legs])
+    (r_c, se_c), (r_e, se_e) = legs[c], legs[e]
     return RateReport.bidirectional(r_c, r_e, estimator="mc",
                                     trials=trials,
                                     stderr={"c": se_c, "e": se_e})

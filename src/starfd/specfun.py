@@ -127,7 +127,7 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
     """
     if not a < b:
         raise ValueError("integration interval must satisfy a < b")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
 
     whole, _ = _gk15(f, a, b)

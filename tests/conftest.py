@@ -7,6 +7,7 @@ import numpy as np
 from starfd.channel import GeometryAngles
 from starfd.config import SystemConfig
 from starfd.geometry import CellGeometry
+from starfd.rates_cf import _mix, compute_moments
 
 BASELINE_ANGLES = GeometryAngles(
     az_br=0.8, el_br=1.1,
@@ -41,6 +42,33 @@ def star_cascade(g_out, state, side, g_in) -> complex:
     if g_out.size != state.n_elements or g_in.size != state.n_elements:
         raise ValueError("channel vector length does not match the surface")
     return complex(np.sum(g_out * state.side(side) * g_in))
+
+
+def short_form_rates(config, ris, pw):
+    """The short-form closed-form rates, written out by hand.
+
+    Perfect SIC and SI cancellation (Xi and beta of ``pw`` are ignored),
+    no surface boost on center-user signals, no BS loop-back. The
+    reference for ``rates_cf.cf_rates_simplified``, which feeds the SINR
+    kernel instead.
+    """
+    mo = compute_moments(config, ris)
+    sigma_sq, sigma_b_sq = config.sigma_sq, config.sigma_b_sq
+    sinr_u1d = (pw.p_b1 * mo.q_center
+                / (pw.p_u1u * mo.rho_2pt
+                   + pw.p_u2u * mo.q_edge * mo.upsilon * _mix(mo, 3)
+                   + sigma_sq))
+    x1_u2d = mo.l_br * mo.q_edge * _mix(mo, 4)
+    sinr_u2d = (pw.p_b2 * x1_u2d
+                / (pw.p_b1 * x1_u2d
+                   + pw.p_u1u * mo.q_edge * mo.upsilon * _mix(mo, 5)
+                   + pw.p_u2u * mo.q_edge ** 2 * _mix(mo, 6) + sigma_sq))
+    edge_ul = mo.l_br * mo.q_edge * _mix(mo, 8)
+    sinr_u1u = pw.p_u1u * mo.q_center / (pw.p_u2u * edge_ul + sigma_b_sq)
+    sinr_u2u = pw.p_u2u * edge_ul / sigma_b_sq
+    return {u: math.log2(1.0 + g)
+            for u, g in (("u1d", sinr_u1d), ("u2d", sinr_u2d),
+                         ("u1u", sinr_u1u), ("u2u", sinr_u2u))}
 
 
 def trial_channels(block, t):

@@ -17,8 +17,8 @@ under ``pytest -v``, in this order:
 5. sweep shapes: phase-design ordering at high power, edge-rate growth
    with surface size, unimodal power-split curves with ordered peaks,
    and impairment knobs degrading exactly the users they model;
-6. uplink term-reuse identities (exact) and simplified-form equivalence
-   to the switched full expressions (1e-12);
+6. uplink term-reuse identities (exact) and the simplified rates
+   against the written-out short forms (1e-12);
 7. byte-identical experiment reproduction from a manifest at any
    parallelism level.
 
@@ -49,7 +49,7 @@ import pytest
 import scipy.optimize as sciopt
 from numpy.testing import assert_allclose
 
-from conftest import make_config
+from conftest import make_config, short_form_rates
 from starfd.channel import StarRisState, _los_vectors
 from starfd.cli import parse_spec_text, run_experiment
 from starfd.exceptions import DegenerateGeometryError, InfeasibleError
@@ -61,8 +61,8 @@ from starfd.geometry import (CellGeometry, _external_point_density,
 from starfd.optimize import (ObjectiveSpec, aligned_state, pgam,
                              power_allocation_closed_form)
 from starfd.presets import preset_text
-from starfd.rates_cf import (CfSwitches, cf_rate_inputs, cf_rates,
-                             cf_rates_simplified, compute_moments)
+from starfd.rates_cf import (cf_rate_inputs, cf_rates, cf_rates_simplified,
+                             compute_moments)
 from starfd.rates_mc import (PowerConfig, _block_si, _block_terms, _blocks,
                              dl_sinr)
 from starfd.specfun import integrate_adaptive
@@ -469,7 +469,8 @@ class TestSweepShapes:
 
 
 class TestTermIdentities:
-    """Part 6: uplink term reuse and the simplified-form equivalence."""
+    """Part 6: uplink term reuse and the simplified rates against the
+    written-out short forms."""
 
     def states(self):
         config = make_config()
@@ -485,13 +486,12 @@ class TestTermIdentities:
             assert inputs["u2u"].y2 == inputs["u1u"].y2
 
     def test_simplified_rates_equal_switched_full_forms(self):
-        switched_off = CfSwitches(False, False, False, False)
         for config, state in self.states():
             pw = PowerConfig.from_config(config)
             short = cf_rates_simplified(config, state, pw)
-            full = cf_rates(config, state, pw, switched_off)
+            oracle = short_form_rates(config, state, pw)
             for user in USERS:
-                assert_allclose(short.rate(user), full.rate(user),
+                assert_allclose(short.rate(user), oracle[user],
                                 rtol=1e-12, err_msg=user)
 
 

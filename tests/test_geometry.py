@@ -67,6 +67,9 @@ class TestPathloss:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             pathloss(-0.1, 2.7)
+        for distance in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="distance"):
+                pathloss(distance, 2.7)
 
 
 class TestCenterDiskExpectation:
@@ -164,6 +167,8 @@ class TestFixedPointToDisk:
             exp_pathloss_fixed_point_to_disk(10.0, -1.0, 2.7)
         with pytest.raises(ValueError):
             exp_pathloss_fixed_point_to_disk(10.0, 50.0, -0.5)
+        with pytest.raises(ValueError, match="exponent"):
+            exp_pathloss_fixed_point_to_disk(10.0, 50.0, math.nan)
         with pytest.raises(ValueError):
             exp_pathloss_fixed_point_to_disk(10.0, 50.0, 2.7, n_nodes=4)
 

@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import make_config
+from conftest import make_config, short_form_rates
 from starfd.channel import StarRisState, _los_vectors, draw_realization
 from starfd.geometry import (exp_pathloss_center_disk,
                              exp_pathloss_edge_disk,
                              exp_pathloss_fixed_point_to_disk,
                              exp_pathloss_two_random_points, pathloss)
-from starfd.rates_cf import (CfRateInputs, CfSwitches, cf_rate_inputs,
-                             cf_rates, cf_rates_bidirectional,
-                             cf_rates_simplified, cf_sinrs, compute_moments,
-                             oma_sinrs)
+from starfd.rates_cf import (CfRateInputs, cf_rate_inputs, cf_rates,
+                             cf_rates_bidirectional, cf_rates_simplified,
+                             cf_sinrs, compute_moments, oma_sinrs)
 from starfd.rates_mc import (PowerConfig, dl_sinr, ergodic_rate_mc,
                              noma_sinrs)
 
@@ -87,10 +86,9 @@ class TestMoments:
 
     def test_cross_phase_identity(self):
         mo = self.moments
-        for side in ("t", "r"):
-            s = complex(np.sum(self.ris.side(side)))
-            assert_allclose(mo.cross_phase[side],
-                            abs(s) ** 2 - mo.sum_rho_sq[side], atol=1e-12)
+        s = complex(np.sum(self.ris.side("t")))
+        assert_allclose(mo.cross_phase, abs(s) ** 2 - mo.sum_rho_sq["t"],
+                        atol=1e-12)
 
     def test_mixing_weights(self):
         # Link pair (br -> u1d) with kappa = 3 everywhere.
@@ -193,28 +191,11 @@ class TestRateInputs:
         direct = math.log2(1.0 + pw.p_u1u * mo.q_center / 1.0)
         assert_allclose(report.rate("u1u"), direct, rtol=1e-14)
 
-    def test_each_switch_drops_exactly_its_term(self):
-        mo = compute_moments(self.config, self.ris)
-        full = cf_rate_inputs(self.config, self.ris)
-        no_sig = cf_rate_inputs(self.config, self.ris,
-                                CfSwitches(ris_path_to_center_signal=False))
-        assert_allclose(no_sig["u1d"].x1, mo.q_center, rtol=1e-15)
-        assert no_sig["u1d"].y1 == full["u1d"].y1
-        no_pair = cf_rate_inputs(
-            self.config, self.ris,
-            CfSwitches(center_pair_ris_interference=False))
-        assert_allclose(no_pair["u1d"].y1, mo.rho_2pt, rtol=1e-15)
-        no_bs = cf_rate_inputs(self.config, self.ris,
-                               CfSwitches(ris_path_to_bs_signal=False))
-        assert_allclose(no_bs["u1u"].x1, mo.q_center, rtol=1e-15)
-        no_loop = cf_rate_inputs(self.config, self.ris,
-                                 CfSwitches(bs_loopback=False))
-        assert no_loop["u1u"].y2 == 0.0
-        assert no_loop["u2u"].y2 == 0.0
-
     def test_negative_moment_rejected(self):
         with pytest.raises(ValueError, match="y1"):
             CfRateInputs(x1=1.0, y1=-1e-9, y2=0.0)
+        with pytest.raises(ValueError, match="x1"):
+            CfRateInputs(x1=math.nan, y1=0.0, y2=0.0)
 
 
 class TestClosedFormRates:
@@ -235,18 +216,18 @@ class TestClosedFormRates:
             assert report.rate(user) == math.log2(1.0 + sinrs[user])
 
     def test_simplified_equals_switched_full(self):
-        # The short forms assume perfect SIC and SI cancellation and drop
-        # the four switched terms; with those switches off and Xi = beta
-        # = 0 the general expressions must collapse to them exactly.
+        # The short forms assume perfect SIC and SI cancellation, so they
+        # must match the written-out oracle whatever Xi and beta the
+        # power configuration carries.
         for seed in (3, 11):
             ris = random_state(seed=seed)
-            pw0 = replace(self.pw, Xi=0.0, beta=0.0)
-            simplified = cf_rates_simplified(self.config, ris, pw0)
-            switched = cf_rates(self.config, ris, pw0,
-                                CfSwitches(False, False, False, False))
-            for user in USERS:
-                assert_allclose(simplified.rate(user),
-                                switched.rate(user), rtol=1e-12)
+            for pw in (replace(self.pw, Xi=0.0, beta=0.0),
+                       baseline_power(Xi=0.3, beta=1e-3)):
+                simplified = cf_rates_simplified(self.config, ris, pw)
+                oracle = short_form_rates(self.config, ris, pw)
+                for user in USERS:
+                    assert_allclose(simplified.rate(user), oracle[user],
+                                    rtol=1e-12)
 
     def test_xi_touches_exactly_the_sic_dependent_users(self):
         clean = cf_rates(self.config, self.ris, self.pw)

@@ -9,8 +9,8 @@ from conftest import make_config, scalar_terms, star_cascade, trial_channels
 from starfd.channel import StarRisState
 from starfd.rates_mc import (_BLOCK, PowerConfig, RateReport, _block_si,
                              _block_terms, _blocks, dl_sinr,
-                             ergodic_rate_mc, noma_beneficial, noma_sinrs,
-                             relay_leg_rates)
+                             binding_legs, ergodic_rate_mc,
+                             noma_beneficial, noma_sinrs, relay_leg_rates)
 
 USERS = ("u1d", "u2d", "u1u", "u2u")
 
@@ -264,6 +264,13 @@ class TestSinrOps:
         sinrs = noma_sinrs(terms, pw, 0.0, 1.0, 1.0)
         assert np.array_equal(legs[1], np.log2(1.0 + sinrs["u2u"]))
         assert np.array_equal(legs[3], np.log2(1.0 + sinrs["u1u"]))
+
+    def test_binding_legs_tie_goes_to_the_decode_leg(self):
+        # Legs are (r_uc, r_u2u, r_ue, r_u1u); each connection takes the
+        # smaller of its pair, and a tie takes the BS decode leg.
+        assert binding_legs((1.0, 1.0, 2.0, 2.0)) == (1, 3)
+        assert binding_legs((0.5, 1.0, 3.0, 2.0)) == (0, 3)
+        assert binding_legs((1.0, 0.5, 2.0, 3.0)) == (1, 2)
 
 
 class TestNomaBeneficial:

@@ -72,6 +72,9 @@ class TestIntegrateAdaptive:
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
             integrate_adaptive(math.sin, 1.0, 1.0)
+        for tol in (0.0, math.nan):
+            with pytest.raises(ValueError, match="tolerance"):
+                integrate_adaptive(math.sin, 0.0, 1.0, tol=tol)
 
     def test_nonfinite_integrand_raises(self):
         with pytest.raises(NumericError):
