@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -515,6 +514,9 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1
         per_point = [_point_rows(spec, i, v)
                      for i, v in enumerate(spec.grid)]
     else:
+        # Imported here: the pool and its logging stack would cost every
+        # single-worker process start-up time and memory for nothing.
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             per_point = list(pool.map(_point_rows,
                                       [spec] * len(spec.grid),

@@ -249,7 +249,7 @@ def ul_sinr(terms, own: float, leak: float, pw: PowerConfig, si: float,
     surface. ``leak`` is the partner's power left in after SIC and ``si``
     the residual self-interference |s~|^2.
     """
-    if np.any(si < 0):
+    if not np.all(si >= 0):
         raise ValueError("si is a squared magnitude, must be >= 0")
     s, i, loop = terms
     return own * s / (leak * i + pw.P_b * loop + si + sigma_b_sq)

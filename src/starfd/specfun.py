@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .exceptions import NumericError
 
@@ -42,9 +41,13 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-D and equal length")
-        if abs(weights.sum() - 2.0) > 1e-12:
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise ValueError("quadrature nodes and weights must be finite")
+        if not np.all(weights > 0):
+            raise ValueError("quadrature weights must be positive")
+        if not abs(weights.sum() - 2.0) <= 1e-12:
             raise ValueError("quadrature weights must sum to 2 on [-1, 1]")
-        if np.any(np.diff(nodes) <= 0):
+        if not np.all(np.diff(nodes) > 0):
             raise ValueError("quadrature nodes must be strictly increasing")
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray],
@@ -55,12 +58,56 @@ class QuadratureRule:
         return float(half * np.sum(self.weights * f(mid + half * self.nodes)))
 
 
+def _legval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Legendre series ``sum_k c[k] P_k(x)`` by Clenshaw recursion.
+
+    The operations and their order are those of numpy's ``legval``, so
+    the rule below reproduces ``leggauss`` bit for bit; a reordered
+    recursion moves the weights by up to 4e-11.
+    """
+    if len(c) == 1:
+        return c[0] + 0.0 * x
+    nd = len(c)
+    c0 = c[-2]
+    c1 = c[-1]
+    for i in range(3, len(c) + 1):
+        tmp = c0
+        nd = nd - 1
+        c0 = c[-i] - c1 * ((nd - 1) / nd)
+        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 def gauss_legendre(n: int) -> QuadratureRule:
-    """Gauss-Legendre rule with ``n`` nodes (exact for degree <= 2n-1)."""
+    """Gauss-Legendre rule with ``n`` nodes (exact for degree <= 2n-1).
+
+    Follows ``numpy.polynomial.legendre.leggauss``: the nodes are the
+    eigenvalues of the symmetric Legendre companion (Jacobi) matrix,
+    refined by one Newton step; the weights are ``1 / (P_n' P_{n-1})``
+    at the nodes, symmetrised and scaled to sum to 2.
+    """
     if n < 1:
         raise ValueError("need at least one node")
-    nodes, weights = leggauss(n)
-    return QuadratureRule(nodes=nodes, weights=weights)
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    # d/dx P_n = sum of (2k + 1) P_k over k = n-1, n-3, ...
+    dc = np.zeros(n)
+    dc[n - 1::-2] = 2.0 * np.arange(n - 1, -1, -2) + 1.0
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    jacobi = np.diag(off, 1) + np.diag(off, -1)
+    x = np.linalg.eigvalsh(jacobi)
+
+    df = _legval(x, dc)
+    x -= _legval(x, c) / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
+    return QuadratureRule(nodes=x, weights=w)
 
 
 # 15-point Kronrod extension of the 7-point Gauss rule (positive half;

@@ -321,6 +321,30 @@ class TestRunExperiment:
             run_experiment(spec, jobs=0)
 
 
+class TestStartup:
+    def test_import_loads_no_unused_modules(self):
+        # A single-worker run needs neither the thread pool (with the
+        # logging stack it pulls in) nor numpy's polynomial package; both
+        # would cost every process start-up time and memory.
+        unused = ("concurrent.futures", "logging", "numpy.polynomial")
+        script = dedent(f"""
+            import contextlib, io, sys
+            unused = {unused!r}
+            import starfd.cli
+            print([m for m in unused if m in sys.modules])
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = starfd.cli.main(["validate", "default"])
+            print(code, [m for m in unused if m in sys.modules])
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[]", "0 []"]
+
+
 class TestMain:
     def test_run_and_validate_roundtrip(self, tmp_path, capsys):
         path = write_spec(tmp_path, MINI)

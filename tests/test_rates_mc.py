@@ -244,6 +244,13 @@ class TestSinrOps:
         with pytest.raises(ValueError, match="si is a squared magnitude"):
             noma_sinrs(_block_terms(self.block, self.ris), baseline_power(),
                        si, 1.0, 1.0)
+        # NaN is no squared magnitude either, alone or once in a block.
+        with pytest.raises(ValueError, match="si is a squared magnitude"):
+            trial_sinrs(self.block, self.ris, baseline_power(), math.nan)
+        si = np.array([0.0, 1.0, math.nan, 2.0])
+        with pytest.raises(ValueError, match="si is a squared magnitude"):
+            noma_sinrs(_block_terms(self.block, self.ris), baseline_power(),
+                       si, 1.0, 1.0)
 
     def test_strong_decodes_weak_exceeds_own_share(self):
         # The edge signal carries more power, so the center user decodes

@@ -38,8 +38,28 @@ class TestGaussLegendre:
         with pytest.raises(ValueError):
             QuadratureRule(nodes=np.array([0.0, 0.5]),
                            weights=np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureRule(nodes=[math.nan], weights=[math.nan])
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureRule(nodes=[math.nan], weights=[2.0])
+        with pytest.raises(ValueError, match="positive"):
+            QuadratureRule(nodes=[-0.5, 0.5], weights=[3.0, -1.0])
         with pytest.raises(ValueError):
             gauss_legendre(0)
+
+    def test_matches_numpy_leggauss(self):
+        # The rule is computed in the package so that numpy.polynomial
+        # stays unloaded; leggauss is its oracle. The weight bound is
+        # loose because leggauss's own weights move by about 4e-11 with
+        # the operation order of its Clenshaw recursion.
+        from numpy.polynomial.legendre import leggauss
+        for n in range(1, 129):
+            nodes, weights = leggauss(n)
+            rule = gauss_legendre(n)
+            assert_allclose(rule.nodes, nodes, rtol=0, atol=1e-15,
+                            err_msg=f"n = {n}")
+            assert_allclose(rule.weights, weights, rtol=1e-10,
+                            err_msg=f"n = {n}")
 
 
 class TestIntegrateAdaptive:
