@@ -24,14 +24,14 @@ import numpy as np
 
 from . import __version__
 from .channel import GeometryAngles, StarRisState
-from .config import SystemConfig, USERS
+from .config import SystemConfig
 from .exceptions import InfeasibleError, NumericError
 from .geometry import CellGeometry
-from .optimize import (ObjectiveSpec, aligned_state, pgam,
-                       power_allocation_closed_form)
+from .optimize import aligned_state, pgam, power_allocation_closed_form
 from .presets import PRESET_NOTES, PRESETS, preset_text
-from .rates_cf import (cf_rate_inputs, cf_rates, cf_report_bidirectional)
-from .rates_mc import PowerConfig, RateReport, ergodic_rate_mc, noma_sinrs
+from .rates_cf import cf_rate_inputs, cf_rates
+from .rates_mc import (RATE_NAMES, PowerConfig, RateReport, ergodic_rate_mc,
+                       noma_sinrs)
 
 __all__ = ["ExperimentSpec", "parse_spec_text", "run_experiment", "main"]
 
@@ -167,11 +167,17 @@ def parse_spec_text(text: str
         raw[key] = value
 
     values: Dict[str, object] = {}
+    watts: Dict[str, float] = {}
     for key, (kind, _) in SPEC_KEYS.items():
         try:
             values[key] = _parse_scalar(kind, raw[key])
+            if key.endswith("_dbw"):
+                watts[key] = 10.0 ** (values[key] / 10.0)
         except _NotFinite:
             errors.append(f"{key}: values must be finite, got {raw[key]!r}")
+        except OverflowError:
+            errors.append(f"{key}: {raw[key]} dBW is beyond the range of "
+                          "a float in watts")
         except ValueError:
             errors.append(f"{key}: cannot parse {raw[key]!r} as {kind}")
     if errors:
@@ -180,7 +186,7 @@ def parse_spec_text(text: str
     # Enumerated keys. "target-rate" is accepted as a spelling of the
     # target_rate sweep to match the hyphenated scheme names.
     scenario = values["scenario"]
-    if scenario not in ("noma-pair", "bidirectional"):
+    if scenario not in RATE_NAMES:
         errors.append(f"scenario: must be noma-pair or bidirectional, "
                       f"got {scenario!r}")
     sweep_variable = values["sweep_variable"]
@@ -226,26 +232,25 @@ def parse_spec_text(text: str
     if not values["output"]:
         errors.append("output: must be a file name")
 
-    # Sweep-specific domain rules.
-    if grid and sweep_variable == "tau":
-        if any(not 0.0 < v <= 1.0 for v in grid):
-            errors.append(
-                "sweep_grid: tau values must lie in (0, 1]; an "
-                "uplink-only split is modeled as a small positive tau "
-                "such as 0.01")
-    if grid and sweep_variable == "n_elements":
-        if any(v != int(v) or v < 1 for v in grid):
-            errors.append("sweep_grid: n_elements values must be "
-                          "positive integers")
-    if grid and sweep_variable == "xi":
-        if any(not 0.0 <= v <= 1.0 for v in grid):
-            errors.append("sweep_grid: xi values must lie in [0, 1]")
-    if grid and sweep_variable == "beta":
-        if any(v < 0.0 for v in grid):
-            errors.append("sweep_grid: beta values must be non-negative")
-    if grid and sweep_variable == "target_rate":
-        if any(v < 0.0 for v in grid):
-            errors.append("sweep_grid: target rates must be non-negative")
+    # Sweep-specific domain rules: what every grid value must satisfy.
+    rules = {
+        "tau": (lambda v: 0.0 < v <= 1.0,
+                "tau values must lie in (0, 1]; an uplink-only split is "
+                "modeled as a small positive tau such as 0.01"),
+        "n_elements": (lambda v: v == int(v) and v >= 1,
+                       "n_elements values must be positive integers"),
+        "xi": (lambda v: 0.0 <= v <= 1.0, "xi values must lie in [0, 1]"),
+        "beta": (lambda v: v >= 0.0, "beta values must be non-negative"),
+        "snr_db": (lambda v: 0.0 < _snr_power(watts["noise_dl_dbw"], v)
+                   < math.inf, "snr_db values must give a positive total "
+                   "power within the range of a float in watts"),
+        "target_rate": (lambda v: v >= 0.0,
+                        "target rates must be non-negative"),
+    }
+    if grid and sweep_variable in rules:
+        holds, rule = rules[sweep_variable]
+        if not all(holds(v) for v in grid):
+            errors.append(f"sweep_grid: {rule}")
 
     # Scheme/scenario compatibility.
     if scenario == "bidirectional" and scheme != "fixed":
@@ -281,13 +286,13 @@ def parse_spec_text(text: str
             kappa_br=values["kappa_br"], kappa_u1d=values["kappa_u1d"],
             kappa_u2d=values["kappa_u2d"], kappa_u1u=values["kappa_u1u"],
             kappa_u2u=values["kappa_u2u"],
-            sigma_sq=10.0 ** (values["noise_dl_dbw"] / 10.0),
-            sigma_b_sq=10.0 ** (values["noise_bs_dbw"] / 10.0),
+            sigma_sq=watts["noise_dl_dbw"],
+            sigma_b_sq=watts["noise_bs_dbw"],
             weight_u1d=values["weight_u1d"],
             weight_u2d=values["weight_u2d"],
             weight_u1u=values["weight_u1u"],
             weight_u2u=values["weight_u2u"],
-            P_t=10.0 ** (values["total_power_dbw"] / 10.0),
+            P_t=watts["total_power_dbw"],
             tau=values["tau"], alpha1=values["alpha1"],
             alpha2=values["alpha2"], ul_split=values["ul_split"],
             Xi=values["sic_residual"], beta=values["si_beta"],
@@ -316,12 +321,19 @@ def parse_spec_text(text: str
     return spec, []
 
 
+def _snr_power(sigma_sq: float, snr_db: float) -> float:
+    """The total power at ``snr_db`` over the DL noise; inf on overflow."""
+    try:
+        return sigma_sq * 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _config_for_point(spec: ExperimentSpec, value: float) -> SystemConfig:
     config = spec.config
     variable = spec.sweep_variable
     if variable == "snr_db":
-        return replace(config,
-                       P_t=config.sigma_sq * 10.0 ** (value / 10.0))
+        return replace(config, P_t=_snr_power(config.sigma_sq, value))
     if variable == "n_elements":
         return replace(config, n_elements=int(value))
     if variable == "tau":
@@ -344,10 +356,9 @@ def _design_state(spec: ExperimentSpec, config: SystemConfig,
             entropy=spec.seed, spawn_key=(point, design_index, 1)))
         return StarRisState.random_phases(config.n_elements, 0.5, rng)
     init = aligned_state(config, 0.5, pw0, spec.scenario)
-    objective = ObjectiveSpec.from_config(config, spec.scenario)
     result = pgam(config, pw0, init, mu=spec.pgam_mu,
                   alpha_scale=spec.pgam_alpha_scale, eps=spec.pgam_eps,
-                  L=spec.pgam_iters, objective=objective)
+                  L=spec.pgam_iters, scenario=spec.scenario)
     return result.state
 
 
@@ -411,22 +422,16 @@ def _csv_header(spec: ExperimentSpec) -> List[str]:
     head = [spec.sweep_variable, "design"]
     if spec.power_scheme == "tau-dl-target":
         head += ["target_dl", "feasible"]
-    head.append("estimator")
-    if spec.scenario == "bidirectional":
-        return head + ["R_c", "R_e", "sum", "stderr_c", "stderr_e"]
-    return head + ["R_u1d", "R_u2d", "R_u1u", "R_u2u", "sum",
-                   "stderr_u1d", "stderr_u2d", "stderr_u1u",
-                   "stderr_u2u"]
+    names = RATE_NAMES[spec.scenario]
+    return (head + ["estimator"] + [f"R_{n}" for n in names] + ["sum"]
+            + [f"stderr_{n}" for n in names])
 
 
-def _report_cells(spec: ExperimentSpec, report: RateReport) -> List[str]:
-    names = ("c", "e") if spec.scenario == "bidirectional" else USERS
-    cells = [_fmt(report.rate(name)) for name in names]
-    cells.append(_fmt(report.sum_rate))
-    stderr = report.stderr or {}
-    cells += [_fmt(stderr[name]) if name in stderr else ""
-              for name in names]
-    return cells
+def _report_cells(report: RateReport) -> List[str]:
+    stderr = report.stderr
+    return ([_fmt(rate) for rate in report.rates.values()]
+            + [_fmt(report.sum_rate)]
+            + [_fmt(stderr[n]) if stderr else "" for n in report.rates])
 
 
 def _point_rows(spec: ExperimentSpec, point: int,
@@ -460,17 +465,12 @@ def _point_rows(spec: ExperimentSpec, point: int,
                 lead += [_fmt(case), "true" if feasible else "false"]
             for estimator in spec.estimators:
                 if estimator == "cf":
-                    if spec.scenario == "bidirectional":
-                        report = cf_report_bidirectional(config, state,
-                                                         pw)
-                    else:
-                        report = cf_rates(config, state, pw)
+                    report = cf_rates(config, state, pw, spec.scenario)
                 else:
                     report = ergodic_rate_mc(
                         config, state, pw, spec.trials,
                         _mc_seed(spec, point, j, k), spec.scenario)
-                rows.append(lead + [estimator]
-                            + _report_cells(spec, report))
+                rows.append(lead + [estimator] + _report_cells(report))
     return rows
 
 

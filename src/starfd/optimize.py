@@ -2,7 +2,7 @@
 coefficients, channel-aligned phase designs, and closed-form power
 allocation with constraint validation.
 
-The ascent objective is always the closed-form weighted sum rate, so a
+The ascent objective is always the scenario's closed-form sum rate, so a
 run is deterministic given its initial state. Its gradient is analytic,
 in O(N) per iteration: the partials in the nine moment terms come from
 the SINR kernel itself by complex step, and the chain rule carries them
@@ -12,7 +12,7 @@ through the few surface scalars the moments depend on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,14 +21,12 @@ from .channel import GeometryAngles, StarRisState, element_layout
 from .config import USERS, SystemConfig
 from .exceptions import DegenerateGeometryError, InfeasibleError
 from .rates_cf import (CfRateInputs, MomentSet, cf_rate_inputs, cf_rates,
-                       cf_rates_bidirectional, cf_sinrs, compute_moments,
-                       oma_sinrs, surface_gradient)
-from .rates_mc import (PowerConfig, RateReport, binding_legs, dl_sinr,
-                       noma_beneficial, noma_sinrs, relay_branches,
-                       relay_leg_rates)
+                       compute_moments, oma_sinrs, surface_gradient)
+from .rates_mc import (PowerConfig, RateReport, dl_sinr, noma_beneficial,
+                       noma_sinrs, rate_weights, relay_branches,
+                       scenario_rates)
 
 __all__ = [
-    "ObjectiveSpec",
     "ConstraintCheck",
     "ConstraintReport",
     "OptimizationResult",
@@ -53,25 +51,6 @@ _SI_PASSES = 200
 _CS_STEP = 1e-30
 # The moment triples the gradient differentiates; u2u reads u1u's terms.
 _TRIPLES = ("u1d", "u2d", "u1u")
-
-
-@dataclass(frozen=True)
-class ObjectiveSpec:
-    """What the optimizer maximizes: a weighted sum of ergodic rates."""
-
-    weights: Dict[str, float]
-    scenario: str = "noma-pair"
-
-    def __post_init__(self) -> None:
-        if self.scenario not in ("noma-pair", "bidirectional"):
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        if any(not w >= 0 for w in self.weights.values()):
-            raise ValueError("objective weights must be non-negative")
-
-    @classmethod
-    def from_config(cls, config: SystemConfig,
-                    scenario: str = "noma-pair") -> "ObjectiveSpec":
-        return cls(weights=config.weights, scenario=scenario)
 
 
 @dataclass(frozen=True)
@@ -285,61 +264,35 @@ def _term_partials(f: Callable[[Dict[str, Tuple]], np.ndarray],
 
 
 def _make_objective(config: SystemConfig, pw: PowerConfig,
-                    objective: ObjectiveSpec
-                    ) -> Tuple[Callable[[StarRisState],
-                                        Tuple[float, MomentSet]],
-                               Callable[[StarRisState, MomentSet],
-                                        Tuple[np.ndarray, ...]]]:
-    """The objective and its gradient in (phi_t, phi_r, rho_t, rho_r).
+                    scenario: str) -> Tuple[Callable, Callable]:
+    """The scenario's sum rate and its gradient in (phi_t, phi_r, rho_t,
+    rho_r).
 
-    ``evaluate`` returns the objective with the moments it assembled;
-    ``gradient`` takes the state's moments back, so an accepted state's
-    moments are assembled once.
+    ``evaluate(state)`` returns the objective with the moments it
+    assembled; ``gradient(state, moments)`` takes the state's moments
+    back, so an accepted state's moments are assembled once.
     """
-    sigma_sq, sigma_b_sq = config.sigma_sq, config.sigma_b_sq
-    # rate_sum(inputs) is the objective as a function of the moment terms,
-    # for _term_partials, with any choice between legs fixed at inputs.
-    if objective.scenario == "noma-pair":
-        weights = objective.weights
-
-        def value(state: StarRisState, moments: MomentSet) -> float:
-            sinrs = cf_sinrs(config, state, pw, moments=moments)
-            return math.fsum(weights[u] * math.log2(1.0 + sinrs[u])
-                             for u in USERS)
-
-        def rate_sum(inputs):
-            def f(terms):
-                sinrs = noma_sinrs(terms, pw, pw.V, sigma_sq, sigma_b_sq)
-                return sum(weights[u] * np.log2(1.0 + sinrs[u])
-                           for u in USERS)
-            return f
-    else:
-        # Connection rates are equally weighted in the bidirectional sum.
-        def value(state: StarRisState, moments: MomentSet) -> float:
-            r_c, r_e = cf_rates_bidirectional(config, state, pw, moments)
-            return r_c + r_e
-
-        def rate_sum(inputs):
-            # Follow the legs that cf_rates_bidirectional returns.
-            c, e = binding_legs(relay_leg_rates(inputs, pw, pw.V, sigma_sq,
-                                                sigma_b_sq))
-
-            def f(terms):
-                legs = relay_leg_rates(terms, pw, pw.V, sigma_sq,
-                                       sigma_b_sq)
-                return legs[c] + legs[e]
-            return f
+    def rates(terms):
+        return scenario_rates(terms, pw, pw.V, config.sigma_sq,
+                              config.sigma_b_sq, scenario)
 
     def evaluate(state: StarRisState) -> Tuple[float, MomentSet]:
         moments = compute_moments(config, state)
-        return value(state, moments), moments
+        report = cf_rates(config, state, pw, scenario, moments)
+        return report.sum_rate, moments
 
     def gradient(state: StarRisState,
                  moments: MomentSet) -> Tuple[np.ndarray, ...]:
         inputs = cf_rate_inputs(config, state, moments=moments)
+        # Any choice between legs is fixed on the real rates, so the
+        # probed sum stays analytic in the terms.
+        weights = rate_weights(scenario, rates(inputs), config.weights)
+
+        def rate_sum(terms):
+            return sum(w * r for w, r in zip(weights, rates(terms)))
+
         return surface_gradient(config, state,
-                                _term_partials(rate_sum(inputs), inputs),
-                                moments)
+                                _term_partials(rate_sum, inputs), moments)
 
     return evaluate, gradient
 
@@ -364,11 +317,11 @@ def _ascent_step(state: StarRisState, grads: Tuple[np.ndarray, ...],
 
 def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
          mu: float = 0.5, alpha_scale: float = 1.0, eps: float = 1e-9,
-         L: int = 500, objective: Optional[ObjectiveSpec] = None
-         ) -> OptimizationResult:
+         L: int = 500, scenario: str = "noma-pair") -> OptimizationResult:
     """Projected gradient ascent over surface phases and amplitudes.
 
-    Maximizes the closed-form weighted sum rate starting from ``init``.
+    Maximizes the scenario's closed-form sum rate, with the weights of
+    ``config``, starting from ``init``.
     Each iteration takes the analytic gradient at the current state (no
     objective evaluation, and no moment assembly: it reuses the moments
     built when the state was evaluated) and evaluates the objective at
@@ -381,8 +334,7 @@ def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
         raise ValueError("need mu > 0, eps > 0 and L >= 1")
     if not alpha_scale > 0:
         raise ValueError("alpha_scale must be positive")
-    spec = objective or ObjectiveSpec.from_config(config)
-    evaluate, gradient = _make_objective(config, pw, spec)
+    evaluate, gradient = _make_objective(config, pw, scenario)
 
     current, moments = evaluate(init)
     if not math.isfinite(current):

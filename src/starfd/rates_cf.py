@@ -9,7 +9,6 @@ magnitudes of the current surface state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
@@ -21,8 +20,8 @@ from .config import SystemConfig
 from .geometry import (exp_pathloss_center_disk, exp_pathloss_edge_disk,
                        exp_pathloss_fixed_point_to_disk,
                        exp_pathloss_two_random_points, pathloss)
-from .rates_mc import (PowerConfig, RateReport, binding_legs, dl_sinr,
-                       noma_sinrs, relay_leg_rates, ul_sinr)
+from .rates_mc import (PowerConfig, RateReport, dl_sinr, noma_sinrs,
+                       scenario_rates, ul_sinr)
 
 __all__ = [
     "MomentSet",
@@ -286,12 +285,15 @@ def oma_sinrs(terms, pw: PowerConfig, si: float, sigma_sq: float,
     }
 
 
-def cf_rates(config: SystemConfig, ris: StarRisState,
-             pw: PowerConfig) -> RateReport:
-    """All four closed-form rates plus the weighted sum."""
-    sinrs = cf_sinrs(config, ris, pw)
-    rates = {u: math.log2(1.0 + g) for u, g in sinrs.items()}
-    return RateReport.noma(rates, config.weights, estimator="cf")
+def cf_rates(config: SystemConfig, ris: StarRisState, pw: PowerConfig,
+             scenario: str = "noma-pair",
+             moments: Optional[MomentSet] = None) -> RateReport:
+    """The scenario's closed-form rates plus its sum rate."""
+    inputs = cf_rate_inputs(config, ris, moments=moments)
+    return RateReport.of(scenario,
+                         scenario_rates(inputs, pw, pw.V, config.sigma_sq,
+                                        config.sigma_b_sq, scenario),
+                         config.weights, "cf")
 
 
 def cf_rates_simplified(config: SystemConfig, ris: StarRisState,
@@ -308,29 +310,16 @@ def cf_rates_simplified(config: SystemConfig, ris: StarRisState,
     terms = {"u1d": (mo.q_center, mo.rho_2pt, full["u1d"].y2),
              "u2d": full["u2d"],
              "u1u": (mo.q_center, full["u1u"].y1, 0.0)}
-    sinrs = noma_sinrs(terms, replace(pw, Xi=0.0, beta=0.0), 0.0,
-                       config.sigma_sq, config.sigma_b_sq)
-    rates = {u: math.log2(1.0 + g) for u, g in sinrs.items()}
-    return RateReport.noma(rates, config.weights, estimator="cf")
+    rates = scenario_rates(terms, replace(pw, Xi=0.0, beta=0.0), 0.0,
+                           config.sigma_sq, config.sigma_b_sq, "noma-pair")
+    return RateReport.of("noma-pair", rates, config.weights, "cf")
 
 
 def cf_rates_bidirectional(config: SystemConfig, ris: StarRisState,
                            pw: PowerConfig,
                            moments: Optional[MomentSet] = None
                            ) -> Tuple[float, float]:
-    """Closed-form end-to-end rates (R_c, R_e) of the relayed connections.
-
-    Each connection rate is min(BS decode leg, ratio-combined reception
-    leg), with both legs evaluated as ergodic closed forms.
-    """
-    inputs = cf_rate_inputs(config, ris, moments=moments)
-    legs = relay_leg_rates(inputs, pw, pw.V, config.sigma_sq,
-                           config.sigma_b_sq)
-    c, e = binding_legs(legs)
-    return legs[c], legs[e]
-
-
-def cf_report_bidirectional(config: SystemConfig, ris: StarRisState,
-                            pw: PowerConfig) -> RateReport:
-    r_c, r_e = cf_rates_bidirectional(config, ris, pw)
-    return RateReport.bidirectional(r_c, r_e, estimator="cf")
+    """Closed-form rates (R_c, R_e) of the relayed connections: the
+    bidirectional :func:`cf_rates`, each the smaller of its two legs."""
+    report = cf_rates(config, ris, pw, "bidirectional", moments)
+    return report.rate("c"), report.rate("e")

@@ -28,6 +28,7 @@ from .channel import ChannelBlock, StarRisState, draw_realization
 from .config import USERS, SystemConfig, validate_splits
 
 __all__ = [
+    "RATE_NAMES",
     "PowerConfig",
     "RateReport",
     "dl_sinr",
@@ -36,6 +37,8 @@ __all__ = [
     "relay_branches",
     "relay_leg_rates",
     "binding_legs",
+    "scenario_rates",
+    "rate_weights",
     "noma_beneficial",
     "ergodic_rate_mc",
 ]
@@ -43,6 +46,8 @@ __all__ = [
 _BUDGET_RTOL = 1e-9
 # Trials per Monte-Carlo block: the unit of drawing, scoring and memory.
 _BLOCK = 1024
+# What each scenario reports, in column order.
+RATE_NAMES = {"noma-pair": USERS, "bidirectional": ("c", "e")}
 
 
 @dataclass(frozen=True)
@@ -133,59 +138,50 @@ class PowerConfig:
 class RateReport:
     """Ergodic rates of one evaluation plus the weighted sum.
 
-    NOMA-pair reports carry the four per-user rates; bidirectional reports
-    carry the two end-to-end connection rates (center-bound ``r_c`` and
-    edge-bound ``r_e``). Standard errors are present for Monte-Carlo
+    ``rates`` maps each name of ``RATE_NAMES[scenario]`` to its rate: the
+    four users of a NOMA pair, or the two end-to-end connection rates
+    (center-bound ``c`` and edge-bound ``e``) of the bidirectional case.
+    Standard errors, keyed the same way, are present for Monte-Carlo
     estimates only.
     """
 
     scenario: str
     estimator: str
     sum_rate: float
-    r_u1d: Optional[float] = None
-    r_u2d: Optional[float] = None
-    r_u1u: Optional[float] = None
-    r_u2u: Optional[float] = None
-    r_c: Optional[float] = None
-    r_e: Optional[float] = None
+    rates: Dict[str, float]
     trials: Optional[int] = None
     stderr: Optional[Dict[str, float]] = None
 
     def __post_init__(self) -> None:
-        if self.scenario not in ("noma-pair", "bidirectional"):
+        if self.scenario not in RATE_NAMES:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.estimator not in ("cf", "mc"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        for name in ("r_u1d", "r_u2d", "r_u1u", "r_u2u", "r_c", "r_e"):
-            value = getattr(self, name)
-            if value is not None and (value < 0 or not math.isfinite(value)):
-                raise ValueError(f"{name} must be finite and non-negative")
+        for name, value in self.rates.items():
+            if not 0 <= value < math.inf:
+                raise ValueError(f"r_{name} must be finite and non-negative")
 
     @classmethod
-    def noma(cls, rates: Dict[str, float], weights: Dict[str, float],
-             estimator: str, trials: Optional[int] = None,
-             stderr: Optional[Dict[str, float]] = None) -> "RateReport":
-        total = math.fsum(weights[u] * rates[u] for u in USERS)
-        return cls(scenario="noma-pair", estimator=estimator,
-                   sum_rate=total, r_u1d=rates["u1d"], r_u2d=rates["u2d"],
-                   r_u1u=rates["u1u"], r_u2u=rates["u2u"],
-                   trials=trials, stderr=stderr)
-
-    @classmethod
-    def bidirectional(cls, r_c: float, r_e: float, estimator: str,
-                      weights: Tuple[float, float] = (1.0, 1.0),
-                      trials: Optional[int] = None,
-                      stderr: Optional[Dict[str, float]] = None
-                      ) -> "RateReport":
-        return cls(scenario="bidirectional", estimator=estimator,
-                   sum_rate=weights[0] * r_c + weights[1] * r_e,
-                   r_c=r_c, r_e=r_e, trials=trials, stderr=stderr)
+    def of(cls, scenario: str, legs, weights: Dict[str, float],
+           estimator: str, trials: Optional[int] = None,
+           errors=None) -> "RateReport":
+        """Report the four rates ``legs`` of :func:`scenario_rates`, with
+        their standard errors ``errors`` when given."""
+        picked = (range(len(USERS)) if scenario == "noma-pair"
+                  else binding_legs(legs))
+        names = RATE_NAMES[scenario]
+        total = math.fsum(w * r for w, r in
+                          zip(rate_weights(scenario, legs, weights), legs))
+        return cls(scenario=scenario, estimator=estimator, sum_rate=total,
+                   rates={n: legs[k] for n, k in zip(names, picked)},
+                   trials=trials,
+                   stderr=None if errors is None else
+                   {n: errors[k] for n, k in zip(names, picked)})
 
     def rate(self, name: str) -> float:
-        value = getattr(self, f"r_{name}")
-        if value is None:
+        if name not in self.rates:
             raise ValueError(f"report has no rate for {name!r}")
-        return value
+        return self.rates[name]
 
 
 def _power(z: np.ndarray) -> np.ndarray:
@@ -327,6 +323,32 @@ def binding_legs(legs) -> Tuple[int, int]:
     return 0 if r_uc < r_u2u else 1, 2 if r_ue < r_u1u else 3
 
 
+def scenario_rates(terms, pw: PowerConfig, si: float, sigma_sq: float,
+                   sigma_b_sq: float, scenario: str) -> Tuple[float, ...]:
+    """The four rates a scenario scores: the users' log2(1 + SINR) of a
+    NOMA pair, in ``USERS`` order, or the bidirectional case's
+    :func:`relay_leg_rates`. Terms are floats, arrays or complex probes.
+    """
+    if scenario == "noma-pair":
+        sinrs = noma_sinrs(terms, pw, si, sigma_sq, sigma_b_sq)
+        return tuple(_log2(1.0 + sinrs[u]) for u in USERS)
+    if scenario == "bidirectional":
+        return relay_leg_rates(terms, pw, si, sigma_sq, sigma_b_sq)
+    raise ValueError(f"unknown scenario {scenario!r}")
+
+
+def rate_weights(scenario: str, legs,
+                 weights: Dict[str, float]) -> Tuple[float, ...]:
+    """Each of the four rates' weight in the scenario's sum rate: the
+    users' ``weights`` for a NOMA pair; for the bidirectional sum
+    R_c + R_e, 1 on the two binding legs of ``legs`` and 0 elsewhere.
+    """
+    if scenario == "noma-pair":
+        return tuple(weights[u] for u in USERS)
+    binding = binding_legs(legs)
+    return tuple(float(k in binding) for k in range(len(legs)))
+
+
 def noma_beneficial(gamma_noma: float, gamma_oma: float) -> bool:
     """True when the NOMA SINR strictly beats the OMA-equivalent threshold
     sqrt(1 + gamma_oma) - 1."""
@@ -354,15 +376,10 @@ def _block_si(block: ChannelBlock, pw: PowerConfig) -> np.ndarray:
 
 def _block_rates(block: ChannelBlock, ris: StarRisState, pw: PowerConfig,
                  config: SystemConfig, scenario: str) -> np.ndarray:
-    """Per-trial rates of one block: the four users, or the four legs."""
-    terms = _block_terms(block, ris)
-    si = _block_si(block, pw)
-    if scenario == "noma-pair":
-        sinrs = noma_sinrs(terms, pw, si, config.sigma_sq,
-                           config.sigma_b_sq)
-        return np.array([np.log2(1.0 + sinrs[u]) for u in USERS])
-    return np.array(relay_leg_rates(terms, pw, si, config.sigma_sq,
-                                    config.sigma_b_sq))
+    """Per-trial rates of one block: the scenario's four rates by row."""
+    return np.array(scenario_rates(_block_terms(block, ris), pw,
+                                   _block_si(block, pw), config.sigma_sq,
+                                   config.sigma_b_sq, scenario))
 
 
 def _mean_and_stderr(counts, sums, m2s) -> Tuple[float, float]:
@@ -394,8 +411,6 @@ def ergodic_rate_mc(config: SystemConfig, ris: StarRisState,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if scenario not in ("noma-pair", "bidirectional"):
-        raise ValueError(f"unknown scenario {scenario!r}")
 
     counts, sums, m2s = [], [], []
     for block in _blocks(config, ris, trials, seed):
@@ -405,17 +420,7 @@ def ergodic_rate_mc(config: SystemConfig, ris: StarRisState,
         counts.append(block.size)
         sums.append(block_sums)
         m2s.append(np.sum((rates - means[:, None]) ** 2, axis=1))
-    legs = [_mean_and_stderr(counts, s, m)
-            for s, m in zip(zip(*sums), zip(*m2s))]
-
-    if scenario == "noma-pair":
-        rates = {u: legs[i][0] for i, u in enumerate(USERS)}
-        stderr = {u: legs[i][1] for i, u in enumerate(USERS)}
-        return RateReport.noma(rates, config.weights, estimator="mc",
-                               trials=trials, stderr=stderr)
-
-    c, e = binding_legs([mean for mean, _ in legs])
-    (r_c, se_c), (r_e, se_e) = legs[c], legs[e]
-    return RateReport.bidirectional(r_c, r_e, estimator="mc",
-                                    trials=trials,
-                                    stderr={"c": se_c, "e": se_e})
+    means, errors = zip(*(_mean_and_stderr(counts, s, m)
+                          for s, m in zip(zip(*sums), zip(*m2s))))
+    return RateReport.of(scenario, means, config.weights, "mc", trials,
+                         errors)

@@ -154,7 +154,9 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     """One Gauss-Kronrod 7/15 panel: returns (K15 estimate, |K15 - G7|)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    fx = np.array([f(mid + half * t) for t in _K15_NODES], dtype=float)
+    # Python floats: arithmetic on numpy scalars costs several times more.
+    fx = np.array([f(mid + half * t) for t in _K15_NODES.tolist()],
+                  dtype=float)
     if not np.all(np.isfinite(fx)):
         raise NumericError(
             f"integrand returned a non-finite value on [{a!r}, {b!r}]")

@@ -58,7 +58,7 @@ from starfd.geometry import (CellGeometry, _external_point_density,
                              exp_pathloss_edge_disk,
                              exp_pathloss_fixed_point_to_disk,
                              exp_pathloss_two_random_points)
-from starfd.optimize import (ObjectiveSpec, aligned_state, pgam,
+from starfd.optimize import (aligned_state, pgam,
                              power_allocation_closed_form)
 from starfd.presets import preset_text
 from starfd.rates_cf import (cf_rate_inputs, cf_rates, cf_rates_simplified,
@@ -300,7 +300,7 @@ class TestAscentOptimizer:
         runs.append(pgam(
             base, pw_base,
             aligned_state(base, 0.5, pw_base, "bidirectional"), L=15,
-            objective=ObjectiveSpec.from_config(base, "bidirectional")))
+            scenario="bidirectional"))
         for res in runs:
             drops = np.diff(res.trace)
             assert np.all(drops >= -1e-12), (

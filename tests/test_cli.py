@@ -139,6 +139,28 @@ class TestSpecParsing:
         assert key in err and "finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("total_power_dbw", "4000"),
+        ("noise_dl_dbw", "3100"),
+        ("noise_bs_dbw", "3100"),
+        ("sweep_grid", "30, 4000"),
+        ("sweep_grid", "-4000, 30"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_power_beyond_float_range_exits_1_and_writes_nothing(
+            self, tmp_path, capsys, command, key, value):
+        keys = {"sweep_variable": "snr_db", "sweep_grid": "30", key: value}
+        path = write_spec(tmp_path, "".join(f"{k} = {v}\n"
+                                            for k, v in keys.items()))
+        out = tmp_path / "never.csv"
+        args = [command, str(path)]
+        if command == "run":
+            args += ["--output", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_every_preset_parses(self):
         for name in PRESETS:
             spec, errors = parse_spec_text(preset_text(name))
@@ -343,6 +365,24 @@ class TestStartup:
                               timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == ["[]", "0 []"]
+
+
+    def test_benchmark_hooks_resolve(self):
+        # The benchmark traces a layer through the module-global names
+        # listed in its HOOKS; a layer whose every binding is gone drops
+        # its metrics from the benchmark's result line.
+        import importlib
+        import importlib.util
+        root = Path(__file__).resolve().parents[1]
+        loader = importlib.util.spec_from_file_location(
+            "trace_run", root / "perfbench" / "trace_run.py")
+        trace_run = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(trace_run)
+        resolved = {}
+        for layer, module, name in trace_run.HOOKS:
+            found = hasattr(importlib.import_module(module), name)
+            resolved[layer] = resolved.get(layer, False) or found
+        assert resolved and all(resolved.values()), resolved
 
 
 class TestMain:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from conftest import BASELINE_ANGLES, make_config
 from starfd.channel import GeometryAngles, StarRisState
 from starfd.exceptions import DegenerateGeometryError, InfeasibleError
 from starfd.geometry import CellGeometry
-from starfd.optimize import (ConstraintReport, ObjectiveSpec,
-                             OptimizationResult, _make_objective,
+from starfd.optimize import (ConstraintReport, OptimizationResult,
+                             _make_objective,
                              aligned_state, pgam,
                              power_allocation_closed_form,
                              project_amplitudes, project_phases,
@@ -243,8 +244,7 @@ class TestAnalyticGradient:
             state = StarRisState(rho_t=rho_t, rho_r=1.0 - rho_t,
                                  phi_t=rng.uniform(0, 2 * np.pi, n),
                                  phi_r=rng.uniform(0, 2 * np.pi, n))
-        evaluate, gradient = _make_objective(
-            config, pw, ObjectiveSpec.from_config(config, scenario))
+        evaluate, gradient = _make_objective(config, pw, scenario)
         _, moments = evaluate(state)
         for analytic, fd in zip(gradient(state, moments),
                                 fd_gradients(lambda s: evaluate(s)[0],
@@ -258,12 +258,11 @@ class TestAnalyticGradient:
         # finite-difference gradient would add 8N evaluations.
         import starfd.optimize as optimize
         calls = []
-        for name in ("cf_sinrs", "cf_rates_bidirectional"):
-            fn = getattr(optimize, name)
-            monkeypatch.setattr(
-                optimize, name,
-                lambda *args, _fn=fn, **kwargs: (calls.append(1),
-                                                 _fn(*args, **kwargs))[1])
+        fn = optimize.cf_rates
+        monkeypatch.setattr(
+            optimize, "cf_rates",
+            lambda *args, **kwargs: (calls.append(1),
+                                     fn(*args, **kwargs))[1])
         per_iteration = {}
         for n in (4, 64):
             config = make_config(n_elements=n)
@@ -271,12 +270,11 @@ class TestAnalyticGradient:
                                               np.random.default_rng(5))
             calls.clear()
             result = pgam(config, PowerConfig.from_config(config), init,
-                          eps=1e-15, L=5,
-                          objective=ObjectiveSpec.from_config(config,
-                                                              scenario))
+                          eps=1e-15, L=5, scenario=scenario)
             assert result.iterations == 5
-            # The first call is the initial objective value.
-            per_iteration[n] = (len(calls) - 1) / result.iterations
+            # The first call is the initial objective value, the last the
+            # report that the constraint check reads.
+            per_iteration[n] = (len(calls) - 2) / result.iterations
         assert per_iteration[64] == per_iteration[4]
 
     def test_accepted_state_moments_assembled_once(self, monkeypatch):
@@ -335,18 +333,15 @@ class TestPgam:
         config = compact_config(n_elements=8)
         pw = PowerConfig.from_config(config)
         init = StarRisState.random_phases(8, 0.5, np.random.default_rng(3))
-        spec = ObjectiveSpec.from_config(config, scenario="bidirectional")
-        result = pgam(config, pw, init, L=10, objective=spec)
+        result = pgam(config, pw, init, L=10, scenario="bidirectional")
         assert np.all(np.diff(result.trace) >= -1e-12)
 
     def test_nonfinite_objective_rejected(self):
         config = toy_config()
         pw = PowerConfig.from_config(config)
         init = StarRisState.uniform(4)
-        spec = ObjectiveSpec(weights={u: math.inf for u in
-                                      ("u1d", "u2d", "u1u", "u2u")})
         with pytest.raises(ValueError, match="finite"):
-            pgam(config, pw, init, objective=spec)
+            pgam(replace(config, weight_u1d=math.inf), pw, init)
 
     def test_invalid_arguments(self):
         config = toy_config()
@@ -357,9 +352,7 @@ class TestPgam:
         with pytest.raises(ValueError, match="alpha_scale"):
             pgam(config, pw, init, alpha_scale=-1.0)
         with pytest.raises(ValueError, match="unknown scenario"):
-            ObjectiveSpec(weights={}, scenario="mesh")
-        with pytest.raises(ValueError, match="non-negative"):
-            ObjectiveSpec(weights={"u1d": -0.1})
+            pgam(config, pw, init, scenario="mesh")
         with pytest.raises(ValueError, match="reason"):
             OptimizationResult(state=init, pw=pw, trace=[0.0],
                                reason="stalled", constraints=None)
@@ -381,11 +374,6 @@ class TestPgam:
         with pytest.raises(ValueError, match="alpha_scale"):
             pgam(config, PowerConfig.from_config(config),
                  aligned_state(config), alpha_scale=math.nan, L=5)
-
-    def test_nan_weight_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            ObjectiveSpec(weights={"u1d": math.nan, "u2d": 0.8,
-                                   "u1u": 0.8, "u2u": 0.8})
 
 
 class TestPowerAllocation:
@@ -579,6 +567,7 @@ class TestValidateConstraints:
     def test_bidirectional_report_rejected(self):
         pw = PowerConfig.from_config(self.config)
         from starfd.rates_mc import RateReport
-        report = RateReport.bidirectional(0.5, 0.4, estimator="cf")
+        report = RateReport.of("bidirectional", (0.5, 0.6, 0.4, 0.7), {},
+                               "cf")
         with pytest.raises(ValueError, match="noma-pair"):
             validate_constraints(self.config, self.state, pw, report)

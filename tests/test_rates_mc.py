@@ -119,30 +119,66 @@ class TestPowerConfig:
 
 class TestRateReport:
     def test_weighted_sum(self):
-        rates = {"u1d": 1.0, "u2d": 2.0, "u1u": 3.0, "u2u": 4.0}
+        rates = (1.0, 2.0, 3.0, 4.0)
         weights = {"u1d": 0.8, "u2d": 0.8, "u1u": 0.8, "u2u": 0.8}
-        report = RateReport.noma(rates, weights, estimator="cf")
+        report = RateReport.of("noma-pair", rates, weights, "cf")
         assert_allclose(report.sum_rate, 8.0, rtol=1e-15)
         assert report.rate("u1u") == 3.0
 
     def test_bidirectional_fields(self):
-        report = RateReport.bidirectional(1.5, 0.5, estimator="mc",
-                                          trials=10)
+        # Legs (r_uc, r_u2u, r_ue, r_u1u): each connection takes its
+        # smaller leg.
+        report = RateReport.of("bidirectional", (1.5, 2.0, 0.7, 0.5), {},
+                               "mc", trials=10)
         assert report.sum_rate == 2.0
         assert report.rate("c") == 1.5
+        assert list(report.rates) == ["c", "e"]
         with pytest.raises(ValueError, match="no rate"):
             report.rate("u1d")
 
+    def test_leg_tie_binds_the_decode_leg_and_its_stderr(self):
+        report = RateReport.of("bidirectional", (1.25, 1.25, 0.5, 0.5), {},
+                               "mc", trials=10,
+                               errors=(0.1, 0.2, 0.3, 0.4))
+        assert report.rates == {"c": 1.25, "e": 0.5}
+        assert report.stderr == {"c": 0.2, "e": 0.4}
+        report = RateReport.of("bidirectional", (1.0, 1.25, 0.75, 0.5), {},
+                               "mc", trials=10,
+                               errors=(0.1, 0.2, 0.3, 0.4))
+        assert report.stderr == {"c": 0.1, "e": 0.4}
+
+    def test_bidirectional_sum_is_the_plain_float_sum(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            legs = tuple(rng.uniform(0.0, 9.0, 4).tolist())
+            report = RateReport.of("bidirectional", legs, {}, "cf")
+            assert report.sum_rate == report.rate("c") + report.rate("e")
+
+    @pytest.mark.parametrize("start", ["aligned", "random"])
+    @pytest.mark.parametrize("scenario", ["noma-pair", "bidirectional"])
+    def test_objective_is_the_reported_sum_rate(self, scenario, start):
+        from starfd.optimize import _make_objective, aligned_state
+        from starfd.rates_cf import cf_rates
+        config = make_config(weight_u1d=0.3, weight_u2u=1.7)
+        pw = PowerConfig.from_config(config)
+        state = (aligned_state(config, 0.5, pw, scenario)
+                 if start == "aligned" else random_state())
+        evaluate, _ = _make_objective(config, pw, scenario)
+        assert (evaluate(state)[0]
+                == cf_rates(config, state, pw, scenario).sum_rate)
+
     def test_invalid_labels_rejected(self):
         with pytest.raises(ValueError, match="scenario"):
-            RateReport(scenario="other", estimator="cf", sum_rate=0.0)
+            RateReport(scenario="other", estimator="cf", sum_rate=0.0,
+                       rates={})
         with pytest.raises(ValueError, match="estimator"):
-            RateReport(scenario="noma-pair", estimator="exact", sum_rate=0.0)
+            RateReport(scenario="noma-pair", estimator="exact", sum_rate=0.0,
+                       rates={})
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError, match="r_c"):
             RateReport(scenario="bidirectional", estimator="cf",
-                       sum_rate=0.0, r_c=-0.1, r_e=0.2)
+                       sum_rate=0.0, rates={"c": -0.1, "e": 0.2})
 
 
 class TestSinrOps:
