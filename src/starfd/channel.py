@@ -9,13 +9,13 @@ rho_t + rho_r = 1 and per-side phase shifts.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Literal
 
 import numpy as np
 
 from .geometry import pathloss
+from .record import Frozen, Record
 
 if TYPE_CHECKING:
     from .config import SystemConfig
@@ -42,8 +42,7 @@ USER_REGIONS = {"u1d": "center", "u2d": "edge", "u1u": "center",
                 "u2u": "edge"}
 
 
-@dataclass(frozen=True, eq=False)
-class StarRisState:
+class StarRisState(Frozen):
     """Per-element amplitudes and phases of the energy-splitting surface.
 
     Amplitudes are used directly as the cascade coefficients (the surface
@@ -55,13 +54,12 @@ class StarRisState:
     rejected either way.
     """
 
-    rho_t: np.ndarray
-    rho_r: np.ndarray
-    phi_t: np.ndarray
-    phi_r: np.ndarray
-    validate: InitVar[bool] = True
+    __slots__ = ("rho_t", "rho_r", "phi_t", "phi_r")
 
-    def __post_init__(self, validate: bool) -> None:
+    def __init__(self, rho_t: np.ndarray, rho_r: np.ndarray,
+                 phi_t: np.ndarray, phi_r: np.ndarray,
+                 validate: bool = True) -> None:
+        self._assign(locals())
         for name in ("rho_t", "rho_r", "phi_t", "phi_r"):
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
@@ -117,8 +115,7 @@ class StarRisState:
                    phi_r=rng.uniform(0.0, 2.0 * math.pi, n_elements))
 
 
-@dataclass(frozen=True)
-class GeometryAngles:
+class GeometryAngles(Record):
     """Azimuth/elevation per surface link plus the element spacing ratio.
 
     Angles are radians. The ``br`` pair describes the BS-surface link; the
@@ -126,20 +123,15 @@ class GeometryAngles:
     directions by reciprocity).
     """
 
-    az_br: float
-    el_br: float
-    az_u1d: float
-    el_u1d: float
-    az_u2d: float
-    el_u2d: float
-    az_u1u: float
-    el_u1u: float
-    az_u2u: float
-    el_u2u: float
-    d_over_lambda: float = 0.5
+    __slots__ = ("az_br", "el_br", "az_u1d", "el_u1d", "az_u2d", "el_u2d",
+                 "az_u1u", "el_u1u", "az_u2u", "el_u2u", "d_over_lambda")
 
-    def __post_init__(self) -> None:
-        for name in self.__dataclass_fields__:
+    def __init__(self, az_br: float, el_br: float, az_u1d: float,
+                 el_u1d: float, az_u2d: float, el_u2d: float,
+                 az_u1u: float, el_u1u: float, az_u2u: float,
+                 el_u2u: float, d_over_lambda: float = 0.5) -> None:
+        self._assign(locals())
+        for name in self.__slots__:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"angle field {name} must be finite")
         if not self.d_over_lambda > 0:
@@ -198,8 +190,7 @@ def _los_vectors(n_elements: int,
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelBlock:
+class ChannelBlock(Frozen):
     """``size`` independent draws of every link, one row per trial.
 
     ``radius`` and ``angle`` give each user's polar position in its own
@@ -212,12 +203,16 @@ class ChannelBlock:
     per trial behind the residual self-interference.
     """
 
-    radius: Dict[str, np.ndarray]
-    angle: Dict[str, np.ndarray]
-    pathlosses: Dict[str, np.ndarray]
-    direct: Dict[str, np.ndarray]
-    surface: Dict[str, np.ndarray]
-    si_pair: np.ndarray
+    __slots__ = ("radius", "angle", "pathlosses", "direct", "surface",
+                 "si_pair")
+
+    def __init__(self, radius: Dict[str, np.ndarray],
+                 angle: Dict[str, np.ndarray],
+                 pathlosses: Dict[str, np.ndarray],
+                 direct: Dict[str, np.ndarray],
+                 surface: Dict[str, np.ndarray],
+                 si_pair: np.ndarray) -> None:
+        self._assign(locals())
 
     @property
     def size(self) -> int:

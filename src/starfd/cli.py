@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,11 +26,13 @@ from .channel import GeometryAngles, StarRisState
 from .config import SystemConfig
 from .exceptions import InfeasibleError, NumericError
 from .geometry import CellGeometry
-from .optimize import aligned_state, pgam, power_allocation_closed_form
+from .optimize import (aligned_state, pgam, power_allocation_closed_form,
+                       sinr_threshold)
 from .presets import PRESET_NOTES, PRESETS, preset_text
 from .rates_cf import cf_rate_inputs, cf_rates
 from .rates_mc import (RATE_NAMES, PowerConfig, RateReport, ergodic_rate_mc,
                        noma_sinrs)
+from .record import Record
 
 __all__ = ["ExperimentSpec", "parse_spec_text", "run_experiment", "main"]
 
@@ -89,26 +90,22 @@ SPEC_KEYS: Dict[str, Tuple[str, str]] = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Record):
     """A fully resolved, validated experiment definition."""
 
-    config: SystemConfig
-    scenario: str
-    sweep_variable: str
-    grid: Tuple[float, ...]
-    designs: Tuple[str, ...]
-    power_scheme: str
-    estimators: Tuple[str, ...]
-    trials: int
-    seed: int
-    output: str
-    dl_target_cases: Tuple[float, ...]
-    pgam_mu: float
-    pgam_alpha_scale: float
-    pgam_eps: float
-    pgam_iters: int
-    resolved: Dict[str, str]
+    __slots__ = ("config", "scenario", "sweep_variable", "grid", "designs",
+                 "power_scheme", "estimators", "trials", "seed", "output",
+                 "dl_target_cases", "pgam_mu", "pgam_alpha_scale",
+                 "pgam_eps", "pgam_iters", "resolved")
+
+    def __init__(self, config: SystemConfig, scenario: str,
+                 sweep_variable: str, grid: Tuple[float, ...],
+                 designs: Tuple[str, ...], power_scheme: str,
+                 estimators: Tuple[str, ...], trials: int, seed: int,
+                 output: str, dl_target_cases: Tuple[float, ...],
+                 pgam_mu: float, pgam_alpha_scale: float, pgam_eps: float,
+                 pgam_iters: int, resolved: Dict[str, str]) -> None:
+        self._assign(locals())
 
 
 class _NotFinite(ValueError):
@@ -333,16 +330,16 @@ def _config_for_point(spec: ExperimentSpec, value: float) -> SystemConfig:
     config = spec.config
     variable = spec.sweep_variable
     if variable == "snr_db":
-        return replace(config, P_t=_snr_power(config.sigma_sq, value))
+        return config.replace(P_t=_snr_power(config.sigma_sq, value))
     if variable == "n_elements":
-        return replace(config, n_elements=int(value))
+        return config.replace(n_elements=int(value))
     if variable == "tau":
-        return replace(config, tau=value)
+        return config.replace(tau=value)
     if variable == "xi":
-        return replace(config, Xi=value)
+        return config.replace(Xi=value)
     if variable == "beta":
-        return replace(config, beta=value)
-    return replace(config, R_dth=value)
+        return config.replace(beta=value)
+    return config.replace(R_dth=value)
 
 
 def _design_state(spec: ExperimentSpec, config: SystemConfig,
@@ -385,7 +382,7 @@ def _tau_split_powers(config: SystemConfig, inputs, R_dth: float,
     p_u = (1.0 - config.tau) * config.P_t
     p_u1u = config.ul_split * p_u
     p_u2u = p_u - p_u1u
-    gamma_d = 2.0 ** R_dth - 1.0
+    gamma_d = sinr_threshold(R_dth, "downlink")
     feasible = True
 
     required = 0.0
@@ -567,7 +564,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.output:
         resolved = dict(spec.resolved)
         resolved["output"] = args.output
-        spec = replace(spec, output=args.output, resolved=resolved)
+        spec = spec.replace(output=args.output, resolved=resolved)
     try:
         out_path, manifest_path, summary_path = run_experiment(
             spec, jobs=args.jobs)

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .channel import GeometryAngles
 from .geometry import CellGeometry
+from .record import Record
 
 __all__ = ["SystemConfig", "USERS", "validate_splits"]
 
@@ -30,8 +30,7 @@ def validate_splits(tau: float, alpha1: float, alpha2: float,
         raise ValueError("ul_split must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(Record):
     """Scenario parameters: geometry, fading, noise, weights, power defaults.
 
     The power-related fields (``P_t``, ``tau``, ``alpha1``/``alpha2``,
@@ -46,32 +45,24 @@ class SystemConfig:
     self-interference variance V = beta * P_b**si_lambda.
     """
 
-    geometry: CellGeometry
-    n_elements: int
-    angles: GeometryAngles
-    kappa_br: float = 3.0
-    kappa_u1d: float = 3.0
-    kappa_u2d: float = 3.0
-    kappa_u1u: float = 3.0
-    kappa_u2u: float = 3.0
-    sigma_sq: float = 1.0
-    sigma_b_sq: float = 1.0
-    weight_u1d: float = 0.8
-    weight_u2d: float = 0.8
-    weight_u1u: float = 0.8
-    weight_u2u: float = 0.8
-    P_t: float = 1000.0
-    tau: float = 0.8
-    alpha1: float = 0.2
-    alpha2: float = 0.8
-    ul_split: float = 0.5
-    Xi: float = 0.0
-    beta: float = 0.0
-    si_lambda: float = 1.0
-    R_dth: float = 0.0
-    R_uth: float = 0.0
+    __slots__ = ("geometry", "n_elements", "angles", "kappa_br", "kappa_u1d",
+                 "kappa_u2d", "kappa_u1u", "kappa_u2u", "sigma_sq",
+                 "sigma_b_sq", "weight_u1d", "weight_u2d", "weight_u1u",
+                 "weight_u2u", "P_t", "tau", "alpha1", "alpha2", "ul_split",
+                 "Xi", "beta", "si_lambda", "R_dth", "R_uth")
 
-    def __post_init__(self) -> None:
+    def __init__(self, geometry: CellGeometry, n_elements: int,
+                 angles: GeometryAngles, kappa_br: float = 3.0,
+                 kappa_u1d: float = 3.0, kappa_u2d: float = 3.0,
+                 kappa_u1u: float = 3.0, kappa_u2u: float = 3.0,
+                 sigma_sq: float = 1.0, sigma_b_sq: float = 1.0,
+                 weight_u1d: float = 0.8, weight_u2d: float = 0.8,
+                 weight_u1u: float = 0.8, weight_u2u: float = 0.8,
+                 P_t: float = 1000.0, tau: float = 0.8, alpha1: float = 0.2,
+                 alpha2: float = 0.8, ul_split: float = 0.5, Xi: float = 0.0,
+                 beta: float = 0.0, si_lambda: float = 1.0,
+                 R_dth: float = 0.0, R_uth: float = 0.0) -> None:
+        self._assign(locals())
         if not (isinstance(self.n_elements, int) and self.n_elements >= 1):
             raise ValueError("n_elements must be a positive integer")
         for link in ("br",) + USERS:

@@ -27,10 +27,10 @@ Four position-averaged expectations of ``l`` appear in the closed forms:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .record import Record
 from .specfun import gauss_legendre, integrate_adaptive
 
 __all__ = [
@@ -43,20 +43,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CellGeometry:
+class CellGeometry(Record):
     """Disk radii, BS-surface separation and path-loss exponent.
 
     ``d_br > R`` so the surface lies outside the center disk, and ``m > 2``
     because the disk expectations divide by (m - 1)(m - 2).
     """
 
-    R: float
-    R_r: float
-    d_br: float
-    m: float
+    __slots__ = ("R", "R_r", "d_br", "m")
 
-    def __post_init__(self) -> None:
+    def __init__(self, R: float, R_r: float, d_br: float, m: float) -> None:
+        self._assign(locals())
         if not self.R > 0:
             raise ValueError("center disk radius R must be positive")
         if not self.R_r > 0:

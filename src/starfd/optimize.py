@@ -12,7 +12,6 @@ through the few surface scalars the moments depend on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,6 +24,7 @@ from .rates_cf import (CfRateInputs, MomentSet, cf_rate_inputs, cf_rates,
 from .rates_mc import (PowerConfig, RateReport, dl_sinr, noma_beneficial,
                        noma_sinrs, rate_weights, relay_branches,
                        scenario_rates)
+from .record import Record
 
 __all__ = [
     "ConstraintCheck",
@@ -37,6 +37,7 @@ __all__ = [
     "aligned_state",
     "pgam",
     "power_allocation_closed_form",
+    "sinr_threshold",
     "validate_constraints",
 ]
 
@@ -53,14 +54,14 @@ _CS_STEP = 1e-30
 _TRIPLES = ("u1d", "u2d", "u1u")
 
 
-@dataclass(frozen=True)
-class ConstraintCheck:
-    ok: bool
-    margin: float
+class ConstraintCheck(Record):
+    __slots__ = ("ok", "margin")
+
+    def __init__(self, ok: bool, margin: float) -> None:
+        self._assign(locals())
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(Record):
     """Booleans plus numeric margins for the problem constraints.
 
     For the budget, decoding-order and target checks the margin is the
@@ -69,13 +70,18 @@ class ConstraintReport:
     diagnostics and do not enter :attr:`all_ok`.
     """
 
-    power_budget: ConstraintCheck
-    decoding_order: ConstraintCheck
-    edge_dl_target: ConstraintCheck
-    edge_ul_target: ConstraintCheck
-    energy_split: ConstraintCheck
-    unit_modulus: ConstraintCheck
-    noma_benefit: Dict[str, ConstraintCheck]
+    __slots__ = ("power_budget", "decoding_order", "edge_dl_target",
+                 "edge_ul_target", "energy_split", "unit_modulus",
+                 "noma_benefit")
+
+    def __init__(self, power_budget: ConstraintCheck,
+                 decoding_order: ConstraintCheck,
+                 edge_dl_target: ConstraintCheck,
+                 edge_ul_target: ConstraintCheck,
+                 energy_split: ConstraintCheck,
+                 unit_modulus: ConstraintCheck,
+                 noma_benefit: Dict[str, ConstraintCheck]) -> None:
+        self._assign(locals())
 
     @property
     def all_ok(self) -> bool:
@@ -85,17 +91,15 @@ class ConstraintReport:
                     self.energy_split, self.unit_modulus))
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(Record):
     """Outcome of one ascent run."""
 
-    state: StarRisState
-    pw: PowerConfig
-    trace: np.ndarray
-    reason: str
-    constraints: ConstraintReport
+    __slots__ = ("state", "pw", "trace", "reason", "constraints")
 
-    def __post_init__(self) -> None:
+    def __init__(self, state: StarRisState, pw: PowerConfig,
+                 trace: np.ndarray, reason: str,
+                 constraints: ConstraintReport) -> None:
+        self._assign(locals())
         if self.reason not in ("converged", "max-iters"):
             raise ValueError(f"unknown termination reason {self.reason!r}")
         object.__setattr__(self, "trace",
@@ -370,6 +374,20 @@ def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
                               reason=reason, constraints=report)
 
 
+def sinr_threshold(rate: float, link: str) -> float:
+    """The SINR 2^R - 1 that a ``link`` target rate R needs.
+
+    A target whose threshold lies beyond the float range (R of 1024
+    bits/s/Hz and above) cannot be met and raises ``InfeasibleError``.
+    """
+    try:
+        return 2.0 ** rate - 1.0
+    except OverflowError:
+        raise InfeasibleError(
+            f"{link} target {rate} bits/s/Hz infeasible: its SINR "
+            "threshold 2^R - 1 exceeds the float range") from None
+
+
 def power_allocation_closed_form(config: SystemConfig, ris: StarRisState,
                                  cf: Optional[Dict[str, CfRateInputs]],
                                  P_t: float, R_dth: float,
@@ -390,8 +408,8 @@ def power_allocation_closed_form(config: SystemConfig, ris: StarRisState,
         raise ValueError("target rates must be non-negative")
     inputs = cf if cf is not None else cf_rate_inputs(config, ris)
 
-    gamma_d = 2.0 ** R_dth - 1.0
-    gamma_u = 2.0 ** R_uth - 1.0
+    gamma_d = sinr_threshold(R_dth, "downlink")
+    gamma_u = sinr_threshold(R_uth, "uplink")
     sigma_sq, sigma_b_sq = config.sigma_sq, config.sigma_b_sq
     xi_sic = config.Xi
 

@@ -9,7 +9,6 @@ magnitudes of the current surface state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
@@ -22,6 +21,7 @@ from .geometry import (exp_pathloss_center_disk, exp_pathloss_edge_disk,
                        exp_pathloss_two_random_points, pathloss)
 from .rates_mc import (PowerConfig, RateReport, dl_sinr, noma_sinrs,
                        scenario_rates, ul_sinr)
+from .record import Record
 
 __all__ = [
     "MomentSet",
@@ -51,32 +51,27 @@ _XI_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class MomentSet:
+class MomentSet(Record):
     """Deterministic expectation terms shared by all closed-form rates."""
 
-    upsilon: float
-    rho_2pt: float
-    q_center: float
-    q_edge: float
-    l_br: float
-    varpi: Dict[int, float]
-    varpi_hat: Dict[int, float]
-    xi: Dict[int, float]
-    zeta: complex
-    sum_rho_sq: Dict[str, float]
-    cross_phase: float
+    __slots__ = ("upsilon", "rho_2pt", "q_center", "q_edge", "l_br", "varpi",
+                 "varpi_hat", "xi", "zeta", "sum_rho_sq", "cross_phase")
+
+    def __init__(self, upsilon: float, rho_2pt: float, q_center: float,
+                 q_edge: float, l_br: float, varpi: Dict[int, float],
+                 varpi_hat: Dict[int, float], xi: Dict[int, float],
+                 zeta: complex, sum_rho_sq: Dict[str, float],
+                 cross_phase: float) -> None:
+        self._assign(locals())
 
 
-@dataclass(frozen=True)
-class CfRateInputs:
+class CfRateInputs(Record):
     """The x1 (signal), y1/y2 (interference) moments of one user's rate."""
 
-    x1: float
-    y1: float
-    y2: float
+    __slots__ = ("x1", "y1", "y2")
 
-    def __post_init__(self) -> None:
+    def __init__(self, x1: float, y1: float, y2: float) -> None:
+        self._assign(locals())
         for name in ("x1", "y1", "y2"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -310,7 +305,7 @@ def cf_rates_simplified(config: SystemConfig, ris: StarRisState,
     terms = {"u1d": (mo.q_center, mo.rho_2pt, full["u1d"].y2),
              "u2d": full["u2d"],
              "u1u": (mo.q_center, full["u1u"].y1, 0.0)}
-    rates = scenario_rates(terms, replace(pw, Xi=0.0, beta=0.0), 0.0,
+    rates = scenario_rates(terms, pw.replace(Xi=0.0, beta=0.0), 0.0,
                            config.sigma_sq, config.sigma_b_sq, "noma-pair")
     return RateReport.of("noma-pair", rates, config.weights, "cf")
 

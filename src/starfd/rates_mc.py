@@ -19,13 +19,13 @@ parallelism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .channel import ChannelBlock, StarRisState, draw_realization
 from .config import USERS, SystemConfig, validate_splits
+from .record import Record
 
 __all__ = [
     "RATE_NAMES",
@@ -50,8 +50,7 @@ _BLOCK = 1024
 RATE_NAMES = {"noma-pair": USERS, "bidirectional": ("c", "e")}
 
 
-@dataclass(frozen=True)
-class PowerConfig:
+class PowerConfig(Record):
     """Operative per-signal transmit powers plus the SIC/SI model constants.
 
     ``p_b1``/``p_b2`` are the BS powers for the center and edge DL signals,
@@ -63,18 +62,14 @@ class PowerConfig:
     NOMA ordering checks.
     """
 
-    P_t: float
-    p_b1: float
-    p_b2: float
-    p_u1u: float
-    p_u2u: float
-    Xi: float = 0.0
-    beta: float = 0.0
-    si_lambda: float = 1.0
-    R_dth: float = 0.0
-    R_uth: float = 0.0
+    __slots__ = ("P_t", "p_b1", "p_b2", "p_u1u", "p_u2u", "Xi", "beta",
+                 "si_lambda", "R_dth", "R_uth")
 
-    def __post_init__(self) -> None:
+    def __init__(self, P_t: float, p_b1: float, p_b2: float, p_u1u: float,
+                 p_u2u: float, Xi: float = 0.0, beta: float = 0.0,
+                 si_lambda: float = 1.0, R_dth: float = 0.0,
+                 R_uth: float = 0.0) -> None:
+        self._assign(locals())
         if not 0 < self.P_t < math.inf:
             raise ValueError("total power budget must be positive and finite")
         for name in ("p_b1", "p_b2", "p_u1u", "p_u2u"):
@@ -134,8 +129,7 @@ class PowerConfig:
             R_uth=config.R_uth)
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(Record):
     """Ergodic rates of one evaluation plus the weighted sum.
 
     ``rates`` maps each name of ``RATE_NAMES[scenario]`` to its rate: the
@@ -145,14 +139,13 @@ class RateReport:
     estimates only.
     """
 
-    scenario: str
-    estimator: str
-    sum_rate: float
-    rates: Dict[str, float]
-    trials: Optional[int] = None
-    stderr: Optional[Dict[str, float]] = None
+    __slots__ = ("scenario", "estimator", "sum_rate", "rates", "trials",
+                 "stderr")
 
-    def __post_init__(self) -> None:
+    def __init__(self, scenario: str, estimator: str, sum_rate: float,
+                 rates: Dict[str, float], trials: Optional[int] = None,
+                 stderr: Optional[Dict[str, float]] = None) -> None:
+        self._assign(locals())
         if self.scenario not in RATE_NAMES:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.estimator not in ("cf", "mc"):

@@ -9,12 +9,12 @@ alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .exceptions import NumericError
+from .record import Record
 
 __all__ = [
     "QuadratureRule",
@@ -22,8 +22,7 @@ __all__ = [
     "integrate_adaptive",
 ]
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(Record):
     """Nodes and weights of a quadrature rule on [-1, 1].
 
     Invariants: weights are positive and sum to 2 (the measure of the
@@ -31,10 +30,10 @@ class QuadratureRule:
     about zero.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    __slots__ = ("nodes", "weights")
 
-    def __post_init__(self) -> None:
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray) -> None:
+        self._assign(locals())
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "nodes", nodes)

@@ -42,7 +42,6 @@ recorded in the README and is not asserted here.
 import csv
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -432,7 +431,7 @@ class TestSweepShapes:
         assert errors == []
         resolved = dict(spec.resolved)
         resolved["output"] = str(tmp_path / "split.csv")
-        spec = replace(spec, output=resolved["output"], resolved=resolved)
+        spec = spec.replace(output=resolved["output"], resolved=resolved)
         out, _, _ = run_experiment(spec)
         curves = {}
         with open(out, encoding="utf-8") as fh:
@@ -516,7 +515,7 @@ class TestReproducibility:
         for jobs in (1, 4):
             resolved = dict(respec.resolved)
             resolved["output"] = str(tmp_path / f"again{jobs}.csv")
-            redo = replace(respec, output=resolved["output"],
-                           resolved=resolved)
+            redo = respec.replace(output=resolved["output"],
+                                 resolved=resolved)
             out_again, _, _ = run_experiment(redo, jobs=jobs)
             assert out_again.read_bytes() == reference, f"jobs={jobs}"

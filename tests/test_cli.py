@@ -19,10 +19,9 @@ def make_spec(text, **replacements):
     spec, errors = parse_spec_text(dedent(text))
     assert errors == [], errors
     if replacements:
-        from dataclasses import replace
         resolved = dict(spec.resolved)
         resolved.update({k: str(v) for k, v in replacements.items()})
-        spec = replace(spec, resolved=resolved, **replacements)
+        spec = spec.replace(resolved=resolved, **replacements)
     return spec
 
 
@@ -229,9 +228,8 @@ class TestRunExperiment:
             manifest.read_text(encoding="utf-8"))
         assert errors == []
         assert respec.output == str(out)
-        from dataclasses import replace
         for jobs, name in ((1, "re1.csv"), (3, "re3.csv")):
-            redo = replace(respec, output=str(tmp_path / name))
+            redo = respec.replace(output=str(tmp_path / name))
             out_re, _, _ = run_experiment(redo, jobs=jobs)
             assert out_re.read_bytes() == out.read_bytes()
 
@@ -347,8 +345,11 @@ class TestStartup:
     def test_import_loads_no_unused_modules(self):
         # A single-worker run needs neither the thread pool (with the
         # logging stack it pulls in) nor numpy's polynomial package; both
-        # would cost every process start-up time and memory.
-        unused = ("concurrent.futures", "logging", "numpy.polynomial")
+        # would cost every process start-up time and memory. The records
+        # are plain classes: dataclasses would generate and compile their
+        # methods at every import.
+        unused = ("concurrent.futures", "logging", "numpy.polynomial",
+                  "dataclasses")
         script = dedent(f"""
             import contextlib, io, sys
             unused = {unused!r}
@@ -451,6 +452,22 @@ class TestMain:
         assert main(["run", str(path), "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert "infeasible" in err and "self-interference" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        MINI + "power_scheme = closed-form\ntarget_dl_rate = 2000\n",
+        "sweep_variable = tau\nsweep_grid = 0.5\n"
+        "power_scheme = tau-dl-target\ndl_target_cases = 2000\n",
+    ], ids=["closed-form", "tau-dl-target"])
+    def test_target_beyond_float_range_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, text):
+        # 2^R - 1 overflows a float at R >= 1024 bits/s/Hz.
+        path = write_spec(tmp_path, text)
+        out = tmp_path / "never.csv"
+        assert main(["run", str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: downlink target 2000.0 bits/s/Hz infeasible: its SINR "
+            "threshold 2^R - 1 exceeds the float range\n")
         assert not out.exists()
 
     def test_presets_list_and_show(self, capsys):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -341,7 +340,7 @@ class TestPgam:
         pw = PowerConfig.from_config(config)
         init = StarRisState.uniform(4)
         with pytest.raises(ValueError, match="finite"):
-            pgam(replace(config, weight_u1d=math.inf), pw, init)
+            pgam(config.replace(weight_u1d=math.inf), pw, init)
 
     def test_invalid_arguments(self):
         config = toy_config()

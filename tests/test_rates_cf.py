@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -221,7 +220,7 @@ class TestClosedFormRates:
         # power configuration carries.
         for seed in (3, 11):
             ris = random_state(seed=seed)
-            for pw in (replace(self.pw, Xi=0.0, beta=0.0),
+            for pw in (self.pw.replace(Xi=0.0, beta=0.0),
                        baseline_power(Xi=0.3, beta=1e-3)):
                 simplified = cf_rates_simplified(self.config, ris, pw)
                 oracle = short_form_rates(self.config, ris, pw)
