@@ -359,13 +359,6 @@ def _design_state(spec: ExperimentSpec, config: SystemConfig,
     return result.state
 
 
-def _mc_seed(spec: ExperimentSpec, point: int, design_index: int,
-             case_index: int) -> int:
-    seq = np.random.SeedSequence(
-        entropy=spec.seed, spawn_key=(point, design_index, case_index, 0))
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
-
-
 def _tau_split_powers(config: SystemConfig, inputs, R_dth: float,
                       R_uth: float) -> Tuple[PowerConfig, bool]:
     """Fixed tau split whose BS share is divided to hit the DL target.
@@ -431,8 +424,21 @@ def _report_cells(report: RateReport) -> List[str]:
             + [_fmt(stderr[n]) if stderr else "" for n in report.rates])
 
 
-def _point_rows(spec: ExperimentSpec, point: int,
-                value: float) -> List[List[str]]:
+# An MC cell: its CSV row, still without the rates, and what scores it.
+_McCell = Tuple[List[str], SystemConfig, StarRisState, PowerConfig]
+
+# The config fields the Monte-Carlo draw, kernel and report read outside
+# the powers. Cells that agree on them are scored on the same blocks.
+_DRAW_SHAPE = ("geometry", "n_elements", "angles", "kappa_br", "kappa_u1d",
+               "kappa_u2d", "kappa_u1u", "kappa_u2u", "sigma_sq",
+               "sigma_b_sq", "weight_u1d", "weight_u2d", "weight_u1u",
+               "weight_u2u")
+
+
+def _point_rows(spec: ExperimentSpec, point: int, value: float
+                ) -> Tuple[List[List[str]], List[_McCell]]:
+    """One grid point's rows, with its MC rows left to be completed from
+    the returned cells."""
     config = _config_for_point(spec, value)
     if spec.sweep_variable == "n_elements":
         sweep_cell = str(int(value))
@@ -442,10 +448,11 @@ def _point_rows(spec: ExperimentSpec, point: int,
              if spec.power_scheme == "tau-dl-target" else (None,))
 
     rows: List[List[str]] = []
+    mc_cells: List[_McCell] = []
     for j, design in enumerate(spec.designs):
         pw0 = PowerConfig.from_config(config)
         state = _design_state(spec, config, pw0, point, j)
-        for k, case in enumerate(cases):
+        for case in cases:
             if spec.power_scheme == "fixed":
                 pw, feasible = pw0, None
             elif spec.power_scheme == "closed-form":
@@ -461,14 +468,37 @@ def _point_rows(spec: ExperimentSpec, point: int,
             if spec.power_scheme == "tau-dl-target":
                 lead += [_fmt(case), "true" if feasible else "false"]
             for estimator in spec.estimators:
+                row = lead + [estimator]
                 if estimator == "cf":
-                    report = cf_rates(config, state, pw, spec.scenario)
+                    row += _report_cells(cf_rates(config, state, pw,
+                                                  spec.scenario))
                 else:
-                    report = ergodic_rate_mc(
-                        config, state, pw, spec.trials,
-                        _mc_seed(spec, point, j, k), spec.scenario)
-                rows.append(lead + [estimator] + _report_cells(report))
-    return rows
+                    mc_cells.append((row, config, state, pw))
+                rows.append(row)
+    return rows, mc_cells
+
+
+def _all_rows(spec: ExperimentSpec, map_) -> List[List[str]]:
+    """Every row in grid order, the two stages run with ``map_``."""
+    points = range(len(spec.grid))
+    per_point = list(map_(_point_rows, [spec] * len(points), points,
+                          spec.grid))
+    groups: Dict[tuple, List[_McCell]] = {}
+    for _, cells in per_point:
+        for cell in cells:
+            shape = tuple(getattr(cell[1], name) for name in _DRAW_SHAPE)
+            groups.setdefault(shape, []).append(cell)
+
+    def score(cells: List[_McCell]) -> List[RateReport]:
+        # One stream keyed by the spec's seed scores the whole group.
+        return ergodic_rate_mc(cells[0][1],
+                               [(state, pw) for _, _, state, pw in cells],
+                               spec.trials, spec.seed, spec.scenario)
+
+    for cells, reports in zip(groups.values(), map_(score, groups.values())):
+        for (row, _, _, _), report in zip(cells, reports):
+            row += _report_cells(report)
+    return [row for rows, _ in per_point for row in rows]
 
 
 def _manifest_text(spec: ExperimentSpec) -> str:
@@ -500,42 +530,42 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1
                    ) -> Tuple[Path, Path, Optional[Path]]:
     """Execute a validated spec; returns (csv, manifest, summary) paths.
 
-    Grid points run concurrently under ``jobs`` workers; rows are
-    buffered and written in grid order, and all randomness is derived
-    from the seed and the grid position, so the CSV is identical at any
-    parallelism level. Nothing is written until every point succeeded.
+    Two stages run under ``jobs`` workers. First the grid points build
+    their configs, design states, powers and closed-form rows
+    concurrently. Then the MC cells are grouped by draw shape
+    (:data:`_DRAW_SHAPE`) and the groups are scored concurrently, each on
+    one stream keyed by the spec's seed, so the cells of a group share
+    their channel draws. Rows are buffered and written in grid order and
+    all randomness is derived from the seed, the grid position and the
+    block index, so the CSV is identical at any parallelism level.
+    Nothing is written until every point succeeded.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if jobs == 1:
-        per_point = [_point_rows(spec, i, v)
-                     for i, v in enumerate(spec.grid)]
+        rows = _all_rows(spec, map)
     else:
         # Imported here: the pool and its logging stack would cost every
         # single-worker process start-up time and memory for nothing.
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_point = list(pool.map(_point_rows,
-                                      [spec] * len(spec.grid),
-                                      range(len(spec.grid)), spec.grid))
+            rows = _all_rows(spec, pool.map)
 
     header = _csv_header(spec)
     out_path = Path(spec.output)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for rows in per_point:
-            for row in rows:
-                fh.write(",".join(row) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
 
     manifest_path = Path(str(out_path) + ".manifest.txt")
     manifest_path.write_text(_manifest_text(spec), encoding="utf-8")
 
     summary_path = None
     if spec.sweep_variable == "tau":
-        flat = [row for rows in per_point for row in rows]
         summary_path = Path(str(out_path) + ".summary.txt")
         summary_path.write_text(
-            "\n".join(_summary_lines(spec, header, flat)) + "\n",
+            "\n".join(_summary_lines(spec, header, rows)) + "\n",
             encoding="utf-8")
     return out_path, manifest_path, summary_path
 
@@ -623,7 +653,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_run.add_argument("spec", help="experiment file path or preset name")
     p_run.add_argument("--output", help="override the CSV output path")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="concurrent grid points (default 1)")
+                       help="concurrent grid points, then concurrent "
+                            "Monte-Carlo draw groups (default 1)")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate",

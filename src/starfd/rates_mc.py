@@ -11,7 +11,8 @@ powers of a block of trials as arrays, and the closed forms of
 The estimator draws positions, channels and a residual self-interference
 sample for a block of trials at a time, from a generator keyed by
 (master seed, block index), and scores the whole block with the same
-kernel as arrays. Blocks have a fixed size, so memory is bounded at any
+kernel as arrays, once for each (surface state, powers) pair it is
+given. Blocks have a fixed size, so memory is bounded at any
 trial count, and results are independent of execution order and
 parallelism.
 """
@@ -19,7 +20,7 @@ parallelism.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -388,32 +389,66 @@ def _mean_and_stderr(counts, sums, m2s) -> Tuple[float, float]:
     return mean, math.sqrt(m2 / (n - 1) / n)
 
 
-def ergodic_rate_mc(config: SystemConfig, ris: StarRisState,
-                    pw: PowerConfig, trials: int, seed: int,
-                    scenario: str = "noma-pair") -> RateReport:
+def _checked_pairs(config: SystemConfig, pairs
+                   ) -> List[Tuple[StarRisState, PowerConfig]]:
+    """``pairs`` as a list, each pair checked for type and surface size."""
+    try:
+        pairs = [(ris, pw) for ris, pw in pairs]
+    except (TypeError, ValueError):
+        pairs = None
+    if pairs is None or not all(isinstance(ris, StarRisState)
+                                and isinstance(pw, PowerConfig)
+                                for ris, pw in pairs):
+        raise TypeError("pairs must be a list of (StarRisState, "
+                        "PowerConfig) pairs, such as [(state, pw)]")
+    if any(ris.n_elements != config.n_elements for ris, _ in pairs):
+        raise ValueError("surface state size does not match the config")
+    return pairs
+
+
+def ergodic_rate_mc(config: SystemConfig, pairs, trials: int, seed: int,
+                    scenario: str = "noma-pair") -> List[RateReport]:
     """Monte-Carlo ergodic rates over positions, channels and SI draws.
 
+    Scores every (surface state, powers) pair of ``pairs`` on one trial
+    stream and returns one report per pair, in order. The draw does not
+    depend on the state or the powers, so each block is drawn once and
+    every pair is scored on it: the pairs' estimates use common random
+    numbers, and a one-pair call gives the same report as that pair in
+    any longer list.
+
     Trials are drawn and scored in blocks of at most ``_BLOCK``, block b
-    from a generator keyed by (seed, b), so memory is bounded at any
-    ``trials`` and the estimate is independent of execution order. Block
-    sums use compensated summation, so it is exactly reproducible.
+    from a generator keyed by (seed, b), so memory is one block plus the
+    per-pair sums at any ``trials``, and the estimate is independent of
+    execution order. Block sums use compensated summation, so it is
+    exactly reproducible.
 
     For the bidirectional scenario the ergodic connection rate is the min
     of the two ergodic leg rates (matching the closed forms); the reported
     standard error is the binding leg's.
     """
+    pairs = _checked_pairs(config, pairs)
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not pairs:
+        return []
 
-    counts, sums, m2s = [], [], []
-    for block in _blocks(config, ris, trials, seed):
-        rates = _block_rates(block, ris, pw, config, scenario)
-        block_sums = [math.fsum(row) for row in rates]
-        means = np.array(block_sums) / block.size
+    counts = []
+    sums = [[] for _ in pairs]
+    m2s = [[] for _ in pairs]
+    for block in _blocks(config, pairs[0][0], trials, seed):
         counts.append(block.size)
-        sums.append(block_sums)
-        m2s.append(np.sum((rates - means[:, None]) ** 2, axis=1))
-    means, errors = zip(*(_mean_and_stderr(counts, s, m)
-                          for s, m in zip(zip(*sums), zip(*m2s))))
-    return RateReport.of(scenario, means, config.weights, "mc", trials,
-                         errors)
+        for (ris, pw), pair_sums, pair_m2s in zip(pairs, sums, m2s):
+            rates = _block_rates(block, ris, pw, config, scenario)
+            block_sums = [math.fsum(row) for row in rates]
+            means = np.array(block_sums) / block.size
+            pair_sums.append(block_sums)
+            pair_m2s.append(np.sum((rates - means[:, None]) ** 2, axis=1))
+
+    reports = []
+    for pair_sums, pair_m2s in zip(sums, m2s):
+        means, errors = zip(*(_mean_and_stderr(counts, s, m) for s, m
+                              in zip(zip(*pair_sums), zip(*pair_m2s))))
+        reports.append(RateReport.of(scenario, means, config.weights, "mc",
+                                     trials, errors))
+    return reports

@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import starfd.rates_mc as rates_mc
 from starfd.cli import (ExperimentSpec, main, parse_spec_text,
-                        run_experiment, _config_for_point)
+                        run_experiment, _config_for_point, _design_state,
+                        _report_cells)
+from starfd.rates_mc import _BLOCK, PowerConfig, ergodic_rate_mc
 from starfd.presets import PRESETS, preset_text
 
 
@@ -341,15 +344,146 @@ class TestRunExperiment:
             run_experiment(spec, jobs=0)
 
 
+def one_pair_mc_cells(spec):
+    """The cells of every MC row of a fixed-power spec, in CSV order, from
+    a one-pair call on its point's config, design state and powers."""
+    cells = []
+    for point, value in enumerate(spec.grid):
+        config = _config_for_point(spec, value)
+        pw = PowerConfig.from_config(config)
+        for j in range(len(spec.designs)):
+            state = _design_state(spec, config, pw, point, j)
+            report, = ergodic_rate_mc(config, [(state, pw)], spec.trials,
+                                      spec.seed, spec.scenario)
+            cells.append(",".join(_report_cells(report)))
+    return cells
+
+
+def csv_mc_cells(path):
+    return [line.split(",", 3)[3] for line in
+            path.read_text(encoding="utf-8").splitlines()[1:]
+            if line.split(",")[2] == "mc"]
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The sizes of the blocks drawn, one entry per draw."""
+    sizes = []
+    draw = rates_mc.draw_realization
+
+    def recording_draw(config, ris, rng, size):
+        sizes.append(size)
+        return draw(config, ris, rng, size)
+
+    monkeypatch.setattr(rates_mc, "draw_realization", recording_draw)
+    return sizes
+
+
+SHARED = {
+    "snr_db": """
+        sweep_variable = snr_db
+        sweep_grid = 10, 20, 30
+        n_elements = 6
+        designs = aligned, random
+        estimators = cf, mc
+    """,
+    "n_elements-one": """
+        sweep_variable = n_elements
+        sweep_grid = 5
+        designs = aligned, random
+        estimators = mc
+    """,
+    "n_elements-several": """
+        sweep_variable = n_elements
+        sweep_grid = 3, 5, 8
+        designs = aligned, random
+        estimators = cf, mc
+    """,
+}
+
+
+class TestSharedDraws:
+    """MC cells that share a draw shape are scored on the same blocks."""
+
+    @pytest.mark.parametrize("scenario", ["noma-pair", "bidirectional"])
+    @pytest.mark.parametrize("sweep", ["snr_db", "n_elements-several"])
+    def test_mc_rows_are_the_one_pair_reports(self, tmp_path, scenario,
+                                              sweep):
+        spec = make_spec(SHARED[sweep] + f"scenario = {scenario}\n"
+                         f"trials = {2 * _BLOCK + 5}\n",
+                         output=str(tmp_path / "shared.csv"))
+        out, _, _ = run_experiment(spec)
+        assert csv_mc_cells(out) == one_pair_mc_cells(spec)
+
+    def test_snr_sweep_draws_each_block_once(self, tmp_path, draws):
+        spec = make_spec(SHARED["snr_db"] + f"trials = {2 * _BLOCK + 1}\n",
+                         output=str(tmp_path / "snr.csv"))
+        run_experiment(spec)
+        assert draws == [_BLOCK, _BLOCK, 1]
+
+    def test_element_sweep_draws_each_block_once_per_point(self, tmp_path,
+                                                           draws):
+        spec = make_spec("""
+            sweep_variable = n_elements
+            sweep_grid = 4, 9
+            designs = aligned, random
+            estimators = mc
+        """ + f"trials = {2 * _BLOCK + 1}\n",
+                         output=str(tmp_path / "n.csv"))
+        run_experiment(spec)
+        assert draws == [_BLOCK, _BLOCK, 1] * 2
+
+    def test_target_cases_share_the_draws(self, tmp_path, draws):
+        counts = []
+        for cases in ("0.5", "0.5, 1.0"):
+            spec = make_spec("""
+                sweep_variable = tau
+                sweep_grid = 0.5, 0.8
+                n_elements = 6
+                designs = aligned, random
+                power_scheme = tau-dl-target
+                estimators = mc
+            """ + f"dl_target_cases = {cases}\n"
+                  f"trials = {2 * _BLOCK + 1}\n",
+                             output=str(tmp_path / "t.csv"))
+            run_experiment(spec)
+            counts.append(len(draws))
+            draws.clear()
+        assert counts == [3, 3]
+
+    @pytest.mark.parametrize("sweep", ["snr_db", "n_elements-several"])
+    def test_workers_draw_no_more_blocks(self, tmp_path, draws, sweep):
+        counts = []
+        for jobs in (1, 2):
+            spec = make_spec(SHARED[sweep] + f"trials = {2 * _BLOCK + 1}\n",
+                             output=str(tmp_path / f"j{jobs}.csv"))
+            run_experiment(spec, jobs=jobs)
+            counts.append(sorted(draws))
+            draws.clear()
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("sweep", sorted(SHARED))
+    def test_csv_is_byte_identical_at_any_jobs(self, tmp_path, sweep):
+        outputs = []
+        for jobs in (1, 2, 3):
+            spec = make_spec(SHARED[sweep] + f"trials = {3 * _BLOCK + 7}\n",
+                             output=str(tmp_path / f"j{jobs}.csv"))
+            out, _, _ = run_experiment(spec, jobs=jobs)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0].count(b",mc,") == len(spec.grid) * 2
+
+
 class TestStartup:
     def test_import_loads_no_unused_modules(self):
         # A single-worker run needs neither the thread pool (with the
         # logging stack it pulls in) nor numpy's polynomial package; both
         # would cost every process start-up time and memory. The records
         # are plain classes: dataclasses would generate and compile their
-        # methods at every import.
+        # methods at every import. numpy loads numpy.random on first use,
+        # which a run without draws never makes.
         unused = ("concurrent.futures", "logging", "numpy.polynomial",
-                  "dataclasses")
+                  "dataclasses", "numpy.random")
         script = dedent(f"""
             import contextlib, io, sys
             unused = {unused!r}

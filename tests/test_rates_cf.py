@@ -284,8 +284,8 @@ class TestClosedFormRates:
         # forms against the moment ratio they stand for at the operating
         # points; agreement with the ergodic rate itself is not gated.
         report_cf = cf_rates(self.config, self.ris, self.pw)
-        report_mc = ergodic_rate_mc(self.config, self.ris, self.pw,
-                                    4000, seed=2)
+        report_mc = ergodic_rate_mc(self.config, [(self.ris, self.pw)],
+                                    4000, seed=2)[0]
         assert_allclose(report_cf.rate("u2d"), report_mc.rate("u2d"),
                         rtol=0.2)
         assert_allclose(report_cf.rate("u2u"), report_mc.rate("u2u"),
@@ -293,8 +293,8 @@ class TestClosedFormRates:
 
     def test_bidirectional_against_monte_carlo(self):
         r_c, r_e = cf_rates_bidirectional(self.config, self.ris, self.pw)
-        report = ergodic_rate_mc(self.config, self.ris, self.pw, 4000,
-                                 seed=2, scenario="bidirectional")
+        report = ergodic_rate_mc(self.config, [(self.ris, self.pw)], 4000,
+                                 seed=2, scenario="bidirectional")[0]
         assert_allclose(r_c, report.rate("c"), rtol=0.2)
         assert_allclose(r_e, report.rate("e"), rtol=0.2)
 

@@ -332,12 +332,14 @@ class TestErgodicRateMc:
         self.pw = baseline_power()
 
     def test_deterministic_for_fixed_seed(self):
-        a = ergodic_rate_mc(self.config, self.ris, self.pw, 60, seed=5)
-        b = ergodic_rate_mc(self.config, self.ris, self.pw, 60, seed=5)
+        pairs = [(self.ris, self.pw)]
+        a = ergodic_rate_mc(self.config, pairs, 60, seed=5)[0]
+        b = ergodic_rate_mc(self.config, pairs, 60, seed=5)[0]
         assert a == b
 
     def test_single_trial_matches_direct_evaluation(self):
-        report = ergodic_rate_mc(self.config, self.ris, self.pw, 1, seed=9)
+        report = ergodic_rate_mc(self.config, [(self.ris, self.pw)], 1,
+                                 seed=9)[0]
         block = first_block(self.config, self.ris, 9, 1)
         sinrs = trial_sinrs(block, self.ris, self.pw,
                             _block_si(block, self.pw))
@@ -349,8 +351,8 @@ class TestErgodicRateMc:
         # The estimate must equal the average of the per-trial rates
         # that its one block scores.
         trials = 20
-        report = ergodic_rate_mc(self.config, self.ris, self.pw, trials,
-                                 seed=23)
+        report = ergodic_rate_mc(self.config, [(self.ris, self.pw)],
+                                 trials, seed=23)[0]
         block = first_block(self.config, self.ris, 23, trials)
         singles = np.log2(1.0 + noma_sinrs(
             _block_terms(block, self.ris), self.pw,
@@ -361,16 +363,20 @@ class TestErgodicRateMc:
     def test_monotone_in_total_power(self):
         # Same seed, scaled budget: every per-draw SINR grows, so the
         # ergodic estimate must too (no SI so the UL scaling is clean).
-        low = ergodic_rate_mc(self.config, self.ris, self.pw, 40, seed=3)
-        high = ergodic_rate_mc(self.config, self.ris,
-                               baseline_power(P_t=4000.0), 40, seed=3)
+        low = ergodic_rate_mc(self.config, [(self.ris, self.pw)], 40,
+                              seed=3)[0]
+        high = ergodic_rate_mc(self.config,
+                               [(self.ris, baseline_power(P_t=4000.0))],
+                               40, seed=3)[0]
         for user in ("u1d", "u2d", "u1u", "u2u"):
             assert high.rate(user) >= low.rate(user)
 
     def test_sic_errors_only_hurt(self):
-        clean = ergodic_rate_mc(self.config, self.ris, self.pw, 40, seed=3)
-        dirty = ergodic_rate_mc(self.config, self.ris,
-                                baseline_power(Xi=0.5), 40, seed=3)
+        clean = ergodic_rate_mc(self.config, [(self.ris, self.pw)], 40,
+                                seed=3)[0]
+        dirty = ergodic_rate_mc(self.config,
+                                [(self.ris, baseline_power(Xi=0.5))], 40,
+                                seed=3)[0]
         assert dirty.rate("u1d") < clean.rate("u1d")
         assert dirty.rate("u2u") < clean.rate("u2u")
         # Xi does not enter the other two users' SINRs at all.
@@ -379,13 +385,14 @@ class TestErgodicRateMc:
 
     def test_noise_dominated_rates_vanish(self):
         pw = baseline_power(P_t=1e-5)
-        report = ergodic_rate_mc(self.config, self.ris, pw, 50, seed=1)
+        report = ergodic_rate_mc(self.config, [(self.ris, pw)], 50,
+                                 seed=1)[0]
         for user in ("u1d", "u2d", "u1u", "u2u"):
             assert report.rate(user) < 1e-3
 
     def test_bidirectional_min_of_leg_means(self):
-        report = ergodic_rate_mc(self.config, self.ris, self.pw, 30,
-                                 seed=7, scenario="bidirectional")
+        report = ergodic_rate_mc(self.config, [(self.ris, self.pw)], 30,
+                                 seed=7, scenario="bidirectional")[0]
         block = first_block(self.config, self.ris, 7, 30)
         legs = relay_leg_rates(_block_terms(block, self.ris), self.pw,
                                _block_si(block, self.pw), 1.0, 1.0)
@@ -397,20 +404,111 @@ class TestErgodicRateMc:
     def test_si_stream_layout_independent_of_beta(self):
         # beta only scales the SI draw; the channel stream is untouched,
         # so the DL rates (which ignore SI) are bit-identical.
-        with_si = ergodic_rate_mc(self.config, self.ris,
-                                  baseline_power(beta=1e-3), 40, seed=3)
-        without = ergodic_rate_mc(self.config, self.ris, self.pw, 40,
-                                  seed=3)
+        with_si = ergodic_rate_mc(self.config,
+                                  [(self.ris, baseline_power(beta=1e-3))],
+                                  40, seed=3)[0]
+        without = ergodic_rate_mc(self.config, [(self.ris, self.pw)], 40,
+                                  seed=3)[0]
         assert with_si.rate("u1d") == without.rate("u1d")
         assert with_si.rate("u2d") == without.rate("u2d")
         assert with_si.rate("u1u") < without.rate("u1u")
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="trial"):
-            ergodic_rate_mc(self.config, self.ris, self.pw, 0, seed=1)
+            ergodic_rate_mc(self.config, [(self.ris, self.pw)], 0, seed=1)
         with pytest.raises(ValueError, match="scenario"):
-            ergodic_rate_mc(self.config, self.ris, self.pw, 5, seed=1,
+            ergodic_rate_mc(self.config, [(self.ris, self.pw)], 5, seed=1,
                             scenario="duplex")
+
+
+class TestSharedStream:
+    """Several (state, powers) pairs scored on one trial stream."""
+
+    TRIALS = 2 * _BLOCK + 3
+
+    def setup_method(self):
+        self.config = make_config(Xi=0.05, beta=1e-3)
+        self.pw = PowerConfig.from_config(self.config)
+
+    @pytest.mark.parametrize("scenario", ["noma-pair", "bidirectional"])
+    def test_each_pair_reports_as_its_one_pair_call(self, scenario):
+        pairs = [(random_state(seed=1), self.pw),
+                 (random_state(rho_t=0.3, seed=2), baseline_power(Xi=0.2)),
+                 (random_state(seed=1), baseline_power(P_t=10.0, beta=0.1))]
+        shared = ergodic_rate_mc(self.config, pairs, self.TRIALS, 6,
+                                 scenario)
+        assert len(shared) == len(pairs)
+        for pair, report in zip(pairs, shared):
+            alone = ergodic_rate_mc(self.config, [pair], self.TRIALS, 6,
+                                    scenario)
+            assert alone == [report]
+        assert shared[0] != shared[1] != shared[2]
+
+    @pytest.mark.parametrize("scenario, rates, stderr, total", [
+        ("noma-pair",
+         {"u1d": 0.048686452699608154, "u2d": 0.00023637096594872388,
+          "u1u": 0.03439691335315071, "u2u": 1.7203205188487537e-05},
+         {"u1d": 0.0033695141979666813, "u2d": 4.266326182875407e-05,
+          "u1u": 0.004765317312409981, "u2u": 1.826029056574845e-06},
+         0.06666955217911687),
+        ("bidirectional",
+         {"c": 1.7203205188487537e-05, "e": 0.0002804214365633442},
+         {"c": 1.826029056574845e-06, "e": 4.686166046153594e-05},
+         0.00029762464175183177),
+    ])
+    def test_one_pair_stream_is_pinned(self, scenario, rates, stderr,
+                                       total):
+        # The library stream of version 0.2.0, unchanged by scoring
+        # several pairs per block.
+        report, = ergodic_rate_mc(self.config, [(random_state(), self.pw)],
+                                  self.TRIALS, 11, scenario)
+        assert report.rates == rates
+        assert report.stderr == stderr
+        assert report.sum_rate == total
+        assert report.trials == self.TRIALS
+
+    def test_each_block_is_drawn_once_for_all_pairs(self, monkeypatch):
+        sizes = []
+        draw = rates_mc.draw_realization
+
+        def recording_draw(config, ris, rng, size):
+            sizes.append(size)
+            return draw(config, ris, rng, size)
+
+        monkeypatch.setattr(rates_mc, "draw_realization", recording_draw)
+        pairs = [(random_state(seed=s), self.pw) for s in range(4)]
+        ergodic_rate_mc(self.config, pairs, self.TRIALS, 2)
+        assert sizes == [_BLOCK, _BLOCK, 3]
+
+    def test_no_pairs_draw_nothing(self, monkeypatch):
+        monkeypatch.setattr(rates_mc, "draw_realization", None)
+        assert ergodic_rate_mc(self.config, [], 10, 1) == []
+
+    def test_old_form_call_is_a_type_error(self):
+        ris = random_state()
+        with pytest.raises(TypeError, match=r"\[\(state, pw\)\]"):
+            ergodic_rate_mc(self.config, ris, self.pw, 40, 3)
+        # Python itself rejects the keyword and six-argument forms.
+        with pytest.raises(TypeError):
+            ergodic_rate_mc(self.config, ris, self.pw, 40, seed=3)
+        with pytest.raises(TypeError):
+            ergodic_rate_mc(self.config, ris, self.pw, 40, 3, "noma-pair")
+
+    @pytest.mark.parametrize("pairs", [
+        [(PowerConfig.from_splits(1000.0, 0.8, 0.2, 0.8), random_state())],
+        [random_state()],
+        (random_state(), PowerConfig.from_splits(1000.0, 0.8, 0.2, 0.8)),
+        [(random_state(), PowerConfig.from_splits(1000.0, 0.8, 0.2, 0.8),
+          0)],
+    ], ids=["swapped", "state-only", "bare-pair", "triple"])
+    def test_malformed_pairs_are_type_errors(self, pairs):
+        with pytest.raises(TypeError, match="pair"):
+            ergodic_rate_mc(self.config, pairs, 40, 3)
+
+    def test_every_pair_is_size_checked(self):
+        pairs = [(random_state(), self.pw), (random_state(n=5), self.pw)]
+        with pytest.raises(ValueError, match="size"):
+            ergodic_rate_mc(self.config, pairs, 40, 3)
 
 
 class TestBlockedStream:
@@ -457,8 +555,8 @@ class TestBlockedStream:
             return draw(config, ris, rng, size)
 
         monkeypatch.setattr(rates_mc, "draw_realization", recording_draw)
-        report = ergodic_rate_mc(config, ris, baseline_power(),
-                                 2 * _BLOCK + 1, seed=4)
+        report = ergodic_rate_mc(config, [(ris, baseline_power())],
+                                 2 * _BLOCK + 1, seed=4)[0]
         assert sizes == [_BLOCK, _BLOCK, 1]
         assert report.trials == 2 * _BLOCK + 1
 
