@@ -13,7 +13,6 @@ recorded, so ``starfd run <manifest>`` reproduces the CSV byte for byte.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from pathlib import Path
@@ -26,12 +25,9 @@ from .channel import GeometryAngles, StarRisState
 from .config import SystemConfig
 from .exceptions import InfeasibleError, NumericError
 from .geometry import CellGeometry
-from .optimize import (aligned_state, pgam, power_allocation_closed_form,
-                       sinr_threshold)
-from .presets import PRESET_NOTES, PRESETS, preset_text
+from .optimize import aligned_state, pgam
 from .rates_cf import cf_rate_inputs, cf_rates
-from .rates_mc import (RATE_NAMES, PowerConfig, RateReport, ergodic_rate_mc,
-                       noma_sinrs)
+from .rates_mc import RATE_NAMES, PowerConfig, RateReport, ergodic_rate_mc
 from .record import Record
 
 __all__ = ["ExperimentSpec", "parse_spec_text", "run_experiment", "main"]
@@ -343,65 +339,24 @@ def _config_for_point(spec: ExperimentSpec, value: float) -> SystemConfig:
 
 
 def _design_state(spec: ExperimentSpec, config: SystemConfig,
-                  pw0: PowerConfig, point: int,
-                  design_index: int) -> StarRisState:
+                  pw0: PowerConfig, point: int, design_index: int,
+                  aligned: Optional[StarRisState] = None) -> StarRisState:
+    """One design's surface state at a grid point. ``aligned`` is the
+    point's aligned state, built here when not given: the aligned design
+    returns it and PGAM starts from it."""
     design = spec.designs[design_index]
-    if design == "aligned":
-        return aligned_state(config, 0.5, pw0, spec.scenario)
     if design == "random":
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=spec.seed, spawn_key=(point, design_index, 1)))
         return StarRisState.random_phases(config.n_elements, 0.5, rng)
-    init = aligned_state(config, 0.5, pw0, spec.scenario)
-    result = pgam(config, pw0, init, mu=spec.pgam_mu,
+    if aligned is None:
+        aligned = aligned_state(config, 0.5, pw0, spec.scenario)
+    if design == "aligned":
+        return aligned
+    result = pgam(config, pw0, aligned, mu=spec.pgam_mu,
                   alpha_scale=spec.pgam_alpha_scale, eps=spec.pgam_eps,
                   L=spec.pgam_iters, scenario=spec.scenario)
     return result.state
-
-
-def _tau_split_powers(config: SystemConfig, inputs, R_dth: float,
-                      R_uth: float) -> Tuple[PowerConfig, bool]:
-    """Fixed tau split whose BS share is divided to hit the DL target.
-
-    The edge-signal power p_b2 is the smallest value for which the edge
-    user decodes its own signal at the DL target rate (the target is the
-    edge user's rate cap); the remaining BS power carries the center
-    signal. When even the whole BS budget falls short, everything goes
-    to the edge signal and the point is flagged infeasible. The uplink
-    side keeps the configured split, so the UL target and the center
-    user's decoding order only enter diagnostics, not the split rule.
-    """
-    p_b = config.tau * config.P_t
-    p_u = (1.0 - config.tau) * config.P_t
-    p_u1u = config.ul_split * p_u
-    p_u2u = p_u - p_u1u
-    gamma_d = sinr_threshold(R_dth, "downlink")
-    feasible = True
-
-    required = 0.0
-    edge = inputs["u2d"]
-    if gamma_d > 0.0:
-        interference = (p_u1u * edge.y1 + p_u2u * edge.y2
-                        + config.sigma_sq)
-        if edge.x1 <= 0.0:
-            required, feasible = p_b, False
-        else:
-            required = (gamma_d * (p_b * edge.x1 + interference)
-                        / (edge.x1 * (1.0 + gamma_d)))
-    p_b2 = required
-    if p_b2 > p_b:
-        p_b2, feasible = p_b, False
-    p_b1 = p_b - p_b2
-
-    pw = PowerConfig(P_t=config.P_t, p_b1=p_b1, p_b2=p_b2,
-                     p_u1u=p_u1u, p_u2u=p_u2u, Xi=config.Xi,
-                     beta=config.beta, si_lambda=config.si_lambda,
-                     R_dth=R_dth, R_uth=R_uth)
-    if R_uth > 0.0:
-        sinr = noma_sinrs(inputs, pw, pw.V, config.sigma_sq,
-                          config.sigma_b_sq)["u2u"]
-        feasible = feasible and math.log2(1.0 + sinr) >= R_uth - 1e-12
-    return pw, feasible
 
 
 def _fmt(value: float) -> str:
@@ -446,12 +401,19 @@ def _point_rows(spec: ExperimentSpec, point: int, value: float
         sweep_cell = _fmt(value)
     cases = (spec.dl_target_cases
              if spec.power_scheme == "tau-dl-target" else (None,))
+    if spec.power_scheme != "fixed":
+        # Imported here: only rate-target specs allocate powers, and
+        # compiling the allocation would cost every other process
+        # start-up time and memory for nothing.
+        from .power import power_allocation_closed_form, tau_split_powers
 
+    pw0 = PowerConfig.from_config(config)
+    aligned = (aligned_state(config, 0.5, pw0, spec.scenario)
+               if set(spec.designs) - {"random"} else None)
     rows: List[List[str]] = []
     mc_cells: List[_McCell] = []
     for j, design in enumerate(spec.designs):
-        pw0 = PowerConfig.from_config(config)
-        state = _design_state(spec, config, pw0, point, j)
+        state = _design_state(spec, config, pw0, point, j, aligned)
         for case in cases:
             if spec.power_scheme == "fixed":
                 pw, feasible = pw0, None
@@ -462,8 +424,8 @@ def _point_rows(spec: ExperimentSpec, point: int, value: float
                 feasible = None
             else:
                 inputs = cf_rate_inputs(config, state)
-                pw, feasible = _tau_split_powers(config, inputs, case,
-                                                 config.R_uth)
+                pw, feasible = tau_split_powers(config, inputs, case,
+                                                config.R_uth)
             lead = [sweep_cell, design]
             if spec.power_scheme == "tau-dl-target":
                 lead += [_fmt(case), "true" if feasible else "false"]
@@ -575,29 +537,37 @@ def _load_spec_argument(name: str) -> Tuple[Optional[str], Optional[str]]:
     path = Path(name)
     if path.is_file():
         return path.read_text(encoding="utf-8"), None
+    # Imported here: a run of an experiment file never reads the presets.
+    from .presets import PRESETS, preset_text
     if name in PRESETS:
         return preset_text(name), None
     return None, (f"{name!r} is neither an experiment file nor a preset "
                   f"(presets: {', '.join(sorted(PRESETS))})")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    text, problem = _load_spec_argument(args.spec)
+def _load_spec(name: str) -> Optional[ExperimentSpec]:
+    """Parse a CLI spec argument, reporting every problem on stderr."""
+    text, problem = _load_spec_argument(name)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
-        return 1
+        return None
     spec, errors = parse_spec_text(text)
-    if errors:
-        for err in errors:
-            print(f"error: {err}", file=sys.stderr)
+    for err in errors:
+        print(f"error: {err}", file=sys.stderr)
+    return spec
+
+
+def _cmd_run(name: str, output: Optional[str], jobs: int) -> int:
+    spec = _load_spec(name)
+    if spec is None:
         return 1
-    if args.output:
+    if output:
         resolved = dict(spec.resolved)
-        resolved["output"] = args.output
-        spec = spec.replace(output=args.output, resolved=resolved)
+        resolved["output"] = output
+        spec = spec.replace(output=output, resolved=resolved)
     try:
-        out_path, manifest_path, summary_path = run_experiment(
-            spec, jobs=args.jobs)
+        out_path, manifest_path, summary_path = run_experiment(spec,
+                                                               jobs=jobs)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
@@ -614,64 +584,123 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    text, problem = _load_spec_argument(args.spec)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 1
-    spec, errors = parse_spec_text(text)
-    if errors:
-        for err in errors:
-            print(f"error: {err}", file=sys.stderr)
+def _cmd_validate(name: str) -> int:
+    spec = _load_spec(name)
+    if spec is None:
         return 1
     sys.stdout.write(_manifest_text(spec))
     return 0
 
 
-def _cmd_presets(args: argparse.Namespace) -> int:
-    if args.presets_cmd == "show":
-        try:
-            sys.stdout.write(preset_text(args.name))
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 1
-        return 0
+def _cmd_presets_list() -> int:
+    from .presets import PRESET_NOTES, PRESETS
     width = max(len(name) for name in PRESETS)
     for name in PRESETS:
         print(f"{name:<{width}}  {PRESET_NOTES[name]}")
     return 0
 
 
+def _cmd_presets_show(name: str) -> int:
+    from .presets import preset_text
+    try:
+        sys.stdout.write(preset_text(name))
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 1
+    return 0
+
+
+_USAGE = """\
+usage: starfd run SPEC [--output PATH] [--jobs N]
+       starfd validate SPEC
+       starfd presets list
+       starfd presets show NAME
+"""
+
+_HELP = _USAGE + """
+Surface-assisted full-duplex NOMA experiment runner.
+
+  run SPEC           run an experiment file or preset and write its CSV
+  validate SPEC      check SPEC and print the resolved configuration
+  presets list       list the preset names
+  presets show NAME  print one preset file
+  --output PATH      override the CSV output path
+  --jobs N           concurrent grid points, then concurrent Monte-Carlo
+                     draw groups (default 1)
+  -h, --help         show this message and exit
+
+SPEC is an experiment file path or a preset name. An option takes its
+value as the next argument or after '=', as in --jobs=2.
+"""
+
+# Each command's words, and how many operands it takes.
+_COMMANDS = {"run": 1, "validate": 1, "presets list": 0, "presets show": 1}
+
+
+class _UsageError(Exception):
+    """The command line does not match :data:`_USAGE`."""
+
+
+def _parse_command_line(args: Sequence[str]
+                        ) -> Tuple[str, List[str], Optional[str], int]:
+    """Split ``args`` into the command, its operands, the ``--output``
+    value and the ``--jobs`` count."""
+    words: List[str] = []
+    options: Dict[str, str] = {}
+    rest = iter(args)
+    for arg in rest:
+        if not arg.startswith("-"):
+            words.append(arg)
+            continue
+        name, has_value, value = arg.partition("=")
+        if name not in ("--output", "--jobs"):
+            raise _UsageError(f"unrecognized argument: {arg}")
+        if not has_value:
+            value = next(rest, None)
+            if value is None:
+                raise _UsageError(f"argument {name}: expected one argument")
+        options[name] = value
+    if not words:
+        raise _UsageError("a command is required")
+    length = 2 if words[0] == "presets" else 1
+    command, operands = " ".join(words[:length]), words[length:]
+    if command not in _COMMANDS:
+        raise _UsageError(f"unknown command {command!r}")
+    if len(operands) < _COMMANDS[command]:
+        raise _UsageError(f"{command}: missing argument")
+    if len(operands) > _COMMANDS[command]:
+        raise _UsageError(f"unrecognized argument: {operands[-1]}")
+    if options and command != "run":
+        raise _UsageError(f"{command} takes no options")
+    jobs = options.get("--jobs", "1")
+    try:
+        return command, operands, options.get("--output"), int(jobs)
+    except ValueError:
+        raise _UsageError(
+            f"argument --jobs: invalid int value: {jobs!r}") from None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="starfd",
-        description="Surface-assisted full-duplex NOMA experiment runner")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="execute an experiment file or "
-                                       "preset and write its CSV")
-    p_run.add_argument("spec", help="experiment file path or preset name")
-    p_run.add_argument("--output", help="override the CSV output path")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="concurrent grid points, then concurrent "
-                            "Monte-Carlo draw groups (default 1)")
-    p_run.set_defaults(func=_cmd_run)
-
-    p_val = sub.add_parser("validate",
-                           help="check an experiment file and print the "
-                                "resolved configuration")
-    p_val.add_argument("spec", help="experiment file path or preset name")
-    p_val.set_defaults(func=_cmd_validate)
-
-    p_pre = sub.add_parser("presets", help="list or show bundled presets")
-    pre_sub = p_pre.add_subparsers(dest="presets_cmd", required=True)
-    pre_sub.add_parser("list", help="list preset names")
-    p_show = pre_sub.add_parser("show", help="print one preset file")
-    p_show.add_argument("name")
-    p_pre.set_defaults(func=_cmd_presets)
-
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one ``starfd`` command line (``sys.argv[1:]`` by default) and
+    return its exit code: 0 on success, 1 for a spec that cannot be read
+    or parsed, 2 for a run that fails or a command line that does not
+    match :data:`_USAGE`."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in args or "--help" in args:
+        sys.stdout.write(_HELP)
+        return 0
+    try:
+        command, operands, output, jobs = _parse_command_line(args)
+    except _UsageError as exc:
+        sys.stderr.write(f"{_USAGE}starfd: error: {exc}\n")
+        return 2
+    if command == "run":
+        return _cmd_run(operands[0], output, jobs)
+    if command == "validate":
+        return _cmd_validate(operands[0])
+    if command == "presets list":
+        return _cmd_presets_list()
+    return _cmd_presets_show(operands[0])
 
 
 if __name__ == "__main__":

@@ -1,6 +1,5 @@
 """Sum-rate maximization: projected gradient ascent over the surface
-coefficients, channel-aligned phase designs, and closed-form power
-allocation with constraint validation.
+coefficients, channel-aligned phase designs, and constraint validation.
 
 The ascent objective is always the scenario's closed-form sum rate, so a
 run is deterministic given its initial state. Its gradient is analytic,
@@ -18,7 +17,6 @@ import numpy as np
 
 from .channel import GeometryAngles, StarRisState, element_layout
 from .config import USERS, SystemConfig
-from .exceptions import DegenerateGeometryError, InfeasibleError
 from .rates_cf import (CfRateInputs, MomentSet, cf_rate_inputs, cf_rates,
                        compute_moments, oma_sinrs, surface_gradient)
 from .rates_mc import (PowerConfig, RateReport, dl_sinr, noma_beneficial,
@@ -36,17 +34,12 @@ __all__ = [
     "suboptimal_phases_bidirectional",
     "aligned_state",
     "pgam",
-    "power_allocation_closed_form",
-    "sinr_threshold",
     "validate_constraints",
 ]
 
 # Backtracking floor: a step size below this means no ascent direction is
 # left at working precision, which we treat as convergence.
 _MU_MIN = 1e-12
-# Fixed-point passes for the self-interference coupling of the power
-# allocation; feasible cells settle within a few dozen.
-_SI_PASSES = 200
 # Complex-step size: far below any term's scale, so Im f(t + ih) / h is
 # the partial to rounding, and no difference is ever taken.
 _CS_STEP = 1e-30
@@ -372,142 +365,6 @@ def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
                                   cf_rates(config, state, pw))
     return OptimizationResult(state=state, pw=pw, trace=np.array(trace),
                               reason=reason, constraints=report)
-
-
-def sinr_threshold(rate: float, link: str) -> float:
-    """The SINR 2^R - 1 that a ``link`` target rate R needs.
-
-    A target whose threshold lies beyond the float range (R of 1024
-    bits/s/Hz and above) cannot be met and raises ``InfeasibleError``.
-    """
-    try:
-        return 2.0 ** rate - 1.0
-    except OverflowError:
-        raise InfeasibleError(
-            f"{link} target {rate} bits/s/Hz infeasible: its SINR "
-            "threshold 2^R - 1 exceeds the float range") from None
-
-
-def power_allocation_closed_form(config: SystemConfig, ris: StarRisState,
-                                 cf: Optional[Dict[str, CfRateInputs]],
-                                 P_t: float, R_dth: float,
-                                 R_uth: float) -> PowerConfig:
-    """Power split meeting the edge targets with equality, in closed form.
-
-    Targets are converted to linear SINR thresholds (2^R - 1). The edge
-    UL power follows from the u2u target as an affine function of the
-    total BS power; the two DL conditions (edge signal decoded at the
-    edge user and at the center user, both at the DL threshold) then pin
-    P_b1 and P_b2. The residual self-interference variance couples back
-    through the BS power, which a fixed-point pass resolves. Whatever
-    budget remains goes to the center UL user.
-    """
-    if not P_t > 0:
-        raise ValueError("total power budget must be positive")
-    if not R_dth >= 0 or not R_uth >= 0:
-        raise ValueError("target rates must be non-negative")
-    inputs = cf if cf is not None else cf_rate_inputs(config, ris)
-
-    gamma_d = sinr_threshold(R_dth, "downlink")
-    gamma_u = sinr_threshold(R_uth, "uplink")
-    sigma_sq, sigma_b_sq = config.sigma_sq, config.sigma_b_sq
-    xi_sic = config.Xi
-
-    u2u = inputs["u2u"]
-    x_u, y1_u, y2_u = u2u.x1, u2u.y1, u2u.y2
-    if gamma_u > 0 and x_u <= 0:
-        raise InfeasibleError(
-            "uplink target unreachable: the edge uplink signal moment "
-            "is zero (dark transmit side)")
-
-    # The c-row is the center user decoding the edge DL signal, the
-    # e-row the edge user decoding it; both must meet gamma_d.
-    rows = {}
-    for key, user in (("c", "u1d"), ("e", "u2d")):
-        inp = inputs[user]
-        if gamma_d > 0 and inp.x1 <= 0:
-            raise InfeasibleError(
-                "downlink target unreachable: the edge DL signal moment "
-                f"is zero at {user}")
-        rows[key] = inp
-
-    def solve(v: float):
-        # p_u2u = S * P_b + T from the uplink threshold condition.
-        if gamma_u > 0:
-            den_u = x_u + gamma_u * xi_sic * y1_u
-            s_u = gamma_u * (y2_u - xi_sic * y1_u) / den_u
-            t_u = gamma_u * (xi_sic * y1_u * P_t + v + sigma_b_sq) / den_u
-        else:
-            s_u, t_u = 0.0, 0.0
-        if gamma_d == 0:
-            p_b1 = p_b2 = 0.0
-            p_u2u = t_u  # S multiplies P_b = 0
-            return p_b1, p_b2, p_u2u
-        coeffs = {}
-        for key, inp in rows.items():
-            y1t, y2t = inp.y1 / inp.x1, inp.y2 / inp.x1
-            sig = sigma_sq / inp.x1
-            d_i = 1.0 + gamma_d * y1t - gamma_d * s_u * (y2t - y1t)
-            n_i = gamma_d * (1.0 - y1t + s_u * (y2t - y1t))
-            g_i = gamma_d * y1t
-            m_i = gamma_d * (y2t - y1t) * t_u + gamma_d * sig
-            coeffs[key] = (n_i / d_i, g_i / d_i, m_i / d_i)
-        (b_c, c_c, q_c), (b_e, c_e, q_e) = coeffs["c"], coeffs["e"]
-        denom = b_e - b_c
-        scale = abs(b_e) + abs(b_c) + 1.0
-        if abs(denom) < 1e-12 * scale:
-            raise DegenerateGeometryError(
-                "the center and edge decoding conditions are linearly "
-                "dependent; the DL power split is not identifiable")
-        p_b1 = (P_t * (c_c - c_e) + (q_c - q_e)) / denom
-        p_b2 = b_c * p_b1 + c_c * P_t + q_c
-        p_u2u = s_u * (p_b1 + p_b2) + t_u
-        return p_b1, p_b2, p_u2u
-
-    v, settled = 0.0, False
-    for _ in range(_SI_PASSES):
-        p_b1, p_b2, p_u2u = solve(v)
-        p_b = p_b1 + p_b2
-        if p_b < 0:
-            raise InfeasibleError(
-                f"downlink target {R_dth} bits/s/Hz infeasible: the "
-                "required BS power is negative")
-        try:
-            v_new = (config.beta * p_b ** config.si_lambda
-                     if config.beta else 0.0)
-        except OverflowError:
-            break
-        if not math.isfinite(v_new):
-            break
-        if abs(v_new - v) <= 1e-15 * max(1.0, v):
-            settled = True
-            break
-        v = v_new
-    if not settled:
-        raise InfeasibleError(
-            "rate targets infeasible: the self-interference coupling does "
-            f"not settle within {_SI_PASSES} passes (the BS power the "
-            "targets need raises the residual SI faster than the powers "
-            "can absorb it)")
-
-    p_u1u = P_t - p_b1 - p_b2 - p_u2u
-    for name, value, target in (("p_b1", p_b1, "downlink"),
-                                ("p_b2", p_b2, "downlink"),
-                                ("p_u2u", p_u2u, "uplink"),
-                                ("p_u1u", p_u1u, "combined")):
-        if value < -1e-12 * P_t:
-            label = {"downlink": f"downlink target {R_dth} bits/s/Hz",
-                     "uplink": f"uplink target {R_uth} bits/s/Hz",
-                     "combined": "combined downlink and uplink targets"
-                     }[target]
-            raise InfeasibleError(
-                f"{label} infeasible: {name} = {value:.6g} W < 0")
-    clip = lambda p: max(p, 0.0)
-    return PowerConfig(P_t=P_t, p_b1=clip(p_b1), p_b2=clip(p_b2),
-                       p_u1u=clip(p_u1u), p_u2u=clip(p_u2u),
-                       Xi=config.Xi, beta=config.beta,
-                       si_lambda=config.si_lambda,
-                       R_dth=R_dth, R_uth=R_uth)
 
 
 def validate_constraints(config: SystemConfig, ris: StarRisState,

@@ -440,7 +440,8 @@ def ergodic_rate_mc(config: SystemConfig, pairs, trials: int, seed: int,
         counts.append(block.size)
         for (ris, pw), pair_sums, pair_m2s in zip(pairs, sums, m2s):
             rates = _block_rates(block, ris, pw, config, scenario)
-            block_sums = [math.fsum(row) for row in rates]
+            # fsum runs faster over Python floats than over numpy scalars.
+            block_sums = [math.fsum(row) for row in rates.tolist()]
             means = np.array(block_sums) / block.size
             pair_sums.append(block_sums)
             pair_m2s.append(np.sum((rates - means[:, None]) ** 2, axis=1))

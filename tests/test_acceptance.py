@@ -57,8 +57,8 @@ from starfd.geometry import (CellGeometry, _external_point_density,
                              exp_pathloss_edge_disk,
                              exp_pathloss_fixed_point_to_disk,
                              exp_pathloss_two_random_points)
-from starfd.optimize import (aligned_state, pgam,
-                             power_allocation_closed_form)
+from starfd.optimize import aligned_state, pgam
+from starfd.power import power_allocation_closed_form
 from starfd.presets import preset_text
 from starfd.rates_cf import (cf_rate_inputs, cf_rates, cf_rates_simplified,
                              compute_moments)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import starfd.cli as cli
 import starfd.rates_mc as rates_mc
 from starfd.cli import (ExperimentSpec, main, parse_spec_text,
                         run_experiment, _config_for_point, _design_state,
@@ -475,32 +476,51 @@ class TestSharedDraws:
 
 
 class TestStartup:
-    def test_import_loads_no_unused_modules(self):
+    def test_import_loads_no_unused_modules(self, tmp_path):
         # A single-worker run needs neither the thread pool (with the
         # logging stack it pulls in) nor numpy's polynomial package; both
         # would cost every process start-up time and memory. The records
         # are plain classes: dataclasses would generate and compile their
         # methods at every import. numpy loads numpy.random on first use,
-        # which a run without draws never makes.
+        # which a run without draws never makes. The command line is read
+        # without argparse (and the gettext and locale lookups it makes),
+        # the presets only for a preset name, and the power allocation
+        # only for a rate-target scheme.
         unused = ("concurrent.futures", "logging", "numpy.polynomial",
                   "dataclasses", "numpy.random")
+        lazy = ("argparse", "gettext", "locale", "starfd.presets",
+                "starfd.power")
+        write_spec(tmp_path, MINI, "fixed.txt")
+        write_spec(tmp_path, MINI + "power_scheme = closed-form\n",
+                   "closed.txt")
         script = dedent(f"""
             import contextlib, io, sys
-            unused = {unused!r}
+            unused, lazy = {unused!r}, {lazy!r}
+            def loaded(names):
+                return [m for m in names if m in sys.modules]
             import starfd.cli
-            print([m for m in unused if m in sys.modules])
+            print(loaded(unused + lazy))
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = starfd.cli.main(["validate", "fixed.txt"])
+            print(code, loaded(unused + lazy))
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = starfd.cli.main(["run", "fixed.txt"])
+            print(code, loaded(unused + lazy))
             with contextlib.redirect_stdout(io.StringIO()):
                 code = starfd.cli.main(["validate", "default"])
-            print(code, [m for m in unused if m in sys.modules])
+            print(code, loaded(unused))
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = starfd.cli.main(["run", "closed.txt"])
+            print(code, loaded(["starfd.power"]))
         """)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src)
         done = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, env=env,
-                              timeout=120)
+                              cwd=tmp_path, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines() == ["[]", "0 []"]
-
+        assert done.stdout.splitlines() == [
+            "[]", "0 []", "0 []", "0 []", "0 ['starfd.power']"]
 
     def test_benchmark_hooks_resolve(self):
         # The benchmark traces a layer through the module-global names
@@ -623,6 +643,72 @@ class TestMain:
         stdout = capsys.readouterr().out
         assert "argmax tau" in stdout
         assert out.exists()
+
+    @pytest.fixture
+    def commands(self, monkeypatch):
+        """The command each ``main`` call dispatched to, with its
+        arguments; the commands themselves do not run."""
+        calls = []
+        for name in ("_cmd_run", "_cmd_validate", "_cmd_presets_list",
+                     "_cmd_presets_show"):
+            monkeypatch.setattr(
+                cli, name,
+                lambda *args, name=name: calls.append((name, args)) or 0)
+        return calls
+
+    @pytest.mark.parametrize("argv, call", [
+        (["run", "snr-sweep"], ("_cmd_run", ("snr-sweep", None, 1))),
+        (["run", "snr-sweep", "--output", "x.csv", "--jobs", "4"],
+         ("_cmd_run", ("snr-sweep", "x.csv", 4))),
+        (["run", "spec.txt", "--jobs", "2", "--output", "out.csv"],
+         ("_cmd_run", ("spec.txt", "out.csv", 2))),
+        (["run", "--output", "x.csv", "spec.txt"],
+         ("_cmd_run", ("spec.txt", "x.csv", 1))),
+        (["run", "spec.txt", "--output=x"],
+         ("_cmd_run", ("spec.txt", "x", 1))),
+        (["run", "spec.txt", "--jobs=3"], ("_cmd_run", ("spec.txt", None, 3))),
+        (["validate", "my.txt"], ("_cmd_validate", ("my.txt",))),
+        (["presets", "list"], ("_cmd_presets_list", ())),
+        (["presets", "show", "power-split-sweep"],
+         ("_cmd_presets_show", ("power-split-sweep",))),
+    ])
+    def test_dispatches_every_documented_form(self, commands, argv, call):
+        assert main(argv) == 0
+        assert commands == [call]
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"],
+                                      ["run", "spec.txt", "--help"]])
+    def test_help_exits_0_with_usage(self, commands, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: starfd run SPEC")
+        assert commands == []
+
+    @pytest.mark.parametrize("argv", [
+        [], ["frobnicate"], ["presets"], ["run"], ["presets", "show"],
+        ["validate", "a.txt", "b.txt"], ["run", "spec.txt", "--verbose"],
+        ["run", "spec.txt", "--out", "x.csv"], ["run", "spec.txt", "--jobs"],
+        ["run", "spec.txt", "--jobs", "two"], ["run", "spec.txt", "--jobs="],
+        ["validate", "spec.txt", "--jobs", "2"],
+    ], ids=["no-command", "unknown-command", "presets-alone",
+            "run-without-spec", "show-without-name", "extra-positional",
+            "unknown-option", "abbreviated-option", "jobs-missing",
+            "jobs-not-int", "jobs-empty", "option-off-run"])
+    def test_bad_command_line_exits_2_with_usage(self, commands, capsys,
+                                                 argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: starfd run SPEC")
+        assert "\nstarfd: error: " in captured.err
+        assert commands == []
+
+    def test_jobs_zero_exits_2_through_the_run(self, tmp_path, capsys):
+        path = write_spec(tmp_path, MINI)
+        out = tmp_path / "never.csv"
+        assert main(["run", str(path), "--jobs", "0", "--output",
+                     str(out)]) == 2
+        assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+        assert not out.exists()
 
     def test_validate_rejects_garbage_line(self, tmp_path, capsys):
         path = write_spec(tmp_path, MINI + "just a stray line\n")

@@ -12,11 +12,11 @@ from starfd.geometry import CellGeometry
 from starfd.optimize import (ConstraintReport, OptimizationResult,
                              _make_objective,
                              aligned_state, pgam,
-                             power_allocation_closed_form,
                              project_amplitudes, project_phases,
                              suboptimal_phases,
                              suboptimal_phases_bidirectional,
                              validate_constraints)
+from starfd.power import power_allocation_closed_form
 from starfd.rates_cf import (CfRateInputs, cf_rate_inputs, cf_rates,
                              compute_moments)
 from starfd.rates_mc import PowerConfig, dl_sinr
