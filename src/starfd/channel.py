@@ -10,20 +10,17 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Literal
+from typing import Dict, Literal
 
 import numpy as np
 
+from .config import RIS_LINKS, GeometryAngles, SystemConfig
 from .geometry import pathloss
-from .record import Frozen, Record
-
-if TYPE_CHECKING:
-    from .config import SystemConfig
+from .record import Frozen
 
 __all__ = [
     "ES_TOL",
     "StarRisState",
-    "GeometryAngles",
     "ChannelBlock",
     "element_layout",
     "steering_vector",
@@ -34,8 +31,6 @@ Side = Literal["t", "r"]
 
 # Largest allowed per-element violation of rho_t + rho_r = 1.
 ES_TOL = 1e-9
-
-RIS_LINKS = ("br", "u1d", "u2d", "u1u", "u2u")
 
 # The disk each user is uniform on, in the block draw's order.
 USER_REGIONS = {"u1d": "center", "u2d": "edge", "u1u": "center",
@@ -113,35 +108,6 @@ class StarRisState(Frozen):
         return cls(rho_t=rho_t * ones, rho_r=(1.0 - rho_t) * ones,
                    phi_t=rng.uniform(0.0, 2.0 * math.pi, n_elements),
                    phi_r=rng.uniform(0.0, 2.0 * math.pi, n_elements))
-
-
-class GeometryAngles(Record):
-    """Azimuth/elevation per surface link plus the element spacing ratio.
-
-    Angles are radians. The ``br`` pair describes the BS-surface link; the
-    user pairs describe the surface-user links (used for both travel
-    directions by reciprocity).
-    """
-
-    __slots__ = ("az_br", "el_br", "az_u1d", "el_u1d", "az_u2d", "el_u2d",
-                 "az_u1u", "el_u1u", "az_u2u", "el_u2u", "d_over_lambda")
-
-    def __init__(self, az_br: float, el_br: float, az_u1d: float,
-                 el_u1d: float, az_u2d: float, el_u2d: float,
-                 az_u1u: float, el_u1u: float, az_u2u: float,
-                 el_u2u: float, d_over_lambda: float = 0.5) -> None:
-        self._assign(locals())
-        for name in self.__slots__:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"angle field {name} must be finite")
-        if not self.d_over_lambda > 0:
-            raise ValueError("element spacing over wavelength must be > 0")
-
-    def link(self, name: str) -> tuple:
-        """(azimuth, elevation) pair for one of br, u1d, u2d, u1u, u2u."""
-        if name not in RIS_LINKS:
-            raise ValueError(f"unknown link {name!r}")
-        return (getattr(self, f"az_{name}"), getattr(self, f"el_{name}"))
 
 
 def element_layout(n_elements: int) -> tuple:
@@ -234,7 +200,7 @@ def _surface_user_distance(radius: np.ndarray, angle: np.ndarray,
                    - 2.0 * radius * d_br * np.cos(angle))
 
 
-def draw_realization(config: "SystemConfig", ris: StarRisState,
+def draw_realization(config: SystemConfig, ris: StarRisState,
                      rng: np.random.Generator, size: int) -> ChannelBlock:
     """Draw positions, path losses and all channels for ``size`` trials.
 

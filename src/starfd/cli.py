@@ -9,28 +9,67 @@ works in linear units.
 Every run writes ``<output>.manifest.txt`` next to the CSV: a complete,
 re-runnable experiment file with all defaults materialized and the seed
 recorded, so ``starfd run <manifest>`` reproduces the CSV byte for byte.
+
+Parsing, checking and printing a spec need only the records of
+:mod:`starfd.config`, so ``validate``, ``presets`` and ``--help`` never
+import numpy or the numeric modules. The names the run path calls are
+loaded on first use (see :data:`_RUN_NAMES`).
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from importlib import import_module
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .channel import GeometryAngles, StarRisState
-from .config import SystemConfig
+from .config import RATE_NAMES, CellGeometry, GeometryAngles, SystemConfig
 from .exceptions import InfeasibleError, NumericError
-from .geometry import CellGeometry
-from .optimize import aligned_state, pgam
-from .rates_cf import cf_rate_inputs, cf_rates
-from .rates_mc import RATE_NAMES, PowerConfig, RateReport, ergodic_rate_mc
 from .record import Record
 
+if TYPE_CHECKING:
+    from .channel import StarRisState
+    from .rates_mc import PowerConfig, RateReport
+
 __all__ = ["ExperimentSpec", "parse_spec_text", "run_experiment", "main"]
+
+# The run path's module-level names: name -> (module, attribute, or None
+# for the module itself). Importing them loads numpy and the numeric
+# modules, so they are read through ``__getattr__`` on first use, and
+# :func:`run_experiment` binds the ones still unbound before it starts.
+# A name rebound on this module beforehand (to trace or count its calls)
+# is kept, and the run calls it.
+_RUN_NAMES = {
+    "np": ("numpy", None),
+    "StarRisState": (".channel", "StarRisState"),
+    "aligned_state": (".optimize", "aligned_state"),
+    "pgam": (".optimize", "pgam"),
+    "rates_cf": (".rates_cf", None),
+    "cf_rate_inputs": (".rates_cf", "cf_rate_inputs"),
+    "cf_rates": (".rates_cf", "cf_rates"),
+    "PowerConfig": (".rates_mc", "PowerConfig"),
+    "ergodic_rate_mc": (".rates_mc", "ergodic_rate_mc"),
+}
+
+
+def __getattr__(name: str):
+    try:
+        module, attribute = _RUN_NAMES[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = import_module(module, __package__)
+    return value if attribute is None else getattr(value, attribute)
+
+
+def _bind_run_names() -> None:
+    """Bind each run-path name that is not bound yet."""
+    namespace = globals()
+    for name in _RUN_NAMES:
+        if name not in namespace:
+            namespace[name] = __getattr__(name)
 
 SWEEP_VARIABLES = ("snr_db", "n_elements", "tau", "xi", "beta",
                    "target_rate")
@@ -380,7 +419,7 @@ def _report_cells(report: RateReport) -> List[str]:
 
 
 # An MC cell: its CSV row, still without the rates, and what scores it.
-_McCell = Tuple[List[str], SystemConfig, StarRisState, PowerConfig]
+_McCell = Tuple[List[str], SystemConfig, "StarRisState", "PowerConfig"]
 
 # The config fields the Monte-Carlo draw, kernel and report read outside
 # the powers. Cells that agree on them are scored on the same blocks.
@@ -410,20 +449,26 @@ def _point_rows(spec: ExperimentSpec, point: int, value: float
     pw0 = PowerConfig.from_config(config)
     aligned = (aligned_state(config, 0.5, pw0, spec.scenario)
                if set(spec.designs) - {"random"} else None)
+    # The state's moments feed both the power allocation and the cf rows;
+    # a fixed-power MC-only spec needs neither.
+    needs_moments = spec.power_scheme != "fixed" or "cf" in spec.estimators
     rows: List[List[str]] = []
     mc_cells: List[_McCell] = []
     for j, design in enumerate(spec.designs):
         state = _design_state(spec, config, pw0, point, j, aligned)
+        if needs_moments:
+            moments = rates_cf.compute_moments(config, state)
+        if spec.power_scheme != "fixed":
+            inputs = cf_rate_inputs(config, state, moments)
         for case in cases:
             if spec.power_scheme == "fixed":
                 pw, feasible = pw0, None
             elif spec.power_scheme == "closed-form":
                 pw = power_allocation_closed_form(
-                    config, state, None, config.P_t, config.R_dth,
+                    config, state, inputs, config.P_t, config.R_dth,
                     config.R_uth)
                 feasible = None
             else:
-                inputs = cf_rate_inputs(config, state)
                 pw, feasible = tau_split_powers(config, inputs, case,
                                                 config.R_uth)
             lead = [sweep_cell, design]
@@ -433,7 +478,7 @@ def _point_rows(spec: ExperimentSpec, point: int, value: float
                 row = lead + [estimator]
                 if estimator == "cf":
                     row += _report_cells(cf_rates(config, state, pw,
-                                                  spec.scenario))
+                                                  spec.scenario, moments))
                 else:
                     mc_cells.append((row, config, state, pw))
                 rows.append(row)
@@ -504,6 +549,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    _bind_run_names()
     if jobs == 1:
         rows = _all_rows(spec, map)
     else:

@@ -1,16 +1,81 @@
-"""Full scenario description shared by the simulator and the closed forms."""
+"""Full scenario description shared by the simulator and the closed forms.
+
+These records are what an experiment file parses into, so this module
+imports no numeric code: checking a spec loads neither numpy nor the
+rate and optimizer modules.
+"""
 
 from __future__ import annotations
 
 import math
 
-from .channel import GeometryAngles
-from .geometry import CellGeometry
 from .record import Record
 
-__all__ = ["SystemConfig", "USERS", "validate_splits"]
+__all__ = ["SystemConfig", "CellGeometry", "GeometryAngles", "USERS",
+           "RIS_LINKS", "RATE_NAMES", "validate_splits"]
 
 USERS = ("u1d", "u2d", "u1u", "u2u")
+
+RIS_LINKS = ("br", "u1d", "u2d", "u1u", "u2u")
+
+# What each scenario reports, in column order.
+RATE_NAMES = {"noma-pair": USERS, "bidirectional": ("c", "e")}
+
+
+class CellGeometry(Record):
+    """Disk radii, BS-surface separation and path-loss exponent.
+
+    ``d_br > R`` so the surface lies outside the center disk, and ``m > 2``
+    because the disk expectations divide by (m - 1)(m - 2).
+    """
+
+    __slots__ = ("R", "R_r", "d_br", "m")
+
+    def __init__(self, R: float, R_r: float, d_br: float, m: float) -> None:
+        self._assign(locals())
+        if not self.R > 0:
+            raise ValueError("center disk radius R must be positive")
+        if not self.R_r > 0:
+            raise ValueError("edge disk radius R_r must be positive")
+        if not self.d_br > self.R:
+            raise ValueError(
+                "the surface must lie outside the center disk (d_br > R)")
+        if not self.m > 2:
+            raise ValueError("path-loss exponent must exceed 2")
+
+    @property
+    def r1(self) -> float:
+        """Clearance between the surface and the center-disk rim."""
+        return self.d_br - self.R
+
+
+class GeometryAngles(Record):
+    """Azimuth/elevation per surface link plus the element spacing ratio.
+
+    Angles are radians. The ``br`` pair describes the BS-surface link; the
+    user pairs describe the surface-user links (used for both travel
+    directions by reciprocity).
+    """
+
+    __slots__ = ("az_br", "el_br", "az_u1d", "el_u1d", "az_u2d", "el_u2d",
+                 "az_u1u", "el_u1u", "az_u2u", "el_u2u", "d_over_lambda")
+
+    def __init__(self, az_br: float, el_br: float, az_u1d: float,
+                 el_u1d: float, az_u2d: float, el_u2d: float,
+                 az_u1u: float, el_u1u: float, az_u2u: float,
+                 el_u2u: float, d_over_lambda: float = 0.5) -> None:
+        self._assign(locals())
+        for name in self.__slots__:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"angle field {name} must be finite")
+        if not self.d_over_lambda > 0:
+            raise ValueError("element spacing over wavelength must be > 0")
+
+    def link(self, name: str) -> tuple:
+        """(azimuth, elevation) pair for one of br, u1d, u2d, u1u, u2u."""
+        if name not in RIS_LINKS:
+            raise ValueError(f"unknown link {name!r}")
+        return (getattr(self, f"az_{name}"), getattr(self, f"el_{name}"))
 
 
 def validate_splits(tau: float, alpha1: float, alpha2: float,

@@ -30,44 +30,15 @@ import math
 
 import numpy as np
 
-from .record import Record
 from .specfun import gauss_legendre, integrate_adaptive
 
 __all__ = [
-    "CellGeometry",
     "pathloss",
     "exp_pathloss_center_disk",
     "exp_pathloss_edge_disk",
     "exp_pathloss_fixed_point_to_disk",
     "exp_pathloss_two_random_points",
 ]
-
-
-class CellGeometry(Record):
-    """Disk radii, BS-surface separation and path-loss exponent.
-
-    ``d_br > R`` so the surface lies outside the center disk, and ``m > 2``
-    because the disk expectations divide by (m - 1)(m - 2).
-    """
-
-    __slots__ = ("R", "R_r", "d_br", "m")
-
-    def __init__(self, R: float, R_r: float, d_br: float, m: float) -> None:
-        self._assign(locals())
-        if not self.R > 0:
-            raise ValueError("center disk radius R must be positive")
-        if not self.R_r > 0:
-            raise ValueError("edge disk radius R_r must be positive")
-        if not self.d_br > self.R:
-            raise ValueError(
-                "the surface must lie outside the center disk (d_br > R)")
-        if not self.m > 2:
-            raise ValueError("path-loss exponent must exceed 2")
-
-    @property
-    def r1(self) -> float:
-        """Clearance between the surface and the center-disk rim."""
-        return self.d_br - self.R
 
 
 def pathloss(distance, m: float):

@@ -15,8 +15,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channel import GeometryAngles, StarRisState, element_layout
-from .config import USERS, SystemConfig
+from .channel import StarRisState, element_layout
+from .config import USERS, GeometryAngles, SystemConfig
 from .rates_cf import (CfRateInputs, MomentSet, cf_rate_inputs, cf_rates,
                        compute_moments, oma_sinrs, surface_gradient)
 from .rates_mc import (PowerConfig, RateReport, dl_sinr, noma_beneficial,

@@ -124,12 +124,13 @@ def compute_moments(config: SystemConfig, ris: StarRisState) -> MomentSet:
         geom.R, geom.R_r, geom.d_br, geom.m)
 
     los = _los_vectors(config.n_elements, config.angles)
+    w = {"t": ris.side("t"), "r": ris.side("r")}
     sum_rho_sq = {"t": float(np.sum(ris.rho_t ** 2)),
                   "r": float(np.sum(ris.rho_r ** 2))}
     # The loop-back's cross term |sum w_t|^2 - sum rho_t^2. |s|^2 is
     # written as (s * conj(s)).real rounds it, like zeta_sq in
     # _loopback_moment; abs(s) ** 2 would move the closed-form bytes.
-    s = complex(np.sum(ris.side("t")))
+    s = complex(np.sum(w["t"]))
     cross_phase = s.real * s.real + s.imag * s.imag - sum_rho_sq["t"]
 
     varpi, varpi_hat, xi = {}, {}, {}
@@ -137,12 +138,11 @@ def compute_moments(config: SystemConfig, ris: StarRisState) -> MomentSet:
         los_weight, spread, denom = _rician_weights(config, i)
         varpi[i] = los_weight / denom
         varpi_hat[i] = sum_rho_sq[side] * spread / denom
-        xi[i] = abs(complex(np.sum(los[out] * ris.side(side)
-                                   * los[inp]))) ** 2
+        xi[i] = abs(complex(np.sum(los[out] * w[side] * los[inp]))) ** 2
 
     # BS loop-back: the return leg is the conjugate of the outgoing one,
     # so the LoS cascade collapses to the plain coefficient sum.
-    zeta = complex(np.sum(ris.side("t") * los["br"] * np.conj(los["br"])))
+    zeta = complex(np.sum(w["t"] * los["br"] * np.conj(los["br"])))
     xi[9] = abs(zeta) ** 2
 
     return MomentSet(upsilon=upsilon, rho_2pt=rho_2pt, q_center=q_center,
@@ -230,7 +230,10 @@ def surface_gradient(config: SystemConfig, ris: StarRisState,
             d_source[i] += grad * coeff
 
     los = _los_vectors(config.n_elements, config.angles)
-    w = {"t": ris.side("t"), "r": ris.side("r")}
+    # Each side's unit phasors e^{j phi}, and its response w = rho e^{j phi}
+    # (the product StarRisState.side forms).
+    phasor = {"t": np.exp(1j * ris.phi_t), "r": np.exp(1j * ris.phi_r)}
+    w = {"t": ris.rho_t * phasor["t"], "r": ris.rho_r * phasor["r"]}
     # wirt[side] = sum_i (d f / d xi_i) conj(s_i) c_i over the side's xi.
     wirt = {k: np.zeros(config.n_elements, dtype=complex) for k in w}
     d_sum_sq = {"t": 0.0, "r": 0.0}
@@ -246,11 +249,9 @@ def surface_gradient(config: SystemConfig, ris: StarRisState,
     d_sum_sq["t"] += d_source[9] * (2.0 * a * b + b * b)
 
     g_phi, g_rho = {}, {}
-    for k, rho, phi in (("t", ris.rho_t, ris.phi_t),
-                        ("r", ris.rho_r, ris.phi_r)):
+    for k, rho in (("t", ris.rho_t), ("r", ris.rho_r)):
         g_phi[k] = -2.0 * np.imag(wirt[k] * w[k])
-        g_rho[k] = 2.0 * (np.real(wirt[k] * np.exp(1j * phi))
-                          + rho * d_sum_sq[k])
+        g_rho[k] = 2.0 * (np.real(wirt[k] * phasor[k]) + rho * d_sum_sq[k])
     return g_phi["t"], g_phi["r"], g_rho["t"], g_rho["r"]
 
 

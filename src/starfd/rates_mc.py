@@ -25,11 +25,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .channel import ChannelBlock, StarRisState, draw_realization
-from .config import USERS, SystemConfig, validate_splits
+from .config import RATE_NAMES, USERS, SystemConfig, validate_splits
 from .record import Record
 
 __all__ = [
-    "RATE_NAMES",
     "PowerConfig",
     "RateReport",
     "dl_sinr",
@@ -47,8 +46,6 @@ __all__ = [
 _BUDGET_RTOL = 1e-9
 # Trials per Monte-Carlo block: the unit of drawing, scoring and memory.
 _BLOCK = 1024
-# What each scenario reports, in column order.
-RATE_NAMES = {"noma-pair": USERS, "bidirectional": ("c", "e")}
 
 
 class PowerConfig(Record):

@@ -4,9 +4,7 @@ import math
 
 import numpy as np
 
-from starfd.channel import GeometryAngles
-from starfd.config import SystemConfig
-from starfd.geometry import CellGeometry
+from starfd.config import CellGeometry, GeometryAngles, SystemConfig
 from starfd.rates_cf import _mix, compute_moments
 
 BASELINE_ANGLES = GeometryAngles(

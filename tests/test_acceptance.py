@@ -51,8 +51,9 @@ from numpy.testing import assert_allclose
 from conftest import make_config, short_form_rates
 from starfd.channel import StarRisState, _los_vectors
 from starfd.cli import parse_spec_text, run_experiment
+from starfd.config import CellGeometry
 from starfd.exceptions import DegenerateGeometryError, InfeasibleError
-from starfd.geometry import (CellGeometry, _external_point_density,
+from starfd.geometry import (_external_point_density,
                              exp_pathloss_center_disk,
                              exp_pathloss_edge_disk,
                              exp_pathloss_fixed_point_to_disk,

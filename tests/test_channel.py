@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import BASELINE_ANGLES, make_config, star_cascade
-from starfd.channel import (GeometryAngles, StarRisState, _los_vectors,
-                            draw_realization, steering_vector)
+from starfd.channel import (StarRisState, _los_vectors, draw_realization,
+                            steering_vector)
+from starfd.config import GeometryAngles
 
 
 def draw(config, seed, size, ris=None):

@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import starfd.cli as cli
+import starfd.rates_cf as rates_cf
 import starfd.rates_mc as rates_mc
 from starfd.cli import (ExperimentSpec, main, parse_spec_text,
                         run_experiment, _config_for_point, _design_state,
@@ -344,6 +345,32 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="jobs"):
             run_experiment(spec, jobs=0)
 
+    @pytest.mark.parametrize("scheme", [
+        "tau-dl-target\nsweep_variable = tau\nsweep_grid = 0.3, 0.6, 0.9\n"
+        "dl_target_cases = 3, 1\ndesigns = aligned, random\n"
+        "estimators = cf, mc\ntrials = 8\n",
+        "closed-form\nsweep_variable = snr_db\nsweep_grid = 40, 45\n"
+        "cell_radius_m = 5\nedge_radius_m = 10\nbs_surface_distance_m = 8\n"
+        "n_elements = 64\ntarget_dl_rate = 0.5\ntarget_ul_rate = 0.1\n"
+        "designs = aligned\n"], ids=["tau-dl-target", "closed-form"])
+    def test_moments_assembled_once_per_state(self, tmp_path, monkeypatch,
+                                              scheme):
+        # The powers of every target case and the cf rows all read one
+        # assembly of the state's moments.
+        states = []
+        assemble = rates_cf.compute_moments
+
+        def counting(config, ris):
+            states.append(ris)
+            return assemble(config, ris)
+
+        monkeypatch.setattr(rates_cf, "compute_moments", counting)
+        spec = make_spec(f"power_scheme = {scheme}",
+                         output=str(tmp_path / "m.csv"))
+        run_experiment(spec)
+        assert len(states) == len(spec.grid) * len(spec.designs)
+        assert len({id(ris) for ris in states}) == len(states)
+
 
 def one_pair_mc_cells(spec):
     """The cells of every MC row of a fixed-power spec, in CSV order, from
@@ -475,6 +502,35 @@ class TestSharedDraws:
         assert outputs[0].count(b",mc,") == len(spec.grid) * 2
 
 
+def fresh_python(tmp_path, script):
+    """The standard output of ``script`` run in a new interpreter in
+    ``tmp_path``, which must exit 0."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def loaded_after(tmp_path, steps):
+    """Run ``steps`` of (argv, module names) in one fresh process that has
+    imported starfd.cli. Each step runs ``main(argv)`` (nothing for
+    ``None``) and gives a line with its exit code and which of the names
+    are loaded after it."""
+    script = dedent(f"""
+        import contextlib, io, sys
+        import starfd.cli
+        for argv, names in {steps!r}:
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = None if argv is None else starfd.cli.main(argv)
+            print(code, [m for m in names if m in sys.modules])
+    """)
+    return fresh_python(tmp_path, script).splitlines()
+
+
 class TestStartup:
     def test_import_loads_no_unused_modules(self, tmp_path):
         # A single-worker run needs neither the thread pool (with the
@@ -485,42 +541,69 @@ class TestStartup:
         # which a run without draws never makes. The command line is read
         # without argparse (and the gettext and locale lookups it makes),
         # the presets only for a preset name, and the power allocation
-        # only for a rate-target scheme.
+        # only for a rate-target scheme. Parsing, checking and printing a
+        # spec load neither numpy nor the numeric modules; only a run
+        # does.
         unused = ("concurrent.futures", "logging", "numpy.polynomial",
                   "dataclasses", "numpy.random")
-        lazy = ("argparse", "gettext", "locale", "starfd.presets",
-                "starfd.power")
+        lazy = ("argparse", "gettext", "locale", "starfd.power")
+        numeric = ("numpy", "starfd.channel", "starfd.geometry",
+                   "starfd.specfun", "starfd.rates_cf", "starfd.rates_mc",
+                   "starfd.optimize")
         write_spec(tmp_path, MINI, "fixed.txt")
         write_spec(tmp_path, MINI + "power_scheme = closed-form\n",
                    "closed.txt")
+        write_spec(tmp_path, MINI + "designs = nope\n", "bad.txt")
+        spec_layer = unused + lazy + numeric
+        presets = ("starfd.presets",)
+        assert loaded_after(tmp_path, [
+            (None, spec_layer + presets),
+            (["validate", "fixed.txt"], spec_layer + presets),
+            (["run", "bad.txt"], spec_layer + presets),
+            (["--help"], spec_layer + presets),
+            (["frobnicate"], spec_layer + presets),
+            (["validate", "default"], spec_layer),
+            (["presets", "list"], spec_layer),
+            (["presets", "show", "default"], spec_layer),
+        ]) == ["None []", "0 []", "1 []", "0 []", "2 []", "0 []", "0 []",
+               "0 []"]
+        assert loaded_after(tmp_path, [
+            (["run", "fixed.txt"], unused + lazy + presets),
+            (None, numeric),
+            (["run", "closed.txt"], ("starfd.power",)),
+        ]) == ["0 []", f"None {list(numeric)}", "0 ['starfd.power']"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_names_rebound_before_main_are_the_ones_run(self, tmp_path,
+                                                        jobs):
+        # The benchmark traces the run path by rebinding these names on
+        # starfd.cli before main; the run must call what it finds there.
+        write_spec(tmp_path, """
+            sweep_variable = snr_db
+            sweep_grid = 20, 30
+            n_elements = 4
+            designs = pgam, aligned
+            estimators = cf, mc
+            trials = 8
+            pgam_iters = 2
+        """, "hooks.txt")
+        hooks = ("aligned_state", "pgam", "cf_rates", "ergodic_rate_mc")
         script = dedent(f"""
-            import contextlib, io, sys
-            unused, lazy = {unused!r}, {lazy!r}
-            def loaded(names):
-                return [m for m in names if m in sys.modules]
-            import starfd.cli
-            print(loaded(unused + lazy))
+            import contextlib, io
+            import starfd.cli as cli
+            called = set()
+            def recording(name, fn):
+                def wrapper(*args, **kwargs):
+                    called.add(name)
+                    return fn(*args, **kwargs)
+                return wrapper
+            for name in {hooks!r}:
+                setattr(cli, name, recording(name, getattr(cli, name)))
             with contextlib.redirect_stdout(io.StringIO()):
-                code = starfd.cli.main(["validate", "fixed.txt"])
-            print(code, loaded(unused + lazy))
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = starfd.cli.main(["run", "fixed.txt"])
-            print(code, loaded(unused + lazy))
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = starfd.cli.main(["validate", "default"])
-            print(code, loaded(unused))
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = starfd.cli.main(["run", "closed.txt"])
-            print(code, loaded(["starfd.power"]))
+                code = cli.main(["run", "hooks.txt", "--jobs", "{jobs}"])
+            print(code, sorted(called))
         """)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, env=env,
-                              cwd=tmp_path, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines() == [
-            "[]", "0 []", "0 []", "0 []", "0 ['starfd.power']"]
+        assert fresh_python(tmp_path, script) == f"0 {sorted(hooks)}\n"
 
     def test_benchmark_hooks_resolve(self):
         # The benchmark traces a layer through the module-global names

@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 from conftest import make_config
 from starfd.channel import StarRisState, draw_realization
-from starfd.geometry import (CellGeometry, _two_point_density,
+from starfd.config import CellGeometry
+from starfd.geometry import (_two_point_density,
                              exp_pathloss_center_disk,
                              exp_pathloss_edge_disk,
                              exp_pathloss_fixed_point_to_disk,

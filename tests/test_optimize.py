@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 from scipy import optimize as sciopt
 
 from conftest import BASELINE_ANGLES, make_config
-from starfd.channel import GeometryAngles, StarRisState
+from starfd.channel import StarRisState
+from starfd.config import CellGeometry, GeometryAngles
 from starfd.exceptions import DegenerateGeometryError, InfeasibleError
-from starfd.geometry import CellGeometry
 from starfd.optimize import (ConstraintReport, OptimizationResult,
                              _make_objective,
                              aligned_state, pgam,

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from conftest import BASELINE_ANGLES, make_config
-from starfd.channel import (ChannelBlock, GeometryAngles, StarRisState,
-                            _los_vectors, draw_realization)
+from starfd.channel import (ChannelBlock, StarRisState, _los_vectors,
+                            draw_realization)
 from starfd.cli import ExperimentSpec, parse_spec_text
-from starfd.config import SystemConfig
-from starfd.geometry import CellGeometry
+from starfd.config import CellGeometry, GeometryAngles, SystemConfig
 from starfd.optimize import (ConstraintCheck, ConstraintReport,
                              OptimizationResult, pgam)
 from starfd.presets import preset_text
