@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .specfun import gauss_legendre, integrate_adaptive
+from .specfun import GAUSS_LEGENDRE_64, integrate_adaptive
 
 __all__ = [
     "pathloss",
@@ -92,15 +92,15 @@ def _external_point_density(r, r1: float, R: float):
     return 2.0 * r / (math.pi * R * R) * np.arccos(arg)
 
 
-def exp_pathloss_fixed_point_to_disk(r1: float, R: float, m: float,
-                                     n_nodes: int = 64) -> float:
+def exp_pathloss_fixed_point_to_disk(r1: float, R: float, m: float) -> float:
     """E{(1+r)^(-m)} between a fixed external point and a uniform disk point.
 
     The fixed point sits at distance r1 + R from the center of a disk of
     radius R (so r1 > 0 is the clearance to the rim). Evaluated by
-    Gauss-Legendre quadrature of the arccos density on [r1, r1 + 2R];
-    converges to the adaptive oracle as ``n_nodes`` grows. ``m = 0``
-    integrates the bare density and returns 1 (used as a sanity check).
+    64-node Gauss-Legendre quadrature of the arccos density on
+    [r1, r1 + 2R], checked against the adaptive oracle in the tests.
+    ``m = 0`` integrates the bare density and returns 1 (used as a sanity
+    check).
     """
     if not r1 > 0:
         raise ValueError("clearance r1 must be positive")
@@ -108,20 +108,17 @@ def exp_pathloss_fixed_point_to_disk(r1: float, R: float, m: float,
         raise ValueError("disk radius must be positive")
     if not m >= 0:
         raise ValueError("path-loss exponent must be non-negative")
-    if n_nodes < 8:
-        raise ValueError("need at least 8 quadrature nodes")
-    rule = gauss_legendre(n_nodes)
     # The density vanishes like sqrt(r - r1) and sqrt(r1 + 2R - r) at the
     # interval ends, which would drag Gauss-Legendre down to algebraic
     # convergence under the plain affine map. The substitution
     # r = r1 + R (1 - cos psi), psi in [0, pi], absorbs both square roots
     # (arccos(arg) ~ sin(psi) there) and restores spectral convergence,
     # so 64 nodes are far more than enough.
-    psi = 0.5 * math.pi * (1.0 + rule.nodes)
+    psi = 0.5 * math.pi * (1.0 + GAUSS_LEGENDRE_64.nodes)
     r = r1 + R * (1.0 - np.cos(psi))
     jac = 0.5 * math.pi * R * np.sin(psi)
     vals = (1.0 + r) ** (-m) * _external_point_density(r, r1, R) * jac
-    return float(np.sum(rule.weights * vals))
+    return float(np.sum(GAUSS_LEGENDRE_64.weights * vals))
 
 
 def _two_point_density(r: float, R: float) -> float:

@@ -1,4 +1,5 @@
-"""Numerical kernels: Gauss-Legendre rules and an adaptive integrator.
+"""Numerical kernels: the 64-node Gauss-Legendre rule and an adaptive
+integrator.
 
 The adaptive integrator is deliberately self-contained (no external
 quadrature library): it evaluates the two-point disk average of
@@ -17,8 +18,8 @@ from .exceptions import NumericError
 from .record import Record
 
 __all__ = [
+    "GAUSS_LEGENDRE_64",
     "QuadratureRule",
-    "gauss_legendre",
     "integrate_adaptive",
 ]
 
@@ -49,69 +50,52 @@ class QuadratureRule(Record):
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("quadrature nodes must be strictly increasing")
 
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray],
-                  a: float, b: float) -> float:
-        """Apply the rule to ``f`` on ``[a, b]`` via the affine map."""
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        return float(half * np.sum(self.weights * f(mid + half * self.nodes)))
 
-
-def _legval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Legendre series ``sum_k c[k] P_k(x)`` by Clenshaw recursion.
-
-    The operations and their order are those of numpy's ``legval``, so
-    the rule below reproduces ``leggauss`` bit for bit; a reordered
-    recursion moves the weights by up to 4e-11.
-    """
-    if len(c) == 1:
-        return c[0] + 0.0 * x
-    nd = len(c)
-    c0 = c[-2]
-    c1 = c[-1]
-    for i in range(3, len(c) + 1):
-        tmp = c0
-        nd = nd - 1
-        c0 = c[-i] - c1 * ((nd - 1) / nd)
-        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
-    return c0 + c1 * x
-
-
-def gauss_legendre(n: int) -> QuadratureRule:
-    """Gauss-Legendre rule with ``n`` nodes (exact for degree <= 2n-1).
-
-    Follows ``numpy.polynomial.legendre.leggauss``: the nodes are the
-    eigenvalues of the symmetric Legendre companion (Jacobi) matrix,
-    refined by one Newton step; the weights are ``1 / (P_n' P_{n-1})``
-    at the nodes, symmetrised and scaled to sum to 2.
-    """
-    if n < 1:
-        raise ValueError("need at least one node")
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    # d/dx P_n = sum of (2k + 1) P_k over k = n-1, n-3, ...
-    dc = np.zeros(n)
-    dc[n - 1::-2] = 2.0 * np.arange(n - 1, -1, -2) + 1.0
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
-    jacobi = np.diag(off, 1) + np.diag(off, -1)
-    x = np.linalg.eigvalsh(jacobi)
-
-    df = _legval(x, dc)
-    x -= _legval(x, c) / df
-    fm = _legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2. / w.sum()
-    return QuadratureRule(nodes=x, weights=w)
+# The 64-node Gauss-Legendre rule (exact for degree <= 127), positive
+# half in increasing order; the rule is exactly mirror-symmetric. The
+# values are numpy's ``leggauss(64)`` (Jacobi-matrix eigenvalues refined
+# by one Newton step). Its last bits depend on the LAPACK build, so a
+# table keeps the closed-form bytes fixed and spares every process the
+# eigen-solve.
+_GL64_NODES_HALF = (
+    0.02435029266342443, 0.07299312178779904, 0.12146281929612054,
+    0.16964442042399283, 0.21742364374000708, 0.2646871622087674,
+    0.31132287199021097, 0.3572201583376681, 0.4022701579639916,
+    0.4463660172534641, 0.48940314570705296, 0.5312794640198946,
+    0.571895646202634, 0.6111553551723933, 0.6489654712546573,
+    0.6852363130542333, 0.7198818501716109, 0.7528199072605319,
+    0.7839723589433414, 0.8132653151227975, 0.8406292962525803,
+    0.8659993981540928, 0.8893154459951141, 0.9105221370785028,
+    0.9295691721319396, 0.9464113748584028, 0.9610087996520538,
+    0.973326827789911, 0.983336253884626, 0.9910133714767443,
+    0.9963401167719552, 0.9993050417357722,
+)
+_GL64_WEIGHTS_HALF = (
+    0.048690957009139814, 0.04857546744150351, 0.048344762234802996,
+    0.04799938859645842, 0.04754016571483042, 0.046968182816210076,
+    0.04628479658131447, 0.045491627927418184, 0.044590558163756566,
+    0.04358372452932355, 0.04247351512365361, 0.041262563242623576,
+    0.039953741132720544, 0.03855015317861564, 0.03705512854024009,
+    0.0354722132568823, 0.033805161837141794, 0.032057928354851495,
+    0.030234657072402554, 0.028339672614259535, 0.02637746971505491,
+    0.0243527025687112, 0.02227017380838297, 0.020134823153530088,
+    0.017951715775697284, 0.01572603047602503, 0.01346304789671786,
+    0.011168139460131028, 0.008846759826363397, 0.006504457968978502,
+    0.004147033260564499, 0.00178328072169414,
+)
+GAUSS_LEGENDRE_64 = QuadratureRule(
+    nodes=np.concatenate([-np.array(_GL64_NODES_HALF[::-1]),
+                          _GL64_NODES_HALF]),
+    weights=np.concatenate([_GL64_WEIGHTS_HALF[::-1], _GL64_WEIGHTS_HALF]))
 
 
 # 15-point Kronrod extension of the 7-point Gauss rule (positive half;
 # the rule is symmetric). Nodes at even indices are the embedded Gauss
-# nodes. Standard double-precision constants.
+# nodes. These are QUADPACK's qk15 values rounded to 15 significant
+# digits (0.991455371120813 for 0.991455371120812639...; the weights are
+# good to about 1e-14 relative). Full-precision values would move the
+# last bits of the two-point disk average (``rho_2pt``), so they wait for a version
+# bump.
 _K15_NODES_HALF = np.array([
     0.991455371120813,
     0.949107912342759,

@@ -605,6 +605,34 @@ class TestStartup:
         """)
         assert fresh_python(tmp_path, script) == f"0 {sorted(hooks)}\n"
 
+    def test_no_run_calls_lapack(self, tmp_path):
+        # The quadrature rule is a table: a run that solved an eigenproblem
+        # would page in the LAPACK library and tie the cf bytes to its
+        # build. A fresh process, because in this one the cached geometry
+        # expectations may already hold the values.
+        short = "n_elements = 4\ntrials = 8\nestimators = cf, mc\n"
+        write_spec(tmp_path, MINI + short + "designs = pgam, aligned\n"
+                   "pgam_iters = 2\n", "pgam.txt")
+        write_spec(tmp_path, MINI + short + "power_scheme = closed-form\n",
+                   "closed.txt")
+        write_spec(tmp_path, MINI + short + "scenario = bidirectional\n",
+                   "bidir.txt")
+        script = dedent("""
+            import contextlib, io
+            import numpy.linalg
+            import starfd.cli
+            def refuse(*args, **kwargs):
+                raise AssertionError("numpy.linalg called")
+            for name in numpy.linalg.__all__:
+                if not isinstance(getattr(numpy.linalg, name), type):
+                    setattr(numpy.linalg, name, refuse)
+            for spec in ("pgam.txt", "closed.txt", "bidir.txt"):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = starfd.cli.main(["run", spec, "--jobs", "1"])
+                print(code)
+        """)
+        assert fresh_python(tmp_path, script) == "0\n0\n0\n"
+
     def test_benchmark_hooks_resolve(self):
         # The benchmark traces a layer through the module-global names
         # listed in its HOOKS; a layer whose every binding is gone drops

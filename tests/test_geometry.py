@@ -138,11 +138,6 @@ class TestFixedPointToDisk:
                     assert_allclose(got, ref, rtol=1e-6,
                                     err_msg=f"r1={r1} R={R} m={m}")
 
-    def test_node_count_stability(self):
-        a = exp_pathloss_fixed_point_to_disk(10.0, 50.0, 2.7, n_nodes=32)
-        b = exp_pathloss_fixed_point_to_disk(10.0, 50.0, 2.7, n_nodes=64)
-        assert_allclose(a, b, rtol=1e-9)
-
     def test_density_normalization(self):
         # m = 0 integrates the bare density, which must carry unit mass.
         assert_allclose(exp_pathloss_fixed_point_to_disk(10.0, 50.0, 0.0),
@@ -170,8 +165,6 @@ class TestFixedPointToDisk:
             exp_pathloss_fixed_point_to_disk(10.0, 50.0, -0.5)
         with pytest.raises(ValueError, match="exponent"):
             exp_pathloss_fixed_point_to_disk(10.0, 50.0, math.nan)
-        with pytest.raises(ValueError):
-            exp_pathloss_fixed_point_to_disk(10.0, 50.0, 2.7, n_nodes=4)
 
 
 class TestTwoRandomPoints:
