@@ -464,13 +464,10 @@ def _point_rows(spec: ExperimentSpec, point: int, value: float
             if spec.power_scheme == "fixed":
                 pw, feasible = pw0, None
             elif spec.power_scheme == "closed-form":
-                pw = power_allocation_closed_form(
-                    config, state, inputs, config.P_t, config.R_dth,
-                    config.R_uth)
+                pw = power_allocation_closed_form(config, inputs)
                 feasible = None
             else:
-                pw, feasible = tau_split_powers(config, inputs, case,
-                                                config.R_uth)
+                pw, feasible = tau_split_powers(config, inputs, case)
             lead = [sweep_cell, design]
             if spec.power_scheme == "tau-dl-target":
                 lead += [_fmt(case), "true" if feasible else "false"]
@@ -517,20 +514,30 @@ def _manifest_text(spec: ExperimentSpec) -> str:
 
 def _summary_lines(spec: ExperimentSpec, header: List[str],
                    rows: List[List[str]]) -> List[str]:
-    """Argmax-tau report: best split per (design, target, estimator)."""
+    """Argmax-tau report: best split per (design, target, estimator).
+
+    Under ``tau-dl-target`` only the feasible rows compete; a series
+    with none says so.
+    """
     sweep_col = header.index(spec.sweep_variable)
     sum_col = header.index("sum")
-    series: Dict[Tuple[str, ...], Tuple[float, float]] = {}
+    feasible_col = (header.index("feasible")
+                    if spec.power_scheme == "tau-dl-target" else None)
+    series: Dict[Tuple[str, ...], Optional[Tuple[float, float]]] = {}
     label_cols = [i for i, name in enumerate(header)
                   if name in ("design", "target_dl", "estimator")]
     for row in rows:
         key = tuple(f"{header[i]}={row[i]}" for i in label_cols)
+        best = series.setdefault(key, None)
+        if feasible_col is not None and row[feasible_col] != "true":
+            continue
         tau, total = float(row[sweep_col]), float(row[sum_col])
-        if key not in series or total > series[key][1]:
+        if best is None or total > best[1]:
             series[key] = (tau, total)
-    return [f"{' '.join(key)}: argmax tau = {_fmt(tau)} "
-            f"(sum rate {_fmt(total)} bits/s/Hz)"
-            for key, (tau, total) in series.items()]
+    return [f"{' '.join(key)}: no feasible tau" if best is None else
+            f"{' '.join(key)}: argmax tau = {_fmt(best[0])} "
+            f"(sum rate {_fmt(best[1])} bits/s/Hz)"
+            for key, best in series.items()]
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1

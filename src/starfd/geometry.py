@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .specfun import GAUSS_LEGENDRE_64, integrate_adaptive
+from .specfun import GL64_NODES, GL64_WEIGHTS, integrate_adaptive
 
 __all__ = [
     "pathloss",
@@ -114,11 +114,11 @@ def exp_pathloss_fixed_point_to_disk(r1: float, R: float, m: float) -> float:
     # r = r1 + R (1 - cos psi), psi in [0, pi], absorbs both square roots
     # (arccos(arg) ~ sin(psi) there) and restores spectral convergence,
     # so 64 nodes are far more than enough.
-    psi = 0.5 * math.pi * (1.0 + GAUSS_LEGENDRE_64.nodes)
+    psi = 0.5 * math.pi * (1.0 + GL64_NODES)
     r = r1 + R * (1.0 - np.cos(psi))
     jac = 0.5 * math.pi * R * np.sin(psi)
     vals = (1.0 + r) ** (-m) * _external_point_density(r, r1, R) * jac
-    return float(np.sum(GAUSS_LEGENDRE_64.weights * vals))
+    return float(np.sum(GL64_WEIGHTS * vals))
 
 
 def _two_point_density(r: float, R: float) -> float:

@@ -16,12 +16,11 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .channel import StarRisState, element_layout
-from .config import USERS, GeometryAngles, SystemConfig
+from .config import GeometryAngles, SystemConfig
 from .rates_cf import (CfRateInputs, MomentSet, cf_rate_inputs, cf_rates,
-                       compute_moments, oma_sinrs, surface_gradient)
-from .rates_mc import (PowerConfig, RateReport, dl_sinr, noma_beneficial,
-                       noma_sinrs, rate_weights, relay_branches,
-                       scenario_rates)
+                       compute_moments, surface_gradient)
+from .rates_mc import (PowerConfig, dl_sinr, noma_sinrs, rate_weights,
+                       relay_branches, scenario_rates)
 from .record import Record
 
 __all__ = [
@@ -58,30 +57,24 @@ class ConstraintReport(Record):
     """Booleans plus numeric margins for the problem constraints.
 
     For the budget, decoding-order and target checks the margin is the
-    slack (negative = violated); for the surface-feasibility checks it is
-    the largest deviation (positive = violated). NOMA-benefit margins are
-    diagnostics and do not enter :attr:`all_ok`.
+    slack (negative = violated); for the energy-splitting check it is
+    the largest deviation (positive = violated). Unit modulus needs no
+    check: phases are stored as angles, so it holds by construction.
     """
 
     __slots__ = ("power_budget", "decoding_order", "edge_dl_target",
-                 "edge_ul_target", "energy_split", "unit_modulus",
-                 "noma_benefit")
+                 "edge_ul_target", "energy_split")
 
     def __init__(self, power_budget: ConstraintCheck,
                  decoding_order: ConstraintCheck,
                  edge_dl_target: ConstraintCheck,
                  edge_ul_target: ConstraintCheck,
-                 energy_split: ConstraintCheck,
-                 unit_modulus: ConstraintCheck,
-                 noma_benefit: Dict[str, ConstraintCheck]) -> None:
+                 energy_split: ConstraintCheck) -> None:
         self._assign(locals())
 
     @property
     def all_ok(self) -> bool:
-        return all(check.ok for check in
-                   (self.power_budget, self.decoding_order,
-                    self.edge_dl_target, self.edge_ul_target,
-                    self.energy_split, self.unit_modulus))
+        return all(getattr(self, name).ok for name in self.__slots__)
 
 
 class OptimizationResult(Record):
@@ -361,29 +354,23 @@ def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
             reason = "converged"
             break
 
-    report = validate_constraints(config, state, pw,
-                                  cf_rates(config, state, pw))
+    report = validate_constraints(config, state, pw)
     return OptimizationResult(state=state, pw=pw, trace=np.array(trace),
                               reason=reason, constraints=report)
 
 
 def validate_constraints(config: SystemConfig, ris: StarRisState,
-                         pw: PowerConfig, report: RateReport,
-                         tol: float = 1e-9) -> ConstraintReport:
+                         pw: PowerConfig, tol: float = 1e-9
+                         ) -> ConstraintReport:
     """Check the optimization problem's constraints with numeric margins.
 
     The budget margin is the unspent power; the decoding-order margin is
     the closed-form gap between the center user's decode rate of the
     edge signal and the edge user's own rate; the target margins compare
-    the supplied report's edge rates against the configured targets. The
-    surface checks report the worst per-element deviation. The
-    NOMA-benefit entries compare each closed-form SINR against its
-    orthogonal-access equivalent threshold and are informational.
+    the edge users' closed-form NOMA-pair rates against the targets of
+    ``pw``. The energy-splitting check reports the worst per-element
+    deviation.
     """
-    if report.scenario != "noma-pair":
-        raise ValueError(
-            "constraint validation is defined for noma-pair reports")
-
     spent = pw.p_b1 + pw.p_b2 + pw.p_u1u + pw.p_u2u
     budget_margin = pw.P_t - spent
     power_budget = ConstraintCheck(budget_margin >= -tol * pw.P_t,
@@ -394,12 +381,13 @@ def validate_constraints(config: SystemConfig, ris: StarRisState,
     inputs = cf_rate_inputs(config, ris)
     gammas = noma_sinrs(inputs, pw, pw.V, config.sigma_sq,
                         config.sigma_b_sq)
+    edge_dl_rate = math.log2(1.0 + gammas["u2d"])
     cross = dl_sinr(inputs["u1d"], pw.p_b2, pw.p_b1, pw, config.sigma_sq)
-    order_margin = math.log2(1.0 + cross) - math.log2(1.0 + gammas["u2d"])
+    order_margin = math.log2(1.0 + cross) - edge_dl_rate
     decoding_order = ConstraintCheck(order_margin >= -tol, order_margin)
 
-    dl_margin = report.rate("u2d") - pw.R_dth
-    ul_margin = report.rate("u2u") - pw.R_uth
+    dl_margin = edge_dl_rate - pw.R_dth
+    ul_margin = math.log2(1.0 + gammas["u2u"]) - pw.R_uth
     edge_dl = ConstraintCheck(dl_margin >= -tol, dl_margin)
     edge_ul = ConstraintCheck(ul_margin >= -tol, ul_margin)
 
@@ -407,22 +395,9 @@ def validate_constraints(config: SystemConfig, ris: StarRisState,
     neg_dev = float(max(0.0, -np.min(ris.rho_t), -np.min(ris.rho_r)))
     es_margin = max(split_dev, neg_dev)
     energy_split = ConstraintCheck(es_margin <= tol, es_margin)
-    # Phases are stored as angles, so the applied coefficients have unit
-    # modulus identically; the check records that explicitly.
-    unit_modulus = ConstraintCheck(True, 0.0)
-
-    omas = oma_sinrs(inputs, pw, pw.V, config.sigma_sq, config.sigma_b_sq)
-    benefit = {}
-    for user in USERS:
-        threshold = math.sqrt(1.0 + omas[user]) - 1.0
-        benefit[user] = ConstraintCheck(
-            noma_beneficial(gammas[user], omas[user]),
-            gammas[user] - threshold)
 
     return ConstraintReport(power_budget=power_budget,
                             decoding_order=decoding_order,
                             edge_dl_target=edge_dl,
                             edge_ul_target=edge_ul,
-                            energy_split=energy_split,
-                            unit_modulus=unit_modulus,
-                            noma_benefit=benefit)
+                            energy_split=energy_split)

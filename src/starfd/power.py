@@ -8,12 +8,11 @@ module, so the CLI imports it for those specs alone.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from .channel import StarRisState
 from .config import SystemConfig
 from .exceptions import DegenerateGeometryError, InfeasibleError
-from .rates_cf import CfRateInputs, cf_rate_inputs
+from .rates_cf import CfRateInputs
 from .rates_mc import PowerConfig, noma_sinrs
 
 __all__ = ["sinr_threshold", "power_allocation_closed_form",
@@ -38,12 +37,14 @@ def sinr_threshold(rate: float, link: str) -> float:
             "threshold 2^R - 1 exceeds the float range") from None
 
 
-def power_allocation_closed_form(config: SystemConfig, ris: StarRisState,
-                                 cf: Optional[Dict[str, CfRateInputs]],
-                                 P_t: float, R_dth: float,
-                                 R_uth: float) -> PowerConfig:
+def power_allocation_closed_form(config: SystemConfig,
+                                 inputs: Dict[str, CfRateInputs]
+                                 ) -> PowerConfig:
     """Power split meeting the edge targets with equality, in closed form.
 
+    The budget ``P_t`` and the targets ``R_dth`` and ``R_uth`` come from
+    ``config``, which has checked their ranges; ``inputs`` are the
+    state's moment triples (:func:`starfd.rates_cf.cf_rate_inputs`).
     Targets are converted to linear SINR thresholds (2^R - 1). The edge
     UL power follows from the u2u target as an affine function of the
     total BS power; the two DL conditions (edge signal decoded at the
@@ -52,12 +53,7 @@ def power_allocation_closed_form(config: SystemConfig, ris: StarRisState,
     through the BS power, which a fixed-point pass resolves. Whatever
     budget remains goes to the center UL user.
     """
-    if not P_t > 0:
-        raise ValueError("total power budget must be positive")
-    if not R_dth >= 0 or not R_uth >= 0:
-        raise ValueError("target rates must be non-negative")
-    inputs = cf if cf is not None else cf_rate_inputs(config, ris)
-
+    P_t, R_dth, R_uth = config.P_t, config.R_dth, config.R_uth
     gamma_d = sinr_threshold(R_dth, "downlink")
     gamma_u = sinr_threshold(R_uth, "uplink")
     sigma_sq, sigma_b_sq = config.sigma_sq, config.sigma_b_sq
@@ -161,8 +157,11 @@ def power_allocation_closed_form(config: SystemConfig, ris: StarRisState,
 
 
 def tau_split_powers(config: SystemConfig, inputs: Dict[str, CfRateInputs],
-                     R_dth: float, R_uth: float) -> Tuple[PowerConfig, bool]:
+                     R_dth: float) -> Tuple[PowerConfig, bool]:
     """Fixed tau split whose BS share is divided to hit the DL target.
+
+    ``R_dth`` is one of the spec's downlink target cases; the uplink
+    target is the config's ``R_uth``.
 
     The edge-signal power p_b2 is the smallest value for which the edge
     user decodes its own signal at the DL target rate (the target is the
@@ -172,6 +171,7 @@ def tau_split_powers(config: SystemConfig, inputs: Dict[str, CfRateInputs],
     side keeps the configured split, so the UL target and the center
     user's decoding order only enter diagnostics, not the split rule.
     """
+    R_uth = config.R_uth
     p_b = config.tau * config.P_t
     p_u = (1.0 - config.tau) * config.P_t
     p_u1u = config.ul_split * p_u

@@ -19,8 +19,7 @@ from .config import SystemConfig
 from .geometry import (exp_pathloss_center_disk, exp_pathloss_edge_disk,
                        exp_pathloss_fixed_point_to_disk,
                        exp_pathloss_two_random_points, pathloss)
-from .rates_mc import (PowerConfig, RateReport, dl_sinr, noma_sinrs,
-                       scenario_rates, ul_sinr)
+from .rates_mc import PowerConfig, RateReport, noma_sinrs, scenario_rates
 from .record import Record
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "cf_rates_simplified",
     "cf_rates_bidirectional",
     "cf_sinrs",
-    "oma_sinrs",
 ]
 
 # Which surface side and Rician-factor pair feeds each LoS cascade term.
@@ -260,25 +258,6 @@ def cf_sinrs(config: SystemConfig, ris: StarRisState, pw: PowerConfig,
     """Closed-form (moment-ratio) SINRs of the four users."""
     inputs = cf_rate_inputs(config, ris, moments=moments)
     return noma_sinrs(inputs, pw, pw.V, config.sigma_sq, config.sigma_b_sq)
-
-
-def oma_sinrs(terms, pw: PowerConfig, si: float, sigma_sq: float,
-              sigma_b_sq: float) -> Dict[str, float]:
-    """Orthogonal-access reference SINRs for the NOMA-benefit check.
-
-    Takes the same terms as :func:`noma_sinrs`. Convention: each user is
-    served without its intra-pair partner — the DL user gets the whole BS
-    power with no SIC residual, the UL user keeps its own power without
-    the partner's interference. Cross-pair (full-duplex) interference and
-    the SI term ``si`` are unchanged.
-    """
-    s1, s2, loop = terms["u1u"]
-    return {
-        "u1d": dl_sinr(terms["u1d"], pw.P_b, 0.0, pw, sigma_sq),
-        "u2d": dl_sinr(terms["u2d"], pw.P_b, 0.0, pw, sigma_sq),
-        "u1u": ul_sinr(terms["u1u"], pw.p_u1u, 0.0, pw, si, sigma_b_sq),
-        "u2u": ul_sinr((s2, s1, loop), pw.p_u2u, 0.0, pw, si, sigma_b_sq),
-    }
 
 
 def cf_rates(config: SystemConfig, ris: StarRisState, pw: PowerConfig,

@@ -39,7 +39,6 @@ __all__ = [
     "binding_legs",
     "scenario_rates",
     "rate_weights",
-    "noma_beneficial",
     "ergodic_rate_mc",
 ]
 
@@ -338,12 +337,6 @@ def rate_weights(scenario: str, legs,
         return tuple(weights[u] for u in USERS)
     binding = binding_legs(legs)
     return tuple(float(k in binding) for k in range(len(legs)))
-
-
-def noma_beneficial(gamma_noma: float, gamma_oma: float) -> bool:
-    """True when the NOMA SINR strictly beats the OMA-equivalent threshold
-    sqrt(1 + gamma_oma) - 1."""
-    return gamma_noma > math.sqrt(1.0 + gamma_oma) - 1.0
 
 
 def _blocks(config: SystemConfig, ris: StarRisState, trials: int,

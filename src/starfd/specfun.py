@@ -15,41 +15,12 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import NumericError
-from .record import Record
 
 __all__ = [
-    "GAUSS_LEGENDRE_64",
-    "QuadratureRule",
+    "GL64_NODES",
+    "GL64_WEIGHTS",
     "integrate_adaptive",
 ]
-
-class QuadratureRule(Record):
-    """Nodes and weights of a quadrature rule on [-1, 1].
-
-    Invariants: weights are positive and sum to 2 (the measure of the
-    interval) within 1e-12; nodes are strictly increasing and symmetric
-    about zero.
-    """
-
-    __slots__ = ("nodes", "weights")
-
-    def __init__(self, nodes: np.ndarray, weights: np.ndarray) -> None:
-        self._assign(locals())
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise ValueError("nodes and weights must be 1-D and equal length")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
-            raise ValueError("quadrature nodes and weights must be finite")
-        if not np.all(weights > 0):
-            raise ValueError("quadrature weights must be positive")
-        if not abs(weights.sum() - 2.0) <= 1e-12:
-            raise ValueError("quadrature weights must sum to 2 on [-1, 1]")
-        if not np.all(np.diff(nodes) > 0):
-            raise ValueError("quadrature nodes must be strictly increasing")
-
 
 # The 64-node Gauss-Legendre rule (exact for degree <= 127), positive
 # half in increasing order; the rule is exactly mirror-symmetric. The
@@ -83,10 +54,10 @@ _GL64_WEIGHTS_HALF = (
     0.011168139460131028, 0.008846759826363397, 0.006504457968978502,
     0.004147033260564499, 0.00178328072169414,
 )
-GAUSS_LEGENDRE_64 = QuadratureRule(
-    nodes=np.concatenate([-np.array(_GL64_NODES_HALF[::-1]),
-                          _GL64_NODES_HALF]),
-    weights=np.concatenate([_GL64_WEIGHTS_HALF[::-1], _GL64_WEIGHTS_HALF]))
+# The whole rule on [-1, 1], nodes increasing.
+GL64_NODES = np.concatenate([-np.array(_GL64_NODES_HALF[::-1]),
+                             _GL64_NODES_HALF])
+GL64_WEIGHTS = np.concatenate([_GL64_WEIGHTS_HALF[::-1], _GL64_WEIGHTS_HALF])
 
 
 # 15-point Kronrod extension of the 7-point Gauss rule (positive half;

@@ -232,7 +232,7 @@ class TestPowerAllocation:
             inputs = cf_rate_inputs(config, state)
             try:
                 pa = power_allocation_closed_form(
-                    config, state, inputs, config.P_t, R_dth, R_uth)
+                    config.replace(R_dth=R_dth, R_uth=R_uth), inputs)
             except (InfeasibleError, DegenerateGeometryError):
                 continue
             cases.append((config, state, inputs, pa, R_dth, R_uth))

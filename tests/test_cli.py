@@ -289,10 +289,13 @@ class TestRunExperiment:
                                "estimator"]
         assert len(rows) == 1 + 3 * 2
         assert {r[3] for r in rows[1:]} <= {"true", "false"}
-        text = summary.read_text(encoding="utf-8")
-        assert text.count("argmax tau") == 2
-        for case in ("target_dl=3.0", "target_dl=1.0"):
-            assert case in text
+        # One line per target; no split on this cell meets 3 bits/s/Hz.
+        lines = summary.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == ("design=aligned target_dl=3.0 estimator=cf: "
+                            "no feasible tau")
+        assert lines[1].startswith("design=aligned target_dl=1.0 "
+                                   "estimator=cf: argmax tau = ")
+        assert len(lines) == 2
 
     def test_single_point_grid_is_its_own_argmax(self, tmp_path):
         spec = make_spec("""
@@ -302,6 +305,26 @@ class TestRunExperiment:
         """, output=str(tmp_path / "one.csv"))
         _, _, summary = run_experiment(spec)
         assert "argmax tau = 0.4" in summary.read_text(encoding="utf-8")
+
+    def test_tau_summary_ranks_only_feasible_splits(self, tmp_path):
+        # At a 7 bits/s/Hz DL target the largest sum rate sits at an
+        # infeasible split, and no split meets 9 bits/s/Hz.
+        text = preset_text("power-split-sweep").replace(
+            "dl_target_cases = 6, 3", "dl_target_cases = 7, 9")
+        spec = make_spec(text, output=str(tmp_path / "tau.csv"))
+        out, _, summary = run_experiment(spec)
+        with open(out, encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        feasible = [r for r in rows
+                    if r["target_dl"] == "7.0" and r["feasible"] == "true"]
+        best = max(feasible, key=lambda r: float(r["sum"]))
+        assert max(rows, key=lambda r: float(r["sum"]))["feasible"] == "false"
+        assert not any(r["feasible"] == "true" for r in rows
+                       if r["target_dl"] == "9.0")
+        assert summary.read_text(encoding="utf-8").splitlines() == [
+            f"design=aligned target_dl=7.0 estimator=cf: argmax tau = "
+            f"{best['tau']} (sum rate {best['sum']} bits/s/Hz)",
+            "design=aligned target_dl=9.0 estimator=cf: no feasible tau"]
 
     def test_closed_form_rows_meet_targets(self, tmp_path):
         spec = make_spec("""

@@ -42,9 +42,11 @@ class TestSystemConfig:
             make_config(n_elements=0)
         with pytest.raises(ValueError):
             make_config(R_dth=-1.0)
+        with pytest.raises(ValueError, match="budget must be positive"):
+            make_config(P_t=0.0)
         # NaN fails every comparison, so each range check must reject it.
         for field in ("kappa_br", "kappa_u2d", "weight_u1d", "beta",
-                      "si_lambda", "R_dth", "R_uth"):
+                      "si_lambda", "R_dth", "R_uth", "P_t"):
             with pytest.raises(ValueError):
                 make_config(**{field: math.nan})
 

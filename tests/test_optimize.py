@@ -9,7 +9,8 @@ from conftest import BASELINE_ANGLES, make_config
 from starfd.channel import StarRisState
 from starfd.config import CellGeometry, GeometryAngles
 from starfd.exceptions import DegenerateGeometryError, InfeasibleError
-from starfd.optimize import (ConstraintReport, OptimizationResult,
+from starfd.optimize import (ConstraintCheck, ConstraintReport,
+                             OptimizationResult,
                              _make_objective,
                              aligned_state, pgam,
                              project_amplitudes, project_phases,
@@ -271,16 +272,15 @@ class TestAnalyticGradient:
             result = pgam(config, PowerConfig.from_config(config), init,
                           eps=1e-15, L=5, scenario=scenario)
             assert result.iterations == 5
-            # The first call is the initial objective value, the last the
-            # report that the constraint check reads.
-            per_iteration[n] = (len(calls) - 2) / result.iterations
+            # The first call is the initial objective value; the
+            # constraint check scores the final state without cf_rates.
+            per_iteration[n] = (len(calls) - 1) / result.iterations
         assert per_iteration[64] == per_iteration[4]
 
     def test_accepted_state_moments_assembled_once(self, monkeypatch):
         # Each state's moments are built when it is evaluated, and the
         # next gradient reuses them: one assembly for the initial state,
-        # one per iteration, and two for the final cf_rates and
-        # validate_constraints.
+        # one per iteration, and one for validate_constraints.
         import starfd.optimize as optimize
         import starfd.rates_cf as rates_cf
         calls = []
@@ -295,7 +295,7 @@ class TestAnalyticGradient:
                       aligned_state(config, 0.5), eps=1e-15, L=5)
         assert result.iterations == 5
         assert result.trace.size == 6
-        assert len(calls) == 1 + 5 + 2
+        assert len(calls) == 1 + 5 + 1
 
 
 class TestPgam:
@@ -306,7 +306,6 @@ class TestPgam:
         result = pgam(config, pw, init, L=40)
         assert np.all(np.diff(result.trace) >= -1e-12)
         assert result.constraints.energy_split.ok
-        assert result.constraints.unit_modulus.ok
         assert result.iterations == result.trace.size - 1
 
     def test_ascent_beats_initial_and_aligned(self):
@@ -381,8 +380,9 @@ class TestPowerAllocation:
         self.state = aligned_state(self.config, rho_t=0.5)
 
     def test_targets_reproduced_exactly(self):
-        pa = power_allocation_closed_form(self.config, self.state, None,
-                                          10_000.0, 0.5, 0.1)
+        pa = power_allocation_closed_form(
+            self.config.replace(P_t=10_000.0, R_dth=0.5, R_uth=0.1),
+            cf_rate_inputs(self.config, self.state))
         report = cf_rates(self.config, self.state, pa)
         assert_allclose(report.rate("u2d"), 0.5, rtol=1e-9)
         assert_allclose(report.rate("u2u"), 0.1, rtol=1e-9)
@@ -394,8 +394,9 @@ class TestPowerAllocation:
     def test_si_fixed_point(self):
         config = compact_config(beta=1e-4, si_lambda=0.9, Xi=0.02)
         state = aligned_state(config, rho_t=0.5)
-        pa = power_allocation_closed_form(config, state, None, 10_000.0,
-                                          1.0, 0.5)
+        pa = power_allocation_closed_form(
+            config.replace(P_t=10_000.0, R_dth=1.0, R_uth=0.5),
+            cf_rate_inputs(config, state))
         assert_allclose(cf_rates(config, state, pa).rate("u2u"), 0.5,
                         rtol=1e-9)
         assert_allclose(pa.V, 1e-4 * pa.P_b ** 0.9, rtol=1e-12)
@@ -405,8 +406,8 @@ class TestPowerAllocation:
         state = aligned_state(config, rho_t=0.5)
         inputs = cf_rate_inputs(config, state)
         P_t, R_dth, R_uth = 10_000.0, 1.0, 0.5
-        pa = power_allocation_closed_form(config, state, inputs, P_t,
-                                          R_dth, R_uth)
+        pa = power_allocation_closed_form(
+            config.replace(P_t=P_t, R_dth=R_dth, R_uth=R_uth), inputs)
         gd, gu = 2.0 ** R_dth - 1.0, 2.0 ** R_uth - 1.0
 
         def system(p):
@@ -430,14 +431,16 @@ class TestPowerAllocation:
         assert_allclose([pa.p_b1, pa.p_b2, pa.p_u2u], sol.x, rtol=1e-8)
 
     def test_zero_targets(self):
-        pa = power_allocation_closed_form(self.config, self.state, None,
-                                          5000.0, 0.0, 0.0)
+        pa = power_allocation_closed_form(
+            self.config.replace(P_t=5000.0, R_dth=0.0, R_uth=0.0),
+            cf_rate_inputs(self.config, self.state))
         assert pa.p_b1 == 0.0 and pa.p_b2 == 0.0 and pa.p_u2u == 0.0
         assert_allclose(pa.p_u1u, 5000.0)
 
     def test_zero_dl_target_keeps_ul_target(self):
-        pa = power_allocation_closed_form(self.config, self.state, None,
-                                          5000.0, 0.0, 0.2)
+        pa = power_allocation_closed_form(
+            self.config.replace(P_t=5000.0, R_dth=0.0, R_uth=0.2),
+            cf_rate_inputs(self.config, self.state))
         assert pa.p_b1 == 0.0 and pa.p_b2 == 0.0
         assert_allclose(cf_rates(self.config, self.state, pa).rate("u2u"),
                         0.2, rtol=1e-9)
@@ -452,8 +455,9 @@ class TestPowerAllocation:
             config = make_config(Xi=0.1, beta=beta, si_lambda=si_lambda)
             state = aligned_state(config, rho_t=0.5)
             with pytest.raises(InfeasibleError, match="self-interference"):
-                power_allocation_closed_form(config, state, None,
-                                             config.P_t, 0.2, 0.1)
+                power_allocation_closed_form(
+                    config.replace(R_dth=0.2, R_uth=0.1),
+                    cf_rate_inputs(config, state))
 
     def test_infeasible_targets_are_named(self):
         # The wide baseline cell cannot reconcile the two DL decoding
@@ -461,14 +465,16 @@ class TestPowerAllocation:
         config = make_config()
         state = aligned_state(config, rho_t=0.5)
         with pytest.raises(InfeasibleError, match="infeasible"):
-            power_allocation_closed_form(config, state, None, 1000.0,
-                                         0.5, 0.05)
+            power_allocation_closed_form(
+                config.replace(P_t=1000.0, R_dth=0.5, R_uth=0.05),
+                cf_rate_inputs(config, state))
 
     def test_dark_transmit_side_unreachable_ul(self):
         state = StarRisState.uniform(self.config.n_elements, rho_t=0.0)
         with pytest.raises(InfeasibleError, match="uplink target"):
-            power_allocation_closed_form(self.config, state, None,
-                                         1000.0, 0.0, 0.1)
+            power_allocation_closed_form(
+                self.config.replace(P_t=1000.0, R_dth=0.0, R_uth=0.1),
+                cf_rate_inputs(self.config, state))
 
     def test_degenerate_rows(self):
         # Identical center and edge moment rows make the DL split
@@ -479,25 +485,8 @@ class TestPowerAllocation:
               "u2u": CfRateInputs(x1=1e-4, y1=1e-3, y2=1e-6)}
         with pytest.raises(DegenerateGeometryError,
                            match="linearly dependent"):
-            power_allocation_closed_form(self.config, self.state, cf,
-                                         1000.0, 0.5, 0.1)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError, match="positive"):
-            power_allocation_closed_form(self.config, self.state, None,
-                                         0.0, 0.5, 0.1)
-        with pytest.raises(ValueError, match="non-negative"):
-            power_allocation_closed_form(self.config, self.state, None,
-                                         1000.0, -0.5, 0.1)
-        # NaN fails every comparison, so the checks are written to reject
-        # it rather than let it reach the SI fixed point.
-        with pytest.raises(ValueError, match="positive"):
-            power_allocation_closed_form(self.config, self.state, None,
-                                         math.nan, 0.5, 0.1)
-        for targets in ((math.nan, 0.1), (0.5, math.nan)):
-            with pytest.raises(ValueError, match="non-negative"):
-                power_allocation_closed_form(self.config, self.state, None,
-                                             1000.0, *targets)
+            power_allocation_closed_form(
+                self.config.replace(P_t=1000.0, R_dth=0.5, R_uth=0.1), cf)
 
 
 class TestValidateConstraints:
@@ -508,8 +497,7 @@ class TestValidateConstraints:
     def test_underspending_budget_ok(self):
         pw = PowerConfig(P_t=1000.0, p_b1=0.0, p_b2=0.0, p_u1u=0.0,
                          p_u2u=0.0, R_dth=0.5, R_uth=0.1)
-        report = cf_rates(self.config, self.state, pw)
-        check = validate_constraints(self.config, self.state, pw, report)
+        check = validate_constraints(self.config, self.state, pw)
         assert check.power_budget.ok
         assert_allclose(check.power_budget.margin, 1000.0)
         # Zero power cannot meet positive targets.
@@ -522,37 +510,56 @@ class TestValidateConstraints:
                            phi_t=np.zeros(n), phi_r=np.zeros(n),
                            validate=False)
         pw = PowerConfig.from_config(self.config)
-        report = cf_rates(self.config, bad, pw)
-        check = validate_constraints(self.config, bad, pw, report)
+        check = validate_constraints(self.config, bad, pw)
         assert not check.energy_split.ok
         assert_allclose(check.energy_split.margin, 0.1, rtol=1e-12)
         assert not check.all_ok
 
     def test_allocator_output_passes(self):
-        pa = power_allocation_closed_form(self.config, self.state, None,
-                                          10_000.0, 0.5, 0.1)
-        report = cf_rates(self.config, self.state, pa)
-        check = validate_constraints(self.config, self.state, pa, report)
+        pa = power_allocation_closed_form(
+            self.config.replace(P_t=10_000.0, R_dth=0.5, R_uth=0.1),
+            cf_rate_inputs(self.config, self.state))
+        check = validate_constraints(self.config, self.state, pa)
         assert check.power_budget.ok
         assert check.decoding_order.margin >= -1e-9
         assert check.edge_dl_target.margin >= -1e-9
         assert check.edge_ul_target.margin >= -1e-9
         assert check.all_ok
 
-    def test_benefit_margins_are_diagnostic_only(self):
+    def test_all_ok_is_the_conjunction_of_the_five_checks(self):
+        assert ConstraintReport.__slots__ == (
+            "power_budget", "decoding_order", "edge_dl_target",
+            "edge_ul_target", "energy_split")
+        ok, failed = ConstraintCheck(True, 0.0), ConstraintCheck(False, -1.0)
+        assert ConstraintReport(*[ok] * 5).all_ok
+        for k in range(5):
+            checks = [ok] * 5
+            checks[k] = failed
+            assert not ConstraintReport(*checks).all_ok
         pw = PowerConfig.from_config(self.config)
-        report = cf_rates(self.config, self.state, pw)
-        check = validate_constraints(self.config, self.state, pw, report)
-        assert set(check.noma_benefit) == {"u1d", "u2d", "u1u", "u2u"}
-        # all_ok ignores the benefit diagnostics by design.
+        check = validate_constraints(self.config, self.state, pw)
         assert check.all_ok == all(
             c.ok for c in (check.power_budget, check.decoding_order,
                            check.edge_dl_target, check.edge_ul_target,
-                           check.energy_split, check.unit_modulus))
+                           check.energy_split))
+
+    def test_edge_margins_are_the_closed_form_rates(self):
+        # Imperfect SIC and residual SI both enter the edge rates; the
+        # margins must be the cf_rates report's, bit for bit.
+        config = compact_config(Xi=0.05, beta=1e-4, si_lambda=0.9,
+                                R_dth=0.5, R_uth=0.1)
+        pw = PowerConfig.from_config(config)
+        assert pw.V > 0
+        for seed in range(3):
+            state = StarRisState.random_phases(
+                config.n_elements, 0.4, np.random.default_rng(seed))
+            check = validate_constraints(config, state, pw)
+            report = cf_rates(config, state, pw)
+            assert check.edge_dl_target.margin == report.rate("u2d") - 0.5
+            assert check.edge_ul_target.margin == report.rate("u2u") - 0.1
 
     def test_moments_assembled_once(self, monkeypatch):
         pw = PowerConfig.from_config(self.config)
-        report = cf_rates(self.config, self.state, pw)
         calls = []
 
         def counting(config, ris):
@@ -560,13 +567,5 @@ class TestValidateConstraints:
             return compute_moments(config, ris)
 
         monkeypatch.setattr("starfd.rates_cf.compute_moments", counting)
-        validate_constraints(self.config, self.state, pw, report)
+        validate_constraints(self.config, self.state, pw)
         assert len(calls) == 1
-
-    def test_bidirectional_report_rejected(self):
-        pw = PowerConfig.from_config(self.config)
-        from starfd.rates_mc import RateReport
-        report = RateReport.of("bidirectional", (0.5, 0.6, 0.4, 0.7), {},
-                               "cf")
-        with pytest.raises(ValueError, match="noma-pair"):
-            validate_constraints(self.config, self.state, pw, report)

@@ -12,7 +12,7 @@ from starfd.geometry import (exp_pathloss_center_disk,
                              exp_pathloss_two_random_points, pathloss)
 from starfd.rates_cf import (CfRateInputs, cf_rate_inputs, cf_rates,
                              cf_rates_bidirectional, cf_rates_simplified,
-                             cf_sinrs, compute_moments, oma_sinrs)
+                             cf_sinrs, compute_moments)
 from starfd.rates_mc import (PowerConfig, dl_sinr, ergodic_rate_mc,
                              noma_sinrs)
 
@@ -211,6 +211,7 @@ class TestClosedFormRates:
         sinrs = noma_sinrs(cf_rate_inputs(self.config, self.ris), self.pw,
                            self.pw.V, self.config.sigma_sq,
                            self.config.sigma_b_sq)
+        assert cf_sinrs(self.config, self.ris, self.pw) == sinrs
         for user in USERS:
             assert report.rate(user) == math.log2(1.0 + sinrs[user])
 
@@ -260,22 +261,6 @@ class TestClosedFormRates:
                                         self.pw, self.config.sigma_sq))
         edge = cf_rates(self.config, self.ris, self.pw).rate("u2d")
         assert cross > edge
-
-    def test_oma_reference(self):
-        # Full BS power and no partner interference: the OMA SINR beats
-        # the NOMA SINR for every user. Xi > 0 so the edge UL comparison
-        # is strict too (with perfect SIC the two coincide there).
-        pw = baseline_power(Xi=0.1)
-        inputs = cf_rate_inputs(self.config, self.ris)
-        gammas = cf_sinrs(self.config, self.ris, pw)
-        omas = oma_sinrs(inputs, pw, pw.V, self.config.sigma_sq,
-                         self.config.sigma_b_sq)
-        for user in USERS:
-            assert omas[user] > gammas[user]
-        # Perfect SIC: the edge UL user sees no partner term either way.
-        assert (oma_sinrs(inputs, self.pw, self.pw.V, self.config.sigma_sq,
-                          self.config.sigma_b_sq)["u2u"]
-                == cf_sinrs(self.config, self.ris, self.pw)["u2u"])
 
     def test_edge_rates_agree_with_monte_carlo(self):
         # Structural agreement with the simulated ergodic rate at an

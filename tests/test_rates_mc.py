@@ -9,8 +9,8 @@ from conftest import make_config, scalar_terms, star_cascade, trial_channels
 from starfd.channel import StarRisState
 from starfd.rates_mc import (_BLOCK, PowerConfig, RateReport, _block_si,
                              _block_terms, _blocks, dl_sinr,
-                             binding_legs, ergodic_rate_mc,
-                             noma_beneficial, noma_sinrs, relay_leg_rates)
+                             binding_legs, ergodic_rate_mc, noma_sinrs,
+                             relay_leg_rates)
 
 USERS = ("u1d", "u2d", "u1u", "u2u")
 
@@ -314,15 +314,6 @@ class TestSinrOps:
         assert binding_legs((1.0, 1.0, 2.0, 2.0)) == (1, 3)
         assert binding_legs((0.5, 1.0, 3.0, 2.0)) == (0, 3)
         assert binding_legs((1.0, 0.5, 2.0, 3.0)) == (1, 2)
-
-
-class TestNomaBeneficial:
-    def test_strict_boundary(self):
-        # gamma_oma = 3 puts the threshold exactly at 1.
-        assert not noma_beneficial(1.0, 3.0)
-        assert noma_beneficial(1.0 + 1e-12, 3.0)
-        assert noma_beneficial(0.1, 0.0)
-        assert not noma_beneficial(0.0, 0.0)
 
 
 class TestErgodicRateMc:

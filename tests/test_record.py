@@ -7,7 +7,6 @@ import pickle
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
 from conftest import BASELINE_ANGLES, make_config
 from starfd.channel import (ChannelBlock, StarRisState, _los_vectors,
@@ -21,7 +20,6 @@ from starfd.rates_cf import (CfRateInputs, MomentSet, cf_rate_inputs,
                              cf_rates, compute_moments)
 from starfd.rates_mc import PowerConfig, RateReport
 from starfd.record import Frozen
-from starfd.specfun import QuadratureRule
 
 
 def _records():
@@ -39,8 +37,6 @@ def _records():
         ChannelBlock: (block, None),
         SystemConfig: (config, ("tau", 2.0)),
         CellGeometry: (config.geometry, ("m", 2.0)),
-        QuadratureRule: (QuadratureRule(*leggauss(3)),
-                         ("weights", [1.0, 1.0, 1.0])),
         PowerConfig: (pw, ("Xi", 2.0)),
         RateReport: (cf_rates(config, ris, pw), ("estimator", "guess")),
         MomentSet: (compute_moments(config, ris), None),

@@ -5,45 +5,35 @@ import pytest
 from numpy.testing import assert_allclose
 
 from starfd.exceptions import NumericError
-from starfd.specfun import (GAUSS_LEGENDRE_64, QuadratureRule,
-                            integrate_adaptive)
+from starfd.specfun import GL64_NODES, GL64_WEIGHTS, integrate_adaptive
 
 
 class TestGaussLegendre:
     # The package ships one rule, the 64-node table; numpy's leggauss is
     # its oracle and the source of rules of any other order.
-    rule = GAUSS_LEGENDRE_64
 
     def test_polynomial_exactness_degree_2n_minus_1(self):
         # n-node Gauss-Legendre integrates x^k exactly for k <= 2n - 1.
-        assert len(self.rule.nodes) == 64
+        assert len(GL64_NODES) == 64
         for k in range(128):
             exact = 0.0 if k % 2 else 2.0 / (k + 1)
-            got = float(np.sum(self.rule.weights * self.rule.nodes ** k))
+            got = float(np.sum(GL64_WEIGHTS * GL64_NODES ** k))
             assert abs(got - exact) < 1e-13, k
 
     def test_exponential_integral(self):
-        got = float(np.sum(self.rule.weights * np.exp(self.rule.nodes)))
+        got = float(np.sum(GL64_WEIGHTS * np.exp(GL64_NODES)))
         assert_allclose(got, math.e - 1.0 / math.e, rtol=1e-13)
 
     def test_weights_sum_and_symmetry(self):
         # The table stores the positive half; the mirror is exact.
-        assert abs(self.rule.weights.sum() - 2.0) < 1e-12
-        assert np.array_equal(self.rule.nodes, -self.rule.nodes[::-1])
-        assert np.array_equal(self.rule.weights, self.rule.weights[::-1])
-
-    def test_invalid_rule_rejected(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=np.array([0.0, 0.5]),
-                           weights=np.array([1.0, 0.5]))
-        with pytest.raises(ValueError, match="finite"):
-            QuadratureRule(nodes=[math.nan], weights=[math.nan])
-        with pytest.raises(ValueError, match="finite"):
-            QuadratureRule(nodes=[math.nan], weights=[2.0])
-        with pytest.raises(ValueError, match="positive"):
-            QuadratureRule(nodes=[-0.5, 0.5], weights=[3.0, -1.0])
-        with pytest.raises(ValueError, match="increasing"):
-            QuadratureRule(nodes=[0.5, -0.5], weights=[1.0, 1.0])
+        assert GL64_NODES.shape == GL64_WEIGHTS.shape == (64,)
+        assert GL64_NODES.dtype == GL64_WEIGHTS.dtype == np.float64
+        assert np.all(np.isfinite(GL64_NODES))
+        assert np.all(GL64_WEIGHTS > 0)
+        assert np.all(np.diff(GL64_NODES) > 0)
+        assert abs(GL64_WEIGHTS.sum() - 2.0) < 1e-12
+        assert np.array_equal(GL64_NODES, -GL64_NODES[::-1])
+        assert np.array_equal(GL64_WEIGHTS, GL64_WEIGHTS[::-1])
 
     def test_matches_numpy_leggauss(self):
         # Not bit for bit: leggauss's bits depend on the LAPACK build,
@@ -51,8 +41,8 @@ class TestGaussLegendre:
         # another.
         from numpy.polynomial.legendre import leggauss
         nodes, weights = leggauss(64)
-        assert_allclose(self.rule.nodes, nodes, rtol=0, atol=1e-15)
-        assert_allclose(self.rule.weights, weights, rtol=1e-10)
+        assert_allclose(GL64_NODES, nodes, rtol=0, atol=1e-15)
+        assert_allclose(GL64_WEIGHTS, weights, rtol=1e-10)
 
 
 class TestIntegrateAdaptive:
