@@ -488,6 +488,26 @@ class TestPowerAllocation:
             power_allocation_closed_form(
                 self.config.replace(P_t=1000.0, R_dth=0.5, R_uth=0.1), cf)
 
+    def test_invalid_arguments(self):
+        # The allocator reads its budget and targets from the config, so
+        # an invalid budget or target is refused before it can be passed.
+        with pytest.raises(ValueError, match="positive"):
+            self.config.replace(P_t=0.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            self.config.replace(R_dth=-0.5)
+        # NaN fails every comparison, so the checks are written to reject
+        # it rather than let it reach the SI fixed point.
+        with pytest.raises(ValueError, match="positive"):
+            self.config.replace(P_t=math.nan)
+        for targets in ((math.nan, 0.1), (0.5, math.nan)):
+            with pytest.raises(ValueError, match="non-negative"):
+                self.config.replace(R_dth=targets[0], R_uth=targets[1])
+        # Budget and targets are no longer separate arguments.
+        inputs = cf_rate_inputs(self.config, self.state)
+        with pytest.raises(TypeError):
+            power_allocation_closed_form(self.config, inputs,
+                                         1000.0, 0.5, 0.1)
+
 
 class TestValidateConstraints:
     def setup_method(self):
