@@ -50,6 +50,7 @@ _RUN_NAMES = {
     "cf_rate_inputs": (".rates_cf", "cf_rate_inputs"),
     "cf_rates": (".rates_cf", "cf_rates"),
     "PowerConfig": (".rates_mc", "PowerConfig"),
+    "draw_key": (".rates_mc", "draw_key"),
     "ergodic_rate_mc": (".rates_mc", "ergodic_rate_mc"),
 }
 
@@ -378,21 +379,21 @@ def _config_for_point(spec: ExperimentSpec, value: float) -> SystemConfig:
 
 
 def _design_state(spec: ExperimentSpec, config: SystemConfig,
-                  pw0: PowerConfig, point: int, design_index: int,
+                  pw: PowerConfig, point: int, design_index: int,
                   aligned: Optional[StarRisState] = None) -> StarRisState:
     """One design's surface state at a grid point. ``aligned`` is the
     point's aligned state, built here when not given: the aligned design
-    returns it and PGAM starts from it."""
+    returns it and PGAM starts from it, tuning the surface for ``pw``."""
     design = spec.designs[design_index]
     if design == "random":
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=spec.seed, spawn_key=(point, design_index, 1)))
         return StarRisState.random_phases(config.n_elements, 0.5, rng)
     if aligned is None:
-        aligned = aligned_state(config, 0.5, pw0, spec.scenario)
+        aligned = aligned_state(config, 0.5, pw, spec.scenario)
     if design == "aligned":
         return aligned
-    result = pgam(config, pw0, aligned, mu=spec.pgam_mu,
+    result = pgam(config, pw, aligned, mu=spec.pgam_mu,
                   alpha_scale=spec.pgam_alpha_scale, eps=spec.pgam_eps,
                   L=spec.pgam_iters, scenario=spec.scenario)
     return result.state
@@ -418,15 +419,9 @@ def _report_cells(report: RateReport) -> List[str]:
             + [_fmt(stderr[n]) if stderr else "" for n in report.rates])
 
 
-# An MC cell: its CSV row, still without the rates, and what scores it.
-_McCell = Tuple[List[str], SystemConfig, "StarRisState", "PowerConfig"]
-
-# The config fields the Monte-Carlo draw, kernel and report read outside
-# the powers. Cells that agree on them are scored on the same blocks.
-_DRAW_SHAPE = ("geometry", "n_elements", "angles", "kappa_br", "kappa_u1d",
-               "kappa_u2d", "kappa_u1u", "kappa_u2u", "sigma_sq",
-               "sigma_b_sq", "weight_u1d", "weight_u2d", "weight_u1u",
-               "weight_u2u")
+# An MC cell: its CSV row, still without the rates, and the (config,
+# state, powers) triple that scores it.
+_McCell = Tuple[List[str], tuple]
 
 
 def _point_rows(spec: ExperimentSpec, point: int, value: float
@@ -449,13 +444,19 @@ def _point_rows(spec: ExperimentSpec, point: int, value: float
     pw0 = PowerConfig.from_config(config)
     aligned = (aligned_state(config, 0.5, pw0, spec.scenario)
                if set(spec.designs) - {"random"} else None)
+    # PGAM tunes the surface for the allocation at the aligned state under
+    # closed-form (its row allocates again at PGAM's state).
+    pw_pgam = pw0
+    if spec.power_scheme == "closed-form" and "pgam" in spec.designs:
+        pw_pgam = power_allocation_closed_form(
+            config, cf_rate_inputs(config, aligned))
     # The state's moments feed both the power allocation and the cf rows;
     # a fixed-power MC-only spec needs neither.
     needs_moments = spec.power_scheme != "fixed" or "cf" in spec.estimators
     rows: List[List[str]] = []
     mc_cells: List[_McCell] = []
     for j, design in enumerate(spec.designs):
-        state = _design_state(spec, config, pw0, point, j, aligned)
+        state = _design_state(spec, config, pw_pgam, point, j, aligned)
         if needs_moments:
             moments = rates_cf.compute_moments(config, state)
         if spec.power_scheme != "fixed":
@@ -477,7 +478,7 @@ def _point_rows(spec: ExperimentSpec, point: int, value: float
                     row += _report_cells(cf_rates(config, state, pw,
                                                   spec.scenario, moments))
                 else:
-                    mc_cells.append((row, config, state, pw))
+                    mc_cells.append((row, (config, state, pw)))
                 rows.append(row)
     return rows, mc_cells
 
@@ -489,18 +490,16 @@ def _all_rows(spec: ExperimentSpec, map_) -> List[List[str]]:
                           spec.grid))
     groups: Dict[tuple, List[_McCell]] = {}
     for _, cells in per_point:
-        for cell in cells:
-            shape = tuple(getattr(cell[1], name) for name in _DRAW_SHAPE)
-            groups.setdefault(shape, []).append(cell)
+        for row, cell in cells:
+            groups.setdefault(draw_key(cell[0]), []).append((row, cell))
 
     def score(cells: List[_McCell]) -> List[RateReport]:
         # One stream keyed by the spec's seed scores the whole group.
-        return ergodic_rate_mc(cells[0][1],
-                               [(state, pw) for _, _, state, pw in cells],
-                               spec.trials, spec.seed, spec.scenario)
+        return ergodic_rate_mc([cell for _, cell in cells], spec.trials,
+                               spec.seed, spec.scenario)
 
     for cells, reports in zip(groups.values(), map_(score, groups.values())):
-        for (row, _, _, _), report in zip(cells, reports):
+        for (row, _), report in zip(cells, reports):
             row += _report_cells(report)
     return [row for rows, _ in per_point for row in rows]
 
@@ -546,13 +545,13 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1
 
     Two stages run under ``jobs`` workers. First the grid points build
     their configs, design states, powers and closed-form rows
-    concurrently. Then the MC cells are grouped by draw shape
-    (:data:`_DRAW_SHAPE`) and the groups are scored concurrently, each on
-    one stream keyed by the spec's seed, so the cells of a group share
-    their channel draws. Rows are buffered and written in grid order and
-    all randomness is derived from the seed, the grid position and the
-    block index, so the CSV is identical at any parallelism level.
-    Nothing is written until every point succeeded.
+    concurrently. Then the MC cells are grouped by the config fields the
+    draw reads (:func:`starfd.rates_mc.draw_key`) and the groups are
+    scored concurrently, each on one stream keyed by the spec's seed, so
+    the cells of a group share their channel draws. Rows are buffered and
+    written in grid order and all randomness is derived from the seed, the
+    grid position and the block index, so the CSV is identical at any
+    parallelism level. Nothing is written until every point succeeded.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")

@@ -43,11 +43,6 @@ class CellGeometry(Record):
         if not self.m > 2:
             raise ValueError("path-loss exponent must exceed 2")
 
-    @property
-    def r1(self) -> float:
-        """Clearance between the surface and the center-disk rim."""
-        return self.d_br - self.R
-
 
 class GeometryAngles(Record):
     """Azimuth/elevation per surface link plus the element spacing ratio.
@@ -96,18 +91,19 @@ def validate_splits(tau: float, alpha1: float, alpha2: float,
 
 
 class SystemConfig(Record):
-    """Scenario parameters: geometry, fading, noise, weights, power defaults.
+    """Scenario parameters: geometry, fading, noise, weights, the SIC and
+    self-interference constants, the edge targets and the power defaults.
 
-    The power-related fields (``P_t``, ``tau``, ``alpha1``/``alpha2``,
-    ``ul_split``, SIC and self-interference constants, target rates) are the
-    scenario defaults from which an operative power configuration is built;
-    rate functions read powers from the power object they are handed, not
-    from here.
+    The split fields (``P_t``, ``tau``, ``alpha1``/``alpha2``,
+    ``ul_split``) are the defaults from which an operative power
+    configuration is built; rate functions read the powers from the power
+    object they are handed, and the cell's constants (``Xi``, ``beta``,
+    ``si_lambda``, ``R_dth``, ``R_uth``) from here.
 
     Conventions: ``tau`` is the downlink share of the budget (P_b = tau*P_t,
     P_u = (1-tau)*P_t), ``ul_split`` the share of P_u given to the center
     uplink user, and ``si_lambda`` the exponent of the residual
-    self-interference variance V = beta * P_b**si_lambda.
+    self-interference variance (:meth:`si_variance`).
     """
 
     __slots__ = ("geometry", "n_elements", "angles", "kappa_br", "kappa_u1d",
@@ -161,7 +157,9 @@ class SystemConfig(Record):
     def weights(self) -> dict:
         return {user: getattr(self, f"weight_{user}") for user in USERS}
 
-    @property
-    def snr_db(self) -> float:
-        """Transmit SNR P_t / sigma_sq in dB."""
-        return 10.0 * math.log10(self.P_t / self.sigma_sq)
+    def si_variance(self, P_b: float) -> float:
+        """Residual self-interference variance beta * P_b**si_lambda at the
+        BS power ``P_b``; 0 when ``beta`` is."""
+        if self.beta == 0.0:
+            return 0.0
+        return self.beta * P_b ** self.si_lambda

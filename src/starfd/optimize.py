@@ -78,13 +78,13 @@ class ConstraintReport(Record):
 
 
 class OptimizationResult(Record):
-    """Outcome of one ascent run."""
+    """Outcome of one ascent run; a bidirectional run has no constraints."""
 
     __slots__ = ("state", "pw", "trace", "reason", "constraints")
 
     def __init__(self, state: StarRisState, pw: PowerConfig,
                  trace: np.ndarray, reason: str,
-                 constraints: ConstraintReport) -> None:
+                 constraints: Optional[ConstraintReport]) -> None:
         self._assign(locals())
         if self.reason not in ("converged", "max-iters"):
             raise ValueError(f"unknown termination reason {self.reason!r}")
@@ -199,8 +199,7 @@ def suboptimal_phases_bidirectional(config: SystemConfig, pw: PowerConfig,
 
     def branches(phi_t: np.ndarray, phi_r: np.ndarray):
         state = StarRisState(phi_t=phi_t, phi_r=phi_r, **rho_kwargs)
-        return relay_branches(cf_rate_inputs(config, state), pw,
-                              config.sigma_sq)
+        return relay_branches(cf_rate_inputs(config, state), config, pw)
 
     zero = np.zeros(n)
 
@@ -262,9 +261,10 @@ def _make_objective(config: SystemConfig, pw: PowerConfig,
     assembled; ``gradient(state, moments)`` takes the state's moments
     back, so an accepted state's moments are assembled once.
     """
+    si = config.si_variance(pw.P_b)
+
     def rates(terms):
-        return scenario_rates(terms, pw, pw.V, config.sigma_sq,
-                              config.sigma_b_sq, scenario)
+        return scenario_rates(terms, config, pw, si, scenario)
 
     def evaluate(state: StarRisState) -> Tuple[float, MomentSet]:
         moments = compute_moments(config, state)
@@ -318,7 +318,8 @@ def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
     the candidate.
     The step size halves whenever a step would lower the objective, which
     guarantees a monotone trace; the run stops once a step gains less
-    than ``eps``, or when no step down to 1e-12 gains at all.
+    than ``eps``, or when no step down to 1e-12 gains at all. The
+    constraints are the NOMA pair's, so a bidirectional run reports none.
     """
     if not mu > 0 or not eps > 0 or L < 1:
         raise ValueError("need mu > 0, eps > 0 and L >= 1")
@@ -354,7 +355,8 @@ def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
             reason = "converged"
             break
 
-    report = validate_constraints(config, state, pw)
+    report = (None if scenario == "bidirectional"
+              else validate_constraints(config, state, pw))
     return OptimizationResult(state=state, pw=pw, trace=np.array(trace),
                               reason=reason, constraints=report)
 
@@ -368,7 +370,7 @@ def validate_constraints(config: SystemConfig, ris: StarRisState,
     the closed-form gap between the center user's decode rate of the
     edge signal and the edge user's own rate; the target margins compare
     the edge users' closed-form NOMA-pair rates against the targets of
-    ``pw``. The energy-splitting check reports the worst per-element
+    ``config``. The energy-splitting check reports the worst per-element
     deviation.
     """
     spent = pw.p_b1 + pw.p_b2 + pw.p_u1u + pw.p_u2u
@@ -379,15 +381,14 @@ def validate_constraints(config: SystemConfig, ris: StarRisState,
     # SIC order: the center user must decode the edge DL signal at least
     # as well as the edge user does.
     inputs = cf_rate_inputs(config, ris)
-    gammas = noma_sinrs(inputs, pw, pw.V, config.sigma_sq,
-                        config.sigma_b_sq)
+    gammas = noma_sinrs(inputs, config, pw, config.si_variance(pw.P_b))
     edge_dl_rate = math.log2(1.0 + gammas["u2d"])
     cross = dl_sinr(inputs["u1d"], pw.p_b2, pw.p_b1, pw, config.sigma_sq)
     order_margin = math.log2(1.0 + cross) - edge_dl_rate
     decoding_order = ConstraintCheck(order_margin >= -tol, order_margin)
 
-    dl_margin = edge_dl_rate - pw.R_dth
-    ul_margin = math.log2(1.0 + gammas["u2u"]) - pw.R_uth
+    dl_margin = edge_dl_rate - config.R_dth
+    ul_margin = math.log2(1.0 + gammas["u2u"]) - config.R_uth
     edge_dl = ConstraintCheck(dl_margin >= -tol, dl_margin)
     edge_ul = ConstraintCheck(ul_margin >= -tol, ul_margin)
 

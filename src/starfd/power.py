@@ -119,8 +119,7 @@ def power_allocation_closed_form(config: SystemConfig,
                 f"downlink target {R_dth} bits/s/Hz infeasible: the "
                 "required BS power is negative")
         try:
-            v_new = (config.beta * p_b ** config.si_lambda
-                     if config.beta else 0.0)
+            v_new = config.si_variance(p_b)
         except OverflowError:
             break
         if not math.isfinite(v_new):
@@ -150,10 +149,7 @@ def power_allocation_closed_form(config: SystemConfig,
                 f"{label} infeasible: {name} = {value:.6g} W < 0")
     clip = lambda p: max(p, 0.0)
     return PowerConfig(P_t=P_t, p_b1=clip(p_b1), p_b2=clip(p_b2),
-                       p_u1u=clip(p_u1u), p_u2u=clip(p_u2u),
-                       Xi=config.Xi, beta=config.beta,
-                       si_lambda=config.si_lambda,
-                       R_dth=R_dth, R_uth=R_uth)
+                       p_u1u=clip(p_u1u), p_u2u=clip(p_u2u))
 
 
 def tau_split_powers(config: SystemConfig, inputs: Dict[str, CfRateInputs],
@@ -195,11 +191,9 @@ def tau_split_powers(config: SystemConfig, inputs: Dict[str, CfRateInputs],
     p_b1 = p_b - p_b2
 
     pw = PowerConfig(P_t=config.P_t, p_b1=p_b1, p_b2=p_b2,
-                     p_u1u=p_u1u, p_u2u=p_u2u, Xi=config.Xi,
-                     beta=config.beta, si_lambda=config.si_lambda,
-                     R_dth=R_dth, R_uth=R_uth)
+                     p_u1u=p_u1u, p_u2u=p_u2u)
     if R_uth > 0.0:
-        sinr = noma_sinrs(inputs, pw, pw.V, config.sigma_sq,
-                          config.sigma_b_sq)["u2u"]
+        sinr = noma_sinrs(inputs, config, pw,
+                          config.si_variance(pw.P_b))["u2u"]
         feasible = feasible and math.log2(1.0 + sinr) >= R_uth - 1e-12
     return pw, feasible

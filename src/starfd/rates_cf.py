@@ -257,7 +257,7 @@ def cf_sinrs(config: SystemConfig, ris: StarRisState, pw: PowerConfig,
              moments: Optional[MomentSet] = None) -> Dict[str, float]:
     """Closed-form (moment-ratio) SINRs of the four users."""
     inputs = cf_rate_inputs(config, ris, moments=moments)
-    return noma_sinrs(inputs, pw, pw.V, config.sigma_sq, config.sigma_b_sq)
+    return noma_sinrs(inputs, config, pw, config.si_variance(pw.P_b))
 
 
 def cf_rates(config: SystemConfig, ris: StarRisState, pw: PowerConfig,
@@ -266,8 +266,8 @@ def cf_rates(config: SystemConfig, ris: StarRisState, pw: PowerConfig,
     """The scenario's closed-form rates plus its sum rate."""
     inputs = cf_rate_inputs(config, ris, moments=moments)
     return RateReport.of(scenario,
-                         scenario_rates(inputs, pw, pw.V, config.sigma_sq,
-                                        config.sigma_b_sq, scenario),
+                         scenario_rates(inputs, config, pw,
+                                        config.si_variance(pw.P_b), scenario),
                          config.weights, "cf")
 
 
@@ -285,8 +285,8 @@ def cf_rates_simplified(config: SystemConfig, ris: StarRisState,
     terms = {"u1d": (mo.q_center, mo.rho_2pt, full["u1d"].y2),
              "u2d": full["u2d"],
              "u1u": (mo.q_center, full["u1u"].y1, 0.0)}
-    rates = scenario_rates(terms, pw.replace(Xi=0.0, beta=0.0), 0.0,
-                           config.sigma_sq, config.sigma_b_sq, "noma-pair")
+    rates = scenario_rates(terms, config.replace(Xi=0.0, beta=0.0), pw, 0.0,
+                           "noma-pair")
     return RateReport.of("noma-pair", rates, config.weights, "cf")
 
 

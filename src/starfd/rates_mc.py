@@ -11,8 +11,8 @@ powers of a block of trials as arrays, and the closed forms of
 The estimator draws positions, channels and a residual self-interference
 sample for a block of trials at a time, from a generator keyed by
 (master seed, block index), and scores the whole block with the same
-kernel as arrays, once for each (surface state, powers) pair it is
-given. Blocks have a fixed size, so memory is bounded at any
+kernel as arrays, once for each (config, surface state, powers) cell it
+is given. Blocks have a fixed size, so memory is bounded at any
 trial count, and results are independent of execution order and
 parallelism.
 """
@@ -39,16 +39,21 @@ __all__ = [
     "binding_legs",
     "scenario_rates",
     "rate_weights",
+    "DRAW_FIELDS",
+    "draw_key",
     "ergodic_rate_mc",
 ]
 
 _BUDGET_RTOL = 1e-9
 # Trials per Monte-Carlo block: the unit of drawing, scoring and memory.
 _BLOCK = 1024
+# The config fields that draw_realization reads: the key of a shared draw.
+DRAW_FIELDS = ("geometry", "n_elements", "angles", "kappa_br", "kappa_u1d",
+               "kappa_u2d", "kappa_u1u", "kappa_u2u")
 
 
 class PowerConfig(Record):
-    """Operative per-signal transmit powers plus the SIC/SI model constants.
+    """Operative per-signal transmit powers.
 
     ``p_b1``/``p_b2`` are the BS powers for the center and edge DL signals,
     ``p_u1u``/``p_u2u`` the uplink user powers. The four must fit inside
@@ -56,16 +61,14 @@ class PowerConfig(Record):
     under-spending configuration is legal). The DL split ``tau`` and the
     NOMA coefficients are derived properties; use :meth:`from_splits` to
     build a configuration from (tau, alpha1, alpha2, ul_split) with the
-    NOMA ordering checks.
+    NOMA ordering checks. The SIC and self-interference constants and the
+    targets describe the cell, so they live on its :class:`SystemConfig`.
     """
 
-    __slots__ = ("P_t", "p_b1", "p_b2", "p_u1u", "p_u2u", "Xi", "beta",
-                 "si_lambda", "R_dth", "R_uth")
+    __slots__ = ("P_t", "p_b1", "p_b2", "p_u1u", "p_u2u")
 
     def __init__(self, P_t: float, p_b1: float, p_b2: float, p_u1u: float,
-                 p_u2u: float, Xi: float = 0.0, beta: float = 0.0,
-                 si_lambda: float = 1.0, R_dth: float = 0.0,
-                 R_uth: float = 0.0) -> None:
+                 p_u2u: float) -> None:
         self._assign(locals())
         if not 0 < self.P_t < math.inf:
             raise ValueError("total power budget must be positive and finite")
@@ -76,12 +79,6 @@ class PowerConfig(Record):
         if total - self.P_t > _BUDGET_RTOL * self.P_t:
             raise ValueError(
                 f"powers sum to {total!r}, over the budget {self.P_t!r}")
-        if not 0.0 <= self.Xi <= 1.0:
-            raise ValueError("SIC error factor Xi must lie in [0, 1]")
-        if not self.beta >= 0 or not self.si_lambda >= 0:
-            raise ValueError("SI model constants must be non-negative")
-        if not self.R_dth >= 0 or not self.R_uth >= 0:
-            raise ValueError("target rates must be non-negative")
 
     @property
     def P_b(self) -> float:
@@ -95,35 +92,20 @@ class PowerConfig(Record):
     def tau(self) -> float:
         return self.P_b / self.P_t
 
-    @property
-    def V(self) -> float:
-        """Residual self-interference variance beta * P_b**si_lambda."""
-        if self.beta == 0.0:
-            return 0.0
-        return self.beta * self.P_b ** self.si_lambda
-
     @classmethod
     def from_splits(cls, P_t: float, tau: float, alpha1: float,
-                    alpha2: float, ul_split: float = 0.5, *,
-                    Xi: float = 0.0, beta: float = 0.0,
-                    si_lambda: float = 1.0, R_dth: float = 0.0,
-                    R_uth: float = 0.0) -> "PowerConfig":
+                    alpha2: float, ul_split: float = 0.5) -> "PowerConfig":
         """Split the budget as P_b = tau*P_t (DL) and P_u = (1-tau)*P_t."""
         validate_splits(tau, alpha1, alpha2, ul_split)
         P_b = tau * P_t
         P_u = (1.0 - tau) * P_t
         return cls(P_t=P_t, p_b1=alpha1 * P_b, p_b2=alpha2 * P_b,
-                   p_u1u=ul_split * P_u, p_u2u=(1.0 - ul_split) * P_u,
-                   Xi=Xi, beta=beta, si_lambda=si_lambda,
-                   R_dth=R_dth, R_uth=R_uth)
+                   p_u1u=ul_split * P_u, p_u2u=(1.0 - ul_split) * P_u)
 
     @classmethod
     def from_config(cls, config: SystemConfig) -> "PowerConfig":
-        return cls.from_splits(
-            config.P_t, config.tau, config.alpha1, config.alpha2,
-            config.ul_split, Xi=config.Xi, beta=config.beta,
-            si_lambda=config.si_lambda, R_dth=config.R_dth,
-            R_uth=config.R_uth)
+        return cls.from_splits(config.P_t, config.tau, config.alpha1,
+                               config.alpha2, config.ul_split)
 
 
 class RateReport(Record):
@@ -210,8 +192,8 @@ def _block_terms(block: ChannelBlock, ris: StarRisState
 # The reception kernel. Every SINR of the model is one of three ratios,
 # fed either with the realized channel powers of a block of trials, as
 # arrays (the simulator), or with their moments, as floats (the closed
-# forms, which pass si = V). The optimizer differentiates it by feeding
-# the moments as complex arrays, so no branch may look at a term.
+# forms, which pass the SI variance as si). The optimizer differentiates it
+# by feeding the moments as complex arrays, so no branch may look at a term.
 
 def dl_sinr(terms, own: float, leak: float, pw: PowerConfig,
             sigma_sq: float) -> float:
@@ -253,27 +235,28 @@ def _relay_sinr(own: float, s: float, other: float, i: float,
     return own * s / (other * i + sigma_sq)
 
 
-def noma_sinrs(terms, pw: PowerConfig, si: float, sigma_sq: float,
-               sigma_b_sq: float) -> Dict[str, float]:
+def noma_sinrs(terms, config: SystemConfig, pw: PowerConfig,
+               si: float) -> Dict[str, float]:
     """SINRs of the four NOMA users from the u1d, u2d and u1u terms.
 
+    The SIC residual ``Xi`` and the noise powers come from ``config``.
     The edge uplink user is decoded from the center uplink terms with
     the signal and partner roles swapped.
     """
     s1, s2, loop = terms["u1u"]
+    xi, sigma_sq, sigma_b_sq = config.Xi, config.sigma_sq, config.sigma_b_sq
     return {
-        "u1d": dl_sinr(terms["u1d"], pw.p_b1, pw.Xi * pw.p_b2, pw,
-                       sigma_sq),
+        "u1d": dl_sinr(terms["u1d"], pw.p_b1, xi * pw.p_b2, pw, sigma_sq),
         "u2d": dl_sinr(terms["u2d"], pw.p_b2, pw.p_b1, pw, sigma_sq),
         "u1u": ul_sinr(terms["u1u"], pw.p_u1u, pw.p_u2u, pw, si,
                        sigma_b_sq),
-        "u2u": ul_sinr((s2, s1, loop), pw.p_u2u, pw.Xi * pw.p_u1u, pw, si,
+        "u2u": ul_sinr((s2, s1, loop), pw.p_u2u, xi * pw.p_u1u, pw, si,
                        sigma_b_sq),
     }
 
 
-def relay_branches(terms, pw: PowerConfig,
-                   sigma_sq: float) -> Tuple[float, float, float, float]:
+def relay_branches(terms, config: SystemConfig,
+                   pw: PowerConfig) -> Tuple[float, float, float, float]:
     """Branch SINRs of the two ratio-combined relay receptions.
 
     Returns (relay_c, bs_c, relay_e, bs_e): at u1d the u2u message heard
@@ -283,22 +266,24 @@ def relay_branches(terms, pw: PowerConfig,
     """
     a1, c1, d1 = terms["u1d"]
     a2, c2, d2 = terms["u2d"]
+    sigma_sq = config.sigma_sq
     return (_relay_sinr(pw.p_u2u, d1, pw.p_u1u, c1, sigma_sq),
-            dl_sinr((a1, c1, 0.0), pw.p_b1, pw.Xi * pw.p_b2, pw, sigma_sq),
+            dl_sinr((a1, c1, 0.0), pw.p_b1, config.Xi * pw.p_b2, pw,
+                    sigma_sq),
             _relay_sinr(pw.p_u1u, c2, pw.p_u2u, d2, sigma_sq),
             dl_sinr((a2, 0.0, d2), pw.p_b2, pw.p_b1, pw, sigma_sq))
 
 
-def relay_leg_rates(terms, pw: PowerConfig, si: float, sigma_sq: float,
-                    sigma_b_sq: float) -> Tuple[float, float, float, float]:
+def relay_leg_rates(terms, config: SystemConfig, pw: PowerConfig,
+                    si: float) -> Tuple[float, float, float, float]:
     """Rates (r_uc, r_u2u, r_ue, r_u1u) of the four relaying legs.
 
     r_uc and r_ue are the combined receptions at the DL users, r_u2u and
     r_u1u the BS decode rates of the corresponding UL messages. Each
     relayed connection runs at the min of its two legs.
     """
-    relay_c, bs_c, relay_e, bs_e = relay_branches(terms, pw, sigma_sq)
-    ul = noma_sinrs(terms, pw, si, sigma_sq, sigma_b_sq)
+    relay_c, bs_c, relay_e, bs_e = relay_branches(terms, config, pw)
+    ul = noma_sinrs(terms, config, pw, si)
     return (_log2(1.0 + relay_c + bs_c), _log2(1.0 + ul["u2u"]),
             _log2(1.0 + relay_e + bs_e), _log2(1.0 + ul["u1u"]))
 
@@ -313,17 +298,17 @@ def binding_legs(legs) -> Tuple[int, int]:
     return 0 if r_uc < r_u2u else 1, 2 if r_ue < r_u1u else 3
 
 
-def scenario_rates(terms, pw: PowerConfig, si: float, sigma_sq: float,
-                   sigma_b_sq: float, scenario: str) -> Tuple[float, ...]:
+def scenario_rates(terms, config: SystemConfig, pw: PowerConfig, si: float,
+                   scenario: str) -> Tuple[float, ...]:
     """The four rates a scenario scores: the users' log2(1 + SINR) of a
     NOMA pair, in ``USERS`` order, or the bidirectional case's
     :func:`relay_leg_rates`. Terms are floats, arrays or complex probes.
     """
     if scenario == "noma-pair":
-        sinrs = noma_sinrs(terms, pw, si, sigma_sq, sigma_b_sq)
+        sinrs = noma_sinrs(terms, config, pw, si)
         return tuple(_log2(1.0 + sinrs[u]) for u in USERS)
     if scenario == "bidirectional":
-        return relay_leg_rates(terms, pw, si, sigma_sq, sigma_b_sq)
+        return relay_leg_rates(terms, config, pw, si)
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
@@ -352,18 +337,21 @@ def _blocks(config: SystemConfig, ris: StarRisState, trials: int,
         yield draw_realization(config, ris, rng, min(_BLOCK, trials - start))
 
 
-def _block_si(block: ChannelBlock, pw: PowerConfig) -> np.ndarray:
-    # s~ is CN(0, V); the SINRs consume |s~|^2. The pair is drawn for
-    # every trial so the stream layout does not depend on beta.
-    return 0.5 * pw.V * np.sum(block.si_pair ** 2, axis=1)
+def _block_si(block: ChannelBlock, config: SystemConfig,
+              pw: PowerConfig) -> np.ndarray:
+    # s~ is CN(0, V) with V the config's SI variance at the BS power; the
+    # SINRs consume |s~|^2. The pair is drawn for every trial so the
+    # stream layout does not depend on beta.
+    return (0.5 * config.si_variance(pw.P_b)
+            * np.sum(block.si_pair ** 2, axis=1))
 
 
-def _block_rates(block: ChannelBlock, ris: StarRisState, pw: PowerConfig,
-                 config: SystemConfig, scenario: str) -> np.ndarray:
+def _block_rates(block: ChannelBlock, config: SystemConfig,
+                 ris: StarRisState, pw: PowerConfig,
+                 scenario: str) -> np.ndarray:
     """Per-trial rates of one block: the scenario's four rates by row."""
-    return np.array(scenario_rates(_block_terms(block, ris), pw,
-                                   _block_si(block, pw), config.sigma_sq,
-                                   config.sigma_b_sq, scenario))
+    return np.array(scenario_rates(_block_terms(block, ris), config, pw,
+                                   _block_si(block, config, pw), scenario))
 
 
 def _mean_and_stderr(counts, sums, m2s) -> Tuple[float, float]:
@@ -379,37 +367,49 @@ def _mean_and_stderr(counts, sums, m2s) -> Tuple[float, float]:
     return mean, math.sqrt(m2 / (n - 1) / n)
 
 
-def _checked_pairs(config: SystemConfig, pairs
-                   ) -> List[Tuple[StarRisState, PowerConfig]]:
-    """``pairs`` as a list, each pair checked for type and surface size."""
+def draw_key(config: SystemConfig) -> tuple:
+    """The values of ``config``'s :data:`DRAW_FIELDS`: cells whose configs
+    share this key can share their draws."""
+    return tuple(getattr(config, name) for name in DRAW_FIELDS)
+
+
+def _checked_cells(cells) -> List[tuple]:
+    """``cells`` as a list, each cell checked for type and surface size,
+    and all of them for a common draw key."""
     try:
-        pairs = [(ris, pw) for ris, pw in pairs]
+        cells = [(config, ris, pw) for config, ris, pw in cells]
     except (TypeError, ValueError):
-        pairs = None
-    if pairs is None or not all(isinstance(ris, StarRisState)
+        cells = None
+    if cells is None or not all(isinstance(config, SystemConfig)
+                                and isinstance(ris, StarRisState)
                                 and isinstance(pw, PowerConfig)
-                                for ris, pw in pairs):
-        raise TypeError("pairs must be a list of (StarRisState, "
-                        "PowerConfig) pairs, such as [(state, pw)]")
-    if any(ris.n_elements != config.n_elements for ris, _ in pairs):
+                                for config, ris, pw in cells):
+        raise TypeError("cells must be a list of (SystemConfig, "
+                        "StarRisState, PowerConfig) triples, such as "
+                        "[(config, state, pw)]")
+    if any(ris.n_elements != config.n_elements for config, ris, _ in cells):
         raise ValueError("surface state size does not match the config")
-    return pairs
+    if len({draw_key(config) for config, _, _ in cells}) > 1:
+        raise ValueError("cells on one stream must agree on the config "
+                         "fields the draw reads: " + ", ".join(DRAW_FIELDS))
+    return cells
 
 
-def ergodic_rate_mc(config: SystemConfig, pairs, trials: int, seed: int,
+def ergodic_rate_mc(cells, trials: int, seed: int,
                     scenario: str = "noma-pair") -> List[RateReport]:
     """Monte-Carlo ergodic rates over positions, channels and SI draws.
 
-    Scores every (surface state, powers) pair of ``pairs`` on one trial
-    stream and returns one report per pair, in order. The draw does not
-    depend on the state or the powers, so each block is drawn once and
-    every pair is scored on it: the pairs' estimates use common random
-    numbers, and a one-pair call gives the same report as that pair in
-    any longer list.
+    Scores every (config, surface state, powers) cell of ``cells`` on one
+    trial stream and returns one report per cell, in order. The draw
+    reads only the configs' :data:`DRAW_FIELDS`, on which the cells must
+    agree, so each block is drawn once and every cell is scored on it
+    with its own config: the cells' estimates use common random numbers,
+    and a one-cell call gives the same report as that cell in any longer
+    list.
 
     Trials are drawn and scored in blocks of at most ``_BLOCK``, block b
     from a generator keyed by (seed, b), so memory is one block plus the
-    per-pair sums at any ``trials``, and the estimate is independent of
+    per-cell sums at any ``trials``, and the estimate is independent of
     execution order. Block sums use compensated summation, so it is
     exactly reproducible.
 
@@ -417,29 +417,30 @@ def ergodic_rate_mc(config: SystemConfig, pairs, trials: int, seed: int,
     of the two ergodic leg rates (matching the closed forms); the reported
     standard error is the binding leg's.
     """
-    pairs = _checked_pairs(config, pairs)
+    cells = _checked_cells(cells)
     if trials < 1:
         raise ValueError("need at least one trial")
-    if not pairs:
+    if not cells:
         return []
 
     counts = []
-    sums = [[] for _ in pairs]
-    m2s = [[] for _ in pairs]
-    for block in _blocks(config, pairs[0][0], trials, seed):
+    sums = [[] for _ in cells]
+    m2s = [[] for _ in cells]
+    config, ris, _ = cells[0]
+    for block in _blocks(config, ris, trials, seed):
         counts.append(block.size)
-        for (ris, pw), pair_sums, pair_m2s in zip(pairs, sums, m2s):
-            rates = _block_rates(block, ris, pw, config, scenario)
+        for cell, cell_sums, cell_m2s in zip(cells, sums, m2s):
+            rates = _block_rates(block, *cell, scenario)
             # fsum runs faster over Python floats than over numpy scalars.
             block_sums = [math.fsum(row) for row in rates.tolist()]
             means = np.array(block_sums) / block.size
-            pair_sums.append(block_sums)
-            pair_m2s.append(np.sum((rates - means[:, None]) ** 2, axis=1))
+            cell_sums.append(block_sums)
+            cell_m2s.append(np.sum((rates - means[:, None]) ** 2, axis=1))
 
     reports = []
-    for pair_sums, pair_m2s in zip(sums, m2s):
+    for (config, _, _), cell_sums, cell_m2s in zip(cells, sums, m2s):
         means, errors = zip(*(_mean_and_stderr(counts, s, m) for s, m
-                              in zip(zip(*pair_sums), zip(*pair_m2s))))
+                              in zip(zip(*cell_sums), zip(*cell_m2s))))
         reports.append(RateReport.of(scenario, means, config.weights, "mc",
                                      trials, errors))
     return reports

@@ -45,8 +45,8 @@ def star_cascade(g_out, state, side, g_in) -> complex:
 def short_form_rates(config, ris, pw):
     """The short-form closed-form rates, written out by hand.
 
-    Perfect SIC and SI cancellation (Xi and beta of ``pw`` are ignored),
-    no surface boost on center-user signals, no BS loop-back. The
+    Perfect SIC and SI cancellation (Xi and beta of ``config`` are
+    ignored), no surface boost on center-user signals, no BS loop-back. The
     reference for ``rates_cf.cf_rates_simplified``, which feeds the SINR
     kernel instead.
     """

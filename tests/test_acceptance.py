@@ -92,15 +92,15 @@ def moment_ratio_rates(config, state, pw, trials, seed):
         a1, c1, d1 = terms["u1d"]
         a2, c2, d2 = terms["u2d"]
         a_u, b_u, c_u = terms["u1u"]
-        si = _block_si(block, pw)
+        si = _block_si(block, config, pw)
         pairs = {
-            "u1d": (pw.p_b1 * a1, pw.Xi * pw.p_b2 * a1 + pw.p_u1u * c1
+            "u1d": (pw.p_b1 * a1, config.Xi * pw.p_b2 * a1 + pw.p_u1u * c1
                     + pw.p_u2u * d1 + sig),
             "u2d": (pw.p_b2 * a2, pw.p_b1 * a2 + pw.p_u1u * c2
                     + pw.p_u2u * d2 + sig),
             "u1u": (pw.p_u1u * a_u, pw.p_u2u * b_u + pw.P_b * c_u + si
                     + sig_b),
-            "u2u": (pw.p_u2u * b_u, pw.Xi * pw.p_u1u * a_u + pw.P_b * c_u
+            "u2u": (pw.p_u2u * b_u, config.Xi * pw.p_u1u * a_u + pw.P_b * c_u
                     + si + sig_b),
         }
         for user, (num, den) in pairs.items():

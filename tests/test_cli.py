@@ -345,6 +345,31 @@ class TestRunExperiment:
         assert_allclose(float(record["R_u2d"]), 0.5, rtol=1e-9)
         assert_allclose(float(record["R_u2u"]), 0.1, rtol=1e-9)
 
+    def test_closed_form_pgam_beats_aligned(self, tmp_path):
+        # PGAM tunes the surface for the powers allocated at the aligned
+        # state, not for the fixed split that its row never uses.
+        spec = make_spec("""
+            cell_radius_m = 5
+            edge_radius_m = 10
+            bs_surface_distance_m = 8
+            n_elements = 64
+            total_power_dbw = 40
+            power_scheme = closed-form
+            sweep_variable = target_rate
+            sweep_grid = 0.1, 0.3, 0.5
+            target_ul_rate = 0.1
+            designs = pgam, aligned
+            pgam_iters = 40
+            estimators = cf
+        """, output=str(tmp_path / "cf.csv"))
+        out, _, _ = run_experiment(spec)
+        with open(out, encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        sums = {(r["target_rate"], r["design"]): float(r["sum"])
+                for r in rows}
+        for target in ("0.1", "0.3", "0.5"):
+            assert sums[target, "pgam"] > sums[target, "aligned"], target
+
     def test_pgam_design_runs(self, tmp_path):
         spec = make_spec("""
             cell_radius_m = 5
@@ -397,14 +422,14 @@ class TestRunExperiment:
 
 def one_pair_mc_cells(spec):
     """The cells of every MC row of a fixed-power spec, in CSV order, from
-    a one-pair call on its point's config, design state and powers."""
+    a one-cell call on its point's config, design state and powers."""
     cells = []
     for point, value in enumerate(spec.grid):
         config = _config_for_point(spec, value)
         pw = PowerConfig.from_config(config)
         for j in range(len(spec.designs)):
             state = _design_state(spec, config, pw, point, j)
-            report, = ergodic_rate_mc(config, [(state, pw)], spec.trials,
+            report, = ergodic_rate_mc([(config, state, pw)], spec.trials,
                                       spec.seed, spec.scenario)
             cells.append(",".join(_report_cells(report)))
     return cells
@@ -450,14 +475,31 @@ SHARED = {
         designs = aligned, random
         estimators = cf, mc
     """,
+    "xi": """
+        sweep_variable = xi
+        sweep_grid = 0, 0.1, 0.4
+        si_beta = 1e-4
+        n_elements = 6
+        designs = aligned, random
+        estimators = cf, mc
+    """,
+    "beta": """
+        sweep_variable = beta
+        sweep_grid = 0, 1e-4, 1e-3
+        sic_residual = 0.05
+        n_elements = 6
+        designs = aligned, random
+        estimators = cf, mc
+    """,
 }
 
 
 class TestSharedDraws:
-    """MC cells that share a draw shape are scored on the same blocks."""
+    """MC cells that share a draw key are scored on the same blocks."""
 
     @pytest.mark.parametrize("scenario", ["noma-pair", "bidirectional"])
-    @pytest.mark.parametrize("sweep", ["snr_db", "n_elements-several"])
+    @pytest.mark.parametrize("sweep", ["snr_db", "n_elements-several", "xi",
+                                       "beta"])
     def test_mc_rows_are_the_one_pair_reports(self, tmp_path, scenario,
                                               sweep):
         spec = make_spec(SHARED[sweep] + f"scenario = {scenario}\n"
@@ -467,10 +509,14 @@ class TestSharedDraws:
         assert csv_mc_cells(out) == one_pair_mc_cells(spec)
 
     def test_snr_sweep_draws_each_block_once(self, tmp_path, draws):
-        spec = make_spec(SHARED["snr_db"] + f"trials = {2 * _BLOCK + 1}\n",
-                         output=str(tmp_path / "snr.csv"))
-        run_experiment(spec)
-        assert draws == [_BLOCK, _BLOCK, 1]
+        # An xi or beta sweep changes only constants the draw does not
+        # read, so it is one draw group as well.
+        for sweep in ("snr_db", "xi", "beta"):
+            spec = make_spec(SHARED[sweep] + f"trials = {2 * _BLOCK + 1}\n",
+                             output=str(tmp_path / f"{sweep}.csv"))
+            run_experiment(spec)
+            assert draws == [_BLOCK, _BLOCK, 1], sweep
+            draws.clear()
 
     def test_element_sweep_draws_each_block_once_per_point(self, tmp_path,
                                                            draws):

@@ -27,7 +27,7 @@ def center_disk_oracle(R, m, tol=1e-13):
 class TestCellGeometry:
     def test_valid_construction(self):
         g = CellGeometry(R=50.0, R_r=30.0, d_br=60.0, m=2.7)
-        assert g.r1 == 10.0
+        assert (g.R, g.R_r, g.d_br, g.m) == (50.0, 30.0, 60.0, 2.7)
 
     def test_rejects_surface_inside_center_disk(self):
         with pytest.raises(ValueError, match="outside the center disk"):

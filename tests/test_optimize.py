@@ -399,7 +399,8 @@ class TestPowerAllocation:
             cf_rate_inputs(config, state))
         assert_allclose(cf_rates(config, state, pa).rate("u2u"), 0.5,
                         rtol=1e-9)
-        assert_allclose(pa.V, 1e-4 * pa.P_b ** 0.9, rtol=1e-12)
+        assert_allclose(config.si_variance(pa.P_b), 1e-4 * pa.P_b ** 0.9,
+                        rtol=1e-12)
 
     def test_matches_numerical_root_finder(self):
         config = compact_config(beta=1e-4, si_lambda=0.9, Xi=0.02)
@@ -516,8 +517,9 @@ class TestValidateConstraints:
 
     def test_underspending_budget_ok(self):
         pw = PowerConfig(P_t=1000.0, p_b1=0.0, p_b2=0.0, p_u1u=0.0,
-                         p_u2u=0.0, R_dth=0.5, R_uth=0.1)
-        check = validate_constraints(self.config, self.state, pw)
+                         p_u2u=0.0)
+        check = validate_constraints(
+            self.config.replace(R_dth=0.5, R_uth=0.1), self.state, pw)
         assert check.power_budget.ok
         assert_allclose(check.power_budget.margin, 1000.0)
         # Zero power cannot meet positive targets.
@@ -536,10 +538,10 @@ class TestValidateConstraints:
         assert not check.all_ok
 
     def test_allocator_output_passes(self):
+        targets = self.config.replace(P_t=10_000.0, R_dth=0.5, R_uth=0.1)
         pa = power_allocation_closed_form(
-            self.config.replace(P_t=10_000.0, R_dth=0.5, R_uth=0.1),
-            cf_rate_inputs(self.config, self.state))
-        check = validate_constraints(self.config, self.state, pa)
+            targets, cf_rate_inputs(self.config, self.state))
+        check = validate_constraints(targets, self.state, pa)
         assert check.power_budget.ok
         assert check.decoding_order.margin >= -1e-9
         assert check.edge_dl_target.margin >= -1e-9
@@ -569,7 +571,7 @@ class TestValidateConstraints:
         config = compact_config(Xi=0.05, beta=1e-4, si_lambda=0.9,
                                 R_dth=0.5, R_uth=0.1)
         pw = PowerConfig.from_config(config)
-        assert pw.V > 0
+        assert config.si_variance(pw.P_b) > 0
         for seed in range(3):
             state = StarRisState.random_phases(
                 config.n_elements, 0.4, np.random.default_rng(seed))
@@ -589,3 +591,17 @@ class TestValidateConstraints:
         monkeypatch.setattr("starfd.rates_cf.compute_moments", counting)
         validate_constraints(self.config, self.state, pw)
         assert len(calls) == 1
+
+    def test_bidirectional_run_reports_no_constraints(self):
+        # The checks are the NOMA pair's problem. A bidirectional run
+        # maximizes the relayed rates, so on this cell an edge_dl_target
+        # margin would read the NOMA-pair u2d rate minus R_dth.
+        config = compact_config(n_elements=8, R_dth=0.5)
+        pw = PowerConfig.from_config(config)
+        bidir = pgam(config, pw,
+                     aligned_state(config, 0.5, pw, "bidirectional"), L=3,
+                     scenario="bidirectional")
+        assert bidir.constraints is None
+        noma = pgam(config, pw, aligned_state(config, 0.5), L=3)
+        assert noma.constraints == validate_constraints(config, noma.state,
+                                                        pw)

@@ -208,9 +208,9 @@ class TestClosedFormRates:
         assert report.estimator == "cf"
         assert report.stderr is None
         # The closed forms are the kernel fed with the moments, si = V.
-        sinrs = noma_sinrs(cf_rate_inputs(self.config, self.ris), self.pw,
-                           self.pw.V, self.config.sigma_sq,
-                           self.config.sigma_b_sq)
+        sinrs = noma_sinrs(cf_rate_inputs(self.config, self.ris),
+                           self.config, self.pw,
+                           self.config.si_variance(self.pw.P_b))
         assert cf_sinrs(self.config, self.ris, self.pw) == sinrs
         for user in USERS:
             assert report.rate(user) == math.log2(1.0 + sinrs[user])
@@ -218,20 +218,20 @@ class TestClosedFormRates:
     def test_simplified_equals_switched_full(self):
         # The short forms assume perfect SIC and SI cancellation, so they
         # must match the written-out oracle whatever Xi and beta the
-        # power configuration carries.
+        # cell carries.
         for seed in (3, 11):
             ris = random_state(seed=seed)
-            for pw in (self.pw.replace(Xi=0.0, beta=0.0),
-                       baseline_power(Xi=0.3, beta=1e-3)):
-                simplified = cf_rates_simplified(self.config, ris, pw)
-                oracle = short_form_rates(self.config, ris, pw)
+            for config in (self.config.replace(Xi=0.0, beta=0.0),
+                           self.config.replace(Xi=0.3, beta=1e-3)):
+                simplified = cf_rates_simplified(config, ris, self.pw)
+                oracle = short_form_rates(config, ris, self.pw)
                 for user in USERS:
                     assert_allclose(simplified.rate(user), oracle[user],
                                     rtol=1e-12)
 
     def test_xi_touches_exactly_the_sic_dependent_users(self):
         clean = cf_rates(self.config, self.ris, self.pw)
-        dirty = cf_rates(self.config, self.ris, baseline_power(Xi=0.3))
+        dirty = cf_rates(self.config.replace(Xi=0.3), self.ris, self.pw)
         assert dirty.rate("u1d") < clean.rate("u1d")
         assert dirty.rate("u2u") < clean.rate("u2u")
         assert dirty.rate("u2d") == clean.rate("u2d")
@@ -239,7 +239,7 @@ class TestClosedFormRates:
 
     def test_beta_touches_exactly_the_uplink_users(self):
         clean = cf_rates(self.config, self.ris, self.pw)
-        noisy = cf_rates(self.config, self.ris, baseline_power(beta=1e-3))
+        noisy = cf_rates(self.config.replace(beta=1e-3), self.ris, self.pw)
         assert noisy.rate("u1u") < clean.rate("u1u")
         assert noisy.rate("u2u") < clean.rate("u2u")
         assert noisy.rate("u1d") == clean.rate("u1d")
@@ -269,7 +269,7 @@ class TestClosedFormRates:
         # forms against the moment ratio they stand for at the operating
         # points; agreement with the ergodic rate itself is not gated.
         report_cf = cf_rates(self.config, self.ris, self.pw)
-        report_mc = ergodic_rate_mc(self.config, [(self.ris, self.pw)],
+        report_mc = ergodic_rate_mc([(self.config, self.ris, self.pw)],
                                     4000, seed=2)[0]
         assert_allclose(report_cf.rate("u2d"), report_mc.rate("u2d"),
                         rtol=0.2)
@@ -278,7 +278,7 @@ class TestClosedFormRates:
 
     def test_bidirectional_against_monte_carlo(self):
         r_c, r_e = cf_rates_bidirectional(self.config, self.ris, self.pw)
-        report = ergodic_rate_mc(self.config, [(self.ris, self.pw)], 4000,
+        report = ergodic_rate_mc([(self.config, self.ris, self.pw)], 4000,
                                  seed=2, scenario="bidirectional")[0]
         assert_allclose(r_c, report.rate("c"), rtol=0.2)
         assert_allclose(r_e, report.rate("e"), rtol=0.2)

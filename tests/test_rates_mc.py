@@ -5,10 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import starfd.rates_mc as rates_mc
-from conftest import make_config, scalar_terms, star_cascade, trial_channels
-from starfd.channel import StarRisState
-from starfd.rates_mc import (_BLOCK, PowerConfig, RateReport, _block_si,
-                             _block_terms, _blocks, dl_sinr,
+from conftest import (BASELINE_ANGLES, make_config, scalar_terms,
+                      star_cascade, trial_channels)
+from starfd.channel import StarRisState, draw_realization
+from starfd.config import CellGeometry, SystemConfig
+from starfd.rates_mc import (_BLOCK, DRAW_FIELDS, PowerConfig, RateReport,
+                             _block_si, _block_terms, _blocks, dl_sinr,
                              binding_legs, ergodic_rate_mc, noma_sinrs,
                              relay_leg_rates)
 
@@ -30,9 +32,9 @@ def first_block(config, ris, seed, size):
     return next(_blocks(config, ris, size, seed))
 
 
-def trial_sinrs(block, ris, pw, si=0.0, t=0):
-    """The kernel's four SINRs for trial t of a block, unit noise powers."""
-    sinrs = noma_sinrs(_block_terms(block, ris), pw, si, 1.0, 1.0)
+def trial_sinrs(block, config, ris, pw, si=0.0, t=0):
+    """The kernel's four SINRs for trial t of a block."""
+    sinrs = noma_sinrs(_block_terms(block, ris), config, pw, si)
     return {u: float(sinrs[u][t]) for u in USERS}
 
 
@@ -49,7 +51,7 @@ class TestPowerConfig:
     def test_from_config_matches_from_splits(self):
         config = make_config(Xi=0.01, beta=1e-3)
         assert PowerConfig.from_config(config) == PowerConfig.from_splits(
-            1000.0, 0.8, 0.2, 0.8, 0.5, Xi=0.01, beta=1e-3)
+            1000.0, 0.8, 0.2, 0.8, 0.5)
 
     def test_budget_violation_rejected(self):
         with pytest.raises(ValueError, match="budget"):
@@ -81,13 +83,6 @@ class TestPowerConfig:
             with pytest.raises(ValueError, match="p_b1 must be finite"):
                 PowerConfig(P_t=1000.0, p_b1=bad, p_b2=400.0,
                             p_u1u=200.0, p_u2u=100.0)
-        for name, match in (("beta", "SI model constants"),
-                            ("si_lambda", "SI model constants"),
-                            ("R_dth", "target rates"),
-                            ("R_uth", "target rates")):
-            with pytest.raises(ValueError, match=match):
-                PowerConfig(P_t=1000.0, p_b1=300.0, p_b2=400.0,
-                            p_u1u=200.0, p_u2u=100.0, **{name: math.nan})
 
     def test_zero_downlink_is_representable(self):
         # The allocator can return an all-uplink split; the explicit form
@@ -95,7 +90,7 @@ class TestPowerConfig:
         pw = PowerConfig(P_t=200.0, p_b1=0.0, p_b2=0.0,
                          p_u1u=120.0, p_u2u=80.0)
         assert pw.tau == 0.0
-        assert pw.V == 0.0
+        assert make_config().si_variance(pw.P_b) == 0.0
 
     def test_from_splits_rejects_tau_zero(self):
         with pytest.raises(ValueError, match="small positive tau"):
@@ -106,15 +101,6 @@ class TestPowerConfig:
             baseline_power(alpha1=0.2, alpha2=0.9)
         with pytest.raises(ValueError, match="ordering"):
             baseline_power(alpha1=0.8, alpha2=0.2)
-
-    def test_si_variance(self):
-        pw = baseline_power(beta=1e-3, si_lambda=0.8)
-        assert_allclose(pw.V, 1e-3 * 800.0 ** 0.8, rtol=1e-15)
-        assert baseline_power().V == 0.0
-
-    def test_xi_range_enforced(self):
-        with pytest.raises(ValueError, match="Xi"):
-            baseline_power(Xi=1.5)
 
 
 class TestRateReport:
@@ -195,7 +181,8 @@ class TestSinrOps:
             yield (t,) + trial_channels(self.block, t)
 
     def test_dl_center_term_by_term(self):
-        pw = baseline_power(Xi=0.05)
+        config = self.config.replace(Xi=0.05)
+        pw = baseline_power()
         ris = self.ris
         for t, l, h, g in self.rows():
             a = abs(math.sqrt(l["b_u1d"]) * h["b_u1d"]
@@ -207,9 +194,10 @@ class TestSinrOps:
             d = (l["r_u1d"] * l["r_u2u"]
                  * abs(star_cascade(g["u1d"], ris, "t", g["u2u"])) ** 2)
             expected = (pw.p_b1 * a
-                        / (pw.Xi * pw.p_b2 * a + pw.p_u1u * c
+                        / (config.Xi * pw.p_b2 * a + pw.p_u1u * c
                            + pw.p_u2u * d + 1.0))
-            assert_allclose(trial_sinrs(self.block, ris, pw, t=t)["u1d"],
+            assert_allclose(trial_sinrs(self.block, config, ris, pw,
+                                        t=t)["u1d"],
                             expected, rtol=1e-14)
 
     def test_dl_edge_term_by_term(self):
@@ -224,7 +212,8 @@ class TestSinrOps:
                  * abs(star_cascade(g["u2d"], ris, "r", g["u2u"])) ** 2)
             expected = pw.p_b2 * a / (pw.p_b1 * a + pw.p_u1u * c
                                       + pw.p_u2u * d + 1.0)
-            assert_allclose(trial_sinrs(self.block, ris, pw, t=t)["u2d"],
+            assert_allclose(trial_sinrs(self.block, self.config, ris, pw,
+                                        t=t)["u2d"],
                             expected, rtol=1e-14)
 
     def test_ul_loopback_term(self):
@@ -240,7 +229,8 @@ class TestSinrOps:
             loop = l["br"] ** 2 * abs(
                 np.sum(ris.side("t") * np.abs(g["br"]) ** 2)) ** 2
             expected = pw.p_u1u * a / (600.0 * loop + 1.0)
-            assert_allclose(trial_sinrs(self.block, ris, pw, t=t)["u1u"],
+            assert_allclose(trial_sinrs(self.block, self.config, ris, pw,
+                                        t=t)["u1u"],
                             expected, rtol=1e-14)
 
     def test_interference_free_center(self):
@@ -252,7 +242,8 @@ class TestSinrOps:
             a = abs(math.sqrt(l["b_u1d"]) * h["b_u1d"]
                     + math.sqrt(l["br"] * l["r_u1d"])
                     * star_cascade(g["u1d"], ris, "t", g["br"])) ** 2
-            assert_allclose(trial_sinrs(self.block, ris, pw, t=t)["u1d"],
+            assert_allclose(trial_sinrs(self.block, self.config, ris, pw,
+                                        t=t)["u1d"],
                             200.0 * a, rtol=1e-14)
 
     def test_dark_side_kills_edge_users(self):
@@ -260,40 +251,43 @@ class TestSinrOps:
         # toward the edge disk, so the edge DL SINR is exactly zero.
         dark_r = StarRisState.uniform(self.config.n_elements, rho_t=1.0)
         block = first_block(self.config, dark_r, 17, 4)
-        sinrs = noma_sinrs(_block_terms(block, dark_r), baseline_power(),
-                           0.0, 1.0, 1.0)
+        sinrs = noma_sinrs(_block_terms(block, dark_r), self.config,
+                           baseline_power(), 0.0)
         assert np.all(sinrs["u2d"] == 0.0)
 
     def test_si_dominated_uplink(self):
-        pw = baseline_power(beta=1e9)
-        si = _block_si(self.block, pw)
-        sinrs = noma_sinrs(_block_terms(self.block, self.ris), pw, si,
-                           1.0, 1.0)
+        config = self.config.replace(beta=1e9)
+        pw = baseline_power()
+        si = _block_si(self.block, config, pw)
+        sinrs = noma_sinrs(_block_terms(self.block, self.ris), config, pw,
+                           si)
         assert np.all(sinrs["u1u"] < 1e-6)
         assert np.all(sinrs["u2u"] < 1e-6)
 
     def test_negative_si_draw_rejected(self):
         with pytest.raises(ValueError, match="si is a squared magnitude"):
-            trial_sinrs(self.block, self.ris, baseline_power(), -1.0)
+            trial_sinrs(self.block, self.config, self.ris, baseline_power(),
+                        -1.0)
         # One negative draw in a block is enough.
         si = np.array([0.0, 1.0, -1e-300, 2.0])
         with pytest.raises(ValueError, match="si is a squared magnitude"):
-            noma_sinrs(_block_terms(self.block, self.ris), baseline_power(),
-                       si, 1.0, 1.0)
+            noma_sinrs(_block_terms(self.block, self.ris), self.config,
+                       baseline_power(), si)
         # NaN is no squared magnitude either, alone or once in a block.
         with pytest.raises(ValueError, match="si is a squared magnitude"):
-            trial_sinrs(self.block, self.ris, baseline_power(), math.nan)
+            trial_sinrs(self.block, self.config, self.ris, baseline_power(),
+                        math.nan)
         si = np.array([0.0, 1.0, math.nan, 2.0])
         with pytest.raises(ValueError, match="si is a squared magnitude"):
-            noma_sinrs(_block_terms(self.block, self.ris), baseline_power(),
-                       si, 1.0, 1.0)
+            noma_sinrs(_block_terms(self.block, self.ris), self.config,
+                       baseline_power(), si)
 
     def test_strong_decodes_weak_exceeds_own_share(self):
         # The edge signal carries more power, so the center user decodes
         # it at a higher rate than its own signal whenever Xi is small.
         pw = baseline_power()
         own = np.log2(1.0 + noma_sinrs(_block_terms(self.block, self.ris),
-                                       pw, 0.0, 1.0, 1.0)["u1d"])
+                                       self.config, pw, 0.0)["u1d"])
         u1d = _block_terms(self.block, self.ris)["u1d"]
         cross = np.log2(1.0 + dl_sinr(u1d, pw.p_b2, pw.p_b1, pw, 1.0))
         assert np.all(cross > own)
@@ -301,10 +295,10 @@ class TestSinrOps:
     def test_bidirectional_min_structure(self):
         pw = baseline_power()
         terms = _block_terms(self.block, self.ris)
-        legs = relay_leg_rates(terms, pw, 0.0, 1.0, 1.0)
+        legs = relay_leg_rates(terms, self.config, pw, 0.0)
         assert all(np.all(leg >= 0.0) for leg in legs)
         # The BS decode legs are the NOMA uplink rates.
-        sinrs = noma_sinrs(terms, pw, 0.0, 1.0, 1.0)
+        sinrs = noma_sinrs(terms, self.config, pw, 0.0)
         assert np.array_equal(legs[1], np.log2(1.0 + sinrs["u2u"]))
         assert np.array_equal(legs[3], np.log2(1.0 + sinrs["u1u"]))
 
@@ -323,17 +317,17 @@ class TestErgodicRateMc:
         self.pw = baseline_power()
 
     def test_deterministic_for_fixed_seed(self):
-        pairs = [(self.ris, self.pw)]
-        a = ergodic_rate_mc(self.config, pairs, 60, seed=5)[0]
-        b = ergodic_rate_mc(self.config, pairs, 60, seed=5)[0]
+        cells = [(self.config, self.ris, self.pw)]
+        a = ergodic_rate_mc(cells, 60, seed=5)[0]
+        b = ergodic_rate_mc(cells, 60, seed=5)[0]
         assert a == b
 
     def test_single_trial_matches_direct_evaluation(self):
-        report = ergodic_rate_mc(self.config, [(self.ris, self.pw)], 1,
+        report = ergodic_rate_mc([(self.config, self.ris, self.pw)], 1,
                                  seed=9)[0]
         block = first_block(self.config, self.ris, 9, 1)
-        sinrs = trial_sinrs(block, self.ris, self.pw,
-                            _block_si(block, self.pw))
+        sinrs = trial_sinrs(block, self.config, self.ris, self.pw,
+                            _block_si(block, self.config, self.pw))
         assert report.rate("u1d") == np.log2(1.0 + sinrs["u1d"])
         assert report.rate("u2u") == np.log2(1.0 + sinrs["u2u"])
         assert report.stderr == {u: 0.0 for u in USERS}
@@ -342,32 +336,32 @@ class TestErgodicRateMc:
         # The estimate must equal the average of the per-trial rates
         # that its one block scores.
         trials = 20
-        report = ergodic_rate_mc(self.config, [(self.ris, self.pw)],
+        report = ergodic_rate_mc([(self.config, self.ris, self.pw)],
                                  trials, seed=23)[0]
         block = first_block(self.config, self.ris, 23, trials)
         singles = np.log2(1.0 + noma_sinrs(
-            _block_terms(block, self.ris), self.pw,
-            _block_si(block, self.pw), 1.0, 1.0)["u1d"])
+            _block_terms(block, self.ris), self.config, self.pw,
+            _block_si(block, self.config, self.pw))["u1d"])
         assert_allclose(report.rate("u1d"),
                         math.fsum(singles) / trials, rtol=1e-15)
 
     def test_monotone_in_total_power(self):
         # Same seed, scaled budget: every per-draw SINR grows, so the
         # ergodic estimate must too (no SI so the UL scaling is clean).
-        low = ergodic_rate_mc(self.config, [(self.ris, self.pw)], 40,
+        low = ergodic_rate_mc([(self.config, self.ris, self.pw)], 40,
                               seed=3)[0]
-        high = ergodic_rate_mc(self.config,
-                               [(self.ris, baseline_power(P_t=4000.0))],
-                               40, seed=3)[0]
+        high = ergodic_rate_mc(
+            [(self.config, self.ris, baseline_power(P_t=4000.0))], 40,
+            seed=3)[0]
         for user in ("u1d", "u2d", "u1u", "u2u"):
             assert high.rate(user) >= low.rate(user)
 
     def test_sic_errors_only_hurt(self):
-        clean = ergodic_rate_mc(self.config, [(self.ris, self.pw)], 40,
+        clean = ergodic_rate_mc([(self.config, self.ris, self.pw)], 40,
                                 seed=3)[0]
-        dirty = ergodic_rate_mc(self.config,
-                                [(self.ris, baseline_power(Xi=0.5))], 40,
-                                seed=3)[0]
+        dirty = ergodic_rate_mc(
+            [(self.config.replace(Xi=0.5), self.ris, self.pw)], 40,
+            seed=3)[0]
         assert dirty.rate("u1d") < clean.rate("u1d")
         assert dirty.rate("u2u") < clean.rate("u2u")
         # Xi does not enter the other two users' SINRs at all.
@@ -376,17 +370,17 @@ class TestErgodicRateMc:
 
     def test_noise_dominated_rates_vanish(self):
         pw = baseline_power(P_t=1e-5)
-        report = ergodic_rate_mc(self.config, [(self.ris, pw)], 50,
+        report = ergodic_rate_mc([(self.config, self.ris, pw)], 50,
                                  seed=1)[0]
         for user in ("u1d", "u2d", "u1u", "u2u"):
             assert report.rate(user) < 1e-3
 
     def test_bidirectional_min_of_leg_means(self):
-        report = ergodic_rate_mc(self.config, [(self.ris, self.pw)], 30,
+        report = ergodic_rate_mc([(self.config, self.ris, self.pw)], 30,
                                  seed=7, scenario="bidirectional")[0]
         block = first_block(self.config, self.ris, 7, 30)
-        legs = relay_leg_rates(_block_terms(block, self.ris), self.pw,
-                               _block_si(block, self.pw), 1.0, 1.0)
+        legs = relay_leg_rates(_block_terms(block, self.ris), self.config,
+                               self.pw, _block_si(block, self.config, self.pw))
         means = [math.fsum(leg) / 30 for leg in legs]
         assert report.rate("c") == min(means[1], means[0])
         assert report.rate("e") == min(means[3], means[2])
@@ -395,10 +389,10 @@ class TestErgodicRateMc:
     def test_si_stream_layout_independent_of_beta(self):
         # beta only scales the SI draw; the channel stream is untouched,
         # so the DL rates (which ignore SI) are bit-identical.
-        with_si = ergodic_rate_mc(self.config,
-                                  [(self.ris, baseline_power(beta=1e-3))],
-                                  40, seed=3)[0]
-        without = ergodic_rate_mc(self.config, [(self.ris, self.pw)], 40,
+        with_si = ergodic_rate_mc(
+            [(self.config.replace(beta=1e-3), self.ris, self.pw)], 40,
+            seed=3)[0]
+        without = ergodic_rate_mc([(self.config, self.ris, self.pw)], 40,
                                   seed=3)[0]
         assert with_si.rate("u1d") == without.rate("u1d")
         assert with_si.rate("u2d") == without.rate("u2d")
@@ -406,14 +400,83 @@ class TestErgodicRateMc:
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="trial"):
-            ergodic_rate_mc(self.config, [(self.ris, self.pw)], 0, seed=1)
+            ergodic_rate_mc([(self.config, self.ris, self.pw)], 0, seed=1)
         with pytest.raises(ValueError, match="scenario"):
-            ergodic_rate_mc(self.config, [(self.ris, self.pw)], 5, seed=1,
+            ergodic_rate_mc([(self.config, self.ris, self.pw)], 5, seed=1,
                             scenario="duplex")
 
 
+def same_block(a, b) -> bool:
+    """Whether two channel blocks hold the same values, bit for bit."""
+    parts = ("radius", "angle", "pathlosses", "direct", "surface")
+    return (all(getattr(a, p).keys() == getattr(b, p).keys()
+                and all(np.array_equal(getattr(a, p)[k], getattr(b, p)[k])
+                        for k in getattr(a, p)) for p in parts)
+            and np.array_equal(a.si_pair, b.si_pair))
+
+
+# A valid change of every config field the draw does not read.
+NOT_DRAWN = {
+    "sigma_sq": dict(sigma_sq=2.0), "sigma_b_sq": dict(sigma_b_sq=3.0),
+    "weight_u1d": dict(weight_u1d=0.1), "weight_u2d": dict(weight_u2d=0.2),
+    "weight_u1u": dict(weight_u1u=0.3), "weight_u2u": dict(weight_u2u=0.4),
+    "P_t": dict(P_t=10.0), "tau": dict(tau=0.5),
+    "alpha1": dict(alpha1=0.3, alpha2=0.7),
+    "alpha2": dict(alpha1=0.1, alpha2=0.9), "ul_split": dict(ul_split=0.2),
+    "Xi": dict(Xi=0.3), "beta": dict(beta=1e-3),
+    "si_lambda": dict(si_lambda=0.7), "R_dth": dict(R_dth=0.5),
+    "R_uth": dict(R_uth=0.2),
+}
+
+# A valid change of every field of the draw key.
+DRAWN = {
+    "geometry": dict(geometry=CellGeometry(R=40.0, R_r=30.0, d_br=60.0,
+                                           m=2.7)),
+    "n_elements": dict(n_elements=5),
+    "angles": dict(angles=BASELINE_ANGLES.replace(az_u2d=1.0)),
+    **{f"kappa_{link}": {f"kappa_{link}": 7.0}
+       for link in ("br", "u1d", "u2d", "u1u", "u2u")},
+}
+
+
+class TestDrawKey:
+    """The draw reads exactly the config fields of its key."""
+
+    def test_the_tables_cover_every_config_field(self):
+        assert tuple(DRAWN) == DRAW_FIELDS
+        assert set(NOT_DRAWN) | set(DRAWN) == set(SystemConfig.__slots__)
+
+    @pytest.mark.parametrize("field", sorted(NOT_DRAWN))
+    def test_fields_outside_the_key_leave_the_draw_alone(self, field):
+        config = make_config()
+        changed = config.replace(**NOT_DRAWN[field])
+        assert changed != config
+        ris = random_state()
+        blocks = [draw_realization(c, ris, np.random.default_rng(4), 16)
+                  for c in (config, changed)]
+        assert same_block(*blocks)
+
+    @pytest.mark.parametrize("field", DRAW_FIELDS)
+    def test_key_fields_change_the_draw(self, field):
+        config = make_config()
+        changed = config.replace(**DRAWN[field])
+        blocks = [draw_realization(c, random_state(n=c.n_elements),
+                                   np.random.default_rng(4), 16)
+                  for c in (config, changed)]
+        assert not same_block(*blocks)
+
+    @pytest.mark.parametrize("field", DRAW_FIELDS)
+    def test_cells_that_differ_in_a_key_field_are_refused(self, field):
+        config = make_config()
+        changed = config.replace(**DRAWN[field])
+        cells = [(c, random_state(n=c.n_elements),
+                  PowerConfig.from_config(c)) for c in (config, changed)]
+        with pytest.raises(ValueError, match="fields the draw reads"):
+            ergodic_rate_mc(cells, 40, 3)
+
+
 class TestSharedStream:
-    """Several (state, powers) pairs scored on one trial stream."""
+    """Several (config, state, powers) cells scored on one trial stream."""
 
     TRIALS = 2 * _BLOCK + 3
 
@@ -423,15 +486,15 @@ class TestSharedStream:
 
     @pytest.mark.parametrize("scenario", ["noma-pair", "bidirectional"])
     def test_each_pair_reports_as_its_one_pair_call(self, scenario):
-        pairs = [(random_state(seed=1), self.pw),
-                 (random_state(rho_t=0.3, seed=2), baseline_power(Xi=0.2)),
-                 (random_state(seed=1), baseline_power(P_t=10.0, beta=0.1))]
-        shared = ergodic_rate_mc(self.config, pairs, self.TRIALS, 6,
-                                 scenario)
-        assert len(shared) == len(pairs)
-        for pair, report in zip(pairs, shared):
-            alone = ergodic_rate_mc(self.config, [pair], self.TRIALS, 6,
-                                    scenario)
+        cells = [(self.config, random_state(seed=1), self.pw),
+                 (self.config.replace(Xi=0.2, beta=0.0),
+                  random_state(rho_t=0.3, seed=2), baseline_power()),
+                 (self.config.replace(Xi=0.0, beta=0.1),
+                  random_state(seed=1), baseline_power(P_t=10.0))]
+        shared = ergodic_rate_mc(cells, self.TRIALS, 6, scenario)
+        assert len(shared) == len(cells)
+        for cell, report in zip(cells, shared):
+            alone = ergodic_rate_mc([cell], self.TRIALS, 6, scenario)
             assert alone == [report]
         assert shared[0] != shared[1] != shared[2]
 
@@ -450,8 +513,8 @@ class TestSharedStream:
     def test_one_pair_stream_is_pinned(self, scenario, rates, stderr,
                                        total):
         # The library stream of version 0.2.0, unchanged by scoring
-        # several pairs per block.
-        report, = ergodic_rate_mc(self.config, [(random_state(), self.pw)],
+        # several cells per block.
+        report, = ergodic_rate_mc([(self.config, random_state(), self.pw)],
                                   self.TRIALS, 11, scenario)
         assert report.rates == rates
         assert report.stderr == stderr
@@ -467,39 +530,50 @@ class TestSharedStream:
             return draw(config, ris, rng, size)
 
         monkeypatch.setattr(rates_mc, "draw_realization", recording_draw)
-        pairs = [(random_state(seed=s), self.pw) for s in range(4)]
-        ergodic_rate_mc(self.config, pairs, self.TRIALS, 2)
+        # The states differ, and so do the cells' SIC and SI constants,
+        # as along an xi or beta sweep.
+        configs = [self.config, self.config.replace(Xi=0.3),
+                   self.config.replace(beta=0.1), make_config()]
+        cells = [(config, random_state(seed=s), self.pw)
+                 for s, config in enumerate(configs)]
+        ergodic_rate_mc(cells, self.TRIALS, 2)
         assert sizes == [_BLOCK, _BLOCK, 3]
 
     def test_no_pairs_draw_nothing(self, monkeypatch):
         monkeypatch.setattr(rates_mc, "draw_realization", None)
-        assert ergodic_rate_mc(self.config, [], 10, 1) == []
+        assert ergodic_rate_mc([], 10, 1) == []
 
     def test_old_form_call_is_a_type_error(self):
-        ris = random_state()
-        with pytest.raises(TypeError, match=r"\[\(state, pw\)\]"):
-            ergodic_rate_mc(self.config, ris, self.pw, 40, 3)
-        # Python itself rejects the keyword and six-argument forms.
+        pairs = [(random_state(), self.pw)]
+        with pytest.raises(TypeError, match=r"\[\(config, state, pw\)\]"):
+            ergodic_rate_mc(self.config, pairs, 40, 3)
+        # Python itself rejects the keyword and five-argument forms.
         with pytest.raises(TypeError):
-            ergodic_rate_mc(self.config, ris, self.pw, 40, seed=3)
+            ergodic_rate_mc(self.config, pairs, 40, seed=3)
         with pytest.raises(TypeError):
-            ergodic_rate_mc(self.config, ris, self.pw, 40, 3, "noma-pair")
+            ergodic_rate_mc(self.config, pairs, 40, 3, "noma-pair")
 
-    @pytest.mark.parametrize("pairs", [
-        [(PowerConfig.from_splits(1000.0, 0.8, 0.2, 0.8), random_state())],
+    @pytest.mark.parametrize("cells", [
+        [(make_config(), PowerConfig.from_splits(1000.0, 0.8, 0.2, 0.8),
+          random_state())],
         [random_state()],
         (random_state(), PowerConfig.from_splits(1000.0, 0.8, 0.2, 0.8)),
         [(random_state(), PowerConfig.from_splits(1000.0, 0.8, 0.2, 0.8),
           0)],
-    ], ids=["swapped", "state-only", "bare-pair", "triple"])
-    def test_malformed_pairs_are_type_errors(self, pairs):
-        with pytest.raises(TypeError, match="pair"):
-            ergodic_rate_mc(self.config, pairs, 40, 3)
+        [(random_state(), PowerConfig.from_splits(1000.0, 0.8, 0.2, 0.8))],
+        (make_config(), random_state(),
+         PowerConfig.from_splits(1000.0, 0.8, 0.2, 0.8)),
+    ], ids=["swapped", "state-only", "bare-pair", "triple", "pair",
+            "bare-cell"])
+    def test_malformed_pairs_are_type_errors(self, cells):
+        with pytest.raises(TypeError, match="triples"):
+            ergodic_rate_mc(cells, 40, 3)
 
     def test_every_pair_is_size_checked(self):
-        pairs = [(random_state(), self.pw), (random_state(n=5), self.pw)]
+        cells = [(self.config, random_state(), self.pw),
+                 (self.config, random_state(n=5), self.pw)]
         with pytest.raises(ValueError, match="size"):
-            ergodic_rate_mc(self.config, pairs, 40, 3)
+            ergodic_rate_mc(cells, 40, 3)
 
 
 class TestBlockedStream:
@@ -514,22 +588,19 @@ class TestBlockedStream:
         pw = PowerConfig.from_config(config)
         block = first_block(config, ris, 11, _BLOCK)
         assert block.size == _BLOCK
-        si = _block_si(block, pw)
-        sigma_sq, sigma_b_sq = config.sigma_sq, config.sigma_b_sq
+        si = _block_si(block, config, pw)
         batched_terms = _block_terms(block, ris)
-        batched = rates_mc._block_rates(block, ris, pw, config, scenario)
+        batched = rates_mc._block_rates(block, config, ris, pw, scenario)
         for t in range(block.size):
             terms = scalar_terms(block, t, ris)
             for user, triple in terms.items():
                 assert_allclose([x[t] for x in batched_terms[user]], triple,
                                 rtol=1e-12, atol=0)
             if scenario == "noma-pair":
-                sinrs = noma_sinrs(terms, pw, float(si[t]), sigma_sq,
-                                   sigma_b_sq)
+                sinrs = noma_sinrs(terms, config, pw, float(si[t]))
                 scalar = [math.log2(1.0 + sinrs[u]) for u in USERS]
             else:
-                scalar = relay_leg_rates(terms, pw, float(si[t]),
-                                         sigma_sq, sigma_b_sq)
+                scalar = relay_leg_rates(terms, config, pw, float(si[t]))
             # log2(1 + x) rounds 1 + x first, so a rate carries an
             # absolute error of about 2^-52 / ln 2, whatever its size:
             # small rates are compared in absolute terms.
@@ -546,7 +617,7 @@ class TestBlockedStream:
             return draw(config, ris, rng, size)
 
         monkeypatch.setattr(rates_mc, "draw_realization", recording_draw)
-        report = ergodic_rate_mc(config, [(ris, baseline_power())],
+        report = ergodic_rate_mc([(config, ris, baseline_power())],
                                  2 * _BLOCK + 1, seed=4)[0]
         assert sizes == [_BLOCK, _BLOCK, 1]
         assert report.trials == 2 * _BLOCK + 1

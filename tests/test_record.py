@@ -37,7 +37,7 @@ def _records():
         ChannelBlock: (block, None),
         SystemConfig: (config, ("tau", 2.0)),
         CellGeometry: (config.geometry, ("m", 2.0)),
-        PowerConfig: (pw, ("Xi", 2.0)),
+        PowerConfig: (pw, ("p_b1", -1.0)),
         RateReport: (cf_rates(config, ris, pw), ("estimator", "guess")),
         MomentSet: (compute_moments(config, ris), None),
         CfRateInputs: (cf_rate_inputs(config, ris)["u1d"], ("x1", -1.0)),
