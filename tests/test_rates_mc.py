@@ -102,6 +102,13 @@ class TestPowerConfig:
         with pytest.raises(ValueError, match="ordering"):
             baseline_power(alpha1=0.8, alpha2=0.2)
 
+    def test_xi_range_enforced(self):
+        # The split carries no Xi of its own: a cell whose SIC error factor
+        # is out of range is refused before any split is read from it.
+        for bad in (1.5, -0.1):
+            with pytest.raises(ValueError, match="Xi"):
+                PowerConfig.from_config(make_config(Xi=bad))
+
 
 class TestRateReport:
     def test_weighted_sum(self):
