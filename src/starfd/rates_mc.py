@@ -10,11 +10,11 @@ powers of a block of trials as arrays, and the closed forms of
 
 The estimator draws positions, channels and a residual self-interference
 sample for a block of trials at a time, from a generator keyed by
-(master seed, block index), and scores the whole block with the same
-kernel as arrays, once for each (config, surface state, powers) cell it
-is given. Blocks have a fixed size, so memory is bounded at any
-trial count, and results are independent of execution order and
-parallelism.
+(master seed, block index). It takes the block's terms once per distinct
+surface response and scores them with the same kernel as arrays, for each
+(config, surface state, powers) cell it is given. One block of fixed
+size is alive at a time, so memory is bounded at any trial count, and
+results are independent of execution order and parallelism.
 """
 
 from __future__ import annotations
@@ -167,8 +167,9 @@ def _block_terms(block: ChannelBlock, ris: StarRisState
     w = {"t": ris.side("t"), "r": ris.side("r")}
 
     def cascade(out: str, side: str, inp: str) -> np.ndarray:
-        # sum_n g_out[n] w_n g_in[n] for every trial of the block.
-        return np.sum(g[out] * w[side] * g[inp], axis=1)
+        # sum_n g_out[n] w_n g_in[n] per trial, with no (trials x N)
+        # temporary and no BLAS, so each trial's sum reads its row alone.
+        return np.einsum("tn,n,tn->t", g[out], w[side], g[inp])
 
     u1d = (_power(np.sqrt(l["b_u1d"]) * h["b_u1d"]
                   + np.sqrt(l["br"] * l["r_u1d"]) * cascade("u1d", "t", "br")),
@@ -180,12 +181,14 @@ def _block_terms(block: ChannelBlock, ris: StarRisState
            l["r_u2d"] * l["r_u1u"] * _power(cascade("u2d", "r", "u1u")),
            l["r_u2d"] * l["r_u2u"] * _power(cascade("u2d", "r", "u2u")))
     # BS loop-back through the surface: the return leg is the conjugate of
-    # the outgoing one, so the cascade reduces to sum_n w_n |g_br[n]|^2.
-    loop = np.sum(w["t"] * _power(g["br"]), axis=1)
+    # the outgoing one, so it is sum_n w_n |g_br[n]|^2, on g_br's floats.
+    br, wt = g["br"].view(float), np.repeat(w["t"], 2)
+    loop = np.hypot(np.einsum("tj,j,tj->t", br, wt.real, br),
+                    np.einsum("tj,j,tj->t", br, wt.imag, br))
     u1u = (_power(np.sqrt(l["b_u1u"]) * h["b_u1u"]
                   + np.sqrt(l["br"] * l["r_u1u"]) * cascade("br", "t", "u1u")),
            l["br"] * l["r_u2u"] * _power(cascade("br", "t", "u2u")),
-           l["br"] ** 2 * _power(loop))
+           l["br"] ** 2 * loop ** 2)
     return {"u1d": u1d, "u2d": u2d, "u1u": u1u}
 
 
@@ -346,14 +349,6 @@ def _block_si(block: ChannelBlock, config: SystemConfig,
             * np.sum(block.si_pair ** 2, axis=1))
 
 
-def _block_rates(block: ChannelBlock, config: SystemConfig,
-                 ris: StarRisState, pw: PowerConfig,
-                 scenario: str) -> np.ndarray:
-    """Per-trial rates of one block: the scenario's four rates by row."""
-    return np.array(scenario_rates(_block_terms(block, ris), config, pw,
-                                   _block_si(block, config, pw), scenario))
-
-
 def _mean_and_stderr(counts, sums, m2s) -> Tuple[float, float]:
     """Mean and its standard error from per-block counts, sums and sums
     of squared deviations from the block mean (Chan et al.'s pairwise
@@ -402,10 +397,11 @@ def ergodic_rate_mc(cells, trials: int, seed: int,
     Scores every (config, surface state, powers) cell of ``cells`` on one
     trial stream and returns one report per cell, in order. The draw
     reads only the configs' :data:`DRAW_FIELDS`, on which the cells must
-    agree, so each block is drawn once and every cell is scored on it
-    with its own config: the cells' estimates use common random numbers,
-    and a one-cell call gives the same report as that cell in any longer
-    list.
+    agree, so each block is drawn once, its terms are taken once per
+    distinct surface response (equal states need not be one object), and
+    every cell is scored on them with its own config: the cells'
+    estimates use common random numbers, and a one-cell call gives the
+    same report as that cell in any longer list.
 
     Trials are drawn and scored in blocks of at most ``_BLOCK``, block b
     from a generator keyed by (seed, b), so memory is one block plus the
@@ -423,19 +419,23 @@ def ergodic_rate_mc(cells, trials: int, seed: int,
     if not cells:
         return []
 
-    counts = []
-    sums = [[] for _ in cells]
-    m2s = [[] for _ in cells]
-    config, ris, _ = cells[0]
-    for block in _blocks(config, ris, trials, seed):
+    counts, sums, m2s = [], [[] for _ in cells], [[] for _ in cells]
+    groups = {}
+    for k, (config, ris, pw) in enumerate(cells):
+        key = np.concatenate([ris.side("t"), ris.side("r")]).tobytes()
+        groups.setdefault(key, (ris, []))[1].append((k, config, pw))
+    for block in _blocks(*cells[0][:2], trials, seed):
         counts.append(block.size)
-        for cell, cell_sums, cell_m2s in zip(cells, sums, m2s):
-            rates = _block_rates(block, *cell, scenario)
-            # fsum runs faster over Python floats than over numpy scalars.
-            block_sums = [math.fsum(row) for row in rates.tolist()]
-            means = np.array(block_sums) / block.size
-            cell_sums.append(block_sums)
-            cell_m2s.append(np.sum((rates - means[:, None]) ** 2, axis=1))
+        for ris, members in groups.values():
+            terms = _block_terms(block, ris)
+            for k, config, pw in members:
+                rates = np.array(scenario_rates(
+                    terms, config, pw, _block_si(block, config, pw), scenario))
+                # fsum runs faster over Python floats than numpy scalars.
+                sums[k].append([math.fsum(row) for row in rates.tolist()])
+                means = np.array(sums[k][-1]) / block.size
+                m2s[k].append(np.sum((rates - means[:, None]) ** 2, axis=1))
+        del block  # release block b before block b + 1 is drawn
 
     reports = []
     for (config, _, _), cell_sums, cell_m2s in zip(cells, sums, m2s):

@@ -326,9 +326,13 @@ class TestAscentOptimizer:
         c4 = _los_vectors(n, config.angles)["u2d"] * \
             _los_vectors(n, config.angles)["br"]
 
+        # |sum_n a_n e^{j phi_n} c_n|^2 is unchanged by a common rotation
+        # of all phases, and the 16 levels are closed under rotation by a
+        # level, so fixing phi_1 = 0 leaves the grid maximum unchanged.
         phase_levels = 2.0 * math.pi * np.arange(16) / 16.0
         amp_levels = np.arange(11) / 10.0
-        phases = np.stack(np.meshgrid(*([phase_levels] * n),
+        phases = np.stack(np.meshgrid(*([phase_levels[:1]]
+                                        + [phase_levels] * (n - 1)),
                                       indexing="ij"),
                           axis=-1).reshape(-1, n)
         amps = np.stack(np.meshgrid(*([amp_levels] * n), indexing="ij"),

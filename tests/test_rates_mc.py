@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from conftest import (BASELINE_ANGLES, make_config, scalar_terms,
                       star_cascade, trial_channels)
 from starfd.channel import StarRisState, draw_realization
 from starfd.config import CellGeometry, SystemConfig
+from starfd.optimize import aligned_state
 from starfd.rates_mc import (_BLOCK, DRAW_FIELDS, PowerConfig, RateReport,
                              _block_si, _block_terms, _blocks, dl_sinr,
                              binding_legs, ergodic_rate_mc, noma_sinrs,
-                             relay_leg_rates)
+                             relay_leg_rates, scenario_rates)
 
 USERS = ("u1d", "u2d", "u1u", "u2u")
 
@@ -546,6 +548,35 @@ class TestSharedStream:
         ergodic_rate_mc(cells, self.TRIALS, 2)
         assert sizes == [_BLOCK, _BLOCK, 3]
 
+    def test_terms_are_taken_once_per_distinct_state(self, monkeypatch):
+        states = []
+        terms = rates_mc._block_terms
+
+        def counting_terms(block, ris):
+            states.append(ris)
+            return terms(block, ris)
+
+        monkeypatch.setattr(rates_mc, "_block_terms", counting_terms)
+        # An xi sweep scores one aligned state, built afresh at each point.
+        configs = [self.config.replace(Xi=k / 20) for k in range(8)]
+        sweep = [(config, aligned_state(config), self.pw)
+                 for config in configs]
+        assert sweep[0][1] is not sweep[1][1]
+        ergodic_rate_mc(sweep, 2 * _BLOCK, 4)
+        assert len(states) == 2
+        # A mix of designs: three distinct states over six cells.
+        states.clear()
+        mixed = [(configs[k], state, self.pw) for k, state in enumerate(
+            [aligned_state(self.config), random_state(seed=1),
+             aligned_state(self.config), random_state(seed=1),
+             random_state(seed=2), aligned_state(self.config)])]
+        reports = ergodic_rate_mc(mixed, 2 * _BLOCK, 4)
+        assert len(states) == 3 * 2
+        assert [s.phi_t.tobytes() for s in states[:3]] == [
+            mixed[k][1].phi_t.tobytes() for k in (0, 1, 4)]
+        for cell, report in zip(mixed, reports):
+            assert ergodic_rate_mc([cell], 2 * _BLOCK, 4) == [report]
+
     def test_no_pairs_draw_nothing(self, monkeypatch):
         monkeypatch.setattr(rates_mc, "draw_realization", None)
         assert ergodic_rate_mc([], 10, 1) == []
@@ -583,6 +614,49 @@ class TestSharedStream:
             ergodic_rate_mc(cells, 40, 3)
 
 
+def elementwise_terms(block, ris):
+    """The reception terms with each cascade and the loop-back summed
+    over the elements of their (trials x N) products: the reference for
+    the simulator's fused contractions."""
+    l, h, g = block.pathlosses, block.direct, block.surface
+    w = {"t": ris.side("t"), "r": ris.side("r")}
+
+    def cascade(out, side, inp):
+        return np.sum(g[out] * w[side] * g[inp], axis=1)
+
+    def power(z):
+        return np.abs(z) ** 2
+
+    loop = np.sum(w["t"] * power(g["br"]), axis=1)
+    return {
+        "u1d": (power(np.sqrt(l["b_u1d"]) * h["b_u1d"]
+                      + np.sqrt(l["br"] * l["r_u1d"])
+                      * cascade("u1d", "t", "br")),
+                power(np.sqrt(l["u1d_u1u"]) * h["u1d_u1u"]
+                      + np.sqrt(l["r_u1d"] * l["r_u1u"])
+                      * cascade("u1d", "t", "u1u")),
+                l["r_u1d"] * l["r_u2u"] * power(cascade("u1d", "t", "u2u"))),
+        "u2d": (l["br"] * l["r_u2d"] * power(cascade("u2d", "r", "br")),
+                l["r_u2d"] * l["r_u1u"] * power(cascade("u2d", "r", "u1u")),
+                l["r_u2d"] * l["r_u2u"] * power(cascade("u2d", "r", "u2u"))),
+        "u1u": (power(np.sqrt(l["b_u1u"]) * h["b_u1u"]
+                      + np.sqrt(l["br"] * l["r_u1u"])
+                      * cascade("br", "t", "u1u")),
+                l["br"] * l["r_u2u"] * power(cascade("br", "t", "u2u")),
+                l["br"] ** 2 * power(loop)),
+    }
+
+
+def traced_peak(f, *args) -> int:
+    """Peak bytes that ``f(*args)`` allocates, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBlockedStream:
     """The batched simulator against its scalar reference, and the
     fixed block size that bounds its memory."""
@@ -597,7 +671,8 @@ class TestBlockedStream:
         assert block.size == _BLOCK
         si = _block_si(block, config, pw)
         batched_terms = _block_terms(block, ris)
-        batched = rates_mc._block_rates(block, config, ris, pw, scenario)
+        batched = np.array(scenario_rates(batched_terms, config, pw, si,
+                                          scenario))
         for t in range(block.size):
             terms = scalar_terms(block, t, ris)
             for user, triple in terms.items():
@@ -612,6 +687,38 @@ class TestBlockedStream:
             # absolute error of about 2^-52 / ln 2, whatever its size:
             # small rates are compared in absolute terms.
             assert_allclose(batched[:, t], scalar, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 20, 100])
+    @pytest.mark.parametrize("design", ["aligned", "random", "transmit"])
+    def test_fused_terms_match_the_elementwise_sums(self, design, n):
+        config = make_config(n_elements=n)
+        ris = {"aligned": aligned_state(config),
+               "random": random_state(n, rho_t=0.3, seed=n),
+               "transmit": random_state(n, rho_t=1.0, seed=n)}[design]
+        block = first_block(config, ris, 13, _BLOCK)
+        fused = _block_terms(block, ris)
+        reference = elementwise_terms(block, ris)
+        assert fused.keys() == reference.keys()
+        for user, triple in reference.items():
+            for got, want in zip(fused[user], triple):
+                assert_allclose(got, want, rtol=1e-12, atol=0)
+        if design == "transmit":
+            assert all(np.all(x == 0.0) for x in fused["u2d"])
+
+    def test_block_terms_make_no_trials_by_elements_temporary(self):
+        # One (trials x N) complex array at N = 100 is 1.6 MB.
+        config = make_config(n_elements=100)
+        ris = random_state(100)
+        block = first_block(config, ris, 5, _BLOCK)
+        _block_terms(block, ris)
+        assert traced_peak(_block_terms, block, ris) < 0.5e6
+
+    def test_one_block_is_alive_at_a_time(self):
+        config = make_config(n_elements=100)
+        cells = [(config, random_state(100), PowerConfig.from_config(config))]
+        ergodic_rate_mc(cells, _BLOCK, 3)
+        one = traced_peak(ergodic_rate_mc, cells, _BLOCK, 3)
+        assert traced_peak(ergodic_rate_mc, cells, 4 * _BLOCK, 3) <= 1.1 * one
 
     def test_trials_are_drawn_in_bounded_blocks(self, monkeypatch):
         config = make_config()
