@@ -1,9 +1,9 @@
-"""Random channel generation and surface coefficient handling.
+"""Surface coefficient handling and the line-of-sight steering vectors.
 
-Direct links (BS-user and user-user) are Rayleigh; surface links are Rician
-with deterministic steering-vector LoS components. The energy-splitting
-surface applies per-element amplitude pairs (rho_t, rho_r) with
-rho_t + rho_r = 1 and per-side phase shifts.
+The energy-splitting surface applies per-element amplitude pairs
+(rho_t, rho_r) with rho_t + rho_r = 1 and per-side phase shifts. The
+surface links are Rician around the deterministic LoS vectors built
+here; :mod:`starfd.rates_mc` draws their random part.
 """
 
 from __future__ import annotations
@@ -14,27 +14,20 @@ from typing import Dict, Literal
 
 import numpy as np
 
-from .config import RIS_LINKS, GeometryAngles, SystemConfig
-from .geometry import pathloss
+from .config import RIS_LINKS, GeometryAngles
 from .record import Frozen
 
 __all__ = [
     "ES_TOL",
     "StarRisState",
-    "ChannelBlock",
     "element_layout",
     "steering_vector",
-    "draw_realization",
 ]
 
 Side = Literal["t", "r"]
 
 # Largest allowed per-element violation of rho_t + rho_r = 1.
 ES_TOL = 1e-9
-
-# The disk each user is uniform on, in the block draw's order.
-USER_REGIONS = {"u1d": "center", "u2d": "edge", "u1u": "center",
-                "u2u": "edge"}
 
 
 class StarRisState(Frozen):
@@ -154,107 +147,3 @@ def _los_vectors(n_elements: int,
         out[user] = np.conj(steering_vector(n_elements, *angles.link(user),
                                             angles.d_over_lambda))
     return out
-
-
-class ChannelBlock(Frozen):
-    """``size`` independent draws of every link, one row per trial.
-
-    ``radius`` and ``angle`` give each user's polar position in its own
-    disk. ``pathlosses`` maps the direct links b_u1d, b_u1u, u1d_u1u and
-    the surface-user links r_u1d, r_u2d, r_u1u, r_u2u to per-trial
-    arrays, and the fixed BS-surface link br to one float. ``direct``
-    holds the Rayleigh scalars h_b_u1d, h_b_u1u, h_u1d_u1u (``size``
-    each); ``surface`` the Rician vectors of the links br, u1d, u2d, u1u
-    and u2u (``size`` x N each); ``si_pair`` the two standard normals
-    per trial behind the residual self-interference.
-    """
-
-    __slots__ = ("radius", "angle", "pathlosses", "direct", "surface",
-                 "si_pair")
-
-    def __init__(self, radius: Dict[str, np.ndarray],
-                 angle: Dict[str, np.ndarray],
-                 pathlosses: Dict[str, np.ndarray],
-                 direct: Dict[str, np.ndarray],
-                 surface: Dict[str, np.ndarray],
-                 si_pair: np.ndarray) -> None:
-        self._assign(locals())
-
-    @property
-    def size(self) -> int:
-        return int(self.si_pair.shape[0])
-
-
-def _standard_cn(rng: np.random.Generator, shape) -> np.ndarray:
-    """CN(0, 1) entries from pairs of standard normals."""
-    pairs = rng.standard_normal((*shape, 2))
-    pairs /= math.sqrt(2.0)
-    return pairs.view(complex)[..., 0]
-
-
-def _surface_user_distance(radius: np.ndarray, angle: np.ndarray,
-                           d_br: float) -> np.ndarray:
-    # Center-disk users are placed relative to the BS at the origin while
-    # the surface sits at (d_br, 0); law of cosines gives the separation.
-    return np.sqrt(radius ** 2 + d_br ** 2
-                   - 2.0 * radius * d_br * np.cos(angle))
-
-
-def draw_realization(config: SystemConfig, ris: StarRisState,
-                     rng: np.random.Generator, size: int) -> ChannelBlock:
-    """Draw positions, path losses and all channels for ``size`` trials.
-
-    The draw order (positions, direct scalars, surface vectors, SI pair)
-    is fixed so a given generator state always produces the same block.
-    The surface state is only cross-checked for size; channels do not
-    depend on it.
-    """
-    if ris.n_elements != config.n_elements:
-        raise ValueError("surface state size does not match the config")
-    geom = config.geometry
-    n = config.n_elements
-
-    # Uniform on each user's disk: radius density 2r/R^2, uniform angle.
-    uniforms = rng.random((2, len(USER_REGIONS), size))
-    radius, angle = {}, {}
-    for k, (user, region) in enumerate(USER_REGIONS.items()):
-        radius_max = geom.R if region == "center" else geom.R_r
-        radius[user] = radius_max * np.sqrt(uniforms[0, k])
-        angle[user] = 2.0 * math.pi * uniforms[1, k]
-
-    h = _standard_cn(rng, (3, size))
-    direct = {"b_u1d": h[0], "b_u1u": h[1], "u1d_u1u": h[2]}
-
-    los = _los_vectors(n, config.angles)
-    # Each link's rows become sqrt(1/(k+1)) * CN(0, I) + sqrt(k/(k+1)) * los
-    # in place, so a block holds one copy of its surface vectors.
-    nlos = _standard_cn(rng, (len(RIS_LINKS), size, n))
-    surface = {}
-    for g, link in zip(nlos, RIS_LINKS):
-        kappa = getattr(config, f"kappa_{link}")
-        g *= math.sqrt(1.0 / (kappa + 1.0))
-        g += math.sqrt(kappa / (kappa + 1.0)) * los[link]
-        surface[link] = g
-
-    si_pair = rng.standard_normal((size, 2))
-
-    d_u1d_u1u = np.sqrt(
-        radius["u1d"] ** 2 + radius["u1u"] ** 2
-        - 2.0 * radius["u1d"] * radius["u1u"]
-        * np.cos(angle["u1d"] - angle["u1u"]))
-    distances = {
-        "b_u1d": radius["u1d"],
-        "b_u1u": radius["u1u"],
-        "u1d_u1u": d_u1d_u1u,
-        "br": geom.d_br,
-        "r_u1d": _surface_user_distance(radius["u1d"], angle["u1d"],
-                                        geom.d_br),
-        "r_u2d": radius["u2d"],
-        "r_u1u": _surface_user_distance(radius["u1u"], angle["u1u"],
-                                        geom.d_br),
-        "r_u2u": radius["u2u"],
-    }
-    losses = {k: pathloss(d, geom.m) for k, d in distances.items()}
-
-    return ChannelBlock(radius=radius, angle=angle, pathlosses=losses,
-                        direct=direct, surface=surface, si_pair=si_pair)

@@ -31,28 +31,33 @@ from .record import Record
 
 if TYPE_CHECKING:
     from .channel import StarRisState
-    from .rates_mc import PowerConfig, RateReport
+    from .kernel import PowerConfig, RateReport
 
 __all__ = ["ExperimentSpec", "parse_spec_text", "run_experiment", "main"]
 
 # The run path's module-level names: name -> (module, attribute, or None
 # for the module itself). Importing them loads numpy and the numeric
 # modules, so they are read through ``__getattr__`` on first use, and
-# :func:`run_experiment` binds the ones still unbound before it starts.
-# A name rebound on this module beforehand (to trace or count its calls)
-# is kept, and the run calls it.
+# :func:`run_experiment` binds the ones still unbound that its spec uses
+# (see :data:`_LAYER_NAMES`) before it starts. A name rebound on this
+# module beforehand (to trace or count its calls) is kept, and the run
+# calls it.
 _RUN_NAMES = {
     "np": ("numpy", None),
     "StarRisState": (".channel", "StarRisState"),
-    "aligned_state": (".optimize", "aligned_state"),
+    "aligned_state": (".designs", "aligned_state"),
     "pgam": (".optimize", "pgam"),
     "rates_cf": (".rates_cf", None),
     "cf_rate_inputs": (".rates_cf", "cf_rate_inputs"),
     "cf_rates": (".rates_cf", "cf_rates"),
-    "PowerConfig": (".rates_mc", "PowerConfig"),
+    "PowerConfig": (".kernel", "PowerConfig"),
     "draw_key": (".rates_mc", "draw_key"),
     "ergodic_rate_mc": (".rates_mc", "ergodic_rate_mc"),
 }
+# The names one layer alone calls, with the design or estimator that
+# runs it: a spec without that word never compiles the simulator and its
+# draw, or the ascent.
+_LAYER_NAMES = {"pgam": "pgam", "draw_key": "mc", "ergodic_rate_mc": "mc"}
 
 
 def __getattr__(name: str):
@@ -65,11 +70,14 @@ def __getattr__(name: str):
     return value if attribute is None else getattr(value, attribute)
 
 
-def _bind_run_names() -> None:
-    """Bind each run-path name that is not bound yet."""
+def _bind_run_names(spec: ExperimentSpec) -> None:
+    """Bind each run-path name that is not bound yet and that ``spec``
+    calls."""
     namespace = globals()
+    unused = [name for name, word in _LAYER_NAMES.items()
+              if word not in spec.designs and word not in spec.estimators]
     for name in _RUN_NAMES:
-        if name not in namespace:
+        if name not in namespace and name not in unused:
             namespace[name] = __getattr__(name)
 
 SWEEP_VARIABLES = ("snr_db", "n_elements", "tau", "xi", "beta",
@@ -555,7 +563,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    _bind_run_names()
+    _bind_run_names(spec)
     if jobs == 1:
         rows = _all_rows(spec, map)
     else:

@@ -12,8 +12,8 @@ from typing import Dict, Tuple
 
 from .config import SystemConfig
 from .exceptions import DegenerateGeometryError, InfeasibleError
+from .kernel import PowerConfig, noma_sinrs
 from .rates_cf import CfRateInputs
-from .rates_mc import PowerConfig, noma_sinrs
 
 __all__ = ["sinr_threshold", "power_allocation_closed_form",
            "tau_split_powers"]

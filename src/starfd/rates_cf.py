@@ -19,7 +19,7 @@ from .config import SystemConfig
 from .geometry import (exp_pathloss_center_disk, exp_pathloss_edge_disk,
                        exp_pathloss_fixed_point_to_disk,
                        exp_pathloss_two_random_points, pathloss)
-from .rates_mc import PowerConfig, RateReport, noma_sinrs, scenario_rates
+from .kernel import PowerConfig, RateReport, noma_sinrs, scenario_rates
 from .record import Record
 
 __all__ = [

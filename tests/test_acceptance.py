@@ -52,19 +52,20 @@ from conftest import make_config, short_form_rates
 from starfd.channel import StarRisState, _los_vectors
 from starfd.cli import parse_spec_text, run_experiment
 from starfd.config import CellGeometry
+from starfd.designs import aligned_state
 from starfd.exceptions import DegenerateGeometryError, InfeasibleError
 from starfd.geometry import (_external_point_density,
                              exp_pathloss_center_disk,
                              exp_pathloss_edge_disk,
                              exp_pathloss_fixed_point_to_disk,
                              exp_pathloss_two_random_points)
-from starfd.optimize import aligned_state, pgam
+from starfd.kernel import PowerConfig, dl_sinr
+from starfd.optimize import pgam
 from starfd.power import power_allocation_closed_form
 from starfd.presets import preset_text
 from starfd.rates_cf import (cf_rate_inputs, cf_rates, cf_rates_simplified,
                              compute_moments)
-from starfd.rates_mc import (PowerConfig, _block_si, _block_terms, _blocks,
-                             dl_sinr)
+from starfd.rates_mc import _block_si, _block_terms, _blocks
 from starfd.specfun import integrate_adaptive
 
 USERS = ("u1d", "u2d", "u1u", "u2u")

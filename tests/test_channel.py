@@ -5,9 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import BASELINE_ANGLES, make_config, star_cascade
-from starfd.channel import (StarRisState, _los_vectors, draw_realization,
-                            steering_vector)
+from starfd.channel import StarRisState, _los_vectors, steering_vector
 from starfd.config import GeometryAngles
+from starfd.rates_mc import draw_realization
 
 
 def draw(config, seed, size, ris=None):

@@ -16,8 +16,9 @@ import starfd.rates_mc as rates_mc
 from starfd.cli import (ExperimentSpec, main, parse_spec_text,
                         run_experiment, _config_for_point, _design_state,
                         _report_cells)
-from starfd.rates_mc import _BLOCK, PowerConfig, ergodic_rate_mc
+from starfd.kernel import PowerConfig
 from starfd.presets import PRESETS, preset_text
+from starfd.rates_mc import _BLOCK, ergodic_rate_mc
 
 
 def make_spec(text, **replacements):
@@ -388,6 +389,14 @@ class TestRunExperiment:
         by_design = {r["design"]: float(r["sum"]) for r in rows}
         assert by_design["pgam"] >= by_design["aligned"] - 1e-12
 
+    def test_designs_and_estimators_may_be_lists(self, tmp_path):
+        spec = make_spec(MINI, output=str(tmp_path / "l.csv")).replace(
+            designs=["aligned"], estimators=("cf",))
+        out, _, _ = run_experiment(spec)
+        with open(out, encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["design"] for r in rows] == ["aligned", "aligned"]
+
     def test_jobs_must_be_positive(self, tmp_path):
         spec = make_spec(MINI, output=str(tmp_path / "j.csv"))
         with pytest.raises(ValueError, match="jobs"):
@@ -606,24 +615,31 @@ class TestStartup:
         # logging stack it pulls in) nor numpy's polynomial package; both
         # would cost every process start-up time and memory. The records
         # are plain classes: dataclasses would generate and compile their
-        # methods at every import. numpy loads numpy.random on first use,
-        # which a run without draws never makes. The command line is read
-        # without argparse (and the gettext and locale lookups it makes),
-        # the presets only for a preset name, and the power allocation
-        # only for a rate-target scheme. Parsing, checking and printing a
-        # spec load neither numpy nor the numeric modules; only a run
-        # does.
+        # methods at every import. The command line is read without
+        # argparse (and the gettext and locale lookups it makes), the
+        # presets only for a preset name, and the power allocation only
+        # for a rate-target scheme. Parsing, checking and printing a spec
+        # load neither numpy nor the numeric modules; only a run does,
+        # and it compiles the simulator (with its draw, whose first use
+        # loads numpy.random) only for the mc estimator and the ascent
+        # only for the pgam design.
         unused = ("concurrent.futures", "logging", "numpy.polynomial",
-                  "dataclasses", "numpy.random")
+                  "dataclasses")
         lazy = ("argparse", "gettext", "locale", "starfd.power")
+        simulator = ("starfd.rates_mc", "numpy.random")
+        ascent = ("starfd.optimize",)
         numeric = ("numpy", "starfd.channel", "starfd.geometry",
-                   "starfd.specfun", "starfd.rates_cf", "starfd.rates_mc",
-                   "starfd.optimize")
+                   "starfd.specfun", "starfd.kernel", "starfd.rates_cf",
+                   "starfd.designs")
         write_spec(tmp_path, MINI, "fixed.txt")
         write_spec(tmp_path, MINI + "power_scheme = closed-form\n",
                    "closed.txt")
         write_spec(tmp_path, MINI + "designs = nope\n", "bad.txt")
-        spec_layer = unused + lazy + numeric
+        write_spec(tmp_path, MINI + "n_elements = 4\nestimators = cf, mc\n"
+                   "trials = 8\n", "mc.txt")
+        write_spec(tmp_path, MINI + "n_elements = 4\ndesigns = pgam\n"
+                   "pgam_iters = 2\n", "pgam.txt")
+        spec_layer = unused + lazy + numeric + simulator + ascent
         presets = ("starfd.presets",)
         assert loaded_after(tmp_path, [
             (None, spec_layer + presets),
@@ -637,10 +653,14 @@ class TestStartup:
         ]) == ["None []", "0 []", "1 []", "0 []", "2 []", "0 []", "0 []",
                "0 []"]
         assert loaded_after(tmp_path, [
-            (["run", "fixed.txt"], unused + lazy + presets),
+            (["run", "fixed.txt"], unused + lazy + presets + simulator
+             + ascent),
             (None, numeric),
-            (["run", "closed.txt"], ("starfd.power",)),
-        ]) == ["0 []", f"None {list(numeric)}", "0 ['starfd.power']"]
+            (["run", "closed.txt"], ("starfd.power",) + simulator + ascent),
+            (["run", "mc.txt"], simulator + ascent),
+            (["run", "pgam.txt"], ascent),
+        ]) == ["0 []", f"None {list(numeric)}", "0 ['starfd.power']",
+               f"0 {list(simulator)}", "0 ['starfd.optimize']"]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_names_rebound_before_main_are_the_ones_run(self, tmp_path,
@@ -718,6 +738,42 @@ class TestStartup:
             found = hasattr(importlib.import_module(module), name)
             resolved[layer] = resolved.get(layer, False) or found
         assert resolved and all(resolved.values()), resolved
+
+    def test_benchmark_hooks_record_spans(self, tmp_path):
+        # A hook can resolve and still record nothing, when the run calls
+        # the layer through another name. Under the benchmark's tracer, a
+        # NOMA-pair run with every design and estimator and a
+        # bidirectional run reach every layer except cf_sinrs and
+        # cf_rates_bidirectional, which no run path calls: the optimizer
+        # scores through cf_rates. A fresh process, because the tracer
+        # rebinds the package's names and the geometry cache must be cold.
+        short = "n_elements = 4\ntrials = 8\nestimators = cf, mc\n"
+        write_spec(tmp_path, MINI + short + "designs = pgam, aligned, "
+                   "random\npgam_iters = 2\n", "noma.txt")
+        write_spec(tmp_path, MINI + short + "scenario = bidirectional\n",
+                   "bidir.txt")
+        trace_run = Path(__file__).resolve().parents[1] / "perfbench" / (
+            "trace_run.py")
+        script = dedent(f"""
+            import contextlib, importlib.util, io
+            loader = importlib.util.spec_from_file_location(
+                "trace_run", {str(trace_run)!r})
+            trace_run = importlib.util.module_from_spec(loader)
+            loader.loader.exec_module(trace_run)
+            tracer = trace_run.Tracer()
+            tracer.install()
+            import starfd.cli
+            for spec in ("noma.txt", "bidir.txt"):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = starfd.cli.main(["run", spec])
+                print(code)
+            traced = {{span[1] for span in tracer.spans}}
+            print(tracer.missing,
+                  sorted({{hook[0] for hook in trace_run.HOOKS}} - traced))
+        """)
+        assert fresh_python(tmp_path, script).splitlines() == [
+            "0", "0",
+            "[] ['rates_cf.cf_rates_bidirectional', 'rates_cf.cf_sinrs']"]
 
 
 class TestMain:

@@ -5,13 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_config
-from starfd.channel import StarRisState, draw_realization
+from starfd.channel import StarRisState
 from starfd.config import CellGeometry
 from starfd.geometry import (_two_point_density,
                              exp_pathloss_center_disk,
                              exp_pathloss_edge_disk,
                              exp_pathloss_fixed_point_to_disk,
                              exp_pathloss_two_random_points, pathloss)
+from starfd.rates_mc import draw_realization
 from starfd.specfun import integrate_adaptive
 
 # Grid shared by the oracle-agreement tests below.

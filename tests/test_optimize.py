@@ -8,19 +8,18 @@ from scipy import optimize as sciopt
 from conftest import BASELINE_ANGLES, make_config
 from starfd.channel import StarRisState
 from starfd.config import CellGeometry, GeometryAngles
+from starfd.designs import (aligned_state, suboptimal_phases,
+                            suboptimal_phases_bidirectional)
 from starfd.exceptions import DegenerateGeometryError, InfeasibleError
+from starfd.kernel import PowerConfig, dl_sinr
 from starfd.optimize import (ConstraintCheck, ConstraintReport,
                              OptimizationResult,
-                             _make_objective,
-                             aligned_state, pgam,
+                             _make_objective, pgam,
                              project_amplitudes, project_phases,
-                             suboptimal_phases,
-                             suboptimal_phases_bidirectional,
                              validate_constraints)
 from starfd.power import power_allocation_closed_form
 from starfd.rates_cf import (CfRateInputs, cf_rate_inputs, cf_rates,
                              compute_moments)
-from starfd.rates_mc import PowerConfig, dl_sinr
 
 
 def cross_decode_rate(config, state, pw):
@@ -173,7 +172,7 @@ class TestBidirectionalAlignment:
         # Reproduce the candidates and check the returned pair is one of
         # them on each side.
         n = config.n_elements
-        from starfd.optimize import _alignment_phase, _link_direction
+        from starfd.designs import _alignment_phase, _link_direction
         s_br, c_br = _link_direction(config.angles, "br")
         s_u1d, c_u1d = _link_direction(config.angles, "u1d")
         s_u2d, c_u2d = _link_direction(config.angles, "u2d")

@@ -5,16 +5,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_config, short_form_rates
-from starfd.channel import StarRisState, _los_vectors, draw_realization
+from starfd.channel import StarRisState, _los_vectors
 from starfd.geometry import (exp_pathloss_center_disk,
                              exp_pathloss_edge_disk,
                              exp_pathloss_fixed_point_to_disk,
                              exp_pathloss_two_random_points, pathloss)
+from starfd.kernel import PowerConfig, dl_sinr, noma_sinrs
 from starfd.rates_cf import (CfRateInputs, cf_rate_inputs, cf_rates,
                              cf_rates_bidirectional, cf_rates_simplified,
                              cf_sinrs, compute_moments)
-from starfd.rates_mc import (PowerConfig, dl_sinr, ergodic_rate_mc,
-                             noma_sinrs)
+from starfd.rates_mc import draw_realization, ergodic_rate_mc
 
 USERS = ("u1d", "u2d", "u1u", "u2u")
 

@@ -8,13 +8,13 @@ from numpy.testing import assert_allclose
 import starfd.rates_mc as rates_mc
 from conftest import (BASELINE_ANGLES, make_config, scalar_terms,
                       star_cascade, trial_channels)
-from starfd.channel import StarRisState, draw_realization
+from starfd.channel import StarRisState
 from starfd.config import CellGeometry, SystemConfig
-from starfd.optimize import aligned_state
-from starfd.rates_mc import (_BLOCK, DRAW_FIELDS, PowerConfig, RateReport,
-                             _block_si, _block_terms, _blocks, dl_sinr,
-                             binding_legs, ergodic_rate_mc, noma_sinrs,
-                             relay_leg_rates, scenario_rates)
+from starfd.designs import aligned_state
+from starfd.kernel import (PowerConfig, RateReport, binding_legs, dl_sinr,
+                           noma_sinrs, relay_leg_rates, scenario_rates)
+from starfd.rates_mc import (_BLOCK, DRAW_FIELDS, _block_si, _block_terms,
+                             _blocks, draw_realization, ergodic_rate_mc)
 
 USERS = ("u1d", "u2d", "u1u", "u2u")
 
@@ -152,7 +152,7 @@ class TestRateReport:
     @pytest.mark.parametrize("start", ["aligned", "random"])
     @pytest.mark.parametrize("scenario", ["noma-pair", "bidirectional"])
     def test_objective_is_the_reported_sum_rate(self, scenario, start):
-        from starfd.optimize import _make_objective, aligned_state
+        from starfd.optimize import _make_objective
         from starfd.rates_cf import cf_rates
         config = make_config(weight_u1d=0.3, weight_u2u=1.7)
         pw = PowerConfig.from_config(config)

@@ -9,16 +9,16 @@ import numpy as np
 import pytest
 
 from conftest import BASELINE_ANGLES, make_config
-from starfd.channel import (ChannelBlock, StarRisState, _los_vectors,
-                            draw_realization)
+from starfd.channel import StarRisState, _los_vectors
 from starfd.cli import ExperimentSpec, parse_spec_text
 from starfd.config import CellGeometry, GeometryAngles, SystemConfig
+from starfd.kernel import PowerConfig, RateReport
 from starfd.optimize import (ConstraintCheck, ConstraintReport,
                              OptimizationResult, pgam)
 from starfd.presets import preset_text
 from starfd.rates_cf import (CfRateInputs, MomentSet, cf_rate_inputs,
                              cf_rates, compute_moments)
-from starfd.rates_mc import PowerConfig, RateReport
+from starfd.rates_mc import ChannelBlock, draw_realization
 from starfd.record import Frozen
 
 
