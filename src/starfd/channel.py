@@ -86,9 +86,10 @@ class StarRisState(Frozen):
         raise ValueError(f"unknown surface side {side!r}")
 
     @classmethod
-    def uniform(cls, n_elements: int, rho_t: float = 0.5,
-                phi_t: float = 0.0, phi_r: float = 0.0) -> "StarRisState":
-        """Equal-amplitude state with constant phases."""
+    def uniform(cls, n_elements: int, rho_t: float = 0.5, phi_t=0.0,
+                phi_r=0.0) -> "StarRisState":
+        """Equal-amplitude state; each side's phases are one constant or
+        an array of ``n_elements`` per-element phases."""
         ones = np.ones(n_elements)
         return cls(rho_t=rho_t * ones, rho_r=(1.0 - rho_t) * ones,
                    phi_t=phi_t * ones, phi_r=phi_r * ones)
@@ -97,10 +98,9 @@ class StarRisState(Frozen):
     def random_phases(cls, n_elements: int, rho_t: float,
                       rng: np.random.Generator) -> "StarRisState":
         """Equal-amplitude state with i.i.d. uniform phases on both sides."""
-        ones = np.ones(n_elements)
-        return cls(rho_t=rho_t * ones, rho_r=(1.0 - rho_t) * ones,
-                   phi_t=rng.uniform(0.0, 2.0 * math.pi, n_elements),
-                   phi_r=rng.uniform(0.0, 2.0 * math.pi, n_elements))
+        return cls.uniform(n_elements, rho_t,
+                           rng.uniform(0.0, 2.0 * math.pi, n_elements),
+                           rng.uniform(0.0, 2.0 * math.pi, n_elements))
 
 
 def element_layout(n_elements: int) -> tuple:

@@ -80,8 +80,10 @@ def _bind_run_names(spec: ExperimentSpec) -> None:
         if name not in namespace and name not in unused:
             namespace[name] = __getattr__(name)
 
-SWEEP_VARIABLES = ("snr_db", "n_elements", "tau", "xi", "beta",
-                   "target_rate")
+# Each sweep variable and the SystemConfig field its grid values set.
+_SWEEP_FIELDS = {"snr_db": "P_t", "n_elements": "n_elements", "tau": "tau",
+                 "xi": "Xi", "beta": "beta", "target_rate": "R_dth"}
+SWEEP_VARIABLES = tuple(_SWEEP_FIELDS)
 DESIGNS = ("pgam", "aligned", "random")
 POWER_SCHEMES = ("fixed", "closed-form", "tau-dl-target")
 ESTIMATORS = ("cf", "mc")
@@ -273,26 +275,6 @@ def parse_spec_text(text: str
     if not values["output"]:
         errors.append("output: must be a file name")
 
-    # Sweep-specific domain rules: what every grid value must satisfy.
-    rules = {
-        "tau": (lambda v: 0.0 < v <= 1.0,
-                "tau values must lie in (0, 1]; an uplink-only split is "
-                "modeled as a small positive tau such as 0.01"),
-        "n_elements": (lambda v: v == int(v) and v >= 1,
-                       "n_elements values must be positive integers"),
-        "xi": (lambda v: 0.0 <= v <= 1.0, "xi values must lie in [0, 1]"),
-        "beta": (lambda v: v >= 0.0, "beta values must be non-negative"),
-        "snr_db": (lambda v: 0.0 < _snr_power(watts["noise_dl_dbw"], v)
-                   < math.inf, "snr_db values must give a positive total "
-                   "power within the range of a float in watts"),
-        "target_rate": (lambda v: v >= 0.0,
-                        "target rates must be non-negative"),
-    }
-    if grid and sweep_variable in rules:
-        holds, rule = rules[sweep_variable]
-        if not all(holds(v) for v in grid):
-            errors.append(f"sweep_grid: {rule}")
-
     # Scheme/scenario compatibility.
     if scenario == "bidirectional" and scheme != "fixed":
         errors.append("power_scheme: the bidirectional scenario supports "
@@ -342,6 +324,15 @@ def parse_spec_text(text: str
             R_uth=values["target_ul_rate"])
     except ValueError as exc:
         errors.append(str(exc))
+    # Every grid value must make a valid cell, under the records' checks.
+    if config is not None and sweep_variable in _SWEEP_FIELDS:
+        for value in grid:
+            try:
+                _config_for_point(config, sweep_variable, value)
+            except ValueError as exc:
+                errors.append(f"sweep_grid: {sweep_variable} = "
+                              f"{_fmt(value)}: {exc}")
+                break
 
     if errors:
         return None, errors
@@ -370,20 +361,16 @@ def _snr_power(sigma_sq: float, snr_db: float) -> float:
         return math.inf
 
 
-def _config_for_point(spec: ExperimentSpec, value: float) -> SystemConfig:
-    config = spec.config
-    variable = spec.sweep_variable
+def _config_for_point(config: SystemConfig, variable: str,
+                      value: float) -> SystemConfig:
+    """``config`` at one grid value of the sweep ``variable``."""
     if variable == "snr_db":
-        return config.replace(P_t=_snr_power(config.sigma_sq, value))
-    if variable == "n_elements":
-        return config.replace(n_elements=int(value))
-    if variable == "tau":
-        return config.replace(tau=value)
-    if variable == "xi":
-        return config.replace(Xi=value)
-    if variable == "beta":
-        return config.replace(beta=value)
-    return config.replace(R_dth=value)
+        value = _snr_power(config.sigma_sq, value)
+    elif variable == "n_elements":
+        if value != int(value):
+            raise ValueError("n_elements values must be positive integers")
+        value = int(value)
+    return config.replace(**{_SWEEP_FIELDS[variable]: value})
 
 
 def _design_state(spec: ExperimentSpec, config: SystemConfig,
@@ -436,7 +423,7 @@ def _point_rows(spec: ExperimentSpec, point: int, value: float
                 ) -> Tuple[List[List[str]], List[_McCell]]:
     """One grid point's rows, with its MC rows left to be completed from
     the returned cells."""
-    config = _config_for_point(spec, value)
+    config = _config_for_point(spec.config, spec.sweep_variable, value)
     if spec.sweep_variable == "n_elements":
         sweep_cell = str(int(value))
     else:

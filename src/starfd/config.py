@@ -134,8 +134,9 @@ class SystemConfig(Record):
         for user in USERS:
             if not getattr(self, f"weight_{user}") >= 0:
                 raise ValueError(f"weight_{user} must be non-negative")
-        if not self.P_t > 0:
-            raise ValueError("total power budget must be positive")
+        if not 0 < self.P_t < math.inf:
+            raise ValueError("total power budget must be positive and "
+                             "finite")
         validate_splits(self.tau, self.alpha1, self.alpha2, self.ul_split)
         if not 0.0 <= self.Xi <= 1.0:
             raise ValueError("SIC error factor Xi must lie in [0, 1]")

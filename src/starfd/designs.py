@@ -29,29 +29,26 @@ def _alignment_phase(n_elements: int, d_over_lambda: float, s: float,
     return -2.0 * math.pi * d_over_lambda * (x * s + y * c)
 
 
-def suboptimal_phases(angles: GeometryAngles, n_elements: int,
-                      d_over_lambda: float
+def _link_direction(angles: GeometryAngles, link: str) -> Tuple[float, float]:
+    az, el = angles.link(link)
+    return math.sin(az) * math.sin(el), math.cos(el)
+
+
+def suboptimal_phases(angles: GeometryAngles, n_elements: int
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """Channel-aligned phase design toward the two cell-edge users.
 
     Side t aligns the BS-surface-u2u cascade, side r the BS-surface-u2d
     cascade: phi_n^k = -2*pi*(d/lambda)*(x_n*t_k + y_n*l_k) with
     t_k = sin(az_br)sin(el_br) - sin(az_k)sin(el_k) and
-    l_k = cos(el_br) - cos(el_k).
+    l_k = cos(el_br) - cos(el_k), at the spacing ``angles.d_over_lambda``.
     """
-    s_br = math.sin(angles.az_br) * math.sin(angles.el_br)
-    c_br = math.cos(angles.el_br)
-    t_t = s_br - math.sin(angles.az_u2u) * math.sin(angles.el_u2u)
-    l_t = c_br - math.cos(angles.el_u2u)
-    t_r = s_br - math.sin(angles.az_u2d) * math.sin(angles.el_u2d)
-    l_r = c_br - math.cos(angles.el_u2d)
-    return (_alignment_phase(n_elements, d_over_lambda, t_t, l_t),
-            _alignment_phase(n_elements, d_over_lambda, t_r, l_r))
-
-
-def _link_direction(angles: GeometryAngles, link: str) -> Tuple[float, float]:
-    az, el = angles.link(link)
-    return math.sin(az) * math.sin(el), math.cos(el)
+    d = angles.d_over_lambda
+    s_br, c_br = _link_direction(angles, "br")
+    s_t, c_t = _link_direction(angles, "u2u")
+    s_r, c_r = _link_direction(angles, "u2d")
+    return (_alignment_phase(n_elements, d, s_br - s_t, c_br - c_t),
+            _alignment_phase(n_elements, d, s_br - s_r, c_br - c_r))
 
 
 def suboptimal_phases_bidirectional(config: SystemConfig, pw: PowerConfig,
@@ -86,11 +83,8 @@ def suboptimal_phases_bidirectional(config: SystemConfig, pw: PowerConfig,
         "bs": _alignment_phase(n, d, s_br - s_u2d, c_br - c_u2d),
     }
 
-    ones = np.ones(n)
-    rho_kwargs = dict(rho_t=rho_t * ones, rho_r=(1.0 - rho_t) * ones)
-
     def branches(phi_t: np.ndarray, phi_r: np.ndarray):
-        state = StarRisState(phi_t=phi_t, phi_r=phi_r, **rho_kwargs)
+        state = StarRisState.uniform(n, rho_t, phi_t, phi_r)
         return relay_branches(cf_rate_inputs(config, state), config, pw)
 
     zero = np.zeros(n)
@@ -117,8 +111,5 @@ def aligned_state(config: SystemConfig, rho_t: float = 0.5,
             pw = PowerConfig.from_config(config)
         phi_t, phi_r = suboptimal_phases_bidirectional(config, pw, rho_t)
     else:
-        phi_t, phi_r = suboptimal_phases(config.angles, config.n_elements,
-                                         config.angles.d_over_lambda)
-    ones = np.ones(config.n_elements)
-    return StarRisState(rho_t=rho_t * ones, rho_r=(1.0 - rho_t) * ones,
-                        phi_t=phi_t, phi_r=phi_r)
+        phi_t, phi_r = suboptimal_phases(config.angles, config.n_elements)
+    return StarRisState.uniform(config.n_elements, rho_t, phi_t, phi_r)

@@ -12,10 +12,11 @@ Path loss is the bounded model ``l(d) = (1 + d)^(-m)`` with distances in
 meters, which avoids the d -> 0 singularity and keeps every expectation in
 (0, 1].
 
-Four position-averaged expectations of ``l`` appear in the closed forms:
+Three position-averaged expectations of ``l`` appear in the closed forms:
 
-- over the center disk (distance BS -> uniform center user), closed form;
-- over the edge disk (surface -> uniform edge user), same closed form;
+- from a disk's center to a uniform point in it, closed form: over the
+  center disk (BS -> center user) and over the edge disk (surface -> edge
+  user);
 - from a fixed external point to a uniform point in a disk (surface ->
   center user), via Gauss-Legendre quadrature of the arccos distance
   density on [r1, r1 + 2R];
@@ -34,8 +35,7 @@ from .specfun import GL64_NODES, GL64_WEIGHTS, integrate_adaptive
 
 __all__ = [
     "pathloss",
-    "exp_pathloss_center_disk",
-    "exp_pathloss_edge_disk",
+    "exp_pathloss_disk",
     "exp_pathloss_fixed_point_to_disk",
     "exp_pathloss_two_random_points",
 ]
@@ -50,33 +50,19 @@ def pathloss(distance, m: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _disk_expectation_closed_form(R: float, m: float) -> float:
-    # E{(1+r)^(-m)} under the density 2r/R^2, integrated in closed form.
-    # The mR(1+R) term enters with a minus sign; this is checked against
-    # the adaptive oracle in the tests (and gives the correct R -> 0
-    # limit of 1).
-    num = -1.0 + R * R - m * R * (1.0 + R) + (1.0 + R) ** m
-    return 2.0 * (1.0 + R) ** (-m) * num / ((m - 1.0) * (m - 2.0) * R * R)
-
-
-def exp_pathloss_center_disk(R: float, m: float) -> float:
-    """E{(1+r)^(-m)} for r distributed 2r/R^2 on the center disk."""
+def exp_pathloss_disk(R: float, m: float) -> float:
+    """E{(1+r)^(-m)} for r distributed 2r/R^2: from the center of a disk
+    of radius ``R`` to a uniform point in it."""
     if not R > 0:
         raise ValueError("disk radius must be positive")
     if not m > 2:
         raise ValueError(
             "path-loss exponent must exceed 2 (closed form has a pole)")
-    return _disk_expectation_closed_form(R, m)
-
-
-def exp_pathloss_edge_disk(R_r: float, m: float) -> float:
-    """Same expectation over the edge disk (identical formula in R_r)."""
-    if not R_r > 0:
-        raise ValueError("disk radius must be positive")
-    if not m > 2:
-        raise ValueError(
-            "path-loss exponent must exceed 2 (closed form has a pole)")
-    return _disk_expectation_closed_form(R_r, m)
+    # Integrated in closed form. The mR(1+R) term enters with a minus
+    # sign; this is checked against the adaptive oracle in the tests (and
+    # gives the correct R -> 0 limit of 1).
+    num = -1.0 + R * R - m * R * (1.0 + R) + (1.0 + R) ** m
+    return 2.0 * (1.0 + R) ** (-m) * num / ((m - 1.0) * (m - 2.0) * R * R)
 
 
 def _external_point_density(r, r1: float, R: float):

@@ -16,8 +16,7 @@ import numpy as np
 
 from .channel import StarRisState, _los_vectors
 from .config import SystemConfig
-from .geometry import (exp_pathloss_center_disk, exp_pathloss_edge_disk,
-                       exp_pathloss_fixed_point_to_disk,
+from .geometry import (exp_pathloss_disk, exp_pathloss_fixed_point_to_disk,
                        exp_pathloss_two_random_points, pathloss)
 from .kernel import PowerConfig, RateReport, noma_sinrs, scenario_rates
 from .record import Record
@@ -103,8 +102,8 @@ def _geometry_expectations(R: float, R_r: float, d_br: float,
                            m: float) -> Tuple[float, float, float, float,
                                               float]:
     """(q_center, q_edge, upsilon, rho_2pt, l_br), cached per geometry."""
-    return (exp_pathloss_center_disk(R, m),
-            exp_pathloss_edge_disk(R_r, m),
+    return (exp_pathloss_disk(R, m),
+            exp_pathloss_disk(R_r, m),
             exp_pathloss_fixed_point_to_disk(d_br - R, R, m),
             exp_pathloss_two_random_points(R, m),
             pathloss(d_br, m))

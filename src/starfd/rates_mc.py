@@ -87,17 +87,13 @@ def _surface_user_distance(radius: np.ndarray, angle: np.ndarray,
                    - 2.0 * radius * d_br * np.cos(angle))
 
 
-def draw_realization(config: SystemConfig, ris: StarRisState,
-                     rng: np.random.Generator, size: int) -> ChannelBlock:
+def draw_realization(config: SystemConfig, rng: np.random.Generator,
+                     size: int) -> ChannelBlock:
     """Draw positions, path losses and all channels for ``size`` trials.
 
     The draw order (positions, direct scalars, surface vectors, SI pair)
     is fixed so a given generator state always produces the same block.
-    The surface state is only cross-checked for size; channels do not
-    depend on it.
     """
-    if ris.n_elements != config.n_elements:
-        raise ValueError("surface state size does not match the config")
     geom = config.geometry
     n = config.n_elements
 
@@ -183,8 +179,7 @@ def _block_terms(block: ChannelBlock, ris: StarRisState
     return {"u1d": u1d, "u2d": u2d, "u1u": u1u}
 
 
-def _blocks(config: SystemConfig, ris: StarRisState, trials: int,
-            seed: int):
+def _blocks(config: SystemConfig, trials: int, seed: int):
     """The trial stream as blocks of at most ``_BLOCK`` trials.
 
     Block b holds trials b * _BLOCK onward and draws them from a
@@ -193,7 +188,7 @@ def _blocks(config: SystemConfig, ris: StarRisState, trials: int,
     for b, start in enumerate(range(0, trials, _BLOCK)):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
-        yield draw_realization(config, ris, rng, min(_BLOCK, trials - start))
+        yield draw_realization(config, rng, min(_BLOCK, trials - start))
 
 
 def _block_si(block: ChannelBlock, config: SystemConfig,
@@ -280,7 +275,7 @@ def ergodic_rate_mc(cells, trials: int, seed: int,
     for k, (config, ris, pw) in enumerate(cells):
         key = np.concatenate([ris.side("t"), ris.side("r")]).tobytes()
         groups.setdefault(key, (ris, []))[1].append((k, config, pw))
-    for block in _blocks(*cells[0][:2], trials, seed):
+    for block in _blocks(cells[0][0], trials, seed):
         counts.append(block.size)
         for ris, members in groups.values():
             terms = _block_terms(block, ris)

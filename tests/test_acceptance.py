@@ -54,17 +54,15 @@ from starfd.cli import parse_spec_text, run_experiment
 from starfd.config import CellGeometry
 from starfd.designs import aligned_state
 from starfd.exceptions import DegenerateGeometryError, InfeasibleError
-from starfd.geometry import (_external_point_density,
-                             exp_pathloss_center_disk,
-                             exp_pathloss_edge_disk,
+from starfd.geometry import (_external_point_density, exp_pathloss_disk,
                              exp_pathloss_fixed_point_to_disk,
                              exp_pathloss_two_random_points)
 from starfd.kernel import PowerConfig, dl_sinr
 from starfd.optimize import pgam
 from starfd.power import power_allocation_closed_form
 from starfd.presets import preset_text
-from starfd.rates_cf import (cf_rate_inputs, cf_rates, cf_rates_simplified,
-                             compute_moments)
+from starfd.rates_cf import (_geometry_expectations, cf_rate_inputs,
+                             cf_rates, cf_rates_simplified, compute_moments)
 from starfd.rates_mc import _block_si, _block_terms, _blocks
 from starfd.specfun import integrate_adaptive
 
@@ -88,7 +86,7 @@ def moment_ratio_rates(config, state, pw, trials, seed):
     """
     sig, sig_b = config.sigma_sq, config.sigma_b_sq
     partial = {user: [] for user in USERS}
-    for block in _blocks(config, state, trials, seed):
+    for block in _blocks(config, trials, seed):
         terms = _block_terms(block, state)
         a1, c1, d1 = terms["u1d"]
         a2, c2, d2 = terms["u2d"]
@@ -153,23 +151,38 @@ class TestGeometryMoments:
     """Part 2: every position average within 1e-6 of an independent
     quadrature."""
 
-    def test_center_disk_matches_adaptive_oracle(self):
+    @staticmethod
+    def _disk_oracle(R, m):
+        return integrate_adaptive(
+            lambda r: (1.0 + r) ** (-m) * 2.0 * r / R ** 2,
+            0.0, R, tol=1e-13)
+
+    def test_disk_matches_adaptive_oracle(self):
+        # One closed form serves the center disk (BS -> center user) and
+        # the edge disk (surface -> edge user).
         for m in EXPONENTS:
             for R in RADII:
-                ref = integrate_adaptive(
-                    lambda r: (1.0 + r) ** (-m) * 2.0 * r / R ** 2,
-                    0.0, R, tol=1e-13)
-                assert_allclose(exp_pathloss_center_disk(R, m), ref,
+                assert_allclose(exp_pathloss_disk(R, m),
+                                self._disk_oracle(R, m),
+                                rtol=1e-6, err_msg=f"R={R} m={m}")
+
+    def test_center_disk_matches_adaptive_oracle(self):
+        # The center-user average the closed-form rates read: the disk
+        # of the cell radius R, with the edge radius held fixed.
+        for m in EXPONENTS:
+            for R in RADII:
+                q_center = _geometry_expectations(R, 30.0, R + 10.0, m)[0]
+                assert_allclose(q_center, self._disk_oracle(R, m),
                                 rtol=1e-6, err_msg=f"R={R} m={m}")
 
     def test_edge_disk_matches_adaptive_oracle(self):
+        # The edge-user average the closed-form rates read: the disk of
+        # the edge radius R_r around the surface, the cell held fixed.
         for m in EXPONENTS:
-            for R in RADII:
-                ref = integrate_adaptive(
-                    lambda r: (1.0 + r) ** (-m) * 2.0 * r / R ** 2,
-                    0.0, R, tol=1e-13)
-                assert_allclose(exp_pathloss_edge_disk(R, m), ref,
-                                rtol=1e-6, err_msg=f"R={R} m={m}")
+            for R_r in RADII:
+                q_edge = _geometry_expectations(50.0, R_r, 60.0, m)[1]
+                assert_allclose(q_edge, self._disk_oracle(R_r, m),
+                                rtol=1e-6, err_msg=f"R_r={R_r} m={m}")
 
     def test_fixed_point_to_disk_matches_adaptive_oracle(self):
         for m in EXPONENTS:

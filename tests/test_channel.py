@@ -7,12 +7,12 @@ from numpy.testing import assert_allclose
 from conftest import BASELINE_ANGLES, make_config, star_cascade
 from starfd.channel import StarRisState, _los_vectors, steering_vector
 from starfd.config import GeometryAngles
-from starfd.rates_mc import draw_realization
+from starfd.kernel import PowerConfig
+from starfd.rates_mc import draw_realization, ergodic_rate_mc
 
 
-def draw(config, seed, size, ris=None):
-    ris = ris or StarRisState.uniform(config.n_elements)
-    return draw_realization(config, ris, np.random.default_rng(seed), size)
+def draw(config, seed, size):
+    return draw_realization(config, np.random.default_rng(seed), size)
 
 
 class TestSteeringVector:
@@ -258,9 +258,13 @@ class TestDrawRealization:
                           & (block.angle[user] < 2.0 * math.pi)), user
 
     def test_surface_size_mismatch_rejected(self):
+        # The draw reads no surface state; the estimator pairs each cell's
+        # state with its config and checks their sizes.
         config = make_config()
+        cell = (config, StarRisState.uniform(8),
+                PowerConfig.from_config(config))
         with pytest.raises(ValueError, match="does not match"):
-            draw(config, 0, 4, ris=StarRisState.uniform(8))
+            ergodic_rate_mc([cell], 4, 0)
 
     def test_fixed_link_pathloss(self):
         config = make_config()

@@ -56,7 +56,7 @@ class TestSpecParsing:
 
     def test_snr_point_sets_total_power(self):
         spec = make_spec(MINI)
-        assert_allclose(_config_for_point(spec, 20.0).P_t,
+        assert_allclose(_config_for_point(spec.config, "snr_db", 20.0).P_t,
                         100.0 * spec.config.sigma_sq)
 
     def test_unknown_and_bad_keys_collected_together(self):
@@ -165,6 +165,28 @@ class TestSpecParsing:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("variable, grid, bad, extra", [
+        ("tau", "0.5, 1.5", 1.5, ""),
+        ("n_elements", "4, 6.5", 6.5, ""),
+        ("n_elements", "0, 4", 0.0, ""),
+        ("xi", "0.5, 1.5", 1.5, ""),
+        ("beta", "-1, 0", -1.0, ""),
+        ("target_rate", "-0.1, 0.5", -0.1, "power_scheme = closed-form\n"),
+        ("snr_db", "30, 4000", 4000.0, ""),
+    ])
+    def test_grid_value_outside_the_cell_exits_1_and_writes_nothing(
+            self, tmp_path, capsys, variable, grid, bad, extra):
+        # Each grid value must build a valid cell, under the same checks
+        # as the fixed keys; the error names the value.
+        path = write_spec(tmp_path, f"sweep_variable = {variable}\n"
+                          f"sweep_grid = {grid}\n{extra}")
+        assert main(["validate", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: sweep_grid: ")
+        assert err.count("\n") == 1
+        assert f"{variable} = {bad!r}:" in err
+        assert out == "" and list(tmp_path.iterdir()) == [path]
 
     def test_every_preset_parses(self):
         for name in PRESETS:
@@ -434,7 +456,7 @@ def one_pair_mc_cells(spec):
     a one-cell call on its point's config, design state and powers."""
     cells = []
     for point, value in enumerate(spec.grid):
-        config = _config_for_point(spec, value)
+        config = _config_for_point(spec.config, spec.sweep_variable, value)
         pw = PowerConfig.from_config(config)
         for j in range(len(spec.designs)):
             state = _design_state(spec, config, pw, point, j)
@@ -456,9 +478,9 @@ def draws(monkeypatch):
     sizes = []
     draw = rates_mc.draw_realization
 
-    def recording_draw(config, ris, rng, size):
+    def recording_draw(config, rng, size):
         sizes.append(size)
-        return draw(config, ris, rng, size)
+        return draw(config, rng, size)
 
     monkeypatch.setattr(rates_mc, "draw_realization", recording_draw)
     return sizes

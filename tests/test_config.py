@@ -57,6 +57,12 @@ class TestSystemConfig:
             with pytest.raises(ValueError):
                 make_config(**{field: math.nan})
 
+    def test_infinite_power_budget_rejected(self):
+        # The power split checks the same bound, so a cell it could not
+        # split is refused when it is built.
+        with pytest.raises(ValueError, match="positive and finite"):
+            make_config(P_t=math.inf)
+
     def test_si_variance(self):
         config = make_config(beta=1e-3, si_lambda=0.8)
         assert_allclose(config.si_variance(800.0), 1e-3 * 800.0 ** 0.8,

@@ -5,11 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_config
-from starfd.channel import StarRisState
 from starfd.config import CellGeometry
-from starfd.geometry import (_two_point_density,
-                             exp_pathloss_center_disk,
-                             exp_pathloss_edge_disk,
+from starfd.geometry import (_two_point_density, exp_pathloss_disk,
                              exp_pathloss_fixed_point_to_disk,
                              exp_pathloss_two_random_points, pathloss)
 from starfd.rates_mc import draw_realization
@@ -77,19 +74,19 @@ class TestPathloss:
 class TestCenterDiskExpectation:
     def test_reference_values(self):
         # Frozen against the adaptive quadrature oracle.
-        assert_allclose(exp_pathloss_center_disk(50.0, 2.7),
+        assert_allclose(exp_pathloss_disk(50.0, 2.7),
                         5.999632670753e-04, rtol=1e-10)
-        assert_allclose(exp_pathloss_center_disk(1.0, 2.7),
+        assert_allclose(exp_pathloss_disk(1.0, 2.7),
                         2.839958336003e-01, rtol=1e-10)
-        assert_allclose(exp_pathloss_center_disk(10.0, 2.1),
+        assert_allclose(exp_pathloss_disk(10.0, 2.1),
                         2.575997840725e-02, rtol=1e-10)
-        assert_allclose(exp_pathloss_center_disk(30.0, 3.5),
+        assert_allclose(exp_pathloss_disk(30.0, 3.5),
                         5.841754327181e-04, rtol=1e-10)
 
     def test_matches_adaptive_oracle_on_grid(self):
         for m in EXPONENTS:
             for R in RADII:
-                got = exp_pathloss_center_disk(R, m)
+                got = exp_pathloss_disk(R, m)
                 ref = center_disk_oracle(R, m)
                 assert_allclose(got, ref, rtol=1e-10, err_msg=f"R={R} m={m}")
 
@@ -97,26 +94,22 @@ class TestCenterDiskExpectation:
         # The closed form cancels catastrophically only for R far below any
         # realistic cell size; at R = 1e-3 it is still good to ~4e-10 and
         # visibly approaches the R -> 0 limit of 1.
-        got = exp_pathloss_center_disk(1e-3, 2.7)
+        got = exp_pathloss_disk(1e-3, 2.7)
         assert_allclose(got, center_disk_oracle(1e-3, 2.7, tol=1e-14),
                         rtol=1e-8)
         assert_allclose(got, 1.0, rtol=5e-3)
 
     def test_monotone_in_radius_and_bounded(self):
-        vals = [exp_pathloss_center_disk(R, 2.7)
+        vals = [exp_pathloss_disk(R, 2.7)
                 for R in (0.5, 1.0, 5.0, 20.0, 50.0)]
         assert all(0.0 < v < 1.0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_edge_disk_same_formula(self):
-        assert (exp_pathloss_edge_disk(30.0, 2.7)
-                == exp_pathloss_center_disk(30.0, 2.7))
-
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            exp_pathloss_center_disk(-1.0, 2.7)
+            exp_pathloss_disk(-1.0, 2.7)
         with pytest.raises(ValueError, match="exceed 2"):
-            exp_pathloss_center_disk(10.0, 2.0)
+            exp_pathloss_disk(10.0, 2.0)
 
 
 class TestFixedPointToDisk:
@@ -212,8 +205,7 @@ class TestSampling:
     GEOM = CONFIG.geometry
 
     def draw(self, rng, size):
-        return draw_realization(self.CONFIG, StarRisState.uniform(1), rng,
-                                size)
+        return draw_realization(self.CONFIG, rng, size)
 
     def test_mean_radius(self):
         # E{r} = 2R/3 for a uniform disk.
@@ -258,4 +250,4 @@ class TestSampling:
             block = self.draw(rng, 200_000)
             vals += [block.pathlosses["b_u1d"], block.pathlosses["b_u1u"]]
         assert_allclose(np.mean(np.concatenate(vals)),
-                        exp_pathloss_center_disk(50.0, 2.7), rtol=0.02)
+                        exp_pathloss_disk(50.0, 2.7), rtol=0.02)

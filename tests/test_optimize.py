@@ -136,12 +136,12 @@ class TestSuboptimalPhases:
                                 el_u1d=1.2, az_u2d=0.9, el_u2d=1.2,
                                 az_u1u=0.9, el_u1u=1.2, az_u2u=0.9,
                                 el_u2u=1.2)
-        phi_t, phi_r = suboptimal_phases(angles, 16, 0.5)
+        phi_t, phi_r = suboptimal_phases(angles, 16)
         assert_allclose(phi_t, 0.0, atol=1e-15)
         assert_allclose(phi_r, 0.0, atol=1e-15)
 
     def test_single_element(self):
-        phi_t, phi_r = suboptimal_phases(BASELINE_ANGLES, 1, 0.5)
+        phi_t, phi_r = suboptimal_phases(BASELINE_ANGLES, 1)
         assert phi_t[0] == 0.0 and phi_r[0] == 0.0
 
     def test_alignment_maximizes_the_cascade(self):

@@ -6,8 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import make_config, short_form_rates
 from starfd.channel import StarRisState, _los_vectors
-from starfd.geometry import (exp_pathloss_center_disk,
-                             exp_pathloss_edge_disk,
+from starfd.geometry import (exp_pathloss_disk,
                              exp_pathloss_fixed_point_to_disk,
                              exp_pathloss_two_random_points, pathloss)
 from starfd.kernel import PowerConfig, dl_sinr, noma_sinrs
@@ -29,11 +28,11 @@ def random_state(n=20, rho_t=0.5, seed=3) -> StarRisState:
     return StarRisState.random_phases(n, rho_t, np.random.default_rng(seed))
 
 
-def surface_draws(config, ris, seed, draws, block=10_000):
+def surface_draws(config, seed, draws, block=10_000):
     """``draws`` Rician surface vectors per link, in blocks of rows."""
     rng = np.random.default_rng(seed)
     for _ in range(draws // block):
-        yield draw_realization(config, ris, rng, block).surface
+        yield draw_realization(config, rng, block).surface
 
 
 class TestMoments:
@@ -44,9 +43,9 @@ class TestMoments:
 
     def test_geometry_terms_match_direct_evaluation(self):
         mo = self.moments
-        assert_allclose(mo.q_center, exp_pathloss_center_disk(50.0, 2.7),
+        assert_allclose(mo.q_center, exp_pathloss_disk(50.0, 2.7),
                         rtol=1e-15)
-        assert_allclose(mo.q_edge, exp_pathloss_edge_disk(30.0, 2.7),
+        assert_allclose(mo.q_edge, exp_pathloss_disk(30.0, 2.7),
                         rtol=1e-15)
         assert_allclose(mo.upsilon,
                         exp_pathloss_fixed_point_to_disk(10.0, 50.0, 2.7),
@@ -115,7 +114,7 @@ class TestMoments:
         w = ris.side("r")
         draws = 100_000
         acc = 0.0
-        for g in surface_draws(config, ris, 99, draws):
+        for g in surface_draws(config, 99, draws):
             acc += np.sum(np.abs(np.sum(g["u2d"] * w * g["br"], axis=1))
                           ** 2)
         expected = mo.varpi[4] * mo.xi[4] + mo.varpi_hat[4]
@@ -141,7 +140,7 @@ class TestMoments:
         w = ris.side("t")
         acc = 0.0
         draws = 100_000
-        for g in surface_draws(config, ris, 5, draws):
+        for g in surface_draws(config, 5, draws):
             acc += np.sum(np.abs(np.sum(w * np.abs(g["br"]) ** 2, axis=1))
                           ** 2)
         assert_allclose(acc / draws,

@@ -29,9 +29,9 @@ def random_state(n=20, rho_t=0.5, seed=3) -> StarRisState:
     return StarRisState.random_phases(n, rho_t, np.random.default_rng(seed))
 
 
-def first_block(config, ris, seed, size):
+def first_block(config, seed, size):
     """Block 0 of the simulator's stream at ``seed``, ``size`` trials."""
-    return next(_blocks(config, ris, size, seed))
+    return next(_blocks(config, size, seed))
 
 
 def trial_sinrs(block, config, ris, pw, si=0.0, t=0):
@@ -183,7 +183,7 @@ class TestSinrOps:
     def setup_method(self):
         self.config = make_config()
         self.ris = random_state()
-        self.block = first_block(self.config, self.ris, 17, 4)
+        self.block = first_block(self.config, 17, 4)
 
     def rows(self):
         for t in range(self.block.size):
@@ -259,7 +259,7 @@ class TestSinrOps:
         # All energy on the transmit side leaves nothing for refraction
         # toward the edge disk, so the edge DL SINR is exactly zero.
         dark_r = StarRisState.uniform(self.config.n_elements, rho_t=1.0)
-        block = first_block(self.config, dark_r, 17, 4)
+        block = first_block(self.config, 17, 4)
         sinrs = noma_sinrs(_block_terms(block, dark_r), self.config,
                            baseline_power(), 0.0)
         assert np.all(sinrs["u2d"] == 0.0)
@@ -334,7 +334,7 @@ class TestErgodicRateMc:
     def test_single_trial_matches_direct_evaluation(self):
         report = ergodic_rate_mc([(self.config, self.ris, self.pw)], 1,
                                  seed=9)[0]
-        block = first_block(self.config, self.ris, 9, 1)
+        block = first_block(self.config, 9, 1)
         sinrs = trial_sinrs(block, self.config, self.ris, self.pw,
                             _block_si(block, self.config, self.pw))
         assert report.rate("u1d") == np.log2(1.0 + sinrs["u1d"])
@@ -347,7 +347,7 @@ class TestErgodicRateMc:
         trials = 20
         report = ergodic_rate_mc([(self.config, self.ris, self.pw)],
                                  trials, seed=23)[0]
-        block = first_block(self.config, self.ris, 23, trials)
+        block = first_block(self.config, 23, trials)
         singles = np.log2(1.0 + noma_sinrs(
             _block_terms(block, self.ris), self.config, self.pw,
             _block_si(block, self.config, self.pw))["u1d"])
@@ -387,7 +387,7 @@ class TestErgodicRateMc:
     def test_bidirectional_min_of_leg_means(self):
         report = ergodic_rate_mc([(self.config, self.ris, self.pw)], 30,
                                  seed=7, scenario="bidirectional")[0]
-        block = first_block(self.config, self.ris, 7, 30)
+        block = first_block(self.config, 7, 30)
         legs = relay_leg_rates(_block_terms(block, self.ris), self.config,
                                self.pw, _block_si(block, self.config, self.pw))
         means = [math.fsum(leg) / 30 for leg in legs]
@@ -460,8 +460,7 @@ class TestDrawKey:
         config = make_config()
         changed = config.replace(**NOT_DRAWN[field])
         assert changed != config
-        ris = random_state()
-        blocks = [draw_realization(c, ris, np.random.default_rng(4), 16)
+        blocks = [draw_realization(c, np.random.default_rng(4), 16)
                   for c in (config, changed)]
         assert same_block(*blocks)
 
@@ -469,8 +468,7 @@ class TestDrawKey:
     def test_key_fields_change_the_draw(self, field):
         config = make_config()
         changed = config.replace(**DRAWN[field])
-        blocks = [draw_realization(c, random_state(n=c.n_elements),
-                                   np.random.default_rng(4), 16)
+        blocks = [draw_realization(c, np.random.default_rng(4), 16)
                   for c in (config, changed)]
         assert not same_block(*blocks)
 
@@ -534,9 +532,9 @@ class TestSharedStream:
         sizes = []
         draw = rates_mc.draw_realization
 
-        def recording_draw(config, ris, rng, size):
+        def recording_draw(config, rng, size):
             sizes.append(size)
-            return draw(config, ris, rng, size)
+            return draw(config, rng, size)
 
         monkeypatch.setattr(rates_mc, "draw_realization", recording_draw)
         # The states differ, and so do the cells' SIC and SI constants,
@@ -667,7 +665,7 @@ class TestBlockedStream:
         config = make_config(n_elements=n, Xi=0.05, beta=1e-3)
         ris = random_state(n, rho_t=0.3, seed=n)
         pw = PowerConfig.from_config(config)
-        block = first_block(config, ris, 11, _BLOCK)
+        block = first_block(config, 11, _BLOCK)
         assert block.size == _BLOCK
         si = _block_si(block, config, pw)
         batched_terms = _block_terms(block, ris)
@@ -695,7 +693,7 @@ class TestBlockedStream:
         ris = {"aligned": aligned_state(config),
                "random": random_state(n, rho_t=0.3, seed=n),
                "transmit": random_state(n, rho_t=1.0, seed=n)}[design]
-        block = first_block(config, ris, 13, _BLOCK)
+        block = first_block(config, 13, _BLOCK)
         fused = _block_terms(block, ris)
         reference = elementwise_terms(block, ris)
         assert fused.keys() == reference.keys()
@@ -709,7 +707,7 @@ class TestBlockedStream:
         # One (trials x N) complex array at N = 100 is 1.6 MB.
         config = make_config(n_elements=100)
         ris = random_state(100)
-        block = first_block(config, ris, 5, _BLOCK)
+        block = first_block(config, 5, _BLOCK)
         _block_terms(block, ris)
         assert traced_peak(_block_terms, block, ris) < 0.5e6
 
@@ -726,9 +724,9 @@ class TestBlockedStream:
         sizes = []
         draw = rates_mc.draw_realization
 
-        def recording_draw(config, ris, rng, size):
+        def recording_draw(config, rng, size):
             sizes.append(size)
-            return draw(config, ris, rng, size)
+            return draw(config, rng, size)
 
         monkeypatch.setattr(rates_mc, "draw_realization", recording_draw)
         report = ergodic_rate_mc([(config, ris, baseline_power())],
@@ -740,9 +738,8 @@ class TestBlockedStream:
         # Block b draws from the generator keyed by (seed, b), so a full
         # block is the same whatever the total trial count.
         config = make_config()
-        ris = random_state()
-        two = list(_blocks(config, ris, 2 * _BLOCK, 8))
-        three = list(_blocks(config, ris, 2 * _BLOCK + 5, 8))
+        two = list(_blocks(config, 2 * _BLOCK, 8))
+        three = list(_blocks(config, 2 * _BLOCK + 5, 8))
         assert [b.size for b in three] == [_BLOCK, _BLOCK, 5]
         for a, b in zip(two, three):
             assert np.array_equal(a.surface["u2u"], b.surface["u2u"])

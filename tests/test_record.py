@@ -30,7 +30,7 @@ def _records():
     pw = PowerConfig.from_config(config)
     result = pgam(config, pw, ris, L=1)
     spec, _ = parse_spec_text(preset_text("default"))
-    block = draw_realization(config, ris, np.random.default_rng(0), 2)
+    block = draw_realization(config, np.random.default_rng(0), 2)
     return {
         StarRisState: (ris, ("rho_r", np.full(4, 0.9))),
         GeometryAngles: (BASELINE_ANGLES, ("az_br", math.nan)),

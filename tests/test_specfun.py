@@ -55,12 +55,12 @@ class TestIntegrateAdaptive:
         assert_allclose(got, 2.0, rtol=1e-12)
 
     def test_cross_module_disk_expectation(self):
-        from starfd.geometry import exp_pathloss_center_disk
+        from starfd.geometry import exp_pathloss_disk
         m, R = 2.7, 50.0
         got = integrate_adaptive(
             lambda r: (1.0 + r) ** (-m) * 2.0 * r / R ** 2, 0.0, R,
             tol=1e-12)
-        assert_allclose(got, exp_pathloss_center_disk(R, m), rtol=1e-10)
+        assert_allclose(got, exp_pathloss_disk(R, m), rtol=1e-10)
 
     def test_matches_scipy_quad(self):
         quad = pytest.importorskip("scipy.integrate").quad
