@@ -60,10 +60,11 @@ class StarRisState(Frozen):
         if not all(np.all(np.isfinite(getattr(self, name)))
                    for name in ("rho_t", "rho_r", "phi_t", "phi_r")):
             raise ValueError("amplitudes and phases must be finite")
-        object.__setattr__(self, "phi_t",
-                           np.mod(self.phi_t, 2.0 * math.pi))
-        object.__setattr__(self, "phi_r",
-                           np.mod(self.phi_r, 2.0 * math.pi))
+        for name in ("phi_t", "phi_r"):
+            phi = np.mod(getattr(self, name), 2.0 * math.pi)
+            # A tiny negative phase rounds up to 2*pi itself.
+            phi[phi == 2.0 * math.pi] = 0.0
+            object.__setattr__(self, name, phi)
         if validate:
             if np.any(self.rho_t < 0) or np.any(self.rho_r < 0):
                 raise ValueError("amplitudes must be non-negative")

@@ -18,17 +18,16 @@ import numpy as np
 
 from .channel import StarRisState
 from .config import SystemConfig
-from .kernel import (PowerConfig, dl_sinr, noma_sinrs, rate_weights,
-                     scenario_rates)
-from .rates_cf import (CfRateInputs, MomentSet, cf_rate_inputs, cf_rates,
-                       compute_moments, surface_gradient)
+from .kernel import (PowerConfig, RateReport, dl_sinr, noma_sinrs,
+                     rate_weights, scenario_rates)
+from .rates_cf import (CfRateInputs, cf_rate_inputs, compute_moments,
+                       surface_gradient)
 from .record import Record
 
 __all__ = [
     "ConstraintCheck",
     "ConstraintReport",
     "OptimizationResult",
-    "project_phases",
     "project_amplitudes",
     "pgam",
     "validate_constraints",
@@ -98,19 +97,6 @@ class OptimizationResult(Record):
         return int(self.trace.size - 1)
 
 
-def project_phases(theta_raw: Sequence[complex]) -> np.ndarray:
-    """Normalize each entry to unit modulus, preserving its phase.
-
-    A zero entry has no phase; it maps to 1 by convention.
-    """
-    theta = np.asarray(theta_raw, dtype=complex)
-    mag = np.abs(theta)
-    out = np.ones_like(theta)
-    nz = mag > 0.0
-    out[nz] = theta[nz] / mag[nz]
-    return out
-
-
 def project_amplitudes(rho_t_raw: Sequence[float],
                        rho_r_raw: Sequence[float]
                        ) -> Tuple[np.ndarray, np.ndarray]:
@@ -153,26 +139,29 @@ def _make_objective(config: SystemConfig, pw: PowerConfig,
     """The scenario's sum rate and its gradient in (phi_t, phi_r, rho_t,
     rho_r).
 
-    ``evaluate(state)`` returns the objective with the moments it
-    assembled; ``gradient(state, moments)`` takes the state's moments
-    back, so an accepted state's moments are assembled once.
+    ``evaluate(state)`` returns the objective with the state's assembly:
+    its moments, their rate inputs and the kernel's rates.
+    ``gradient(state, assembly)`` takes that assembly back, so an
+    accepted state is assembled once.
     """
     si = config.si_variance(pw.P_b)
 
     def rates(terms):
         return scenario_rates(terms, config, pw, si, scenario)
 
-    def evaluate(state: StarRisState) -> Tuple[float, MomentSet]:
+    def evaluate(state: StarRisState) -> Tuple[float, Tuple]:
         moments = compute_moments(config, state)
-        report = cf_rates(config, state, pw, scenario, moments)
-        return report.sum_rate, moments
+        inputs = cf_rate_inputs(config, state, moments=moments)
+        legs = rates(inputs)
+        report = RateReport.of(scenario, legs, config.weights, "cf")
+        return report.sum_rate, (moments, inputs, legs)
 
     def gradient(state: StarRisState,
-                 moments: MomentSet) -> Tuple[np.ndarray, ...]:
-        inputs = cf_rate_inputs(config, state, moments=moments)
+                 assembly: Tuple) -> Tuple[np.ndarray, ...]:
+        moments, inputs, legs = assembly
         # Any choice between legs is fixed on the real rates, so the
         # probed sum stays analytic in the terms.
-        weights = rate_weights(scenario, rates(inputs), config.weights)
+        weights = rate_weights(scenario, legs, config.weights)
 
         def rate_sum(terms):
             return sum(w * r for w, r in zip(weights, rates(terms)))
@@ -186,19 +175,16 @@ def _make_objective(config: SystemConfig, pw: PowerConfig,
 def _ascent_step(state: StarRisState, grads: Tuple[np.ndarray, ...],
                  mu: float, alpha_scale: float) -> StarRisState:
     g_phi_t, g_phi_r, g_rho_t, g_rho_r = grads
-    new_phis = []
-    for phi, grad in ((state.phi_t, g_phi_t), (state.phi_r, g_phi_r)):
-        theta = np.exp(1j * phi)
-        # The gradient holds d f / d phi; the corresponding manifold
-        # gradient in theta is (df/dphi) * j*theta. Stepping in
-        # the embedding space and renormalizing is the projected update.
-        theta_new = project_phases(theta + mu * grad * (1j * theta))
-        new_phis.append(np.angle(theta_new))
+    # The projected update of each unit-modulus coefficient theta = e^{j phi}
+    # steps along the manifold gradient (df/dphi) * j*theta and
+    # renormalizes: theta (1 + j mu g) / |1 + j mu g|, a rotation by
+    # arctan(mu g).
     rho_t, rho_r = project_amplitudes(
         state.rho_t + alpha_scale * mu * g_rho_t,
         state.rho_r + alpha_scale * mu * g_rho_r)
     return StarRisState(rho_t=rho_t, rho_r=rho_r,
-                        phi_t=new_phis[0], phi_r=new_phis[1])
+                        phi_t=state.phi_t + np.arctan(mu * g_phi_t),
+                        phi_r=state.phi_r + np.arctan(mu * g_phi_r))
 
 
 def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
@@ -209,9 +195,9 @@ def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
     Maximizes the scenario's closed-form sum rate, with the weights of
     ``config``, starting from ``init``.
     Each iteration takes the analytic gradient at the current state (no
-    objective evaluation, and no moment assembly: it reuses the moments
-    built when the state was evaluated) and evaluates the objective at
-    the candidate.
+    objective evaluation, and no assembly: it reuses the moments, rate
+    inputs and rates built when the state was evaluated) and evaluates
+    the objective at the candidate.
     The step size halves whenever a step would lower the objective, which
     guarantees a monotone trace; the run stops once a step gains less
     than ``eps``, or when no step down to 1e-12 gains at all. The
@@ -223,7 +209,7 @@ def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
         raise ValueError("alpha_scale must be positive")
     evaluate, gradient = _make_objective(config, pw, scenario)
 
-    current, moments = evaluate(init)
+    current, assembly = evaluate(init)
     if not math.isfinite(current):
         raise ValueError("objective is not finite at the initial state")
 
@@ -232,18 +218,18 @@ def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
     reason = "max-iters"
     step = mu
     for _ in range(L):
-        grads = gradient(state, moments)
+        grads = gradient(state, assembly)
         candidate = _ascent_step(state, grads, step, alpha_scale)
-        value, candidate_moments = evaluate(candidate)
+        value, candidate_assembly = evaluate(candidate)
         while value < current and step > _MU_MIN:
             step /= 2.0
             candidate = _ascent_step(state, grads, step, alpha_scale)
-            value, candidate_moments = evaluate(candidate)
+            value, candidate_assembly = evaluate(candidate)
         if value < current:
             # No ascent possible at the smallest step: a fixed point.
             reason = "converged"
             break
-        state, moments = candidate, candidate_moments
+        state, assembly = candidate, candidate_assembly
         trace.append(value)
         improvement = value - current
         current = value

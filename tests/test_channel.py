@@ -93,6 +93,13 @@ class TestStarRisState:
         assert_allclose(s.phi_t, 1.5 * math.pi, rtol=1e-12)
         assert_allclose(s.phi_r, math.pi, rtol=1e-12)
 
+    def test_phases_wrapped_below_two_pi(self):
+        # np.mod(-1e-17, 2*pi) rounds to 2*pi itself.
+        phases = np.array([-1e-17, -0.0, 2.0 * math.pi])
+        s = StarRisState.uniform(3, phi_t=phases, phi_r=phases[::-1])
+        for phi in (s.phi_t, s.phi_r):
+            assert np.all((phi >= 0.0) & (phi < 2.0 * math.pi)), phi
+
     def test_factories(self):
         s = StarRisState.uniform(5, rho_t=0.3)
         assert_allclose(s.rho_t + s.rho_r, 1.0, rtol=1e-15)

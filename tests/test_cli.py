@@ -767,7 +767,7 @@ class TestStartup:
         # NOMA-pair run with every design and estimator and a
         # bidirectional run reach every layer except cf_sinrs and
         # cf_rates_bidirectional, which no run path calls: the optimizer
-        # scores through cf_rates. A fresh process, because the tracer
+        # scores through the kernel. A fresh process, because the tracer
         # rebinds the package's names and the geometry cache must be cold.
         short = "n_elements = 4\ntrials = 8\nestimators = cf, mc\n"
         write_spec(tmp_path, MINI + short + "designs = pgam, aligned, "
