@@ -39,11 +39,12 @@ __all__ = ["ExperimentSpec", "parse_spec_text", "run_experiment", "main"]
 # for the module itself). Importing them loads numpy and the numeric
 # modules, so they are read through ``__getattr__`` on first use, and
 # :func:`run_experiment` binds the ones still unbound that its spec uses
-# (see :data:`_LAYER_NAMES`) before it starts. A name rebound on this
-# module beforehand (to trace or count its calls) is kept, and the run
-# calls it.
+# (see :data:`_LAYER_NAMES`) before it starts, on the main thread, in
+# this order. A name rebound on this module beforehand (to trace or count
+# its calls) is kept, and the run calls it. ``keyed_rng`` comes last: the
+# memory that compiling the other modules frees is then reused by
+# numpy.random's, not added on top (0.5 MB of peak RSS on an MC run).
 _RUN_NAMES = {
-    "np": ("numpy", None),
     "StarRisState": (".channel", "StarRisState"),
     "aligned_state": (".designs", "aligned_state"),
     "pgam": (".optimize", "pgam"),
@@ -53,11 +54,25 @@ _RUN_NAMES = {
     "PowerConfig": (".kernel", "PowerConfig"),
     "draw_key": (".rates_mc", "draw_key"),
     "ergodic_rate_mc": (".rates_mc", "ergodic_rate_mc"),
+    "keyed_rng": (".streams", "keyed_rng"),
 }
-# The names one layer alone calls, with the design or estimator that
-# runs it: a spec without that word never compiles the simulator and its
-# draw, or the ascent.
-_LAYER_NAMES = {"pgam": "pgam", "draw_key": "mc", "ergodic_rate_mc": "mc"}
+# The moments feed the cf rows and every rate-target power scheme.
+_MOMENT_WORDS = ("cf", "closed-form", "tau-dl-target")
+# The names that only some specs call, with the designs, estimators and
+# power schemes that call them. A spec with none of a name's words leaves
+# it unbound, so its module (the aligned designs, the ascent, the closed
+# forms, numpy's generator, the simulator) loads only if another bound
+# name needs it.
+_LAYER_NAMES = {
+    "aligned_state": ("aligned", "pgam"),
+    "pgam": ("pgam",),
+    "rates_cf": _MOMENT_WORDS,
+    "cf_rate_inputs": _MOMENT_WORDS,
+    "cf_rates": _MOMENT_WORDS,
+    "keyed_rng": ("mc", "random"),
+    "draw_key": ("mc",),
+    "ergodic_rate_mc": ("mc",),
+}
 
 
 def __getattr__(name: str):
@@ -74,10 +89,11 @@ def _bind_run_names(spec: ExperimentSpec) -> None:
     """Bind each run-path name that is not bound yet and that ``spec``
     calls."""
     namespace = globals()
-    unused = [name for name, word in _LAYER_NAMES.items()
-              if word not in spec.designs and word not in spec.estimators]
+    words = {*spec.designs, *spec.estimators, spec.power_scheme}
     for name in _RUN_NAMES:
-        if name not in namespace and name not in unused:
+        layer = _LAYER_NAMES.get(name)
+        if name not in namespace and (layer is None
+                                      or words.intersection(layer)):
             namespace[name] = __getattr__(name)
 
 # Each sweep variable and the SystemConfig field its grid values set.
@@ -381,9 +397,9 @@ def _design_state(spec: ExperimentSpec, config: SystemConfig,
     returns it and PGAM starts from it, tuning the surface for ``pw``."""
     design = spec.designs[design_index]
     if design == "random":
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=spec.seed, spawn_key=(point, design_index, 1)))
-        return StarRisState.random_phases(config.n_elements, 0.5, rng)
+        return StarRisState.random_phases(
+            config.n_elements, 0.5,
+            keyed_rng(spec.seed, point, design_index, 1))
     if aligned is None:
         aligned = aligned_state(config, 0.5, pw, spec.scenario)
     if design == "aligned":

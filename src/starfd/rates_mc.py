@@ -24,6 +24,7 @@ from .config import RIS_LINKS, SystemConfig
 from .geometry import pathloss
 from .kernel import PowerConfig, RateReport, scenario_rates
 from .record import Frozen
+from .streams import keyed_rng
 
 __all__ = [
     "ChannelBlock",
@@ -186,9 +187,8 @@ def _blocks(config: SystemConfig, trials: int, seed: int):
     generator keyed by (seed, b).
     """
     for b, start in enumerate(range(0, trials, _BLOCK)):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
-        yield draw_realization(config, rng, min(_BLOCK, trials - start))
+        yield draw_realization(config, keyed_rng(seed, b),
+                               min(_BLOCK, trials - start))
 
 
 def _block_si(block: ChannelBlock, config: SystemConfig,

@@ -642,14 +642,16 @@ class TestStartup:
         # presets only for a preset name, and the power allocation only
         # for a rate-target scheme. Parsing, checking and printing a spec
         # load neither numpy nor the numeric modules; only a run does,
-        # and it compiles the simulator (with its draw, whose first use
-        # loads numpy.random) only for the mc estimator and the ascent
-        # only for the pgam design.
+        # and it compiles the simulator (with its draw and numpy.random)
+        # only for the mc estimator and the ascent only for the pgam
+        # design. A fixed-power mc run of random designs alone compiles
+        # neither the aligned designs nor the closed forms.
         unused = ("concurrent.futures", "logging", "numpy.polynomial",
                   "dataclasses")
         lazy = ("argparse", "gettext", "locale", "starfd.power")
-        simulator = ("starfd.rates_mc", "numpy.random")
+        simulator = ("starfd.rates_mc", "starfd.streams", "numpy.random")
         ascent = ("starfd.optimize",)
+        closed_forms = ("starfd.designs", "starfd.rates_cf")
         numeric = ("numpy", "starfd.channel", "starfd.geometry",
                    "starfd.specfun", "starfd.kernel", "starfd.rates_cf",
                    "starfd.designs")
@@ -661,6 +663,8 @@ class TestStartup:
                    "trials = 8\n", "mc.txt")
         write_spec(tmp_path, MINI + "n_elements = 4\ndesigns = pgam\n"
                    "pgam_iters = 2\n", "pgam.txt")
+        write_spec(tmp_path, MINI + "n_elements = 4\ndesigns = random\n"
+                   "estimators = mc\ntrials = 8\n", "random-mc.txt")
         spec_layer = unused + lazy + numeric + simulator + ascent
         presets = ("starfd.presets",)
         assert loaded_after(tmp_path, [
@@ -683,6 +687,78 @@ class TestStartup:
             (["run", "pgam.txt"], ascent),
         ]) == ["0 []", f"None {list(numeric)}", "0 ['starfd.power']",
                f"0 {list(simulator)}", "0 ['starfd.optimize']"]
+        assert loaded_after(tmp_path, [
+            (["run", "pgam.txt"], simulator),
+        ]) == ["0 []"]
+        assert loaded_after(tmp_path, [
+            (["run", "random-mc.txt"], unused + lazy + closed_forms + ascent
+             + simulator),
+        ]) == [f"0 {list(simulator)}"]
+
+    def test_numpy_random_loads_without_openssl(self, tmp_path):
+        # numpy's generator imports ``secrets`` (and with it hmac, hashlib
+        # and OpenSSL's libcrypto) only to seed from OS entropy, which no
+        # keyed stream does, so a run loads it under a stand-in. A later
+        # ``import secrets`` still gets the real module, an unseeded
+        # SeedSequence still draws fresh entropy, and the CSV is the same
+        # whether secrets came first and at any --jobs. Fresh processes,
+        # because in this one numpy.random is loaded already.
+        openssl = ("secrets", "hmac", "_hashlib")
+        write_spec(tmp_path, MINI + "n_elements = 4\ndesigns = random\n",
+                   "random-cf.txt")
+        assert loaded_after(tmp_path, [
+            (["run", "random-cf.txt"], openssl + ("numpy.random",)),
+        ]) == ["0 ['numpy.random']"]
+        write_spec(tmp_path, MINI + "n_elements = 4\ndesigns = aligned, "
+                   "random\nestimators = cf, mc\ntrials = 8\n", "mc.txt")
+
+        def run(first, output, jobs):
+            return fresh_python(tmp_path, dedent(f"""
+                import contextlib, io, sys
+                {first}
+                import starfd.cli
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = starfd.cli.main(["run", "mc.txt", "--output",
+                                            "{output}", "--jobs", "{jobs}"])
+                print(code, [m for m in {openssl!r} if m in sys.modules])
+                import numpy.random
+                print(numpy.random.SeedSequence().entropy
+                      != numpy.random.SeedSequence().entropy)
+                import secrets
+                print(len(secrets.token_hex(8)))
+            """)).splitlines()
+
+        assert run("", "one.csv", 1) == ["0 []", "True", "16"]
+        assert run("", "two.csv", 2) == ["0 []", "True", "16"]
+        assert run("import secrets", "pre.csv", 1) == [
+            f"0 {list(openssl)}", "True", "16"]
+        one = (tmp_path / "one.csv").read_bytes()
+        assert one.count(b",mc,") == 4
+        assert (tmp_path / "two.csv").read_bytes() == one
+        assert (tmp_path / "pre.csv").read_bytes() == one
+
+    def test_failed_import_leaves_no_stand_in(self, tmp_path):
+        # A numpy.random that cannot be imported raises, and the stand-in
+        # secrets is gone with it, so a later import gets the real one.
+        script = dedent("""
+            import sys
+            class Refuse:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "numpy.random":
+                        raise ImportError("refused")
+            sys.meta_path.insert(0, Refuse())
+            try:
+                import starfd.streams
+            except ImportError as exc:
+                print(exc)
+            print([m for m in ("secrets", "numpy.random", "starfd.streams")
+                   if m in sys.modules])
+            sys.meta_path.pop(0)
+            import secrets
+            print(len(secrets.token_hex(8)))
+        """)
+        assert fresh_python(tmp_path, script).splitlines() == [
+            "refused", "[]", "16"]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_names_rebound_before_main_are_the_ones_run(self, tmp_path,
