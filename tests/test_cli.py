@@ -59,6 +59,13 @@ class TestSpecParsing:
         assert_allclose(_config_for_point(spec.config, "snr_db", 20.0).P_t,
                         100.0 * spec.config.sigma_sq)
 
+    def test_snr_point_power_reads_the_downlink_noise(self):
+        # The SNR is the total power over the DL noise, not the BS noise;
+        # unequal noise powers tell the two apart.
+        spec = make_spec(MINI + "noise_dl_dbw = 0\nnoise_bs_dbw = 10\n")
+        assert (spec.config.sigma_sq, spec.config.sigma_b_sq) == (1.0, 10.0)
+        assert _config_for_point(spec.config, "snr_db", 20.0).P_t == 100.0
+
     def test_unknown_and_bad_keys_collected_together(self):
         text = dedent("""
             sweep_variable = snr_db
@@ -319,6 +326,22 @@ class TestRunExperiment:
         assert lines[1].startswith("design=aligned target_dl=1.0 "
                                    "estimator=cf: argmax tau = ")
         assert len(lines) == 2
+
+    def test_feasible_tau_rows_meet_their_targets(self, tmp_path):
+        # A row flagged feasible meets its DL target at the edge user and
+        # the UL target at the edge uplink user, counting every
+        # interference term the cf row counts.
+        spec = make_spec(preset_text("power-split-sweep"),
+                         output=str(tmp_path / "split.csv"))
+        assert spec.estimators == ("cf",)
+        out, _, _ = run_experiment(spec)
+        with open(out, encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        feasible = [r for r in rows if r["feasible"] == "true"]
+        assert len(rows) == 38 and len(feasible) == 29
+        for row in feasible:
+            assert float(row["R_u2d"]) >= float(row["target_dl"]) - 1e-12, row
+            assert float(row["R_u2u"]) >= spec.config.R_uth - 1e-12, row
 
     def test_single_point_grid_is_its_own_argmax(self, tmp_path):
         spec = make_spec("""
@@ -736,6 +759,47 @@ class TestStartup:
         assert one.count(b",mc,") == 4
         assert (tmp_path / "two.csv").read_bytes() == one
         assert (tmp_path / "pre.csv").read_bytes() == one
+
+    def test_only_the_command_line_freezes_the_collector(self, tmp_path):
+        # Run as the process's command line, main freezes the collector
+        # before it returns, so interpreter exit skips the heap; every
+        # file is closed by then and holds the bytes of an in-process
+        # main([...]) run, which leaves the caller's collector alone.
+        write_spec(tmp_path, MINI + "n_elements = 4\ndesigns = aligned, "
+                   "random\nestimators = cf, mc\ntrials = 8\n", "mc.txt")
+        steps = [("in1", ["run", "../mc.txt", "--output", "out.csv"]),
+                 ("in2", ["run", "../mc.txt", "--output", "out.csv",
+                          "--jobs", "2"]),
+                 (".", ["validate", "mc.txt"]), (".", ["presets", "list"])]
+        for name in ("in1", "in2", "cmd1", "cmd2"):
+            (tmp_path / name).mkdir()
+        assert fresh_python(tmp_path, dedent(f"""
+            import contextlib, gc, io, os
+            import starfd.cli
+            counts = [gc.get_freeze_count()]
+            for where, argv in {steps!r}:
+                os.chdir(where)
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = starfd.cli.main(argv)
+                os.chdir({str(tmp_path)!r})
+                counts.append((code, gc.get_freeze_count()))
+            print(counts)
+        """)) == "[0, (0, 0), (0, 0), (0, 0), (0, 0)]\n"
+        for jobs in (1, 2):
+            assert fresh_python(tmp_path / f"cmd{jobs}", dedent(f"""
+                import contextlib, gc, io, sys
+                import starfd.cli
+                sys.argv = ["starfd", "run", "../mc.txt", "--output",
+                            "out.csv", "--jobs", "{jobs}"]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = starfd.cli.main()
+                print(code, gc.get_freeze_count() > 0)
+            """)) == "0 True\n"
+            for name in ("out.csv", "out.csv.manifest.txt"):
+                assert ((tmp_path / f"cmd{jobs}" / name).read_bytes()
+                        == (tmp_path / f"in{jobs}" / name).read_bytes())
+        assert (tmp_path / "in1" / "out.csv").read_bytes().count(
+            b",mc,") == 4
 
     def test_failed_import_leaves_no_stand_in(self, tmp_path):
         # A numpy.random that cannot be imported raises, and the stand-in

@@ -7,6 +7,7 @@ from scipy import optimize as sciopt
 
 from conftest import BASELINE_ANGLES, make_config
 from starfd.channel import StarRisState
+from starfd.cli import parse_spec_text
 from starfd.config import CellGeometry, GeometryAngles
 from starfd.designs import (aligned_state, suboptimal_phases,
                             suboptimal_phases_bidirectional)
@@ -16,7 +17,8 @@ from starfd.optimize import (ConstraintCheck, ConstraintReport,
                              OptimizationResult,
                              _ascent_step, _make_objective, pgam,
                              project_amplitudes, validate_constraints)
-from starfd.power import power_allocation_closed_form
+from starfd.power import power_allocation_closed_form, tau_split_powers
+from starfd.presets import preset_text
 from starfd.rates_cf import (CfRateInputs, cf_rate_inputs, cf_rates,
                              compute_moments)
 
@@ -509,6 +511,41 @@ class TestPowerAllocation:
                                          1000.0, 0.5, 0.1)
 
 
+class TestTauSplitPowers:
+    # Edge-user moments with a strong edge uplink interferer (y2), and a
+    # center uplink pair whose swapped terms give the edge uplink user a
+    # strong signal.
+    INPUTS = {"u1d": CfRateInputs(x1=2e-2, y1=1e-3, y2=1e-4),
+              "u2d": CfRateInputs(x1=1e-2, y1=1e-5, y2=2e-4),
+              "u1u": CfRateInputs(x1=1e-2, y1=1e-1, y2=1e-5),
+              "u2u": CfRateInputs(x1=1e-1, y1=1e-2, y2=1e-5)}
+
+    def setup_method(self):
+        self.config = make_config(P_t=1000.0, tau=0.6, ul_split=0.25,
+                                  R_uth=0.5)
+
+    def test_edge_signal_meets_the_downlink_target_exactly(self):
+        pw, feasible = tau_split_powers(self.config, self.INPUTS, 2.0)
+        assert feasible
+        assert_allclose([pw.p_b1 + pw.p_b2, pw.p_u1u, pw.p_u2u],
+                        [600.0, 100.0, 300.0], rtol=1e-15)
+        edge = self.INPUTS["u2d"]
+        sinr = pw.p_b2 * edge.x1 / (pw.p_b1 * edge.x1 + pw.p_u1u * edge.y1
+                                    + pw.p_u2u * edge.y2
+                                    + self.config.sigma_sq)
+        assert_allclose(sinr, 2.0 ** 2.0 - 1.0, rtol=1e-12)
+
+    def test_unmet_targets_flag_the_split_infeasible(self):
+        # The whole BS share falls short of 4 bits/s/Hz, so it all goes
+        # to the edge signal; an unreachable UL target keeps the split.
+        pw, feasible = tau_split_powers(self.config, self.INPUTS, 4.0)
+        assert not feasible and (pw.p_b1, pw.p_b2) == (0.0, 600.0)
+        met, _ = tau_split_powers(self.config, self.INPUTS, 2.0)
+        pw, feasible = tau_split_powers(self.config.replace(R_uth=5.0),
+                                        self.INPUTS, 2.0)
+        assert not feasible and pw == met
+
+
 class TestValidateConstraints:
     def setup_method(self):
         self.config = compact_config()
@@ -545,6 +582,22 @@ class TestValidateConstraints:
         assert check.decoding_order.margin >= -1e-9
         assert check.edge_dl_target.margin >= -1e-9
         assert check.edge_ul_target.margin >= -1e-9
+        assert check.all_ok
+
+    def test_decoding_order_margin_is_zero_at_the_allocation(self):
+        # The allocation pins the center user's decode of the edge signal
+        # at the edge user's own rate, so the margin is 0 to rounding on
+        # the power-split-sweep cell. It holds only if the margin counts
+        # the center signal left in that decode.
+        spec, errors = parse_spec_text(preset_text("power-split-sweep")
+                                       + "target_dl_rate = 3\n")
+        assert errors == []
+        config = spec.config
+        state = aligned_state(config, 0.5, PowerConfig.from_config(config))
+        pa = power_allocation_closed_form(config,
+                                          cf_rate_inputs(config, state))
+        check = validate_constraints(config, state, pa)
+        assert abs(check.decoding_order.margin) <= 1e-12
         assert check.all_ok
 
     def test_all_ok_is_the_conjunction_of_the_five_checks(self):
