@@ -69,8 +69,8 @@ FAULTS = (
           "test_snr_point_power_reads_the_downlink_noise"),
     # The command line exits without freezing the collector.
     Fault("src/starfd/cli.py",
-          "        gc.freeze()\n",
-          "        pass\n",
+          "        gc.freeze()\n    return code\n",
+          "        pass\n    return code\n",
           "tests/test_cli.py::TestStartup::"
           "test_only_the_command_line_freezes_the_collector"),
     # An in-process main(argv) freezes its caller's collector too.
@@ -79,6 +79,53 @@ FAULTS = (
           "    if True:\n        # Finalization skips",
           "tests/test_cli.py::TestStartup::"
           "test_only_the_command_line_freezes_the_collector"),
+    # The command line's run leaves the collector off after the load, so
+    # the sweep's cyclic garbage is never reclaimed.
+    Fault("src/starfd/cli.py",
+          "        if enabled:\n            gc.enable()\n",
+          "",
+          "tests/test_cli.py::TestStartup::"
+          "test_command_line_loads_paused_and_sweeps_as_before[1-True]"),
+    # The load turns on a collector the process had turned off.
+    Fault("src/starfd/cli.py",
+          "        if enabled:\n            gc.enable()\n",
+          "        gc.enable()\n",
+          "tests/test_cli.py::TestStartup::"
+          "test_command_line_loads_paused_and_sweeps_as_before[1-False]"),
+    # The load runs with the collector on: it scans the modules loaded.
+    Fault("src/starfd/cli.py",
+          "    gc.disable()\n",
+          "",
+          "tests/test_cli.py::TestStartup::"
+          "test_command_line_loads_paused_and_sweeps_as_before[1-True]"),
+    # An in-process main(argv) pauses and freezes its caller's collector
+    # for the load too.
+    Fault("src/starfd/cli.py",
+          "command_line=argv is None)",
+          "command_line=True)",
+          "tests/test_cli.py::TestStartup::"
+          "test_only_the_command_line_freezes_the_collector"),
+    # The stand-in secrets is never removed: a later import secrets gets
+    # a module without token_hex.
+    Fault("src/starfd/streams.py",
+          "            del sys.modules[\"secrets\"]\n",
+          "            pass\n",
+          "tests/test_cli.py::TestStartup::"
+          "test_numpy_random_loads_without_openssl"),
+    # The stand-in is never installed: numpy.random imports the real
+    # secrets, and with it OpenSSL.
+    Fault("src/starfd/streams.py",
+          "        sys.modules[\"secrets\"] = stand_in\n",
+          "",
+          "tests/test_cli.py::TestStartup::"
+          "test_numpy_random_loads_without_openssl"),
+    # The stand-in is removed only when numpy.random imports: a failed
+    # import leaves it in sys.modules.
+    Fault("src/starfd/streams.py",
+          "    try:\n        import numpy.random\n    finally:\n",
+          "    import numpy.random\n    if True:\n",
+          "tests/test_cli.py::TestStartup::"
+          "test_failed_import_leaves_no_stand_in"),
 )
 
 

@@ -764,7 +764,9 @@ class TestStartup:
         # Run as the process's command line, main freezes the collector
         # before it returns, so interpreter exit skips the heap; every
         # file is closed by then and holds the bytes of an in-process
-        # main([...]) run, which leaves the caller's collector alone.
+        # main([...]) run, which leaves the caller's collector alone:
+        # nothing frozen, and on or off as it was. A command that loads
+        # no run path (validate, presets) freezes at the end all the same.
         write_spec(tmp_path, MINI + "n_elements = 4\ndesigns = aligned, "
                    "random\nestimators = cf, mc\ntrials = 8\n", "mc.txt")
         steps = [("in1", ["run", "../mc.txt", "--output", "out.csv"]),
@@ -784,7 +786,18 @@ class TestStartup:
                 os.chdir({str(tmp_path)!r})
                 counts.append((code, gc.get_freeze_count()))
             print(counts)
-        """)) == "[0, (0, 0), (0, 0), (0, 0), (0, 0)]\n"
+            enabled = []
+            for where, argv in {steps!r}:
+                for state in (gc.disable, gc.enable):
+                    state()
+                    os.chdir(where)
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        starfd.cli.main(argv)
+                    os.chdir({str(tmp_path)!r})
+                    enabled.append(gc.isenabled())
+            print(enabled)
+        """)).splitlines() == ["[0, (0, 0), (0, 0), (0, 0), (0, 0)]",
+                               str([False, True] * len(steps))]
         for jobs in (1, 2):
             assert fresh_python(tmp_path / f"cmd{jobs}", dedent(f"""
                 import contextlib, gc, io, sys
@@ -800,6 +813,49 @@ class TestStartup:
                         == (tmp_path / f"in{jobs}" / name).read_bytes())
         assert (tmp_path / "in1" / "out.csv").read_bytes().count(
             b",mc,") == 4
+        for argv in (["validate", "mc.txt"], ["presets", "list"]):
+            assert fresh_python(tmp_path, dedent(f"""
+                import contextlib, gc, io, sys
+                import starfd.cli
+                sys.argv = ["starfd", *{argv!r}]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = starfd.cli.main()
+                print(code, gc.get_freeze_count() > 0)
+            """)) == "0 True\n"
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_command_line_loads_paused_and_sweeps_as_before(self, tmp_path,
+                                                            jobs, enabled):
+        # A command-line run binds its numeric modules with the collector
+        # paused, so no collection scans them while they load, and then
+        # freezes them. The sweep runs with the collector on or off as the
+        # process had it before main, and main leaves it that way.
+        write_spec(tmp_path, MINI + "n_elements = 4\ndesigns = aligned, "
+                   "random\nestimators = cf, mc\ntrials = 8\n", "mc.txt")
+        script = dedent(f"""
+            import contextlib, gc, io, sys
+            import starfd.cli as cli
+            if not {enabled}:
+                gc.disable()
+            collections, loads, sweep = [], [], set()
+            gc.callbacks.append(lambda phase, info: phase == "start"
+                                and collections.append(info))
+            def bind(spec, bind=cli._bind_run_names):
+                before = len(collections)
+                bind(spec)
+                loads.append(len(collections) - before)
+            def point_rows(*args, point_rows=cli._point_rows):
+                sweep.add((gc.isenabled(), gc.get_freeze_count() > 0))
+                return point_rows(*args)
+            cli._bind_run_names, cli._point_rows = bind, point_rows
+            sys.argv = ["starfd", "run", "mc.txt", "--jobs", "{jobs}"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main()
+            print(code, loads[0], sorted(sweep), gc.isenabled())
+        """)
+        assert fresh_python(tmp_path, script) == (
+            f"0 0 [({enabled}, True)] {enabled}\n")
 
     def test_failed_import_leaves_no_stand_in(self, tmp_path):
         # A numpy.random that cannot be imported raises, and the stand-in
@@ -1055,16 +1111,18 @@ class TestMain:
         return calls
 
     @pytest.mark.parametrize("argv, call", [
-        (["run", "snr-sweep"], ("_cmd_run", ("snr-sweep", None, 1))),
+        (["run", "snr-sweep"],
+         ("_cmd_run", ("snr-sweep", None, 1, False))),
         (["run", "snr-sweep", "--output", "x.csv", "--jobs", "4"],
-         ("_cmd_run", ("snr-sweep", "x.csv", 4))),
+         ("_cmd_run", ("snr-sweep", "x.csv", 4, False))),
         (["run", "spec.txt", "--jobs", "2", "--output", "out.csv"],
-         ("_cmd_run", ("spec.txt", "out.csv", 2))),
+         ("_cmd_run", ("spec.txt", "out.csv", 2, False))),
         (["run", "--output", "x.csv", "spec.txt"],
-         ("_cmd_run", ("spec.txt", "x.csv", 1))),
+         ("_cmd_run", ("spec.txt", "x.csv", 1, False))),
         (["run", "spec.txt", "--output=x"],
-         ("_cmd_run", ("spec.txt", "x", 1))),
-        (["run", "spec.txt", "--jobs=3"], ("_cmd_run", ("spec.txt", None, 3))),
+         ("_cmd_run", ("spec.txt", "x", 1, False))),
+        (["run", "spec.txt", "--jobs=3"],
+         ("_cmd_run", ("spec.txt", None, 3, False))),
         (["validate", "my.txt"], ("_cmd_validate", ("my.txt",))),
         (["presets", "list"], ("_cmd_presets_list", ())),
         (["presets", "show", "power-split-sweep"],
