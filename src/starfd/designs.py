@@ -1,18 +1,18 @@
-"""Channel-aligned surface designs: phase profiles that line up the
-LoS cascades toward the cell-edge users, or for the bidirectional
-scenario toward the relayed connections.
+"""Channel-aligned surface designs: phase profiles that co-phase the LoS
+parts of chosen reception cascades (:data:`starfd.kernel.RECEPTION_TERMS`)
+toward the cell-edge users, or for the bidirectional scenario toward the
+relayed connections.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .channel import StarRisState, element_layout
+from .channel import StarRisState, _los_vectors
 from .config import GeometryAngles, SystemConfig
-from .kernel import PowerConfig, relay_branches
+from .kernel import RECEPTION_TERMS, PowerConfig, relay_branches
 from .rates_cf import cf_rate_inputs
 
 __all__ = [
@@ -22,33 +22,23 @@ __all__ = [
 ]
 
 
-def _alignment_phase(n_elements: int, d_over_lambda: float, s: float,
-                     c: float) -> np.ndarray:
-    """Phases -2*pi*(d/lambda)*(x_n*s + y_n*c) on the element grid."""
-    x, y = element_layout(n_elements)
-    return -2.0 * math.pi * d_over_lambda * (x * s + y * c)
-
-
-def _link_direction(angles: GeometryAngles, link: str) -> Tuple[float, float]:
-    az, el = angles.link(link)
-    return math.sin(az) * math.sin(el), math.cos(el)
+def _co_phased(los, user: str, term: str) -> np.ndarray:
+    """Phases that co-phase the LoS part of the cascade of ``user``'s
+    ``term`` (x1, y1 or y2): minus the phase of the product of its two
+    LoS vectors, so every element adds to the cascade in phase."""
+    _, out, inp = RECEPTION_TERMS[user][("x1", "y1", "y2").index(term)][2]
+    return -np.angle(los[out] * los[inp])
 
 
 def suboptimal_phases(angles: GeometryAngles, n_elements: int
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """Channel-aligned phase design toward the two cell-edge users.
 
-    Side t aligns the BS-surface-u2u cascade, side r the BS-surface-u2d
-    cascade: phi_n^k = -2*pi*(d/lambda)*(x_n*t_k + y_n*l_k) with
-    t_k = sin(az_br)sin(el_br) - sin(az_k)sin(el_k) and
-    l_k = cos(el_br) - cos(el_k), at the spacing ``angles.d_over_lambda``.
+    Side t co-phases the BS-surface-u2u cascade, the signal of u2u (u1u's
+    y1), and side r the BS-surface-u2d cascade, u2d's x1.
     """
-    d = angles.d_over_lambda
-    s_br, c_br = _link_direction(angles, "br")
-    s_t, c_t = _link_direction(angles, "u2u")
-    s_r, c_r = _link_direction(angles, "u2d")
-    return (_alignment_phase(n_elements, d, s_br - s_t, c_br - c_t),
-            _alignment_phase(n_elements, d, s_br - s_r, c_br - c_r))
+    los = _los_vectors(n_elements, angles)
+    return _co_phased(los, "u1u", "y1"), _co_phased(los, "u2d", "x1")
 
 
 def suboptimal_phases_bidirectional(config: SystemConfig, pw: PowerConfig,
@@ -56,32 +46,14 @@ def suboptimal_phases_bidirectional(config: SystemConfig, pw: PowerConfig,
                                     ) -> Tuple[np.ndarray, np.ndarray]:
     """Aligned phase design for the relayed (bidirectional) connections.
 
-    Each side has two alignment candidates: the user-to-user cascade
-    (phases sum, both steering vectors arrive conjugated) or the
-    BS-surface-user cascade (phases difference). The candidate whose
-    combined-reception branch SINR is larger wins; on a tie the
-    BS-surface-user alignment is kept.
+    Each side has two candidates: co-phasing the relayed user-to-user
+    cascade (u1d's y2 on side t, u2d's y1 on side r) or the BS-surface-user
+    cascade (each DL user's x1). The candidate whose combined-reception
+    branch SINR is larger wins; on a tie the BS-surface-user alignment is
+    kept.
     """
-    angles = config.angles
     n = config.n_elements
-    d = angles.d_over_lambda
-    s_br, c_br = _link_direction(angles, "br")
-    s_u1d, c_u1d = _link_direction(angles, "u1d")
-    s_u2d, c_u2d = _link_direction(angles, "u2d")
-    s_u1u, c_u1u = _link_direction(angles, "u1u")
-    s_u2u, c_u2u = _link_direction(angles, "u2u")
-
-    # Candidate phases per side: user-user (sum form) vs BS path
-    # (difference form). _alignment_phase negates its arguments, so the
-    # sum form passes -(s_a + s_b).
-    cand_t = {
-        "user": _alignment_phase(n, d, -(s_u1d + s_u2u), -(c_u1d + c_u2u)),
-        "bs": _alignment_phase(n, d, s_br - s_u1d, c_br - c_u1d),
-    }
-    cand_r = {
-        "user": _alignment_phase(n, d, -(s_u2d + s_u1u), -(c_u2d + c_u1u)),
-        "bs": _alignment_phase(n, d, s_br - s_u2d, c_br - c_u2d),
-    }
+    los = _los_vectors(n, config.angles)
 
     def branches(phi_t: np.ndarray, phi_r: np.ndarray):
         state = StarRisState.uniform(n, rho_t, phi_t, phi_r)
@@ -90,14 +62,14 @@ def suboptimal_phases_bidirectional(config: SystemConfig, pw: PowerConfig,
     zero = np.zeros(n)
 
     # Side t feeds the center DL user's reception of the u2u message.
-    relay_t = branches(cand_t["user"], zero)[0]
-    bs_t = branches(cand_t["bs"], zero)[1]
-    phi_t = cand_t["user"] if relay_t > bs_t else cand_t["bs"]
+    user_t, bs_t = _co_phased(los, "u1d", "y2"), _co_phased(los, "u1d", "x1")
+    relay, bs = branches(user_t, zero)[0], branches(bs_t, zero)[1]
+    phi_t = user_t if relay > bs else bs_t
 
     # Side r feeds the edge DL user's reception of the u1u message.
-    relay_r = branches(zero, cand_r["user"])[2]
-    bs_r = branches(zero, cand_r["bs"])[3]
-    phi_r = cand_r["user"] if relay_r > bs_r else cand_r["bs"]
+    user_r, bs_r = _co_phased(los, "u2d", "y1"), _co_phased(los, "u2d", "x1")
+    relay, bs = branches(zero, user_r)[2], branches(zero, bs_r)[3]
+    phi_r = user_r if relay > bs else bs_r
 
     return phi_t, phi_r
 

@@ -1,13 +1,13 @@
-"""The SINR kernel: operative powers, reception ratios, the scenario
-rule and the rate report.
+"""The SINR kernel: the nine reception terms, operative powers, reception
+ratios, the scenario rule and the rate report.
 
 Every rate is log2(1 + SINR) in bits/s/Hz. Every SINR is built from
-three reception ratios written once here: downlink reception, uplink
-reception at the full-duplex BS, and the relay branch of the
-bidirectional connections. The kernel takes signal and interference
-terms of either kind: the simulator of :mod:`starfd.rates_mc` feeds it
-the realized channel powers of a block of trials as arrays, and the
-closed forms of :mod:`starfd.rates_cf` feed it their moments as floats.
+three reception ratios written once here (downlink, uplink at the
+full-duplex BS, and the relay branch of the bidirectional connections)
+over the nine terms whose links :data:`RECEPTION_TERMS` lists. The
+simulator (:mod:`starfd.rates_mc`) feeds a block of trials' realized
+terms as arrays, the closed forms (:mod:`starfd.rates_cf`) their moments
+as floats; the aligned designs (:mod:`starfd.designs`) co-phase cascades.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .config import RATE_NAMES, USERS, SystemConfig, validate_splits
 from .record import Record
 
 __all__ = [
+    "RECEPTION_TERMS",
     "PowerConfig",
     "RateReport",
     "dl_sinr",
@@ -138,6 +139,24 @@ class RateReport(Record):
         if name not in self.rates:
             raise ValueError(f"report has no rate for {name!r}")
         return self.rates[name]
+
+
+# The nine reception terms, the (x1, y1, y2) triples of u1d, u2d and u1u
+# (u2u reads u1u's with signal and partner swapped). Each is (direct link
+# or None, the two links whose path losses scale the cascade, cascade):
+# (side, out, in) runs from link ``in`` through surface side ``t`` or
+# ``r`` to link ``out``; None is the BS loop-back through side t.
+RECEPTION_TERMS = {
+    "u1d": (("b_u1d", ("br", "r_u1d"), ("t", "u1d", "br")),
+            ("u1d_u1u", ("r_u1d", "r_u1u"), ("t", "u1d", "u1u")),
+            (None, ("r_u1d", "r_u2u"), ("t", "u1d", "u2u"))),
+    "u2d": ((None, ("br", "r_u2d"), ("r", "u2d", "br")),
+            (None, ("r_u2d", "r_u1u"), ("r", "u2d", "u1u")),
+            (None, ("r_u2d", "r_u2u"), ("r", "u2d", "u2u"))),
+    "u1u": (("b_u1u", ("br", "r_u1u"), ("t", "br", "u1u")),
+            (None, ("br", "r_u2u"), ("t", "br", "u2u")),
+            (None, ("br", "br"), None)),
+}
 
 
 # The reception kernel. Every SINR of the model is one of three ratios,

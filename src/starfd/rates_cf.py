@@ -1,7 +1,8 @@
 """Closed-form ergodic rates and their deterministic moment terms.
 
 The closed forms move the expectation inside the logarithm (a Jensen-style
-approximation), so every rate reduces to ratios of deterministic moments:
+approximation), so every rate reduces to ratios of the means of the
+reception terms of :data:`starfd.kernel.RECEPTION_TERMS`, built from
 disk path-loss expectations from :mod:`starfd.geometry`, Rician mixing
 coefficients from the per-link K-factors, and squared LoS cascade
 magnitudes of the current surface state.
@@ -18,7 +19,8 @@ from .channel import StarRisState, _los_vectors
 from .config import SystemConfig
 from .geometry import (exp_pathloss_disk, exp_pathloss_fixed_point_to_disk,
                        exp_pathloss_two_random_points, pathloss)
-from .kernel import PowerConfig, RateReport, noma_sinrs, scenario_rates
+from .kernel import (RECEPTION_TERMS, PowerConfig, RateReport, noma_sinrs,
+                     scenario_rates)
 from .record import Record
 
 __all__ = [
@@ -33,19 +35,19 @@ __all__ = [
     "cf_sinrs",
 ]
 
-# Which surface side and Rician-factor pair feeds each LoS cascade term.
-# Entries are (side, out-link, in-link); the BS self-cascade (index 9) is
-# handled separately.
-_XI_TABLE = {
-    1: ("t", "u1d", "br"),
-    2: ("t", "u1d", "u1u"),
-    3: ("t", "u1d", "u2u"),
-    4: ("r", "u2d", "br"),
-    5: ("r", "u2d", "u1u"),
-    6: ("r", "u2d", "u2u"),
-    7: ("t", "br", "u1u"),
-    8: ("t", "br", "u2u"),
-}
+# The reception terms of :data:`starfd.kernel.RECEPTION_TERMS`, numbered
+# in table order: u1d's (x1, y1, y2) are 1..3, u2d's 4..6 and u1u's 7..9.
+# A cascade's number keys the varpi, varpi_hat and xi of a MomentSet; the
+# loop-back has an xi alone.
+_NUMBERED = {user: tuple(enumerate(triple, 3 * k + 1))
+             for k, (user, triple) in enumerate(RECEPTION_TERMS.items())}
+_TERMS = dict(pair for numbered in _NUMBERED.values() for pair in numbered)
+_CASCADES = {i: cascade for i, (_, _, cascade) in _TERMS.items() if cascade}
+(_LOOPBACK,) = _TERMS.keys() - _CASCADES.keys()
+# The short forms keep only the base of every term with a direct link,
+# and drop the loop-back.
+_SHORT_FORM_CUT = {i for i, (direct, _, cascade) in _TERMS.items()
+                   if direct or cascade is None}
 
 
 class MomentSet(Record):
@@ -85,7 +87,7 @@ def _rician_weights(config: SystemConfig, i: int) -> Tuple[float, float,
     varpi_i is the first over the third, varpi_hat_i the sum of rho^2 on
     the entry's side times the second over the third.
     """
-    _, out, inp = _XI_TABLE[i]
+    _, out, inp = _CASCADES[i]
     k_in = config.kappa(inp)
     k_out = config.kappa(out)
     return k_in * k_out, k_in + k_out + 1.0, (k_in + 1.0) * (k_out + 1.0)
@@ -131,7 +133,7 @@ def compute_moments(config: SystemConfig, ris: StarRisState) -> MomentSet:
     cross_phase = s.real * s.real + s.imag * s.imag - sum_rho_sq["t"]
 
     varpi, varpi_hat, xi = {}, {}, {}
-    for i, (side, out, inp) in _XI_TABLE.items():
+    for i, (side, out, inp) in _CASCADES.items():
         los_weight, spread, denom = _rician_weights(config, i)
         varpi[i] = los_weight / denom
         varpi_hat[i] = sum_rho_sq[side] * spread / denom
@@ -140,7 +142,7 @@ def compute_moments(config: SystemConfig, ris: StarRisState) -> MomentSet:
     # BS loop-back: the return leg is the conjugate of the outgoing one,
     # so the LoS cascade collapses to the plain coefficient sum.
     zeta = complex(np.sum(w["t"] * los["br"] * np.conj(los["br"])))
-    xi[9] = abs(zeta) ** 2
+    xi[_LOOPBACK] = abs(zeta) ** 2
 
     return MomentSet(upsilon=upsilon, rho_2pt=rho_2pt, q_center=q_center,
                      q_edge=q_edge, l_br=l_br, varpi=varpi,
@@ -152,21 +154,18 @@ def _affine_terms(mo: MomentSet
                   ) -> Dict[str, Tuple[Tuple[float, float, int], ...]]:
     """The u1d, u2d and u1u triples as (base, coefficient, source) terms.
 
-    Each term is base + coefficient * m, with m = _mix(mo, source) for
-    sources 1..8 and the loop-back moment for source 9.
+    Each term is base + coefficient * m: the base is its direct link's
+    mean path loss (or 0), the coefficient the product of its two
+    links', and m = _mix(mo, source) for a cascade and the loop-back
+    moment for the loop-back.
     """
-    ups, l_br, q_edge = mo.upsilon, mo.l_br, mo.q_edge
-    return {
-        "u1d": ((mo.q_center, l_br * ups, 1),
-                (mo.rho_2pt, ups ** 2, 2),
-                (0.0, q_edge * ups, 3)),
-        "u2d": ((0.0, l_br * q_edge, 4),
-                (0.0, q_edge * ups, 5),
-                (0.0, q_edge ** 2, 6)),
-        "u1u": ((mo.q_center, l_br * ups, 7),
-                (0.0, l_br * q_edge, 8),
-                (0.0, l_br ** 2, 9)),
-    }
+    mean = {"b_u1d": mo.q_center, "b_u1u": mo.q_center,
+            "u1d_u1u": mo.rho_2pt, "br": mo.l_br, "r_u1d": mo.upsilon,
+            "r_u1u": mo.upsilon, "r_u2d": mo.q_edge, "r_u2u": mo.q_edge}
+    return {user: tuple((mean[direct] if direct else 0.0,
+                         mean[a] * mean[b], i)
+                        for i, (direct, (a, b), _) in numbered)
+            for user, numbered in _NUMBERED.items()}
 
 
 def _mix(moments: MomentSet, i: int) -> float:
@@ -179,7 +178,7 @@ def _loopback_moment(config: SystemConfig, moments: MomentSet) -> float:
     a, b = _loopback_split(config)
     zeta = moments.zeta  # LoS loop-back sum, equal to sum rho_t e^{j phi_t}
     zeta_sq = zeta.real * zeta.real + zeta.imag * zeta.imag
-    return (a * a * moments.xi[9]
+    return (a * a * moments.xi[_LOOPBACK]
             + 2.0 * a * b * moments.sum_rho_sq["t"]
             + b * b * (2.0 * moments.sum_rho_sq["t"] + moments.cross_phase)
             + a * b * (zeta_sq + zeta_sq))
@@ -190,8 +189,8 @@ def cf_rate_inputs(config: SystemConfig, ris: StarRisState,
                    ) -> Dict[str, CfRateInputs]:
     """Assemble the x1/y1/y2 moment triples for all four users."""
     mo = moments or compute_moments(config, ris)
-    source = {i: _mix(mo, i) for i in _XI_TABLE}
-    source[9] = _loopback_moment(config, mo)
+    source = {i: _mix(mo, i) for i in _CASCADES}
+    source[_LOOPBACK] = _loopback_moment(config, mo)
     inputs = {user: CfRateInputs(*(base + coeff * source[i]
                                    for base, coeff, i in triple))
               for user, triple in _affine_terms(mo).items()}
@@ -221,7 +220,7 @@ def surface_gradient(config: SystemConfig, ris: StarRisState,
     d xi / d rho_n = 2 Re(conj(s_i) c_n e^{j phi_n}).
     """
     mo = moments or compute_moments(config, ris)
-    d_source = dict.fromkeys(range(1, 10), 0.0)
+    d_source = dict.fromkeys([*_CASCADES, _LOOPBACK], 0.0)
     for user, triple in _affine_terms(mo).items():
         for grad, (_, coeff, i) in zip(term_grads[user], triple):
             d_source[i] += grad * coeff
@@ -234,16 +233,16 @@ def surface_gradient(config: SystemConfig, ris: StarRisState,
     # wirt[side] = sum_i (d f / d xi_i) conj(s_i) c_i over the side's xi.
     wirt = {k: np.zeros(config.n_elements, dtype=complex) for k in w}
     d_sum_sq = {"t": 0.0, "r": 0.0}
-    for i, (side, out, inp) in _XI_TABLE.items():
+    for i, (side, out, inp) in _CASCADES.items():
         los_weight, spread, denom = _rician_weights(config, i)
         c = los[out] * los[inp]
         s_i = np.sum(c * w[side])
         wirt[side] += d_source[i] * los_weight / denom * np.conj(s_i) * c
         d_sum_sq[side] += d_source[i] * spread / denom
     a, b = _loopback_split(config)
-    wirt["t"] += (d_source[9] * np.conj(mo.zeta)
+    wirt["t"] += (d_source[_LOOPBACK] * np.conj(mo.zeta)
                   * (los["br"] * np.conj(los["br"])))
-    d_sum_sq["t"] += d_source[9] * (2.0 * a * b + b * b)
+    d_sum_sq["t"] += d_source[_LOOPBACK] * (2.0 * a * b + b * b)
 
     g_phi, g_rho = {}, {}
     for k, rho in (("t", ris.rho_t), ("r", ris.rho_r)):
@@ -281,9 +280,9 @@ def cf_rates_simplified(config: SystemConfig, ris: StarRisState,
     """
     mo = compute_moments(config, ris)
     full = cf_rate_inputs(config, ris, moments=mo)
-    terms = {"u1d": (mo.q_center, mo.rho_2pt, full["u1d"].y2),
-             "u2d": full["u2d"],
-             "u1u": (mo.q_center, full["u1u"].y1, 0.0)}
+    terms = {user: tuple(base if i in _SHORT_FORM_CUT else term
+                         for (base, _, i), term in zip(triple, full[user]))
+             for user, triple in _affine_terms(mo).items()}
     rates = scenario_rates(terms, config.replace(Xi=0.0, beta=0.0), pw, 0.0,
                            "noma-pair")
     return RateReport.of("noma-pair", rates, config.weights, "cf")

@@ -22,7 +22,8 @@ import numpy as np
 from .channel import StarRisState, _los_vectors
 from .config import RIS_LINKS, SystemConfig
 from .geometry import pathloss
-from .kernel import PowerConfig, RateReport, scenario_rates
+from .kernel import (RECEPTION_TERMS, PowerConfig, RateReport,
+                     scenario_rates)
 from .record import Frozen
 from .streams import keyed_rng
 
@@ -154,30 +155,26 @@ def _block_terms(block: ChannelBlock, ris: StarRisState
     l, h, g = block.pathlosses, block.direct, block.surface
     w = {"t": ris.side("t"), "r": ris.side("r")}
 
-    def cascade(out: str, side: str, inp: str) -> np.ndarray:
+    def term(direct, links, cascade) -> np.ndarray:
+        scale = l[links[0]] * l[links[1]]
+        if cascade is None:
+            # BS loop-back through the surface: the return leg is the
+            # conjugate of the outgoing one, so it is sum_n w_n |g_br[n]|^2,
+            # on g_br's floats.
+            br, wt = g["br"].view(float), np.repeat(w["t"], 2)
+            loop = np.hypot(np.einsum("tj,j,tj->t", br, wt.real, br),
+                            np.einsum("tj,j,tj->t", br, wt.imag, br))
+            return scale * loop ** 2
+        side, out, inp = cascade
         # sum_n g_out[n] w_n g_in[n] per trial, with no (trials x N)
         # temporary and no BLAS, so each trial's sum reads its row alone.
-        return np.einsum("tn,n,tn->t", g[out], w[side], g[inp])
+        s = np.einsum("tn,n,tn->t", g[out], w[side], g[inp])
+        if direct is None:
+            return scale * _power(s)
+        return _power(np.sqrt(l[direct]) * h[direct] + np.sqrt(scale) * s)
 
-    u1d = (_power(np.sqrt(l["b_u1d"]) * h["b_u1d"]
-                  + np.sqrt(l["br"] * l["r_u1d"]) * cascade("u1d", "t", "br")),
-           _power(np.sqrt(l["u1d_u1u"]) * h["u1d_u1u"]
-                  + np.sqrt(l["r_u1d"] * l["r_u1u"])
-                  * cascade("u1d", "t", "u1u")),
-           l["r_u1d"] * l["r_u2u"] * _power(cascade("u1d", "t", "u2u")))
-    u2d = (l["br"] * l["r_u2d"] * _power(cascade("u2d", "r", "br")),
-           l["r_u2d"] * l["r_u1u"] * _power(cascade("u2d", "r", "u1u")),
-           l["r_u2d"] * l["r_u2u"] * _power(cascade("u2d", "r", "u2u")))
-    # BS loop-back through the surface: the return leg is the conjugate of
-    # the outgoing one, so it is sum_n w_n |g_br[n]|^2, on g_br's floats.
-    br, wt = g["br"].view(float), np.repeat(w["t"], 2)
-    loop = np.hypot(np.einsum("tj,j,tj->t", br, wt.real, br),
-                    np.einsum("tj,j,tj->t", br, wt.imag, br))
-    u1u = (_power(np.sqrt(l["b_u1u"]) * h["b_u1u"]
-                  + np.sqrt(l["br"] * l["r_u1u"]) * cascade("br", "t", "u1u")),
-           l["br"] * l["r_u2u"] * _power(cascade("br", "t", "u2u")),
-           l["br"] ** 2 * loop ** 2)
-    return {"u1d": u1d, "u2d": u2d, "u1u": u1u}
+    return {user: tuple(term(*t) for t in triple)
+            for user, triple in RECEPTION_TERMS.items()}
 
 
 def _blocks(config: SystemConfig, trials: int, seed: int):

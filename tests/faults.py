@@ -126,6 +126,39 @@ FAULTS = (
           "    import numpy.random\n    if True:\n",
           "tests/test_cli.py::TestStartup::"
           "test_failed_import_leaves_no_stand_in"),
+    # The center DL user's y2 (the edge UL user's signal through the
+    # surface) scaled by the center UL user's surface link.
+    Fault("src/starfd/kernel.py",
+          '(None, ("r_u1d", "r_u2u"), ("t", "u1d", "u2u")',
+          '(None, ("r_u1d", "r_u1u"), ("t", "u1d", "u2u")',
+          "tests/test_rates_mc.py::TestSinrOps::"
+          "test_dl_center_term_by_term"),
+    # The edge DL user's signal cascade on the transmit side.
+    Fault("src/starfd/kernel.py",
+          '(None, ("br", "r_u2d"), ("r", "u2d", "br")',
+          '(None, ("br", "r_u2d"), ("t", "u2d", "br")',
+          "tests/test_rates_mc.py::TestSinrOps::"
+          "test_dl_edge_term_by_term"),
+    # The closed forms' mean path loss of the surface-u2d link over the
+    # center disk instead of the edge disk.
+    Fault("src/starfd/rates_cf.py",
+          '"r_u2d": mo.q_edge,',
+          '"r_u2d": mo.q_center,',
+          "tests/test_rates_cf.py::TestRateInputs::"
+          "test_triples_from_the_moments[baseline]"),
+    # The NOMA design co-phases u2d's interference from u1u on side r
+    # instead of its signal from the BS.
+    Fault("src/starfd/designs.py",
+          '_co_phased(los, "u1u", "y1"), _co_phased(los, "u2d", "x1")',
+          '_co_phased(los, "u1u", "y1"), _co_phased(los, "u2d", "y1")',
+          "tests/test_optimize.py::TestSuboptimalPhases::"
+          "test_matches_the_phase_law[16]"),
+    # The edge UL user's signal cascade from the center UL user's link.
+    Fault("src/starfd/kernel.py",
+          '(None, ("br", "r_u2u"), ("t", "br", "u2u")',
+          '(None, ("br", "r_u2u"), ("t", "br", "u1u")',
+          "tests/test_rates_mc.py::TestSinrOps::"
+          "test_ul_edge_term_by_term"),
 )
 
 

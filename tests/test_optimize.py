@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from scipy import optimize as sciopt
 
 from conftest import BASELINE_ANGLES, make_config
-from starfd.channel import StarRisState
+from starfd.channel import StarRisState, element_layout
 from starfd.cli import parse_spec_text
 from starfd.config import CellGeometry, GeometryAngles
 from starfd.designs import (aligned_state, suboptimal_phases,
@@ -53,6 +53,24 @@ def fd_gradients(evaluate, state, step=1e-4):
             grad[n] = (values[0] - values[1]) / (2.0 * step)
         grads.append(grad)
     return tuple(grads)
+
+
+def direction(angles, link):
+    """(sin(az) sin(el), cos(el)) of one surface link."""
+    az, el = angles.link(link)
+    return math.sin(az) * math.sin(el), math.cos(el)
+
+
+def phase_law(angles, n, ds, dc):
+    """The aligned phases -2*pi*(d/lambda)*(x_n*ds + y_n*dc) on the
+    element grid, with (ds, dc) the cascade's direction difference."""
+    x, y = element_layout(n)
+    return -2.0 * math.pi * angles.d_over_lambda * (x * ds + y * dc)
+
+
+def same_phases(phi, expected, **tol):
+    """Phases equal modulo 2*pi, compared on the unit circle."""
+    return np.allclose(np.exp(1j * phi), np.exp(1j * expected), **tol)
 
 
 def compact_config(**overrides):
@@ -146,6 +164,19 @@ class TestSuboptimalPhases:
         phi_t, phi_r = suboptimal_phases(BASELINE_ANGLES, 1)
         assert phi_t[0] == 0.0 and phi_r[0] == 0.0
 
+    @pytest.mark.parametrize("n", [1, 16, 20, 100])
+    def test_matches_the_phase_law(self, n):
+        # Side t aligns the BS-surface-u2u cascade, side r the
+        # BS-surface-u2d cascade: phi_n = -2*pi*(d/lambda)*(x_n*ds + y_n*dc)
+        # with (ds, dc) the BS direction minus the user's, modulo 2*pi.
+        phi_t, phi_r = suboptimal_phases(BASELINE_ANGLES, n)
+        s_br, c_br = direction(BASELINE_ANGLES, "br")
+        for phi, user in ((phi_t, "u2u"), (phi_r, "u2d")):
+            s_k, c_k = direction(BASELINE_ANGLES, user)
+            law = phase_law(BASELINE_ANGLES, n, s_br - s_k, c_br - c_k)
+            assert phi.shape == (n,)
+            assert same_phases(phi, law, rtol=0.0, atol=1e-12), user
+
     def test_alignment_maximizes_the_cascade(self):
         # The aligned refraction cascade hits its coherent bound.
         config = make_config(n_elements=16)
@@ -171,22 +202,22 @@ class TestBidirectionalAlignment:
         config = compact_config()
         pw = PowerConfig.from_config(config)
         phi_t, phi_r = suboptimal_phases_bidirectional(config, pw)
-        # Reproduce the candidates and check the returned pair is one of
-        # them on each side.
-        n = config.n_elements
-        from starfd.designs import _alignment_phase, _link_direction
-        s_br, c_br = _link_direction(config.angles, "br")
-        s_u1d, c_u1d = _link_direction(config.angles, "u1d")
-        s_u2d, c_u2d = _link_direction(config.angles, "u2d")
-        s_u1u, c_u1u = _link_direction(config.angles, "u1u")
-        s_u2u, c_u2u = _link_direction(config.angles, "u2u")
-        d = config.angles.d_over_lambda
-        t_user = _alignment_phase(n, d, -(s_u1d + s_u2u), -(c_u1d + c_u2u))
-        t_bs = _alignment_phase(n, d, s_br - s_u1d, c_br - c_u1d)
-        r_user = _alignment_phase(n, d, -(s_u2d + s_u1u), -(c_u2d + c_u1u))
-        r_bs = _alignment_phase(n, d, s_br - s_u2d, c_br - c_u2d)
-        assert (np.allclose(phi_t, t_user) or np.allclose(phi_t, t_bs))
-        assert (np.allclose(phi_r, r_user) or np.allclose(phi_r, r_bs))
+        # Reproduce the candidates from the phase law and check the
+        # returned pair is one of them on each side: the user-user
+        # cascade's phases sum (both steering vectors arrive conjugated),
+        # the BS-surface-user cascade's take the difference.
+        n, angles = config.n_elements, config.angles
+        s_br, c_br = direction(angles, "br")
+        s_u1d, c_u1d = direction(angles, "u1d")
+        s_u2d, c_u2d = direction(angles, "u2d")
+        s_u1u, c_u1u = direction(angles, "u1u")
+        s_u2u, c_u2u = direction(angles, "u2u")
+        t_user = phase_law(angles, n, -(s_u1d + s_u2u), -(c_u1d + c_u2u))
+        t_bs = phase_law(angles, n, s_br - s_u1d, c_br - c_u1d)
+        r_user = phase_law(angles, n, -(s_u2d + s_u1u), -(c_u2d + c_u1u))
+        r_bs = phase_law(angles, n, s_br - s_u2d, c_br - c_u2d)
+        assert (same_phases(phi_t, t_user) or same_phases(phi_t, t_bs))
+        assert (same_phases(phi_r, r_user) or same_phases(phi_r, r_bs))
 
     def test_no_bs_power_prefers_user_cascade(self):
         config = compact_config()

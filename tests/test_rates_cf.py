@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import make_config, short_form_rates
 from starfd.channel import StarRisState, _los_vectors
+from starfd.config import CellGeometry
 from starfd.geometry import (exp_pathloss_disk,
                              exp_pathloss_fixed_point_to_disk,
                              exp_pathloss_two_random_points, pathloss)
@@ -166,6 +167,45 @@ class TestRateInputs:
         assert inputs["u2u"].x1 == inputs["u1u"].y1
         assert inputs["u2u"].y1 == inputs["u1u"].x1
         assert inputs["u2u"].y2 == inputs["u1u"].y2
+
+    @pytest.mark.parametrize("cell", ["baseline", "compact"])
+    def test_triples_from_the_moments(self, cell):
+        # The paper's x1, y1 and y2 of every user, written out from the
+        # moment set: a direct link's mean path loss (q_center at the BS,
+        # rho_2pt between the center users) plus the cascade's two mean
+        # path losses (l_br, upsilon at the center users, q_edge at the
+        # edge users) times its Rician second moment, or times the
+        # loop-back moment |zeta|^2 + (2k+1)/(k+1)^2 sum rho_t^2.
+        config = self.config
+        if cell == "compact":
+            config = make_config(
+                geometry=CellGeometry(R=10.0, R_r=30.0, d_br=12.0, m=3.1),
+                kappa_br=2.0, kappa_u1d=5.0, kappa_u2d=0.5, kappa_u1u=8.0,
+                kappa_u2u=1.5)
+        mo = compute_moments(config, self.ris)
+
+        def mix(i):
+            return mo.varpi[i] * mo.xi[i] + mo.varpi_hat[i]
+
+        k = config.kappa_br
+        loop = (abs(mo.zeta) ** 2
+                + (2.0 * k + 1.0) / (k + 1.0) ** 2 * mo.sum_rho_sq["t"])
+        q_c, q_e, ups, l_br = mo.q_center, mo.q_edge, mo.upsilon, mo.l_br
+        expected = {
+            "u1d": (q_c + l_br * ups * mix(1), mo.rho_2pt + ups * ups * mix(2),
+                    ups * q_e * mix(3)),
+            "u2d": (l_br * q_e * mix(4), q_e * ups * mix(5),
+                    q_e * q_e * mix(6)),
+            "u1u": (q_c + l_br * ups * mix(7), l_br * q_e * mix(8),
+                    l_br * l_br * loop),
+        }
+        expected["u2u"] = (expected["u1u"][1], expected["u1u"][0],
+                           expected["u1u"][2])
+        inputs = cf_rate_inputs(config, self.ris)
+        assert sorted(inputs) == sorted(expected)
+        for user, triple in expected.items():
+            assert_allclose(tuple(inputs[user]), triple, rtol=1e-15,
+                            err_msg=user)
 
     def test_dark_surface(self):
         # An unpowered surface (all rho = 0, physically a switched-off

@@ -242,6 +242,27 @@ class TestSinrOps:
                                         t=t)["u1u"],
                             expected, rtol=1e-14)
 
+    def test_ul_edge_term_by_term(self):
+        # The edge UL user's signal through the surface over the center
+        # UL user's leak after SIC, the BS loop-back and the SI.
+        config = self.config.replace(Xi=0.05)
+        pw = baseline_power()
+        ris = self.ris
+        for t, l, h, g in self.rows():
+            center = abs(math.sqrt(l["b_u1u"]) * h["b_u1u"]
+                         + math.sqrt(l["br"] * l["r_u1u"])
+                         * star_cascade(g["br"], ris, "t", g["u1u"])) ** 2
+            edge = (l["br"] * l["r_u2u"]
+                    * abs(star_cascade(g["br"], ris, "t", g["u2u"])) ** 2)
+            loop = l["br"] ** 2 * abs(
+                np.sum(ris.side("t") * np.abs(g["br"]) ** 2)) ** 2
+            expected = (pw.p_u2u * edge
+                        / (config.Xi * pw.p_u1u * center + pw.P_b * loop
+                           + 0.25 + 1.0))
+            assert_allclose(trial_sinrs(self.block, config, ris, pw,
+                                        0.25, t)["u2u"],
+                            expected, rtol=1e-14)
+
     def test_interference_free_center(self):
         # No uplink users and perfect SIC: the center DL SINR is a pure SNR.
         pw = PowerConfig(P_t=1000.0, p_b1=200.0, p_b2=800.0,
