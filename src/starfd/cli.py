@@ -1,4 +1,5 @@
-"""Experiment runner: flat key-value configs in, CSV tables out.
+"""The ``starfd`` command line, spec parsing and the run-name binding:
+flat key-value configs in, CSV tables out.
 
 An experiment file is plain text, one ``key = value`` pair per line, with
 ``#`` starting a comment line. Unset keys take the documented defaults
@@ -12,8 +13,10 @@ recorded, so ``starfd run <manifest>`` reproduces the CSV byte for byte.
 
 Parsing, checking and printing a spec need only the records of
 :mod:`starfd.config`, so ``validate``, ``presets`` and ``--help`` never
-import numpy or the numeric modules. The names the run path calls are
-loaded on first use (see :data:`_RUN_NAMES`).
+import numpy or the numeric modules, nor compile the sweep runner,
+:mod:`starfd.sweep`. The names the run path calls, the sweep runner
+among them, are loaded on first use (see :data:`_RUN_NAMES`), and
+:func:`run_experiment` hands a spec to the runner once they are bound.
 
 :func:`main` run as the process's command line (the ``starfd`` script,
 ``python -m starfd``) loads a run's numeric modules with the cyclic
@@ -31,16 +34,12 @@ import math
 import sys
 from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .config import RATE_NAMES, CellGeometry, GeometryAngles, SystemConfig
 from .exceptions import InfeasibleError, NumericError
 from .record import Record
-
-if TYPE_CHECKING:
-    from .channel import StarRisState
-    from .kernel import PowerConfig, RateReport
 
 __all__ = ["ExperimentSpec", "parse_spec_text", "run_experiment", "main"]
 
@@ -52,13 +51,16 @@ __all__ = ["ExperimentSpec", "parse_spec_text", "run_experiment", "main"]
 # this order; the command line binds them earlier, with the collector
 # paused (see :func:`_bind_run_names_frozen`). A name rebound on this
 # module beforehand (to trace or count its calls) is kept, and the run
-# calls it. ``rates_cf``, the largest module a cf run compiles, comes
-# first: its source compiles before numpy loads, so the compile's memory
-# is not added on top of numpy's (0.27 MB of peak RSS on a PGAM run).
+# calls it. ``sweep``, the runner, and ``rates_cf``, the largest module
+# a cf run compiles, come first: their source compiles before numpy
+# loads, so the compile's memory is not added on top of numpy's (0.27 MB
+# of peak RSS on a PGAM run for ``rates_cf``, 0.3 MB on an MC run for
+# ``sweep``).
 # ``keyed_rng`` comes last: the memory that compiling the other modules
 # frees is then reused by numpy.random's, not added on top (0.5 MB of
 # peak RSS on an MC run).
 _RUN_NAMES = {
+    "sweep": (".sweep", None),
     "rates_cf": (".rates_cf", None),
     "StarRisState": (".channel", "StarRisState"),
     "aligned_state": (".designs", "aligned_state"),
@@ -426,130 +428,8 @@ def _config_for_point(config: SystemConfig, variable: str,
     return config.replace(**{_SWEEP_FIELDS[variable]: value})
 
 
-def _design_state(spec: ExperimentSpec, config: SystemConfig,
-                  pw: PowerConfig, point: int, design_index: int,
-                  aligned: Optional[StarRisState] = None) -> StarRisState:
-    """One design's surface state at a grid point. ``aligned`` is the
-    point's aligned state, built here when not given: the aligned design
-    returns it and PGAM starts from it, tuning the surface for ``pw``."""
-    design = spec.designs[design_index]
-    if design == "random":
-        return StarRisState.random_phases(
-            config.n_elements, 0.5,
-            keyed_rng(spec.seed, point, design_index, 1))
-    if aligned is None:
-        aligned = aligned_state(config, 0.5, pw, spec.scenario)
-    if design == "aligned":
-        return aligned
-    result = pgam(config, pw, aligned, mu=spec.pgam_mu,
-                  alpha_scale=spec.pgam_alpha_scale, eps=spec.pgam_eps,
-                  L=spec.pgam_iters, scenario=spec.scenario)
-    return result.state
-
-
 def _fmt(value: float) -> str:
     return repr(float(value))
-
-
-def _csv_header(spec: ExperimentSpec) -> List[str]:
-    head = [spec.sweep_variable, "design"]
-    if spec.power_scheme == "tau-dl-target":
-        head += ["target_dl", "feasible"]
-    names = RATE_NAMES[spec.scenario]
-    return (head + ["estimator"] + [f"R_{n}" for n in names] + ["sum"]
-            + [f"stderr_{n}" for n in names])
-
-
-def _report_cells(report: RateReport) -> List[str]:
-    stderr = report.stderr
-    return ([_fmt(rate) for rate in report.rates.values()]
-            + [_fmt(report.sum_rate)]
-            + [_fmt(stderr[n]) if stderr else "" for n in report.rates])
-
-
-# An MC cell: its CSV row, still without the rates, and the (config,
-# state, powers) triple that scores it.
-_McCell = Tuple[List[str], tuple]
-
-
-def _point_rows(spec: ExperimentSpec, point: int, value: float
-                ) -> Tuple[List[List[str]], List[_McCell]]:
-    """One grid point's rows, with its MC rows left to be completed from
-    the returned cells."""
-    config = _config_for_point(spec.config, spec.sweep_variable, value)
-    if spec.sweep_variable == "n_elements":
-        sweep_cell = str(int(value))
-    else:
-        sweep_cell = _fmt(value)
-    cases = (spec.dl_target_cases
-             if spec.power_scheme == "tau-dl-target" else (None,))
-    if spec.power_scheme != "fixed":
-        # Imported here: only rate-target specs allocate powers, and
-        # compiling the allocation would cost every other process
-        # start-up time and memory for nothing.
-        from .power import power_allocation_closed_form, tau_split_powers
-
-    pw0 = PowerConfig.from_config(config)
-    aligned = (aligned_state(config, 0.5, pw0, spec.scenario)
-               if set(spec.designs) - {"random"} else None)
-    # PGAM tunes the surface for the allocation at the aligned state under
-    # closed-form (its row allocates again at PGAM's state).
-    pw_pgam = pw0
-    if spec.power_scheme == "closed-form" and "pgam" in spec.designs:
-        pw_pgam = power_allocation_closed_form(
-            config, cf_rate_inputs(config, aligned))
-    # The state's moments feed both the power allocation and the cf rows;
-    # a fixed-power MC-only spec needs neither.
-    needs_moments = spec.power_scheme != "fixed" or "cf" in spec.estimators
-    rows: List[List[str]] = []
-    mc_cells: List[_McCell] = []
-    for j, design in enumerate(spec.designs):
-        state = _design_state(spec, config, pw_pgam, point, j, aligned)
-        if needs_moments:
-            moments = rates_cf.compute_moments(config, state)
-        if spec.power_scheme != "fixed":
-            inputs = cf_rate_inputs(config, state, moments)
-        for case in cases:
-            if spec.power_scheme == "fixed":
-                pw, feasible = pw0, None
-            elif spec.power_scheme == "closed-form":
-                pw = power_allocation_closed_form(config, inputs)
-                feasible = None
-            else:
-                pw, feasible = tau_split_powers(config, inputs, case)
-            lead = [sweep_cell, design]
-            if spec.power_scheme == "tau-dl-target":
-                lead += [_fmt(case), "true" if feasible else "false"]
-            for estimator in spec.estimators:
-                row = lead + [estimator]
-                if estimator == "cf":
-                    row += _report_cells(cf_rates(config, state, pw,
-                                                  spec.scenario, moments))
-                else:
-                    mc_cells.append((row, (config, state, pw)))
-                rows.append(row)
-    return rows, mc_cells
-
-
-def _all_rows(spec: ExperimentSpec, map_) -> List[List[str]]:
-    """Every row in grid order, the two stages run with ``map_``."""
-    points = range(len(spec.grid))
-    per_point = list(map_(_point_rows, [spec] * len(points), points,
-                          spec.grid))
-    groups: Dict[tuple, List[_McCell]] = {}
-    for _, cells in per_point:
-        for row, cell in cells:
-            groups.setdefault(draw_key(cell[0]), []).append((row, cell))
-
-    def score(cells: List[_McCell]) -> List[RateReport]:
-        # One stream keyed by the spec's seed scores the whole group.
-        return ergodic_rate_mc([cell for _, cell in cells], spec.trials,
-                               spec.seed, spec.scenario)
-
-    for cells, reports in zip(groups.values(), map_(score, groups.values())):
-        for (row, _), report in zip(cells, reports):
-            row += _report_cells(report)
-    return [row for rows, _ in per_point for row in rows]
 
 
 def _manifest_text(spec: ExperimentSpec) -> str:
@@ -557,34 +437,6 @@ def _manifest_text(spec: ExperimentSpec) -> str:
              "starfd run <this file>"]
     lines += [f"{key} = {spec.resolved[key]}" for key in SPEC_KEYS]
     return "\n".join(lines) + "\n"
-
-
-def _summary_lines(spec: ExperimentSpec, header: List[str],
-                   rows: List[List[str]]) -> List[str]:
-    """Argmax-tau report: best split per (design, target, estimator).
-
-    Under ``tau-dl-target`` only the feasible rows compete; a series
-    with none says so.
-    """
-    sweep_col = header.index(spec.sweep_variable)
-    sum_col = header.index("sum")
-    feasible_col = (header.index("feasible")
-                    if spec.power_scheme == "tau-dl-target" else None)
-    series: Dict[Tuple[str, ...], Optional[Tuple[float, float]]] = {}
-    label_cols = [i for i, name in enumerate(header)
-                  if name in ("design", "target_dl", "estimator")]
-    for row in rows:
-        key = tuple(f"{header[i]}={row[i]}" for i in label_cols)
-        best = series.setdefault(key, None)
-        if feasible_col is not None and row[feasible_col] != "true":
-            continue
-        tau, total = float(row[sweep_col]), float(row[sum_col])
-        if best is None or total > best[1]:
-            series[key] = (tau, total)
-    return [f"{' '.join(key)}: no feasible tau" if best is None else
-            f"{' '.join(key)}: argmax tau = {_fmt(best[0])} "
-            f"(sum rate {_fmt(best[1])} bits/s/Hz)"
-            for key, best in series.items()]
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1
@@ -604,32 +456,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     _bind_run_names(spec)
-    if jobs == 1:
-        rows = _all_rows(spec, map)
-    else:
-        # Imported here: the pool and its logging stack would cost every
-        # single-worker process start-up time and memory for nothing.
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = _all_rows(spec, pool.map)
-
-    header = _csv_header(spec)
-    out_path = Path(spec.output)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-    manifest_path = Path(str(out_path) + ".manifest.txt")
-    manifest_path.write_text(_manifest_text(spec), encoding="utf-8")
-
-    summary_path = None
-    if spec.sweep_variable == "tau":
-        summary_path = Path(str(out_path) + ".summary.txt")
-        summary_path.write_text(
-            "\n".join(_summary_lines(spec, header, rows)) + "\n",
-            encoding="utf-8")
-    return out_path, manifest_path, summary_path
+    return sweep.run_sweep(spec, jobs)
 
 
 def _load_spec_argument(name: str) -> Tuple[Optional[str], Optional[str]]:
@@ -662,7 +489,7 @@ def _cmd_run(name: str, output: Optional[str], jobs: int,
     spec = _load_spec(name)
     if spec is None:
         return 1
-    if output:
+    if output is not None:
         resolved = dict(spec.resolved)
         resolved["output"] = output
         spec = spec.replace(output=output, resolved=resolved)
@@ -762,6 +589,8 @@ def _parse_command_line(args: Sequence[str]
             value = next(rest, None)
             if value is None:
                 raise _UsageError(f"argument {name}: expected one argument")
+        if name == "--output" and not value:
+            raise _UsageError("argument --output: must be a file name")
         options[name] = value
     if not words:
         raise _UsageError("a command is required")

@@ -159,6 +159,26 @@ FAULTS = (
           '(None, ("br", "r_u2u"), ("t", "br", "u1u")',
           "tests/test_rates_mc.py::TestSinrOps::"
           "test_ul_edge_term_by_term"),
+    # MC cells grouped one per cell instead of by their draw key: cells
+    # that could share a block draw it again each.
+    Fault("src/starfd/sweep.py",
+          "groups.setdefault(cli.draw_key(cell[0]), [])",
+          "groups.setdefault((id(cell),), [])",
+          "tests/test_cli.py::TestSharedDraws::"
+          "test_snr_sweep_draws_each_block_once"),
+    # The random design keyed without its grid point: every point scores
+    # the same surface.
+    Fault("src/starfd/sweep.py",
+          "cli.keyed_rng(spec.seed, point, design_index, 1)",
+          "cli.keyed_rng(spec.seed, 0, design_index, 1)",
+          "tests/test_cli.py::TestRunExperiment::"
+          "test_random_design_is_keyed_by_point_and_index"),
+    # An empty --output falls back to the spec's own output.
+    Fault("src/starfd/cli.py",
+          'if name == "--output" and not value:',
+          "if False:",
+          "tests/test_cli.py::TestMain::"
+          "test_empty_output_exits_2_and_writes_nothing[separate]"),
 )
 
 

@@ -14,11 +14,14 @@ import starfd.cli as cli
 import starfd.rates_cf as rates_cf
 import starfd.rates_mc as rates_mc
 from starfd.cli import (ExperimentSpec, main, parse_spec_text,
-                        run_experiment, _config_for_point, _design_state,
-                        _report_cells)
+                        run_experiment, _config_for_point)
+from starfd.sweep import _design_state, _report_cells
+from starfd.channel import StarRisState
 from starfd.kernel import PowerConfig
 from starfd.presets import PRESETS, preset_text
+from starfd.rates_cf import cf_rates
 from starfd.rates_mc import _BLOCK, ergodic_rate_mc
+from starfd.streams import keyed_rng
 
 
 def make_spec(text, **replacements):
@@ -240,6 +243,25 @@ class TestRunExperiment:
                 assert record["stderr_u1d"] == ""
             else:
                 assert float(record["stderr_u1d"]) >= 0.0
+
+    def test_random_design_is_keyed_by_point_and_index(self, tmp_path):
+        # The random design at grid point p and design index j draws its
+        # phases from keyed_rng(seed, p, j, 1), so every point scores a
+        # surface of its own.
+        spec = make_spec(MINI + "n_elements = 4\ndesigns = aligned, "
+                         "random\n", output=str(tmp_path / "r.csv"))
+        out, _, _ = run_experiment(spec)
+        rows = [line.split(",")[3:] for line in
+                out.read_text(encoding="utf-8").splitlines()
+                if ",random," in line]
+        expected = []
+        for point, value in enumerate(spec.grid):
+            config = _config_for_point(spec.config, "snr_db", value)
+            state = StarRisState.random_phases(
+                4, 0.5, keyed_rng(spec.seed, point, 1, 1))
+            expected.append(_report_cells(cf_rates(
+                config, state, PowerConfig.from_config(config))))
+        assert rows == expected
 
     def test_same_spec_twice_is_byte_identical(self, tmp_path):
         text = MINI + "estimators = cf, mc\ntrials = 40\n"
@@ -664,8 +686,8 @@ class TestStartup:
         # argparse (and the gettext and locale lookups it makes), the
         # presets only for a preset name, and the power allocation only
         # for a rate-target scheme. Parsing, checking and printing a spec
-        # load neither numpy nor the numeric modules; only a run does,
-        # and it compiles the simulator (with its draw and numpy.random)
+        # load neither numpy nor the numeric modules, nor compile the
+        # sweep runner; only a run does, and it compiles the simulator (with its draw and numpy.random)
         # only for the mc estimator and the ascent only for the pgam
         # design. A fixed-power mc run of random designs alone compiles
         # neither the aligned designs nor the closed forms.
@@ -688,7 +710,8 @@ class TestStartup:
                    "pgam_iters = 2\n", "pgam.txt")
         write_spec(tmp_path, MINI + "n_elements = 4\ndesigns = random\n"
                    "estimators = mc\ntrials = 8\n", "random-mc.txt")
-        spec_layer = unused + lazy + numeric + simulator + ascent
+        runner = ("starfd.sweep",)
+        spec_layer = unused + lazy + numeric + simulator + ascent + runner
         presets = ("starfd.presets",)
         assert loaded_after(tmp_path, [
             (None, spec_layer + presets),
@@ -717,6 +740,10 @@ class TestStartup:
             (["run", "random-mc.txt"], unused + lazy + closed_forms + ascent
              + simulator),
         ]) == [f"0 {list(simulator)}"]
+        for name in ("fixed", "closed", "mc", "pgam", "random-mc"):
+            assert loaded_after(tmp_path, [
+                (["run", f"{name}.txt"], runner),
+            ]) == [f"0 {list(runner)}"], name
 
     def test_numpy_random_loads_without_openssl(self, tmp_path):
         # numpy's generator imports ``secrets`` (and with it hmac, hashlib
@@ -836,6 +863,7 @@ class TestStartup:
         script = dedent(f"""
             import contextlib, gc, io, sys
             import starfd.cli as cli
+            import starfd.sweep
             if not {enabled}:
                 gc.disable()
             collections, loads, sweep = [], [], set()
@@ -845,10 +873,11 @@ class TestStartup:
                 before = len(collections)
                 bind(spec)
                 loads.append(len(collections) - before)
-            def point_rows(*args, point_rows=cli._point_rows):
+            def point_rows(*args, point_rows=starfd.sweep._point_rows):
                 sweep.add((gc.isenabled(), gc.get_freeze_count() > 0))
                 return point_rows(*args)
-            cli._bind_run_names, cli._point_rows = bind, point_rows
+            cli._bind_run_names = bind
+            starfd.sweep._point_rows = point_rows
             sys.argv = ["starfd", "run", "mc.txt", "--jobs", "{jobs}"]
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main()
@@ -1157,6 +1186,22 @@ class TestMain:
         assert captured.err.startswith("usage: starfd run SPEC")
         assert "\nstarfd: error: " in captured.err
         assert commands == []
+
+    @pytest.mark.parametrize("option", [["--output", ""], ["--output="]],
+                             ids=["separate", "joined"])
+    def test_empty_output_exits_2_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys, option):
+        # The spec key rejects an empty output; the option does too,
+        # rather than falling back to the spec's own output.
+        write_spec(tmp_path, MINI)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "exp.txt", *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: starfd run SPEC")
+        assert captured.err.endswith(
+            "\nstarfd: error: argument --output: must be a file name\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.txt"]
 
     def test_jobs_zero_exits_2_through_the_run(self, tmp_path, capsys):
         path = write_spec(tmp_path, MINI)
