@@ -7,7 +7,8 @@ runner applies one entry at a time to a scratch copy of the repository
 and runs the whole suite there with ``pytest -x``, less
 ``tests/test_faults.py``. A fault is caught when the suite fails and its
 named test fails too; when another test fails first, the named test is
-then run alone. The file is not collected by pytest;
+then run alone, and so it is when the suite stops short of its closing
+line (a fault that ends the process). The file is not collected by pytest;
 ``tests/test_faults.py`` checks that every entry still applies at
 exactly one place, so a refactor that moves the code names the stale
 entry instead of dropping it silently.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -67,10 +69,10 @@ FAULTS = (
           "value = _snr_power(config.sigma_b_sq, value)",
           "tests/test_cli.py::TestSpecParsing::"
           "test_snr_point_power_reads_the_downlink_noise"),
-    # The command line exits without freezing the collector.
+    # The command line ends its command without freezing the collector.
     Fault("src/starfd/cli.py",
-          "        gc.freeze()\n    return code\n",
-          "        pass\n    return code\n",
+          "        gc.freeze()\n        _exit_process(code)\n",
+          "        _exit_process(code)\n",
           "tests/test_cli.py::TestStartup::"
           "test_only_the_command_line_freezes_the_collector"),
     # An in-process main(argv) freezes its caller's collector too.
@@ -179,6 +181,39 @@ FAULTS = (
           "if False:",
           "tests/test_cli.py::TestMain::"
           "test_empty_output_exits_2_and_writes_nothing[separate]"),
+    # The command line ends the process before the exit handlers run.
+    Fault("src/starfd/cli.py",
+          "    atexit._run_exitfuncs()\n",
+          "    os._exit(code)\n    atexit._run_exitfuncs()\n",
+          "tests/test_cli.py::TestExit::"
+          "test_exit_handlers_run_after_the_output"),
+    # The command line ends the process with its output still buffered.
+    Fault("src/starfd/cli.py",
+          "                stream.flush()\n",
+          "                pass\n",
+          "tests/test_cli.py::TestExit::"
+          "test_real_stdout_written_before_a_redirect_appears"),
+    # An in-process main(argv) ends its caller's process too.
+    Fault("src/starfd/cli.py",
+          "        _exit_process(code)\n    return code\n",
+          "    _exit_process(code)\n    return code\n",
+          "tests/test_cli.py::TestStartup::"
+          "test_only_the_command_line_freezes_the_collector"),
+    # The command line ends the process under a tracer or profiler, which
+    # then never writes its output.
+    Fault("src/starfd/cli.py",
+          "    if (sys.gettrace() is not None or sys.getprofile() is not "
+          "None\n            or sys.flags.inspect or monitoring is not None\n"
+          "            and any(monitoring.get_tool(tool) for tool in "
+          "range(6))):",
+          "    if sys.flags.inspect:",
+          "tests/test_cli.py::TestExit::test_profiler_writes_its_output"),
+    # The command line ends every process with status 0.
+    Fault("src/starfd/cli.py",
+          "    os._exit(code)\n",
+          "    os._exit(0)\n",
+          "tests/test_cli.py::TestExit::"
+          "test_command_line_matches_the_in_process_call[usage-error]"),
 )
 
 
@@ -188,6 +223,14 @@ def _pytest(copy: Path, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          *args], cwd=copy, env=env, capture_output=True, text=True)
+
+
+def _finished(output: str) -> bool:
+    """Whether pytest got to its closing line ("... in 33.05s"): a fault
+    that ends the process from inside a test stops it short, whatever its
+    exit status."""
+    lines = output.strip().splitlines()
+    return bool(lines) and re.search(r" in \d+\.\d+s\b", lines[-1]) is not None
 
 
 def _failed(output: str) -> List[str]:
@@ -210,7 +253,7 @@ def check(fault: Fault, scratch: Optional[Path]) -> str:
                           encoding="utf-8")
         # The catalogue's own check fails on every applied entry.
         suite = _pytest(copy, "-x", "--ignore=tests/test_faults.py")
-        if suite.returncode == 0:
+        if suite.returncode == 0 and _finished(suite.stdout):
             return "SURVIVED: the whole suite passes"
         failed = _failed(suite.stdout)
         if fault.test in failed:

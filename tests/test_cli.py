@@ -91,6 +91,24 @@ class TestSpecParsing:
         _, errors = parse_spec_text(MINI + "seed = 1\nseed = 2\n")
         assert any("duplicate" in e for e in errors)
 
+    @pytest.mark.parametrize("line, error", [
+        ("estimators = cf, mc, cf", "estimators: 'cf' is listed more than "
+                                    "once"),
+        ("designs = aligned, aligned", "designs: 'aligned' is listed more "
+                                       "than once"),
+        ("designs = pgam random pgam", "designs: 'pgam' is listed more "
+                                       "than once"),
+    ])
+    def test_repeated_word_exits_1_and_writes_nothing(self, tmp_path, capsys,
+                                                      line, error):
+        # A repeated design or estimator would write its rows twice (and
+        # a repeated pgam would run the whole ascent twice).
+        path = write_spec(tmp_path, MINI + line + "\n")
+        out = tmp_path / "never.csv"
+        assert main(["run", str(path), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
     def test_unsorted_grid_rejected(self):
         _, errors = parse_spec_text(
             "sweep_variable = snr_db\nsweep_grid = 30, 20\n")
@@ -262,6 +280,24 @@ class TestRunExperiment:
             expected.append(_report_cells(cf_rates(
                 config, state, PowerConfig.from_config(config))))
         assert rows == expected
+
+    def test_repeated_random_design_gives_distinct_rows(self, tmp_path):
+        # Each random design draws from its own index's stream, so a
+        # repeat scores another surface rather than the same rows again.
+        spec = make_spec(MINI + "n_elements = 4\ndesigns = random, "
+                         "aligned, random\n", output=str(tmp_path / "r.csv"))
+        out, _, _ = run_experiment(spec)
+        rows = [line.split(",") for line in
+                out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert [row[1] for row in rows] == ["random", "aligned",
+                                            "random"] * 2
+        for point in (rows[:3], rows[3:]):
+            assert point[0][3:] != point[2][3:]
+        config = _config_for_point(spec.config, "snr_db", 30.0)
+        state = StarRisState.random_phases(4, 0.5,
+                                           keyed_rng(spec.seed, 1, 2, 1))
+        assert rows[5][3:] == _report_cells(cf_rates(
+            config, state, PowerConfig.from_config(config)))
 
     def test_same_spec_twice_is_byte_identical(self, tmp_path):
         text = MINI + "estimators = cf, mc\ntrials = 40\n"
@@ -789,11 +825,13 @@ class TestStartup:
 
     def test_only_the_command_line_freezes_the_collector(self, tmp_path):
         # Run as the process's command line, main freezes the collector
-        # before it returns, so interpreter exit skips the heap; every
-        # file is closed by then and holds the bytes of an in-process
-        # main([...]) run, which leaves the caller's collector alone:
-        # nothing frozen, and on or off as it was. A command that loads
-        # no run path (validate, presets) freezes at the end all the same.
+        # once its command is done, so an exit left to the interpreter
+        # skips the heap; every file is closed by then and holds the
+        # bytes of an in-process main([...]) run, which leaves the
+        # caller's collector alone: nothing frozen, and on or off as it
+        # was. A command that loads no run path (validate, presets)
+        # freezes at the end all the same. The command line ends the
+        # process, so an exit handler reports what it left.
         write_spec(tmp_path, MINI + "n_elements = 4\ndesigns = aligned, "
                    "random\nestimators = cf, mc\ntrials = 8\n", "mc.txt")
         steps = [("in1", ["run", "../mc.txt", "--output", "out.csv"]),
@@ -827,14 +865,13 @@ class TestStartup:
                                str([False, True] * len(steps))]
         for jobs in (1, 2):
             assert fresh_python(tmp_path / f"cmd{jobs}", dedent(f"""
-                import contextlib, gc, io, sys
+                import atexit, gc, sys
                 import starfd.cli
                 sys.argv = ["starfd", "run", "../mc.txt", "--output",
                             "out.csv", "--jobs", "{jobs}"]
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = starfd.cli.main()
-                print(code, gc.get_freeze_count() > 0)
-            """)) == "0 True\n"
+                atexit.register(lambda: print(gc.get_freeze_count() > 0))
+                starfd.cli.main()
+            """)) == "wrote out.csv\nwrote out.csv.manifest.txt\nTrue\n"
             for name in ("out.csv", "out.csv.manifest.txt"):
                 assert ((tmp_path / f"cmd{jobs}" / name).read_bytes()
                         == (tmp_path / f"in{jobs}" / name).read_bytes())
@@ -842,13 +879,12 @@ class TestStartup:
             b",mc,") == 4
         for argv in (["validate", "mc.txt"], ["presets", "list"]):
             assert fresh_python(tmp_path, dedent(f"""
-                import contextlib, gc, io, sys
+                import atexit, gc, sys
                 import starfd.cli
                 sys.argv = ["starfd", *{argv!r}]
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = starfd.cli.main()
-                print(code, gc.get_freeze_count() > 0)
-            """)) == "0 True\n"
+                atexit.register(lambda: print(gc.get_freeze_count() > 0))
+                starfd.cli.main()
+            """)).endswith("\nTrue\n")
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -857,11 +893,12 @@ class TestStartup:
         # A command-line run binds its numeric modules with the collector
         # paused, so no collection scans them while they load, and then
         # freezes them. The sweep runs with the collector on or off as the
-        # process had it before main, and main leaves it that way.
+        # process had it before main, and main leaves it that way. The
+        # command line ends the process, so an exit handler reports.
         write_spec(tmp_path, MINI + "n_elements = 4\ndesigns = aligned, "
                    "random\nestimators = cf, mc\ntrials = 8\n", "mc.txt")
         script = dedent(f"""
-            import contextlib, gc, io, sys
+            import atexit, gc, sys
             import starfd.cli as cli
             import starfd.sweep
             if not {enabled}:
@@ -879,12 +916,13 @@ class TestStartup:
             cli._bind_run_names = bind
             starfd.sweep._point_rows = point_rows
             sys.argv = ["starfd", "run", "mc.txt", "--jobs", "{jobs}"]
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main()
-            print(code, loads[0], sorted(sweep), gc.isenabled())
+            atexit.register(lambda: print(loads[0], sorted(sweep),
+                                          gc.isenabled()))
+            cli.main()
         """)
         assert fresh_python(tmp_path, script) == (
-            f"0 0 [({enabled}, True)] {enabled}\n")
+            "wrote mini.csv\nwrote mini.csv.manifest.txt\n"
+            f"0 [({enabled}, True)] {enabled}\n")
 
     def test_failed_import_leaves_no_stand_in(self, tmp_path):
         # A numpy.random that cannot be imported raises, and the stand-in
@@ -1021,6 +1059,169 @@ class TestStartup:
         assert fresh_python(tmp_path, script).splitlines() == [
             "0", "0",
             "[] ['rates_cf.cf_rates_bidirectional', 'rates_cf.cf_sinrs']"]
+
+
+# The three ways to start the command line: today's in-process call with
+# the arguments (which returns its exit code), the console script's
+# main() and the package run as a module (which end the process).
+ENTRIES = {
+    "argv": ["-c", "import sys; from starfd.cli import main; "
+                   "sys.exit(main(sys.argv[1:]))"],
+    "main": ["-c", "import sys; from starfd.cli import main; "
+                   "sys.exit(main())"],
+    "module": ["-m", "starfd"],
+}
+
+
+def starfd_process(cwd, python_args, stdout=subprocess.PIPE):
+    """A finished ``python *python_args`` in ``cwd``, its standard streams
+    buffered as they are when not at a terminal."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *python_args], cwd=cwd, env=env,
+                          stdin=subprocess.DEVNULL, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120)
+
+
+def tree_bytes(root):
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestExit:
+    """The command line ends its process once the output is out, with the
+    same status, streams and files as a run that returns from main."""
+
+    SPECS = {
+        "mc.txt": MINI + "n_elements = 4\ndesigns = aligned, random\n"
+                  "estimators = cf, mc\ntrials = 8\n",
+        "bad.txt": MINI + "pathloss_exponent = 2\n",
+        "infeasible.txt": MINI + "power_scheme = closed-form\n"
+                          "target_dl_rate = 0.5\ntarget_ul_rate = 0.05\n",
+    }
+
+    @pytest.mark.parametrize("args, code", [
+        (["run", "mc.txt", "--output", "out.csv"], 0),
+        (["run", "mc.txt", "--output", "out.csv", "--jobs", "2"], 0),
+        (["validate", "mc.txt"], 0),
+        (["presets", "list"], 0),
+        (["presets", "show", "default"], 0),
+        (["--help"], 0),
+        (["frobnicate"], 2),
+        (["run", "missing.txt"], 1),
+        (["run", "bad.txt"], 1),
+        (["run", "infeasible.txt", "--output", "out.csv"], 2),
+    ], ids=["run", "run-jobs-2", "validate", "presets-list", "presets-show",
+            "help", "usage-error", "unreadable-spec", "invalid-spec",
+            "failing-run"])
+    def test_command_line_matches_the_in_process_call(self, tmp_path, args,
+                                                      code):
+        seen = {}
+        for entry, python_args in ENTRIES.items():
+            where = tmp_path / entry
+            where.mkdir()
+            for name, text in self.SPECS.items():
+                write_spec(where, text, name)
+            done = starfd_process(where, python_args + args)
+            seen[entry] = (done.returncode, done.stdout, done.stderr,
+                           tree_bytes(where))
+        assert seen["argv"][0] == code
+        assert seen["argv"][1] or seen["argv"][2]
+        assert seen["main"] == seen["argv"]
+        assert seen["module"] == seen["argv"]
+
+    def test_exit_handlers_run_after_the_output(self, tmp_path):
+        # An atexit handler registered before main() runs, as interpreter
+        # exit would run it, after everything starfd wrote.
+        write_spec(tmp_path, MINI)
+        validate = starfd_process(tmp_path, ["-m", "starfd", "validate",
+                                             "exp.txt"])
+        done = starfd_process(tmp_path, ["-c", dedent("""
+            import atexit, sys
+            from starfd.cli import main
+            atexit.register(print, "handler ran")
+            sys.exit(main())
+        """), "validate", "exp.txt"])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == validate.stdout + b"handler ran\n"
+        assert validate.stdout.startswith(b"# run manifest")
+
+    def test_real_stdout_written_before_a_redirect_appears(self, tmp_path):
+        # main() flushes the process's own streams as well as the ones
+        # standing in for them, so text buffered in sys.__stdout__ is out.
+        write_spec(tmp_path, MINI)
+        done = starfd_process(tmp_path, ["-c", dedent("""
+            import contextlib, io, sys
+            from starfd.cli import main
+            sys.__stdout__.write("before the redirect\\n")
+            with contextlib.redirect_stdout(io.StringIO()):
+                main()
+            print("not reached")
+        """), "validate", "exp.txt"])
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, b"before the redirect\n", b"")
+
+    def test_profiler_writes_its_output(self, tmp_path):
+        # python -m cProfile writes its file after the program: main()
+        # sees the profiler and leaves exit to the interpreter.
+        write_spec(tmp_path, MINI)
+        done = starfd_process(tmp_path, ["-m", "cProfile", "-o", "prof.out",
+                                         "-m", "starfd", "validate",
+                                         "exp.txt"])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith(b"# run manifest")
+        assert (tmp_path / "prof.out").stat().st_size > 0
+
+    @pytest.mark.parametrize("setup, python_args", [
+        ("import threading\nrelease = threading.Event()\n"
+         "threading.Thread(target=release.wait, args=(60,)).start()", []),
+        ("sys.settrace(lambda *args: None)", []),
+        ("sys.setprofile(lambda *args: None)", []),
+        ("import types\nsys.monitoring = types.SimpleNamespace(\n"
+         "    get_tool=lambda tool: 'profiler' if tool == 2 else None)", []),
+        ("", ["-i"]),
+    ], ids=["thread", "tracer", "profiler", "monitoring", "inspect"])
+    def test_main_returns_when_exit_is_not_its_own(self, tmp_path, setup,
+                                                   python_args):
+        # With another non-daemon thread alive, a tracer or profiler set,
+        # or python -i, interpreter exit has work after the program, so
+        # main() returns its exit code rather than ending the process.
+        write_spec(tmp_path, MINI)
+        done = starfd_process(tmp_path, python_args + ["-c", dedent("""
+            import sys
+            from starfd.cli import main
+        """) + setup + dedent("""
+            code = main()
+            print("returned", code)
+            if "release" in globals():
+                release.set()
+        """), "validate", "exp.txt"])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.endswith(b"\nreturned 0\n")
+
+    @pytest.mark.parametrize("args", [["validate", "exp.txt"],
+                                      ["run", "exp.txt"]],
+                             ids=["validate", "run"])
+    def test_closed_pipe_reports_as_before(self, tmp_path, args):
+        # Writing to a pipe whose reader is gone fails at the flush; main()
+        # then leaves exit to the interpreter, which reports the lost
+        # output with status 120, as an in-process call's exit does.
+        write_spec(tmp_path, MINI + "n_elements = 4\n")
+        seen = {}
+        for entry, python_args in ENTRIES.items():
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                done = starfd_process(tmp_path, python_args + args,
+                                      stdout=write)
+            finally:
+                os.close(write)
+            seen[entry] = (done.returncode, done.stderr)
+        assert seen["argv"][0] == 120
+        assert b"BrokenPipeError" in seen["argv"][1]
+        assert seen["main"] == seen["argv"]
+        assert seen["module"] == seen["argv"]
 
 
 class TestMain:
