@@ -1,5 +1,5 @@
 """The SINR kernel: the nine reception terms, operative powers, reception
-ratios, the scenario rule and the rate report.
+ratios, the scenario rule, the rate report and the constraint margins.
 
 Every rate is log2(1 + SINR) in bits/s/Hz. Every SINR is built from
 three reception ratios written once here (downlink, uplink at the
@@ -32,6 +32,7 @@ __all__ = [
     "binding_legs",
     "scenario_rates",
     "rate_weights",
+    "constraint_margins",
 ]
 
 _BUDGET_RTOL = 1e-9
@@ -292,3 +293,18 @@ def rate_weights(scenario: str, legs,
         return tuple(weights[u] for u in USERS)
     binding = binding_legs(legs)
     return tuple(float(k in binding) for k in range(len(legs)))
+
+
+def constraint_margins(terms, config: SystemConfig, pw: PowerConfig,
+                       si: float) -> Dict[str, float]:
+    """Slacks (negative = violated) of the budget, the SIC order (the
+    center user's decode rate of the edge DL signal over the edge user's
+    own) and the edge targets of ``config``; analytic in the terms."""
+    sinrs = noma_sinrs(terms, config, pw, si)
+    edge_dl = _log2(1.0 + sinrs["u2d"])
+    cross = dl_sinr(terms["u1d"], pw.p_b2, pw.p_b1, pw, config.sigma_sq)
+    spent = pw.p_b1 + pw.p_b2 + pw.p_u1u + pw.p_u2u
+    return {"power_budget": pw.P_t - spent,
+            "decoding_order": _log2(1.0 + cross) - edge_dl,
+            "edge_dl_target": edge_dl - config.R_dth,
+            "edge_ul_target": _log2(1.0 + sinrs["u2u"]) - config.R_uth}

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import StarRisState
 from .config import SystemConfig
-from .kernel import (PowerConfig, RateReport, dl_sinr, noma_sinrs,
+from .kernel import (PowerConfig, RateReport, constraint_margins,
                      rate_weights, scenario_rates)
 from .rates_cf import (CfRateInputs, cf_rate_inputs, compute_moments,
                        surface_gradient)
@@ -238,7 +238,7 @@ def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
             break
 
     report = (None if scenario == "bidirectional"
-              else validate_constraints(config, state, pw))
+              else _constraint_report(config, state, pw, assembly[1]))
     return OptimizationResult(state=state, pw=pw, trace=np.array(trace),
                               reason=reason, constraints=report)
 
@@ -246,41 +246,25 @@ def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
 def validate_constraints(config: SystemConfig, ris: StarRisState,
                          pw: PowerConfig, tol: float = 1e-9
                          ) -> ConstraintReport:
-    """Check the optimization problem's constraints with numeric margins.
+    """Check the optimization problem's constraints with numeric margins:
+    the kernel's :func:`~starfd.kernel.constraint_margins` of the state's
+    closed-form rate inputs, against the targets of ``config``, and the
+    worst per-element deviation from the energy split."""
+    return _constraint_report(config, ris, pw, cf_rate_inputs(config, ris),
+                              tol)
 
-    The budget margin is the unspent power; the decoding-order margin is
-    the closed-form gap between the center user's decode rate of the
-    edge signal and the edge user's own rate; the target margins compare
-    the edge users' closed-form NOMA-pair rates against the targets of
-    ``config``. The energy-splitting check reports the worst per-element
-    deviation.
-    """
-    spent = pw.p_b1 + pw.p_b2 + pw.p_u1u + pw.p_u2u
-    budget_margin = pw.P_t - spent
-    power_budget = ConstraintCheck(budget_margin >= -tol * pw.P_t,
-                                   budget_margin)
 
-    # SIC order: the center user must decode the edge DL signal at least
-    # as well as the edge user does.
-    inputs = cf_rate_inputs(config, ris)
-    gammas = noma_sinrs(inputs, config, pw, config.si_variance(pw.P_b))
-    edge_dl_rate = math.log2(1.0 + gammas["u2d"])
-    cross = dl_sinr(inputs["u1d"], pw.p_b2, pw.p_b1, pw, config.sigma_sq)
-    order_margin = math.log2(1.0 + cross) - edge_dl_rate
-    decoding_order = ConstraintCheck(order_margin >= -tol, order_margin)
-
-    dl_margin = edge_dl_rate - config.R_dth
-    ul_margin = math.log2(1.0 + gammas["u2u"]) - config.R_uth
-    edge_dl = ConstraintCheck(dl_margin >= -tol, dl_margin)
-    edge_ul = ConstraintCheck(ul_margin >= -tol, ul_margin)
-
+def _constraint_report(config: SystemConfig, ris: StarRisState,
+                       pw: PowerConfig, inputs: Dict[str, CfRateInputs],
+                       tol: float = 1e-9) -> ConstraintReport:
+    """:func:`validate_constraints` with ``ris``'s rate inputs given."""
+    margins = constraint_margins(inputs, config, pw,
+                                 config.si_variance(pw.P_b))
+    floor = {"power_budget": -tol * pw.P_t}
+    checks = {name: ConstraintCheck(margin >= floor.get(name, -tol), margin)
+              for name, margin in margins.items()}
     split_dev = float(np.max(np.abs(ris.rho_t + ris.rho_r - 1.0)))
     neg_dev = float(max(0.0, -np.min(ris.rho_t), -np.min(ris.rho_r)))
     es_margin = max(split_dev, neg_dev)
-    energy_split = ConstraintCheck(es_margin <= tol, es_margin)
-
-    return ConstraintReport(power_budget=power_budget,
-                            decoding_order=decoding_order,
-                            edge_dl_target=edge_dl,
-                            edge_ul_target=edge_ul,
-                            energy_split=energy_split)
+    return ConstraintReport(**checks, energy_split=ConstraintCheck(
+        es_margin <= tol, es_margin))

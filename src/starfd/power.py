@@ -12,7 +12,7 @@ from typing import Dict, Tuple
 
 from .config import SystemConfig
 from .exceptions import DegenerateGeometryError, InfeasibleError
-from .kernel import PowerConfig, noma_sinrs
+from .kernel import PowerConfig, constraint_margins
 from .rates_cf import CfRateInputs
 
 __all__ = ["sinr_threshold", "power_allocation_closed_form",
@@ -164,10 +164,9 @@ def tau_split_powers(config: SystemConfig, inputs: Dict[str, CfRateInputs],
     edge user's rate cap); the remaining BS power carries the center
     signal. When even the whole BS budget falls short, everything goes
     to the edge signal and the point is flagged infeasible. The uplink
-    side keeps the configured split, so the UL target and the center
-    user's decoding order only enter diagnostics, not the split rule.
+    side keeps the configured split; the flag also reads the kernel's
+    ``edge_ul_target`` margin (to 1e-12), not the decoding order.
     """
-    R_uth = config.R_uth
     p_b = config.tau * config.P_t
     p_u = (1.0 - config.tau) * config.P_t
     p_u1u = config.ul_split * p_u
@@ -192,8 +191,8 @@ def tau_split_powers(config: SystemConfig, inputs: Dict[str, CfRateInputs],
 
     pw = PowerConfig(P_t=config.P_t, p_b1=p_b1, p_b2=p_b2,
                      p_u1u=p_u1u, p_u2u=p_u2u)
-    if R_uth > 0.0:
-        sinr = noma_sinrs(inputs, config, pw,
-                          config.si_variance(pw.P_b))["u2u"]
-        feasible = feasible and math.log2(1.0 + sinr) >= R_uth - 1e-12
+    if config.R_uth > 0.0:
+        feasible = feasible and constraint_margins(
+            inputs, config, pw, config.si_variance(pw.P_b)
+        )["edge_ul_target"] >= -1e-12
     return pw, feasible

@@ -17,6 +17,7 @@ Run from the repository root (about 40 s per entry on 2 cores)::
 
     python tests/faults.py            # every entry
     python tests/faults.py 0 2        # entries 0 and 2
+    python tests/faults.py --file src/starfd/kernel.py  # one file's entries
     python tests/faults.py --list     # print the entries
 
 The exit code is 0 when every entry run was caught by its named test.
@@ -58,9 +59,9 @@ FAULTS = (
           "test_feasible_tau_rows_meet_their_targets"),
     # The center user decoding the edge signal without the center signal
     # left in: the decoding-order margin is overstated.
-    Fault("src/starfd/optimize.py",
-          'cross = dl_sinr(inputs["u1d"], pw.p_b2, pw.p_b1, pw,',
-          'cross = dl_sinr(inputs["u1d"], pw.p_b2, 0.0, pw,',
+    Fault("src/starfd/kernel.py",
+          'cross = dl_sinr(terms["u1d"], pw.p_b2, pw.p_b1, pw,',
+          'cross = dl_sinr(terms["u1d"], pw.p_b2, 0.0, pw,',
           "tests/test_optimize.py::TestValidateConstraints::"
           "test_decoding_order_margin_is_zero_at_the_allocation"),
     # An snr_db point's power over the BS noise instead of the DL noise.
@@ -214,6 +215,33 @@ FAULTS = (
           "    os._exit(0)\n",
           "tests/test_cli.py::TestExit::"
           "test_command_line_matches_the_in_process_call[usage-error]"),
+    # The edge UL target margin read off the center uplink user's rate.
+    Fault("src/starfd/kernel.py",
+          '_log2(1.0 + sinrs["u2u"]) - config.R_uth',
+          '_log2(1.0 + sinrs["u1u"]) - config.R_uth',
+          "tests/test_optimize.py::TestValidateConstraints::"
+          "test_edge_margins_are_the_closed_form_rates"),
+    # The fixed-tau split's flag reads the DL target margin (against the
+    # config's R_dth, not the case's) in place of the UL one.
+    Fault("src/starfd/power.py",
+          ')["edge_ul_target"] >= -1e-12',
+          ')["edge_dl_target"] >= -1e-12',
+          "tests/test_optimize.py::TestTauSplitPowers::"
+          "test_unmet_targets_flag_the_split_infeasible"),
+    # PGAM reports the constraints of its initial state, whose rate
+    # inputs it assembled first, instead of the last state's.
+    Fault("src/starfd/optimize.py",
+          "else _constraint_report(config, state, pw, assembly[1]))",
+          "else _constraint_report(config, state, pw,\n"
+          "                        cf_rate_inputs(config, init)))",
+          "tests/test_optimize.py::TestValidateConstraints::"
+          "test_bidirectional_run_reports_no_constraints"),
+    # The tau summary keeps the last of two tied splits.
+    Fault("src/starfd/sweep.py",
+          "if best is None or total > best[1]:",
+          "if best is None or total >= best[1]:",
+          "tests/test_cli.py::TestRunExperiment::"
+          "test_tau_summary_reports_the_first_tied_split"),
 )
 
 
@@ -271,11 +299,17 @@ def main(argv: List[str]) -> int:
                         help="indices into FAULTS (default: all)")
     parser.add_argument("--list", action="store_true",
                         help="print the entries and exit")
+    parser.add_argument("--file", default=None,
+                        help="run only the entries on this source file, "
+                             "a path from the repository root")
     parser.add_argument("--scratch", type=Path, default=None,
                         help="directory for the copies (default: the "
                              "system's temporary directory)")
     args = parser.parse_args(argv)
-    chosen = args.entries or range(len(FAULTS))
+    chosen = [index for index in args.entries or range(len(FAULTS))
+              if args.file is None or FAULTS[index].file == args.file]
+    if not chosen:
+        parser.error(f"no entry on {args.file}")
     all_caught = True
     for index in chosen:
         fault = FAULTS[index]

@@ -15,7 +15,7 @@ import starfd.rates_cf as rates_cf
 import starfd.rates_mc as rates_mc
 from starfd.cli import (ExperimentSpec, main, parse_spec_text,
                         run_experiment, _config_for_point)
-from starfd.sweep import _design_state, _report_cells
+from starfd.sweep import _design_state, _report_cells, _summary_lines
 from starfd.channel import StarRisState
 from starfd.kernel import PowerConfig
 from starfd.presets import PRESETS, preset_text
@@ -429,6 +429,22 @@ class TestRunExperiment:
             f"design=aligned target_dl=7.0 estimator=cf: argmax tau = "
             f"{best['tau']} (sum rate {best['sum']} bits/s/Hz)",
             "design=aligned target_dl=9.0 estimator=cf: no feasible tau"]
+
+    def test_tau_summary_reports_the_first_tied_split(self):
+        # Two splits with the same sum rate: the summary names the first
+        # in grid order, not the last.
+        spec = make_spec("""
+            sweep_variable = tau
+            sweep_grid = 0.3, 0.6, 0.9
+            estimators = cf
+        """)
+        header = ["tau", "design", "estimator", "sum"]
+        rows = [["0.3", "aligned", "cf", "1.5"],
+                ["0.6", "aligned", "cf", "2.5"],
+                ["0.9", "aligned", "cf", "2.5"]]
+        assert _summary_lines(spec, header, rows) == [
+            "design=aligned estimator=cf: argmax tau = 0.6 "
+            "(sum rate 2.5 bits/s/Hz)"]
 
     def test_closed_form_rows_meet_targets(self, tmp_path):
         spec = make_spec("""

@@ -12,10 +12,10 @@ from starfd.config import CellGeometry, GeometryAngles
 from starfd.designs import (aligned_state, suboptimal_phases,
                             suboptimal_phases_bidirectional)
 from starfd.exceptions import DegenerateGeometryError, InfeasibleError
-from starfd.kernel import PowerConfig, dl_sinr
+from starfd.kernel import PowerConfig, constraint_margins, dl_sinr
 from starfd.optimize import (ConstraintCheck, ConstraintReport,
-                             OptimizationResult,
-                             _ascent_step, _make_objective, pgam,
+                             OptimizationResult, _ascent_step,
+                             _make_objective, _term_partials, pgam,
                              project_amplitudes, validate_constraints)
 from starfd.power import power_allocation_closed_form, tau_split_powers
 from starfd.presets import preset_text
@@ -261,6 +261,17 @@ class TestAnalyticGradient:
              "u2u-only": dict(weight_u1d=0.0, weight_u2d=0.0,
                               weight_u1u=0.0, weight_u2u=0.8)}
 
+    @staticmethod
+    def start_state(config, pw, start, scenario):
+        if start == "aligned":
+            return aligned_state(config, 0.5, pw, scenario)
+        n = config.n_elements
+        rng = np.random.default_rng(n)
+        rho_t = rng.uniform(0.05, 0.95, n)
+        return StarRisState(rho_t=rho_t, rho_r=1.0 - rho_t,
+                            phi_t=rng.uniform(0, 2 * np.pi, n),
+                            phi_r=rng.uniform(0, 2 * np.pi, n))
+
     @pytest.mark.parametrize("cell", sorted(CELLS))
     @pytest.mark.parametrize("n", [20, 100])
     @pytest.mark.parametrize("start", ["aligned", "random"])
@@ -268,20 +279,55 @@ class TestAnalyticGradient:
     def test_matches_finite_differences(self, scenario, start, n, cell):
         config = make_config(n_elements=n, **self.CELLS[cell])
         pw = PowerConfig.from_config(config)
-        if start == "aligned":
-            state = aligned_state(config, 0.5, pw, scenario)
-        else:
-            rng = np.random.default_rng(n)
-            rho_t = rng.uniform(0.05, 0.95, n)
-            state = StarRisState(rho_t=rho_t, rho_r=1.0 - rho_t,
-                                 phi_t=rng.uniform(0, 2 * np.pi, n),
-                                 phi_r=rng.uniform(0, 2 * np.pi, n))
+        state = self.start_state(config, pw, start, scenario)
         evaluate, gradient = _make_objective(config, pw, scenario)
         _, moments = evaluate(state)
         for analytic, fd in zip(gradient(state, moments),
                                 fd_gradients(lambda s: evaluate(s)[0],
                                              state)):
             assert_allclose(analytic, fd, rtol=1e-6, atol=1e-10)
+
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    @pytest.mark.parametrize("n", [20, 100])
+    @pytest.mark.parametrize("start", ["aligned", "random"])
+    def test_margin_partials_match_finite_differences(self, start, n, cell,
+                                                      monkeypatch):
+        # The constraint margins are analytic in the nine terms, so the
+        # complex step of the objective's gradient takes their partials
+        # too: a constrained ascent needs no new calculus. The oracle
+        # differences the same kernel at 40 digits: some terms (the
+        # loop-back, u2u's interference under imperfect SIC) sit so far
+        # below the scale on which a margin moves that a double-precision
+        # difference over a step relative to the term is mostly rounding.
+        mp = pytest.importorskip("mpmath")
+        import starfd.kernel as kernel
+        config = make_config(n_elements=n, R_dth=0.5, R_uth=0.1,
+                             **self.CELLS[cell])
+        pw = PowerConfig.from_config(config)
+        si = config.si_variance(pw.P_b)
+        inputs = cf_rate_inputs(config, self.start_state(config, pw, start,
+                                                         "noma-pair"))
+        users = ("u1d", "u2d", "u1u")
+        for name in ("decoding_order", "edge_dl_target", "edge_ul_target"):
+            def margin(terms):
+                return constraint_margins(terms, config, pw, si)[name]
+
+            analytic = _term_partials(margin, inputs)
+            with mp.workdps(40), monkeypatch.context() as patch:
+                patch.setattr(kernel, "_log2", lambda x: mp.log(x, 2))
+                base = [mp.mpf(t) for u in users for t in inputs[u]]
+                fd = []
+                for k, t in enumerate(base):
+                    step = t * mp.mpf("1e-12")
+                    values = []
+                    for probe in (t + step, t - step):
+                        flat = base[:k] + [probe] + base[k + 1:]
+                        values.append(margin(
+                            {u: tuple(flat[3 * j:3 * j + 3])
+                             for j, u in enumerate(users)}))
+                    fd.append(float((values[0] - values[1]) / (2 * step)))
+            assert_allclose(np.concatenate([analytic[u] for u in users]),
+                            fd, rtol=1e-6, atol=0.0, err_msg=name)
 
     @pytest.mark.parametrize("scenario", ["noma-pair", "bidirectional"])
     def test_evaluations_per_iteration_do_not_grow_with_n(
@@ -304,15 +350,15 @@ class TestAnalyticGradient:
             result = pgam(config, PowerConfig.from_config(config), init,
                           eps=1e-15, L=5, scenario=scenario)
             assert result.iterations == 5
-            # One call for the initial state, and one for the constraint
-            # check, which a bidirectional run does not make.
-            outside = 1 + (scenario == "noma-pair")
+            # One call for the initial state; the constraint check of a
+            # NOMA-pair run reuses the last state's rate inputs.
+            outside = 1
             assert (len(calls) - outside) / result.iterations == 1
 
     def test_accepted_state_moments_assembled_once(self, monkeypatch):
         # Each state's moments are built when it is evaluated, and the
-        # next gradient reuses them: one assembly for the initial state,
-        # one per iteration, and one for validate_constraints.
+        # next gradient and the constraint report reuse them: one
+        # assembly for the initial state and one per iteration.
         import starfd.optimize as optimize
         import starfd.rates_cf as rates_cf
         calls = []
@@ -327,7 +373,7 @@ class TestAnalyticGradient:
                       aligned_state(config, 0.5), eps=1e-15, L=5)
         assert result.iterations == 5
         assert result.trace.size == 6
-        assert len(calls) == 1 + 5 + 1
+        assert len(calls) == 1 + 5
 
 
 class TestPgam:
