@@ -3,4 +3,4 @@ NOMA cell: closed-form ergodic rates, a Monte-Carlo cross-validator,
 phase/amplitude optimization, and a CSV experiment runner.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.7.1"

@@ -10,10 +10,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .channel import StarRisState, _los_vectors
+from .channel import StarRisState
 from .config import GeometryAngles, SystemConfig
 from .kernel import RECEPTION_TERMS, PowerConfig, relay_branches
-from .rates_cf import cf_rate_inputs
+from .rates_cf import _cascade_table, cf_rate_inputs
 
 __all__ = [
     "suboptimal_phases",
@@ -22,12 +22,12 @@ __all__ = [
 ]
 
 
-def _co_phased(los, user: str, term: str) -> np.ndarray:
+def _co_phased(rows, user: str, term: str) -> np.ndarray:
     """Phases that co-phase the LoS part of the cascade of ``user``'s
-    ``term`` (x1, y1 or y2): minus the phase of the product of its two
-    LoS vectors, so every element adds to the cascade in phase."""
-    _, out, inp = RECEPTION_TERMS[user][("x1", "y1", "y2").index(term)][2]
-    return -np.angle(los[out] * los[inp])
+    ``term`` (x1, y1 or y2): minus the phase of its row of the cascade
+    table, so every element adds to the cascade in phase."""
+    cascade = RECEPTION_TERMS[user][("x1", "y1", "y2").index(term)][2]
+    return -np.angle(rows[cascade])
 
 
 def suboptimal_phases(angles: GeometryAngles, n_elements: int
@@ -37,8 +37,8 @@ def suboptimal_phases(angles: GeometryAngles, n_elements: int
     Side t co-phases the BS-surface-u2u cascade, the signal of u2u (u1u's
     y1), and side r the BS-surface-u2d cascade, u2d's x1.
     """
-    los = _los_vectors(n_elements, angles)
-    return _co_phased(los, "u1u", "y1"), _co_phased(los, "u2d", "x1")
+    rows = _cascade_table(n_elements, angles)
+    return _co_phased(rows, "u1u", "y1"), _co_phased(rows, "u2d", "x1")
 
 
 def suboptimal_phases_bidirectional(config: SystemConfig, pw: PowerConfig,
@@ -53,7 +53,7 @@ def suboptimal_phases_bidirectional(config: SystemConfig, pw: PowerConfig,
     kept.
     """
     n = config.n_elements
-    los = _los_vectors(n, config.angles)
+    rows = _cascade_table(n, config.angles)
 
     def branches(phi_t: np.ndarray, phi_r: np.ndarray):
         state = StarRisState.uniform(n, rho_t, phi_t, phi_r)
@@ -62,12 +62,12 @@ def suboptimal_phases_bidirectional(config: SystemConfig, pw: PowerConfig,
     zero = np.zeros(n)
 
     # Side t feeds the center DL user's reception of the u2u message.
-    user_t, bs_t = _co_phased(los, "u1d", "y2"), _co_phased(los, "u1d", "x1")
+    user_t, bs_t = _co_phased(rows, "u1d", "y2"), _co_phased(rows, "u1d", "x1")
     relay, bs = branches(user_t, zero)[0], branches(bs_t, zero)[1]
     phi_t = user_t if relay > bs else bs_t
 
     # Side r feeds the edge DL user's reception of the u1u message.
-    user_r, bs_r = _co_phased(los, "u2d", "y1"), _co_phased(los, "u2d", "x1")
+    user_r, bs_r = _co_phased(rows, "u2d", "y1"), _co_phased(rows, "u2d", "x1")
     relay, bs = branches(zero, user_r)[2], branches(zero, bs_r)[3]
     phi_r = user_r if relay > bs else bs_r
 

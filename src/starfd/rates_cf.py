@@ -16,7 +16,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .channel import StarRisState, _los_vectors
-from .config import SystemConfig
+from .config import GeometryAngles, SystemConfig
 from .geometry import (exp_pathloss_disk, exp_pathloss_fixed_point_to_disk,
                        exp_pathloss_two_random_points, pathloss)
 from .kernel import (RECEPTION_TERMS, PowerConfig, RateReport, noma_sinrs,
@@ -37,8 +37,8 @@ __all__ = [
 
 # The reception terms of :data:`starfd.kernel.RECEPTION_TERMS`, numbered
 # in table order: u1d's (x1, y1, y2) are 1..3, u2d's 4..6 and u1u's 7..9.
-# A cascade's number keys the varpi, varpi_hat and xi of a MomentSet; the
-# loop-back has an xi alone.
+# A term's number keys its LoS sum and xi in a MomentSet, and a cascade's
+# its varpi and varpi_hat too.
 _NUMBERED = {user: tuple(enumerate(triple, 3 * k + 1))
              for k, (user, triple) in enumerate(RECEPTION_TERMS.items())}
 _TERMS = dict(pair for numbered in _NUMBERED.values() for pair in numbered)
@@ -50,17 +50,27 @@ _SHORT_FORM_CUT = {i for i, (direct, _, cascade) in _TERMS.items()
                    if direct or cascade is None}
 
 
+@lru_cache(maxsize=64)
+def _cascade_table(n_elements: int, angles: GeometryAngles
+                   ) -> Dict[Tuple[str, str, str], np.ndarray]:
+    """The LoS cascade g_out * g_in of each entry of ``_CASCADES``, in
+    order, keyed by the entry's (side, out, in)."""
+    los = _los_vectors(n_elements, angles)
+    return {(side, out, inp): los[out] * los[inp]
+            for side, out, inp in _CASCADES.values()}
+
+
 class MomentSet(Record):
-    """Deterministic expectation terms shared by all closed-form rates."""
+    """Deterministic expectation terms shared by all closed-form rates,
+    with the nine complex LoS sums s_i in ``los_sum`` and xi_i = |s_i|^2."""
 
     __slots__ = ("upsilon", "rho_2pt", "q_center", "q_edge", "l_br", "varpi",
-                 "varpi_hat", "xi", "zeta", "sum_rho_sq", "cross_phase")
+                 "varpi_hat", "los_sum", "xi", "sum_rho_sq")
 
     def __init__(self, upsilon: float, rho_2pt: float, q_center: float,
                  q_edge: float, l_br: float, varpi: Dict[int, float],
-                 varpi_hat: Dict[int, float], xi: Dict[int, float],
-                 zeta: complex, sum_rho_sq: Dict[str, float],
-                 cross_phase: float) -> None:
+                 varpi_hat: Dict[int, float], los_sum: Dict[int, complex],
+                 xi: Dict[int, float], sum_rho_sq: Dict[str, float]) -> None:
         self._assign(locals())
 
 
@@ -93,10 +103,12 @@ def _rician_weights(config: SystemConfig, i: int) -> Tuple[float, float,
     return k_in * k_out, k_in + k_out + 1.0, (k_in + 1.0) * (k_out + 1.0)
 
 
-def _loopback_split(config: SystemConfig) -> Tuple[float, float]:
-    """(a, b) = (k/(k+1), 1/(k+1)) of the BS-surface link, a + b = 1."""
+def _loopback_weight(config: SystemConfig) -> float:
+    """The weight 2ab + b^2 of sum rho_t^2 in the loop-back moment, with
+    (a, b) = (k/(k+1), 1/(k+1)) of the BS-surface link, a + b = 1."""
     kappa = config.kappa("br")
-    return kappa / (kappa + 1.0), 1.0 / (kappa + 1.0)
+    a, b = kappa / (kappa + 1.0), 1.0 / (kappa + 1.0)
+    return 2.0 * a * b + b * b
 
 
 @lru_cache(maxsize=128)
@@ -115,39 +127,32 @@ def compute_moments(config: SystemConfig, ris: StarRisState) -> MomentSet:
     """Evaluate every deterministic moment for one (scenario, surface) pair.
 
     Geometry expectations are position averages and depend only on the
-    cell layout; the xi terms are squared magnitudes of the LoS steering
-    cascades under the current amplitudes and phases.
+    cell layout; the xi terms are squared magnitudes of the LoS sums of
+    the cascades under the current amplitudes and phases.
     """
     geom = config.geometry
     q_center, q_edge, upsilon, rho_2pt, l_br = _geometry_expectations(
         geom.R, geom.R_r, geom.d_br, geom.m)
 
-    los = _los_vectors(config.n_elements, config.angles)
     w = {"t": ris.side("t"), "r": ris.side("r")}
     sum_rho_sq = {"t": float(np.sum(ris.rho_t ** 2)),
                   "r": float(np.sum(ris.rho_r ** 2))}
-    # The loop-back's cross term |sum w_t|^2 - sum rho_t^2. |s|^2 is
-    # written as (s * conj(s)).real rounds it, like zeta_sq in
-    # _loopback_moment; abs(s) ** 2 would move the closed-form bytes.
-    s = complex(np.sum(w["t"]))
-    cross_phase = s.real * s.real + s.imag * s.imag - sum_rho_sq["t"]
-
-    varpi, varpi_hat, xi = {}, {}, {}
+    varpi, varpi_hat, los_sum = {}, {}, {}
+    table = _cascade_table(config.n_elements, config.angles)
     for i, (side, out, inp) in _CASCADES.items():
         los_weight, spread, denom = _rician_weights(config, i)
         varpi[i] = los_weight / denom
         varpi_hat[i] = sum_rho_sq[side] * spread / denom
-        xi[i] = abs(complex(np.sum(los[out] * w[side] * los[inp]))) ** 2
-
-    # BS loop-back: the return leg is the conjugate of the outgoing one,
-    # so the LoS cascade collapses to the plain coefficient sum.
-    zeta = complex(np.sum(w["t"] * los["br"] * np.conj(los["br"])))
-    xi[_LOOPBACK] = abs(zeta) ** 2
+        los_sum[i] = complex(np.sum(table[side, out, inp] * w[side]))
+    # BS loop-back: the return leg is the conjugate of the outgoing one
+    # and |g_br| = 1, so the LoS cascade is the plain coefficient sum.
+    los_sum[_LOOPBACK] = complex(np.sum(w["t"]))
 
     return MomentSet(upsilon=upsilon, rho_2pt=rho_2pt, q_center=q_center,
                      q_edge=q_edge, l_br=l_br, varpi=varpi,
-                     varpi_hat=varpi_hat, xi=xi, zeta=zeta,
-                     sum_rho_sq=sum_rho_sq, cross_phase=cross_phase)
+                     varpi_hat=varpi_hat, los_sum=los_sum,
+                     xi={i: abs(s) ** 2 for i, s in los_sum.items()},
+                     sum_rho_sq=sum_rho_sq)
 
 
 def _affine_terms(mo: MomentSet
@@ -174,14 +179,10 @@ def _mix(moments: MomentSet, i: int) -> float:
 
 
 def _loopback_moment(config: SystemConfig, moments: MomentSet) -> float:
-    """Second moment of the BS self-cascade."""
-    a, b = _loopback_split(config)
-    zeta = moments.zeta  # LoS loop-back sum, equal to sum rho_t e^{j phi_t}
-    zeta_sq = zeta.real * zeta.real + zeta.imag * zeta.imag
-    return (a * a * moments.xi[_LOOPBACK]
-            + 2.0 * a * b * moments.sum_rho_sq["t"]
-            + b * b * (2.0 * moments.sum_rho_sq["t"] + moments.cross_phase)
-            + a * b * (zeta_sq + zeta_sq))
+    """Second moment of the BS self-cascade, xi_9 + (2ab + b^2) sum
+    rho_t^2."""
+    return (moments.xi[_LOOPBACK]
+            + _loopback_weight(config) * moments.sum_rho_sq["t"])
 
 
 def cf_rate_inputs(config: SystemConfig, ris: StarRisState,
@@ -213,9 +214,10 @@ def surface_gradient(config: SystemConfig, ris: StarRisState,
     d f / d phi_t, phi_r, rho_t, rho_r.
 
     Each term is affine in one source: a mix varpi_i xi_i + varpi_hat_i,
-    or the loop-back moment, which equals xi_9 + (2ab + b^2) sum rho_t^2
-    since a + b = 1. The sources see the surface through sum rho^2 and
-    xi_i = |s_i|^2 with s_i = c_i^T w, whose partials are
+    or the loop-back moment xi_9 + (2ab + b^2) sum rho_t^2. The sources
+    see the surface through sum rho^2 and xi_i = |s_i|^2, with s_i = c_i^T
+    w the moment set's LoS sum and c_i the cascade table's entry (all
+    ones for the loop-back), whose partials are
     d xi / d phi_n = -2 Im(conj(s_i) c_n w_n) and
     d xi / d rho_n = 2 Re(conj(s_i) c_n e^{j phi_n}).
     """
@@ -225,24 +227,21 @@ def surface_gradient(config: SystemConfig, ris: StarRisState,
         for grad, (_, coeff, i) in zip(term_grads[user], triple):
             d_source[i] += grad * coeff
 
-    los = _los_vectors(config.n_elements, config.angles)
     # Each side's unit phasors e^{j phi}, and its response w = rho e^{j phi}
     # (the product StarRisState.side forms).
     phasor = {"t": np.exp(1j * ris.phi_t), "r": np.exp(1j * ris.phi_r)}
     w = {"t": ris.rho_t * phasor["t"], "r": ris.rho_r * phasor["r"]}
     # wirt[side] = sum_i (d f / d xi_i) conj(s_i) c_i over the side's xi.
-    wirt = {k: np.zeros(config.n_elements, dtype=complex) for k in w}
-    d_sum_sq = {"t": 0.0, "r": 0.0}
+    wirt, d_sum_sq = {"t": 0.0, "r": 0.0}, {"t": 0.0, "r": 0.0}
+    table = _cascade_table(config.n_elements, config.angles)
     for i, (side, out, inp) in _CASCADES.items():
         los_weight, spread, denom = _rician_weights(config, i)
-        c = los[out] * los[inp]
-        s_i = np.sum(c * w[side])
-        wirt[side] += d_source[i] * los_weight / denom * np.conj(s_i) * c
+        wirt[side] += (d_source[i] * los_weight / denom
+                       * np.conj(mo.los_sum[i]) * table[side, out, inp])
         d_sum_sq[side] += d_source[i] * spread / denom
-    a, b = _loopback_split(config)
-    wirt["t"] += (d_source[_LOOPBACK] * np.conj(mo.zeta)
-                  * (los["br"] * np.conj(los["br"])))
-    d_sum_sq["t"] += d_source[_LOOPBACK] * (2.0 * a * b + b * b)
+    # The loop-back's c is all ones.
+    wirt["t"] += d_source[_LOOPBACK] * np.conj(mo.los_sum[_LOOPBACK])
+    d_sum_sq["t"] += d_source[_LOOPBACK] * _loopback_weight(config)
 
     g_phi, g_rho = {}, {}
     for k, rho in (("t", ris.rho_t), ("r", ris.rho_r)):

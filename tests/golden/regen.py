@@ -10,20 +10,23 @@ repository root after a change that moves output rows on purpose, with
 
     PYTHONPATH=src python3 tests/golden/regen.py
 
-It rewrites the files and adds the new version's line to ``VERSIONS``
-(version, then the sha256 of the set). A set that differs from the one
-``VERSIONS`` records for the current version is refused: bump the
-version first.
+It first prints, per file that differs from the checked-in set, how
+many numeric cells moved and the largest relative move. It then rewrites
+the files and adds the new version's line to ``VERSIONS`` (version, then
+the sha256 of the set). A set that differs from the one ``VERSIONS``
+records for the current version is refused: bump the version first.
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib.util
+import math
+import re
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict
+from typing import Dict, List
 
 GOLDEN = Path(__file__).resolve().parent
 ROOT = GOLDEN.parents[1]
@@ -101,10 +104,58 @@ def versions() -> Dict[str, str]:
                 VERSIONS.read_text(encoding="utf-8").splitlines() if line)
 
 
+def cells(line: str) -> List[str]:
+    """A line's cells and the separators between them."""
+    return re.split(r"([,\s()]+)", line)
+
+
+def drift(golden: Dict[str, str], fresh: Dict[str, str]) -> List[str]:
+    """One line per file that differs between two sets: how many of its
+    numeric cells moved and the largest relative move, and how many
+    other cells changed; a file in one set only, or whose row count
+    changed, is named as such."""
+    report = []
+    for name in sorted(golden.keys() | fresh.keys()):
+        if name not in golden or name not in fresh:
+            report.append(f"{name}: only in the "
+                          f"{'fresh' if name in fresh else 'checked-in'} set")
+            continue
+        old, new = golden[name].splitlines(), fresh[name].splitlines()
+        if len(old) != len(new):
+            report.append(f"{name}: {len(old)} rows -> {len(new)}")
+            continue
+        numeric = moved = other = 0
+        largest = 0.0
+        for old_line, new_line in zip(old, new):
+            old_cells, new_cells = cells(old_line), cells(new_line)
+            if len(old_cells) != len(new_cells):
+                other += 1
+                continue
+            for a, b in zip(old_cells, new_cells):
+                try:
+                    x, y = float(a), float(b)
+                except ValueError:
+                    other += a != b
+                    continue
+                numeric += 1
+                if a != b:
+                    moved += 1
+                    largest = max(largest, abs(y - x) / abs(x) if x
+                                  else math.inf)
+        if moved or other:
+            report.append(f"{name}: {moved} of {numeric} numeric cells "
+                          f"moved, largest relative move {largest:.2g}"
+                          + (f"; {other} other cells changed" if other
+                             else ""))
+    return report or ["no cell moved"]
+
+
 def main() -> int:
     from starfd import __version__
     with tempfile.TemporaryDirectory() as tmp:
         files = generate(Path(tmp), jobs=1)
+    for line in drift(golden_files(), files):
+        print(line)
     known = versions()
     new = digest(files)
     if known.get(__version__, new) != new:

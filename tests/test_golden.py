@@ -3,7 +3,6 @@ in under ``tests/golden/`` (see ``tests/golden/regen.py``)."""
 
 import importlib.util
 import math
-import re
 from pathlib import Path
 
 import pytest
@@ -26,11 +25,6 @@ def _regen():
 regen = _regen()
 
 
-def _tokens(line):
-    """A line's cells and the separators between them."""
-    return re.split(r"([,\s()]+)", line)
-
-
 def _same_cell(golden, fresh):
     try:
         a, b = float(golden), float(fresh)
@@ -49,7 +43,7 @@ def test_runs_reproduce_the_golden_set(tmp_path, jobs):
         lines, new = text.splitlines(), fresh[name].splitlines()
         assert len(new) == len(lines), name
         for k, (line, fresh_line) in enumerate(zip(lines, new)):
-            cells, fresh_cells = _tokens(line), _tokens(fresh_line)
+            cells, fresh_cells = regen.cells(line), regen.cells(fresh_line)
             assert len(fresh_cells) == len(cells), (name, k, fresh_line)
             for cell, fresh_cell in zip(cells, fresh_cells):
                 assert _same_cell(cell, fresh_cell), (name, k, cell,
@@ -69,3 +63,20 @@ def test_golden_set_is_the_one_recorded_for_the_version():
     # VERSIONS line; rewriting the set under the same version fails here.
     assert regen.versions().get(__version__) == regen.digest(
         regen.golden_files())
+
+
+def test_drift_reports_each_file_that_moved():
+    # regen.py prints this before it refuses or rewrites a set, so a
+    # version bump's drift comes from the tool.
+    golden = {"a.csv": "x,y\n1.0,2.0\n", "b.csv": "n,1\n",
+              "c.csv.manifest.txt": "# run manifest (0.1.0)\n"}
+    assert regen.drift(golden, dict(golden)) == ["no cell moved"]
+    fresh = {"a.csv": "x,y\n1.0,2.0000000000000004\n", "b.csv": "n,1\n",
+             "c.csv.manifest.txt": "# run manifest (0.1.1)\n"}
+    assert regen.drift(golden, fresh) == [
+        "a.csv: 1 of 2 numeric cells moved, largest relative move 2.2e-16",
+        "c.csv.manifest.txt: 0 of 0 numeric cells moved, largest relative "
+        "move 0; 1 other cells changed"]
+    assert regen.drift(golden, {"a.csv": "x,y\n1.0,2.0\n1.0,2.0\n"}) == [
+        "a.csv: 2 rows -> 3", "b.csv: only in the checked-in set",
+        "c.csv.manifest.txt: only in the checked-in set"]

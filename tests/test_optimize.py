@@ -639,6 +639,20 @@ class TestValidateConstraints:
         assert not check.edge_dl_target.ok
         assert not check.edge_ul_target.ok
 
+    def test_power_config_owns_the_budget(self):
+        # PowerConfig refuses powers over P_t by more than 1e-9 P_t, so the
+        # report's power_budget check at its default tol reads ok for every
+        # PowerConfig that can be built: it restates the budget, and
+        # PowerConfig enforces it.
+        pw = PowerConfig(P_t=1000.0, p_b1=400.0, p_b2=400.0, p_u1u=100.0,
+                         p_u2u=100.0 + 1e-9 * 1000.0)
+        check = validate_constraints(self.config, self.state, pw)
+        assert check.power_budget.ok
+        assert check.power_budget.margin < 0.0
+        with pytest.raises(ValueError, match="budget"):
+            PowerConfig(P_t=1000.0, p_b1=400.0, p_b2=400.0, p_u1u=100.0,
+                        p_u2u=100.0 + 2e-9 * 1000.0)
+
     def test_energy_split_margin(self):
         n = self.config.n_elements
         bad = StarRisState(rho_t=0.6 * np.ones(n), rho_r=0.5 * np.ones(n),

@@ -71,23 +71,28 @@ class TestMoments:
             assert 0.0 <= mo.sum_rho_sq[side] <= self.config.n_elements
 
     def test_xi_against_explicit_double_sum(self):
-        los = _los_vectors(self.config.n_elements, self.config.angles)
-        w = self.ris.side("t")
-        total = sum(los["u1d"][n] * w[n] * los["br"][n]
-                    for n in range(self.config.n_elements))
-        assert_allclose(self.moments.xi[1], abs(total) ** 2, rtol=1e-12)
-
-    def test_zeta_is_coefficient_sum(self):
-        # The loop-back LoS cascade collapses to sum rho_t e^{j phi_t}.
-        expected = complex(np.sum(self.ris.side("t")))
-        assert_allclose(self.moments.zeta, expected, rtol=1e-12)
-        assert_allclose(self.moments.xi[9], abs(expected) ** 2, rtol=1e-12)
-
-    def test_cross_phase_identity(self):
+        # Each LoS sum s_i runs over the elements of its side: a cascade's
+        # out-link, the side's coefficient and its in-link; the loop-back
+        # leaves the BS on g_br and returns on conj(g_br). xi_i is the
+        # double sum over element pairs of s_i's terms.
+        los = dict(_los_vectors(self.config.n_elements, self.config.angles))
+        los["back"] = np.conj(los["br"])
+        paths = {1: ("t", "u1d", "br"), 2: ("t", "u1d", "u1u"),
+                 3: ("t", "u1d", "u2u"), 4: ("r", "u2d", "br"),
+                 5: ("r", "u2d", "u1u"), 6: ("r", "u2d", "u2u"),
+                 7: ("t", "br", "u1u"), 8: ("t", "br", "u2u"),
+                 9: ("t", "back", "br")}
         mo = self.moments
-        s = complex(np.sum(self.ris.side("t")))
-        assert_allclose(mo.cross_phase, abs(s) ** 2 - mo.sum_rho_sq["t"],
-                        atol=1e-12)
+        assert sorted(mo.los_sum) == sorted(mo.xi) == sorted(paths)
+        for i, (side, out, inp) in paths.items():
+            w = self.ris.side(side)
+            terms = [los[out][n] * w[n] * los[inp][n]
+                     for n in range(self.config.n_elements)]
+            double = sum(a * np.conj(b) for a in terms for b in terms)
+            assert_allclose(mo.los_sum[i], sum(terms), rtol=1e-12,
+                            err_msg=str(i))
+            assert_allclose(mo.xi[i], double.real, rtol=1e-12,
+                            err_msg=str(i))
 
     def test_mixing_weights(self):
         # Link pair (br -> u1d) with kappa = 3 everywhere.
@@ -175,7 +180,8 @@ class TestRateInputs:
         # rho_2pt between the center users) plus the cascade's two mean
         # path losses (l_br, upsilon at the center users, q_edge at the
         # edge users) times its Rician second moment, or times the
-        # loop-back moment |zeta|^2 + (2k+1)/(k+1)^2 sum rho_t^2.
+        # loop-back moment |s_9|^2 + (2k+1)/(k+1)^2 sum rho_t^2, with s_9
+        # the loop-back's LoS sum.
         config = self.config
         if cell == "compact":
             config = make_config(
@@ -188,7 +194,7 @@ class TestRateInputs:
             return mo.varpi[i] * mo.xi[i] + mo.varpi_hat[i]
 
         k = config.kappa_br
-        loop = (abs(mo.zeta) ** 2
+        loop = (abs(mo.los_sum[9]) ** 2
                 + (2.0 * k + 1.0) / (k + 1.0) ** 2 * mo.sum_rho_sq["t"])
         q_c, q_e, ups, l_br = mo.q_center, mo.q_edge, mo.upsilon, mo.l_br
         expected = {
