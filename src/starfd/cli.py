@@ -354,6 +354,8 @@ def parse_spec_text(text: str
     if values["dl_target_cases"] and scheme != "tau-dl-target":
         errors.append("dl_target_cases: only meaningful with "
                       "power_scheme = tau-dl-target")
+    if not all(case >= 0 for case in values["dl_target_cases"]):
+        errors.append("dl_target_cases: target rates must be non-negative")
 
     config = None
     try:

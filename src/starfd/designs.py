@@ -82,6 +82,8 @@ def aligned_state(config: SystemConfig, rho_t: float = 0.5,
         if pw is None:
             pw = PowerConfig.from_config(config)
         phi_t, phi_r = suboptimal_phases_bidirectional(config, pw, rho_t)
-    else:
+    elif scenario == "noma-pair":
         phi_t, phi_r = suboptimal_phases(config.angles, config.n_elements)
+    else:
+        raise ValueError(f"unknown scenario {scenario!r}")
     return StarRisState.uniform(config.n_elements, rho_t, phi_t, phi_r)

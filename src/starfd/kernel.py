@@ -125,11 +125,12 @@ class RateReport(Record):
            errors=None) -> "RateReport":
         """Report the four rates ``legs`` of :func:`scenario_rates`, with
         their standard errors ``errors`` when given."""
+        # rate_weights rejects an unknown scenario.
+        total = math.fsum(w * r for w, r in
+                          zip(rate_weights(scenario, legs, weights), legs))
         picked = (range(len(USERS)) if scenario == "noma-pair"
                   else binding_legs(legs))
         names = RATE_NAMES[scenario]
-        total = math.fsum(w * r for w, r in
-                          zip(rate_weights(scenario, legs, weights), legs))
         return cls(scenario=scenario, estimator=estimator, sum_rate=total,
                    rates={n: legs[k] for n, k in zip(names, picked)},
                    trials=trials,
@@ -291,6 +292,8 @@ def rate_weights(scenario: str, legs,
     """
     if scenario == "noma-pair":
         return tuple(weights[u] for u in USERS)
+    if scenario not in RATE_NAMES:
+        raise ValueError(f"unknown scenario {scenario!r}")
     binding = binding_legs(legs)
     return tuple(float(k in binding) for k in range(len(legs)))
 

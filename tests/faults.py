@@ -18,6 +18,8 @@ Run from the repository root (about 40 s per entry on 2 cores)::
     python tests/faults.py            # every entry
     python tests/faults.py 0 2        # entries 0 and 2
     python tests/faults.py --file src/starfd/kernel.py  # one file's entries
+    python tests/faults.py --file src/starfd/kernel.py \
+        --file src/starfd/power.py  # both files' entries, in catalogue order
     python tests/faults.py --list     # print the entries
 
 The exit code is 0 when every entry run was caught by its named test.
@@ -145,8 +147,8 @@ FAULTS = (
     # The closed forms' mean path loss of the surface-u2d link over the
     # center disk instead of the edge disk.
     Fault("src/starfd/rates_cf.py",
-          '"r_u2d": mo.q_edge,',
-          '"r_u2d": mo.q_center,',
+          '"r_u2d": q_edge,',
+          '"r_u2d": q_center,',
           "tests/test_rates_cf.py::TestRateInputs::"
           "test_triples_from_the_moments[baseline]"),
     # The NOMA design co-phases u2d's interference from u1u on side r
@@ -259,10 +261,50 @@ FAULTS = (
     # The gradient pulls back a cascade's xi with its LoS sum itself
     # instead of the conjugate.
     Fault("src/starfd/rates_cf.py",
-          "* np.conj(mo.los_sum[i]) * table[side, out, inp])",
-          "* mo.los_sum[i] * table[side, out, inp])",
+          "* np.conj(mo.los_sum[i]) * table[cascade])",
+          "* mo.los_sum[i] * table[cascade])",
           "tests/test_optimize.py::TestAnalyticGradient::"
           "test_matches_finite_differences[noma-pair-random-20-baseline]"),
+    # The cell table keyed without the u2u K-factor: a cell that differs
+    # from a cached one only there is served the cached weights.
+    Fault("src/starfd/rates_cf.py",
+          "config.kappa_u2u))",
+          "config.kappa_u1u))",
+          "tests/test_rates_cf.py::TestCellTable::"
+          "test_each_key_field_moves_its_terms[kappa_u2u]"),
+    # The loop-back's LoS row is g_br instead of |g_br|^2 = 1.
+    Fault("src/starfd/rates_cf.py",
+          "table[None] = np.ones(n_elements)",
+          'table[None] = los["br"]',
+          "tests/test_rates_cf.py::TestMoments::"
+          "test_xi_against_explicit_double_sum"),
+    # The loop-back's row on the reflection side: the BS hears itself
+    # through the side that faces the edge users.
+    Fault("src/starfd/rates_cf.py",
+          'side, weights = "t", (1.0,',
+          'side, weights = "r", (1.0,',
+          "tests/test_rates_cf.py::TestMoments::"
+          "test_loopback_moment_closed_identity"),
+    # The disk average with the m R (1 + R) term added: every mean over
+    # the center or edge disk is off.
+    Fault("src/starfd/geometry.py",
+          "num = -1.0 + R * R - m * R * (1.0 + R)",
+          "num = -1.0 + R * R + m * R * (1.0 + R)",
+          "tests/test_acceptance.py::TestGeometryMoments::"
+          "test_disk_matches_adaptive_oracle"),
+    # The closed-form allocation's DL rows with the uplink coupling's
+    # sign flipped: the split misses the DL target.
+    Fault("src/starfd/power.py",
+          "d_i = 1.0 + gamma_d * y1t - gamma_d * s_u * (y2t - y1t)",
+          "d_i = 1.0 + gamma_d * y1t + gamma_d * s_u * (y2t - y1t)",
+          "tests/test_optimize.py::TestPowerAllocation::"
+          "test_targets_reproduced_exactly"),
+    # The simulator's loop-back gain as the magnitude of the coefficient
+    # sum instead of its square.
+    Fault("src/starfd/rates_mc.py",
+          "return scale * loop ** 2",
+          "return scale * loop",
+          "tests/test_rates_mc.py::TestSinrOps::test_ul_loopback_term"),
 )
 
 
@@ -320,17 +362,18 @@ def main(argv: List[str]) -> int:
                         help="indices into FAULTS (default: all)")
     parser.add_argument("--list", action="store_true",
                         help="print the entries and exit")
-    parser.add_argument("--file", default=None,
+    parser.add_argument("--file", action="append", default=None,
                         help="run only the entries on this source file, "
-                             "a path from the repository root")
+                             "a path from the repository root; repeat it "
+                             "for several files")
     parser.add_argument("--scratch", type=Path, default=None,
                         help="directory for the copies (default: the "
                              "system's temporary directory)")
     args = parser.parse_args(argv)
     chosen = [index for index in args.entries or range(len(FAULTS))
-              if args.file is None or FAULTS[index].file == args.file]
+              if args.file is None or FAULTS[index].file in args.file]
     if not chosen:
-        parser.error(f"no entry on {args.file}")
+        parser.error(f"no entry on {', '.join(args.file)}")
     all_caught = True
     for index in chosen:
         fault = FAULTS[index]

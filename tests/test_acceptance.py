@@ -61,8 +61,8 @@ from starfd.kernel import PowerConfig, dl_sinr
 from starfd.optimize import pgam
 from starfd.power import power_allocation_closed_form
 from starfd.presets import preset_text
-from starfd.rates_cf import (_geometry_expectations, cf_rate_inputs,
-                             cf_rates, cf_rates_simplified, compute_moments)
+from starfd.rates_cf import (_cell_table, cf_rate_inputs, cf_rates,
+                             cf_rates_simplified, compute_moments)
 from starfd.rates_mc import _block_si, _block_terms, _blocks
 from starfd.specfun import integrate_adaptive
 
@@ -171,7 +171,9 @@ class TestGeometryMoments:
         # of the cell radius R, with the edge radius held fixed.
         for m in EXPONENTS:
             for R in RADII:
-                q_center = _geometry_expectations(R, 30.0, R + 10.0, m)[0]
+                means, _ = _cell_table(CellGeometry(R, 30.0, R + 10.0, m),
+                                       (3.0,) * 5)
+                q_center = means[0]
                 assert_allclose(q_center, self._disk_oracle(R, m),
                                 rtol=1e-6, err_msg=f"R={R} m={m}")
 
@@ -180,7 +182,9 @@ class TestGeometryMoments:
         # the edge radius R_r around the surface, the cell held fixed.
         for m in EXPONENTS:
             for R_r in RADII:
-                q_edge = _geometry_expectations(50.0, R_r, 60.0, m)[1]
+                means, _ = _cell_table(CellGeometry(50.0, R_r, 60.0, m),
+                                       (3.0,) * 5)
+                q_edge = means[1]
                 assert_allclose(q_edge, self._disk_oracle(R_r, m),
                                 rtol=1e-6, err_msg=f"R_r={R_r} m={m}")
 

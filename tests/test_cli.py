@@ -109,6 +109,19 @@ class TestSpecParsing:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
+    def test_negative_dl_target_case_exits_1_and_writes_nothing(
+            self, tmp_path, capsys):
+        # A negative case is a target rate below zero, as a negative
+        # target_dl_rate is; it must not write rows flagged feasible.
+        path = write_spec(tmp_path, "sweep_variable = tau\nsweep_grid = 0.5\n"
+                          "power_scheme = tau-dl-target\n"
+                          "dl_target_cases = -1, 3\n")
+        out = tmp_path / "never.csv"
+        assert main(["run", str(path), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: dl_target_cases: target rates must be non-negative\n")
+        assert not out.exists()
+
     def test_unsorted_grid_rejected(self):
         _, errors = parse_spec_text(
             "sweep_variable = snr_db\nsweep_grid = 30, 20\n")

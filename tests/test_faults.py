@@ -40,6 +40,16 @@ def test_file_option_runs_only_that_files_entries(capsys):
               if fault.file == "src/starfd/kernel.py"]
     assert len(kernel) > 1
     assert listed(capsys, ["--file", "src/starfd/kernel.py"]) == kernel
+    # A repeated --file runs each file's entries, in catalogue order.
+    power = [index for index, fault in enumerate(FAULTS)
+             if fault.file == "src/starfd/power.py"]
+    assert power
+    both = sorted(kernel + power)
+    assert both != kernel + power
+    for files in (["kernel", "power"], ["power", "kernel"]):
+        argv = [arg for name in files
+                for arg in ("--file", f"src/starfd/{name}.py")]
+        assert listed(capsys, argv) == both
     # Indices narrow the file's entries further.
     assert listed(capsys, ["--file", "src/starfd/kernel.py",
                            str(kernel[0]), "0"]) == kernel[:1]

@@ -10,8 +10,11 @@ from starfd.config import CellGeometry
 from starfd.geometry import (exp_pathloss_disk,
                              exp_pathloss_fixed_point_to_disk,
                              exp_pathloss_two_random_points, pathloss)
-from starfd.kernel import PowerConfig, dl_sinr, noma_sinrs
-from starfd.rates_cf import (CfRateInputs, cf_rate_inputs, cf_rates,
+from starfd.designs import aligned_state
+from starfd.kernel import RECEPTION_TERMS, PowerConfig, dl_sinr, noma_sinrs
+from starfd.optimize import pgam
+from starfd.rates_cf import (CfRateInputs, _cell, _cell_table,
+                             cf_rate_inputs, cf_rates,
                              cf_rates_bidirectional, cf_rates_simplified,
                              cf_sinrs, compute_moments)
 from starfd.rates_mc import draw_realization, ergodic_rate_mc
@@ -129,7 +132,7 @@ class TestMoments:
     def test_loopback_moment_closed_identity(self):
         # The assembled display must equal |S|^2 + (2k+1)/(k+1)^2 sum rho^2
         # with S the transmit-side coefficient sum.
-        from starfd.rates_cf import _loopback_moment
+        from starfd.rates_cf import _mix
         for seed in (3, 8, 21):
             ris = random_state(seed=seed, rho_t=0.35)
             mo = compute_moments(self.config, ris)
@@ -137,11 +140,11 @@ class TestMoments:
             kappa = 3.0
             simple = (abs(s) ** 2 + float(np.sum(ris.rho_t ** 2))
                       * (2.0 * kappa + 1.0) / (kappa + 1.0) ** 2)
-            assert_allclose(_loopback_moment(self.config, mo), simple,
+            assert_allclose(_mix(mo, 9), simple,
                             rtol=1e-12)
 
     def test_loopback_moment_against_monte_carlo(self):
-        from starfd.rates_cf import _loopback_moment
+        from starfd.rates_cf import _mix
         config, ris = self.config, self.ris
         w = ris.side("t")
         acc = 0.0
@@ -150,14 +153,98 @@ class TestMoments:
             acc += np.sum(np.abs(np.sum(w * np.abs(g["br"]) ** 2, axis=1))
                           ** 2)
         assert_allclose(acc / draws,
-                        _loopback_moment(config, self.moments), rtol=0.02)
+                        _mix(self.moments, 9), rtol=0.02)
 
     def test_geometry_cache_reused(self):
-        from starfd.rates_cf import _geometry_expectations
-        _geometry_expectations.cache_clear()
+        from starfd.rates_cf import _cell_table
+        _cell_table.cache_clear()
         compute_moments(self.config, self.ris)
         compute_moments(self.config, random_state(seed=8))
-        assert _geometry_expectations.cache_info().hits >= 1
+        assert _cell_table.cache_info().hits >= 1
+
+
+class TestCellTable:
+    """The cell's part of the nine terms' means is cached per geometry and
+    K-factors; a key that missed a field would serve stale weights."""
+
+    # Each key field and a new value for it.
+    CHANGES = {"kappa_br": 0.5, "kappa_u1d": 7.0, "kappa_u2d": 1.5,
+               "kappa_u1u": 0.0, "kappa_u2u": 9.0, "R": 40.0, "R_r": 20.0,
+               "d_br": 75.0, "m": 3.3}
+    # The geometry fields each link's mean path loss reads.
+    MEAN_FIELDS = {"b_u1d": ("R", "m"), "b_u1u": ("R", "m"),
+                   "u1d_u1u": ("R", "m"), "br": ("d_br", "m"),
+                   "r_u1d": ("R", "d_br", "m"), "r_u1u": ("R", "d_br", "m"),
+                   "r_u2d": ("R_r", "m"), "r_u2u": ("R_r", "m")}
+
+    @classmethod
+    def changed(cls, field):
+        config, value = make_config(), cls.CHANGES[field]
+        if field.startswith("kappa_"):
+            return config.replace(**{field: value})
+        return config.replace(
+            geometry=config.geometry.replace(**{field: value}))
+
+    @classmethod
+    def readers(cls, field):
+        """The numbers of the reception terms whose mean reads ``field``:
+        u1d's (x1, y1, y2) are 1..3, u2d's 4..6 and u1u's 7..9."""
+        terms = [t for triple in RECEPTION_TERMS.values() for t in triple]
+        out = set()
+        for i, (direct, links, cascade) in enumerate(terms, 1):
+            if field.startswith("kappa_"):
+                # A cascade reads the K-factors of its two links; the
+                # loop-back (None) that of the BS-surface link.
+                reads = (cascade or ("t", "br"))[1:]
+            else:
+                reads = [name for x in (direct, *links) if x
+                         for name in cls.MEAN_FIELDS[x]]
+            if field.removeprefix("kappa_") in reads:
+                out.add(i)
+        return out
+
+    @pytest.mark.parametrize("field", sorted(CHANGES))
+    def test_each_key_field_moves_its_terms(self, field):
+        base, config = make_config(), self.changed(field)
+        (base_means, base_rows), (means, rows) = _cell(base), _cell(config)
+        readers = self.readers(field)
+        assert readers
+        assert {i for i in rows if rows[i] != base_rows[i]} == readers
+        assert (means != base_means) == (not field.startswith("kappa_"))
+        # The same terms, and no others, move in the rate inputs.
+        ris = random_state()
+        before, after = (cf_rate_inputs(c, ris) for c in (base, config))
+        flat = [(user, k) for user in ("u1d", "u2d", "u1u")
+                for k in range(3)]
+        moved = {i for i, (user, k) in enumerate(flat, 1)
+                 if tuple(after[user])[k] != tuple(before[user])[k]}
+        assert moved == readers
+
+    @pytest.mark.parametrize("field", sorted(CHANGES))
+    def test_either_build_order_gives_the_moments_built_alone(self, field):
+        configs = (make_config(), self.changed(field))
+        ris = random_state()
+        alone = []
+        for config in configs:
+            _cell_table.cache_clear()
+            alone.append(compute_moments(config, ris))
+        assert alone[0] != alone[1]
+        for order in ((0, 1), (1, 0)):
+            _cell_table.cache_clear()
+            built = {k: compute_moments(configs[k], ris) for k in order}
+            assert [built[0], built[1]] == alone, order
+
+    def test_pgam_builds_its_cell_once(self):
+        # The pgam-elements cell at N = 20 (40 dBW); a power or surface
+        # change keeps the key, so the whole ascent reads one build.
+        config = make_config(P_t=1e4)
+        init = aligned_state(config)
+        _cell_table.cache_clear()
+        result = pgam(config, PowerConfig.from_config(config), init, L=500)
+        info = _cell_table.cache_info()
+        assert result.iterations == 500
+        assert info.misses == 1
+        assert info.hits >= 500
 
 
 class TestRateInputs:

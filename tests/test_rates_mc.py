@@ -12,7 +12,8 @@ from starfd.channel import StarRisState
 from starfd.config import CellGeometry, SystemConfig
 from starfd.designs import aligned_state
 from starfd.kernel import (PowerConfig, RateReport, binding_legs, dl_sinr,
-                           noma_sinrs, relay_leg_rates, scenario_rates)
+                           noma_sinrs, rate_weights, relay_leg_rates,
+                           scenario_rates)
 from starfd.rates_mc import (_BLOCK, DRAW_FIELDS, _block_si, _block_terms,
                              _blocks, draw_realization, ergodic_rate_mc)
 
@@ -148,6 +149,20 @@ class TestRateReport:
             legs = tuple(rng.uniform(0.0, 9.0, 4).tolist())
             report = RateReport.of("bidirectional", legs, {}, "cf")
             assert report.sum_rate == report.rate("c") + report.rate("e")
+
+    @pytest.mark.parametrize("entry", [
+        lambda config: aligned_state(config, 0.5, None, "bidirectonal"),
+        lambda config: rate_weights("bidirectonal", (1.0, 2.0, 0.5, 0.7),
+                                    config.weights),
+        lambda config: RateReport.of("bidirectonal", (1.0, 2.0, 0.5, 0.7),
+                                     config.weights, "cf"),
+    ], ids=["aligned_state", "rate_weights", "RateReport.of"])
+    def test_unknown_scenario_is_a_value_error(self, entry):
+        # A misspelt scenario must not fall through to either scenario's
+        # design, weights or report.
+        with pytest.raises(ValueError, match="unknown scenario "
+                                             "'bidirectonal'"):
+            entry(make_config(n_elements=4))
 
     @pytest.mark.parametrize("start", ["aligned", "random"])
     @pytest.mark.parametrize("scenario", ["noma-pair", "bidirectional"])
