@@ -194,6 +194,18 @@ SPEC_KEYS: Dict[str, Tuple[str, str]] = {
     "output": ("str", "results.csv"),
 }
 
+# The keys whose record field has another name: key -> field. Every other
+# key sets the field of its own name in the record that has one.
+_RENAMED_KEYS = {
+    "cell_radius_m": "R", "edge_radius_m": "R_r",
+    "bs_surface_distance_m": "d_br", "pathloss_exponent": "m",
+    "element_spacing_wavelengths": "d_over_lambda",
+    "noise_dl_dbw": "sigma_sq", "noise_bs_dbw": "sigma_b_sq",
+    "total_power_dbw": "P_t", "sic_residual": "Xi", "si_beta": "beta",
+    "si_exponent": "si_lambda", "target_dl_rate": "R_dth",
+    "target_ul_rate": "R_uth", "sweep_grid": "grid",
+}
+
 
 class ExperimentSpec(Record):
     """A fully resolved, validated experiment definition."""
@@ -268,13 +280,14 @@ def parse_spec_text(text: str
         seen.add(key)
         raw[key] = value
 
+    # The parsed values by record field, powers in watts.
     values: Dict[str, object] = {}
-    watts: Dict[str, float] = {}
     for key, (kind, _) in SPEC_KEYS.items():
         try:
-            values[key] = _parse_scalar(kind, raw[key])
+            value = _parse_scalar(kind, raw[key])
             if key.endswith("_dbw"):
-                watts[key] = 10.0 ** (values[key] / 10.0)
+                value = 10.0 ** (value / 10.0)
+            values[_RENAMED_KEYS.get(key, key)] = value
         except _NotFinite:
             errors.append(f"{key}: values must be finite, got {raw[key]!r}")
         except OverflowError:
@@ -321,7 +334,7 @@ def parse_spec_text(text: str
             if word != "random" and words.count(word) > 1:
                 errors.append(f"{key}: {word!r} is listed more than once")
 
-    grid = values["sweep_grid"]
+    grid = values["grid"]
     if not grid:
         errors.append("sweep_grid: must be non-empty")
     elif any(b <= a for a, b in zip(grid, grid[1:])):
@@ -359,36 +372,9 @@ def parse_spec_text(text: str
 
     config = None
     try:
-        angles = GeometryAngles(
-            az_br=values["az_br"], el_br=values["el_br"],
-            az_u1d=values["az_u1d"], el_u1d=values["el_u1d"],
-            az_u2d=values["az_u2d"], el_u2d=values["el_u2d"],
-            az_u1u=values["az_u1u"], el_u1u=values["el_u1u"],
-            az_u2u=values["az_u2u"], el_u2u=values["el_u2u"],
-            d_over_lambda=values["element_spacing_wavelengths"])
-        geometry = CellGeometry(R=values["cell_radius_m"],
-                                R_r=values["edge_radius_m"],
-                                d_br=values["bs_surface_distance_m"],
-                                m=values["pathloss_exponent"])
-        config = SystemConfig(
-            geometry=geometry, n_elements=values["n_elements"],
-            angles=angles,
-            kappa_br=values["kappa_br"], kappa_u1d=values["kappa_u1d"],
-            kappa_u2d=values["kappa_u2d"], kappa_u1u=values["kappa_u1u"],
-            kappa_u2u=values["kappa_u2u"],
-            sigma_sq=watts["noise_dl_dbw"],
-            sigma_b_sq=watts["noise_bs_dbw"],
-            weight_u1d=values["weight_u1d"],
-            weight_u2d=values["weight_u2d"],
-            weight_u1u=values["weight_u1u"],
-            weight_u2u=values["weight_u2u"],
-            P_t=watts["total_power_dbw"],
-            tau=values["tau"], alpha1=values["alpha1"],
-            alpha2=values["alpha2"], ul_split=values["ul_split"],
-            Xi=values["sic_residual"], beta=values["si_beta"],
-            si_lambda=values["si_exponent"],
-            R_dth=values["target_dl_rate"],
-            R_uth=values["target_ul_rate"])
+        values["angles"] = _record(GeometryAngles, values)
+        values["geometry"] = _record(CellGeometry, values)
+        config = _record(SystemConfig, values)
     except ValueError as exc:
         errors.append(str(exc))
     # Every grid value must make a valid cell, under the records' checks.
@@ -406,18 +392,16 @@ def parse_spec_text(text: str
 
     cases = values["dl_target_cases"]
     if scheme == "tau-dl-target" and not cases:
-        cases = (values["target_dl_rate"],)
+        cases = (values["R_dth"],)
+    values.update(config=config, sweep_variable=sweep_variable,
+                  dl_target_cases=cases, resolved=dict(raw))
+    return _record(ExperimentSpec, values), []
 
-    spec = ExperimentSpec(
-        config=config, scenario=scenario, sweep_variable=sweep_variable,
-        grid=grid, designs=designs, power_scheme=scheme,
-        estimators=estimators, trials=values["trials"],
-        seed=values["seed"], output=values["output"],
-        dl_target_cases=cases, pgam_mu=values["pgam_mu"],
-        pgam_alpha_scale=values["pgam_alpha_scale"],
-        pgam_eps=values["pgam_eps"], pgam_iters=values["pgam_iters"],
-        resolved=dict(raw))
-    return spec, []
+
+def _record(cls, values: Dict[str, object]):
+    """A ``cls`` built from the entry of ``values`` for each of its
+    fields; a field with no entry is a ``KeyError``, never its default."""
+    return cls(**{name: values[name] for name in cls.__slots__})
 
 
 def _snr_power(sigma_sq: float, snr_db: float) -> float:

@@ -147,13 +147,6 @@ class SystemConfig(Record):
         if not (self.R_dth >= 0 and self.R_uth >= 0):
             raise ValueError("target rates must be non-negative")
 
-    def kappa(self, link: str) -> float:
-        """Rician factor of one surface link (br, u1d, u2d, u1u, u2u)."""
-        try:
-            return getattr(self, f"kappa_{link}")
-        except AttributeError:
-            raise ValueError(f"unknown link {link!r}") from None
-
     @property
     def weights(self) -> dict:
         return {user: getattr(self, f"weight_{user}") for user in USERS}

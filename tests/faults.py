@@ -305,6 +305,24 @@ FAULTS = (
           "return scale * loop ** 2",
           "return scale * loop",
           "tests/test_rates_mc.py::TestSinrOps::test_ul_loopback_term"),
+    # The SI coefficient and exponent read into each other's fields.
+    Fault("src/starfd/cli.py",
+          '"si_beta": "beta",\n    "si_exponent": "si_lambda",',
+          '"si_beta": "si_lambda",\n    "si_exponent": "beta",',
+          "tests/test_cli.py::TestSpecParsing::"
+          "test_every_key_reaches_its_field"),
+    # The DL and BS noise powers read into each other's fields.
+    Fault("src/starfd/cli.py",
+          '"noise_dl_dbw": "sigma_sq", "noise_bs_dbw": "sigma_b_sq",',
+          '"noise_dl_dbw": "sigma_b_sq", "noise_bs_dbw": "sigma_sq",',
+          "tests/test_cli.py::TestSpecParsing::"
+          "test_every_key_reaches_its_field"),
+    # The edge disk radius without its rename: no key sets R_r.
+    Fault("src/starfd/cli.py",
+          ' "edge_radius_m": "R_r",',
+          "",
+          "tests/test_cli.py::TestSpecParsing::"
+          "test_every_key_reaches_its_field"),
 )
 
 

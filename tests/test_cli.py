@@ -57,6 +57,94 @@ class TestSpecParsing:
         assert_allclose(spec.config.P_t, 1e5)
         assert_allclose(spec.config.sigma_b_sq, 10.0)
 
+    def test_every_key_reaches_its_field(self):
+        # Every key holds a valid value that is not its default and that
+        # no other key holds, so a key read into another key's field shows.
+        # A non-default scenario and power scheme cannot go together; the
+        # bidirectional scenario is checked on a spec of its own.
+        every_key = {
+            "scenario": "noma-pair",
+            "cell_radius_m": "40", "edge_radius_m": "25",
+            "bs_surface_distance_m": "55", "pathloss_exponent": "2.9",
+            "n_elements": "12", "element_spacing_wavelengths": "0.45",
+            "az_br": "0.11", "el_br": "0.12", "az_u1d": "0.13",
+            "el_u1d": "0.14", "az_u2d": "0.15", "el_u2d": "0.16",
+            "az_u1u": "0.17", "el_u1u": "0.18", "az_u2u": "0.19",
+            "el_u2u": "0.21",
+            "kappa_br": "1.1", "kappa_u1d": "1.2", "kappa_u2d": "1.3",
+            "kappa_u1u": "1.4", "kappa_u2u": "1.5",
+            "noise_dl_dbw": "3", "noise_bs_dbw": "6",
+            "total_power_dbw": "33", "tau": "0.7", "alpha1": "0.35",
+            "alpha2": "0.65", "ul_split": "0.55", "sic_residual": "0.02",
+            "si_beta": "0.003", "si_exponent": "0.9",
+            "weight_u1d": "0.81", "weight_u2d": "0.82",
+            "weight_u1u": "0.83", "weight_u2u": "0.84",
+            "target_dl_rate": "0.031", "target_ul_rate": "0.032",
+            "sweep_variable": "tau", "sweep_grid": "0.3, 0.6",
+            "designs": "pgam, random", "power_scheme": "tau-dl-target",
+            "estimators": "mc", "dl_target_cases": "0.04, 0.05",
+            "trials": "77", "seed": "78", "pgam_mu": "0.25",
+            "pgam_alpha_scale": "1.6", "pgam_eps": "1e-7",
+            "pgam_iters": "79", "output": "every-key.csv",
+        }
+        assert list(every_key) == list(cli.SPEC_KEYS)
+
+        def parsed(key, text):
+            kind = cli.SPEC_KEYS[key][0]
+            if key.endswith("_dbw"):
+                return 10.0 ** (float(text) / 10.0)
+            if kind == "float":
+                return float(text)
+            if kind == "int":
+                return int(text)
+            if kind == "floats":
+                return tuple(float(word) for word in text.split(","))
+            if kind == "words":
+                return tuple(word.strip() for word in text.split(","))
+            return text
+
+        expected = {key: parsed(key, text) for key, text in every_key.items()}
+        numbers = [value for key, value in expected.items()
+                   if cli.SPEC_KEYS[key][0] in ("float", "int")]
+        assert len(set(numbers)) == len(numbers)
+        for key, (_, default) in cli.SPEC_KEYS.items():
+            if key != "scenario":
+                assert every_key[key] != default, key
+
+        spec = make_spec("".join(f"{key} = {text}\n"
+                                 for key, text in every_key.items()))
+        config = spec.config
+        owners = {name: record for record in (spec, config, config.geometry,
+                                              config.angles)
+                  for name in record.__slots__}
+        # Exactly one key sets each field; the other fields hold records
+        # or the resolved text.
+        fields = [cli._RENAMED_KEYS.get(key, key) for key in cli.SPEC_KEYS]
+        assert sorted(fields) == sorted(
+            set(owners) - {"config", "geometry", "angles", "resolved"})
+        assert set(cli._RENAMED_KEYS) <= set(cli.SPEC_KEYS)
+        # Each key's value is in the field the key stands for, named here
+        # apart from the parser's table.
+        renamed = {
+            "cell_radius_m": "R", "edge_radius_m": "R_r",
+            "bs_surface_distance_m": "d_br", "pathloss_exponent": "m",
+            "element_spacing_wavelengths": "d_over_lambda",
+            "noise_dl_dbw": "sigma_sq", "noise_bs_dbw": "sigma_b_sq",
+            "total_power_dbw": "P_t", "sic_residual": "Xi",
+            "si_beta": "beta", "si_exponent": "si_lambda",
+            "target_dl_rate": "R_dth", "target_ul_rate": "R_uth",
+            "sweep_grid": "grid",
+        }
+        for key in cli.SPEC_KEYS:
+            field = renamed.get(key, key)
+            value = getattr(owners[field], field)
+            if key.endswith("_dbw"):
+                assert value == pytest.approx(expected[key], rel=1e-15), key
+            else:
+                assert value == expected[key], key
+        assert make_spec(MINI + "scenario = bidirectional\n"
+                         ).scenario == "bidirectional"
+
     def test_snr_point_sets_total_power(self):
         spec = make_spec(MINI)
         assert_allclose(_config_for_point(spec.config, "snr_db", 20.0).P_t,

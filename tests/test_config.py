@@ -10,7 +10,6 @@ class TestSystemConfig:
     def test_baseline_passes(self):
         config = make_config()
         assert config.n_elements == 20
-        assert config.kappa("br") == 3.0
         assert config.weights == {"u1d": 0.8, "u2d": 0.8,
                                   "u1u": 0.8, "u2u": 0.8}
 
@@ -68,7 +67,3 @@ class TestSystemConfig:
         assert_allclose(config.si_variance(800.0), 1e-3 * 800.0 ** 0.8,
                         rtol=1e-15)
         assert make_config().si_variance(800.0) == 0.0
-
-    def test_unknown_link_rejected(self):
-        with pytest.raises(ValueError, match="unknown link"):
-            make_config().kappa("u3d")
