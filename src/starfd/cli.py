@@ -210,16 +210,16 @@ _RENAMED_KEYS = {
 class ExperimentSpec(Record):
     """A fully resolved, validated experiment definition."""
 
-    __slots__ = ("config", "scenario", "sweep_variable", "grid", "designs",
+    __slots__ = ("config", "sweep_variable", "grid", "designs",
                  "power_scheme", "estimators", "trials", "seed", "output",
                  "dl_target_cases", "pgam_mu", "pgam_alpha_scale",
                  "pgam_eps", "pgam_iters", "resolved")
 
-    def __init__(self, config: SystemConfig, scenario: str,
-                 sweep_variable: str, grid: Tuple[float, ...],
-                 designs: Tuple[str, ...], power_scheme: str,
-                 estimators: Tuple[str, ...], trials: int, seed: int,
-                 output: str, dl_target_cases: Tuple[float, ...],
+    def __init__(self, config: SystemConfig, sweep_variable: str,
+                 grid: Tuple[float, ...], designs: Tuple[str, ...],
+                 power_scheme: str, estimators: Tuple[str, ...],
+                 trials: int, seed: int, output: str,
+                 dl_target_cases: Tuple[float, ...],
                  pgam_mu: float, pgam_alpha_scale: float, pgam_eps: float,
                  pgam_iters: int, resolved: Dict[str, str]) -> None:
         self._assign(locals())
@@ -304,6 +304,8 @@ def parse_spec_text(text: str
     if scenario not in RATE_NAMES:
         errors.append(f"scenario: must be noma-pair or bidirectional, "
                       f"got {scenario!r}")
+        # Reported here, once; the cell's other checks still run.
+        values["scenario"] = "noma-pair"
     sweep_variable = values["sweep_variable"]
     if sweep_variable == "target-rate":
         sweep_variable = "target_rate"
@@ -327,9 +329,11 @@ def parse_spec_text(text: str
             errors.append(f"estimators: unknown estimator {estimator!r}")
     if not estimators:
         errors.append("estimators: need at least one")
-    # A repeated word would write its rows twice. Each random design
-    # draws its own surface, keyed by its index, so it may repeat.
-    for key, words in (("designs", designs), ("estimators", estimators)):
+    # A repeated word or target case would write its rows twice. Each
+    # random design draws its own surface, keyed by its index, so it may
+    # repeat. Target cases compare by value: 3 and 3.0 repeat.
+    for key, words in (("designs", designs), ("estimators", estimators),
+                       ("dl_target_cases", values["dl_target_cases"])):
         for word in dict.fromkeys(words):
             if word != "random" and words.count(word) > 1:
                 errors.append(f"{key}: {word!r} is listed more than once")

@@ -91,7 +91,8 @@ def validate_splits(tau: float, alpha1: float, alpha2: float,
 
 
 class SystemConfig(Record):
-    """Scenario parameters: geometry, fading, noise, weights, the SIC and
+    """Scenario parameters: what the cell scores (``scenario``, a key of
+    :data:`RATE_NAMES`), geometry, fading, noise, weights, the SIC and
     self-interference constants, the edge targets and the power defaults.
 
     The split fields (``P_t``, ``tau``, ``alpha1``/``alpha2``,
@@ -110,7 +111,7 @@ class SystemConfig(Record):
                  "kappa_u2d", "kappa_u1u", "kappa_u2u", "sigma_sq",
                  "sigma_b_sq", "weight_u1d", "weight_u2d", "weight_u1u",
                  "weight_u2u", "P_t", "tau", "alpha1", "alpha2", "ul_split",
-                 "Xi", "beta", "si_lambda", "R_dth", "R_uth")
+                 "Xi", "beta", "si_lambda", "R_dth", "R_uth", "scenario")
 
     def __init__(self, geometry: CellGeometry, n_elements: int,
                  angles: GeometryAngles, kappa_br: float = 3.0,
@@ -122,7 +123,8 @@ class SystemConfig(Record):
                  P_t: float = 1000.0, tau: float = 0.8, alpha1: float = 0.2,
                  alpha2: float = 0.8, ul_split: float = 0.5, Xi: float = 0.0,
                  beta: float = 0.0, si_lambda: float = 1.0,
-                 R_dth: float = 0.0, R_uth: float = 0.0) -> None:
+                 R_dth: float = 0.0, R_uth: float = 0.0,
+                 scenario: str = "noma-pair") -> None:
         self._assign(locals())
         if not (isinstance(self.n_elements, int) and self.n_elements >= 1):
             raise ValueError("n_elements must be a positive integer")
@@ -146,6 +148,9 @@ class SystemConfig(Record):
             raise ValueError("si_lambda must be non-negative")
         if not (self.R_dth >= 0 and self.R_uth >= 0):
             raise ValueError("target rates must be non-negative")
+        if self.scenario not in RATE_NAMES:
+            raise ValueError(f"scenario: must be noma-pair or bidirectional, "
+                             f"got {self.scenario!r}")
 
     @property
     def weights(self) -> dict:

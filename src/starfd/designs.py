@@ -75,15 +75,13 @@ def suboptimal_phases_bidirectional(config: SystemConfig, pw: PowerConfig,
 
 
 def aligned_state(config: SystemConfig, rho_t: float = 0.5,
-                  pw: Optional[PowerConfig] = None,
-                  scenario: str = "noma-pair") -> StarRisState:
-    """Surface state with uniform amplitudes and the aligned phase design."""
-    if scenario == "bidirectional":
+                  pw: Optional[PowerConfig] = None) -> StarRisState:
+    """Surface state with uniform amplitudes and the aligned phase design
+    of ``config``'s scenario."""
+    if config.scenario == "bidirectional":
         if pw is None:
             pw = PowerConfig.from_config(config)
         phi_t, phi_r = suboptimal_phases_bidirectional(config, pw, rho_t)
-    elif scenario == "noma-pair":
-        phi_t, phi_r = suboptimal_phases(config.angles, config.n_elements)
     else:
-        raise ValueError(f"unknown scenario {scenario!r}")
+        phi_t, phi_r = suboptimal_phases(config.angles, config.n_elements)
     return StarRisState.uniform(config.n_elements, rho_t, phi_t, phi_r)

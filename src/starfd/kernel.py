@@ -120,18 +120,17 @@ class RateReport(Record):
                 raise ValueError(f"r_{name} must be finite and non-negative")
 
     @classmethod
-    def of(cls, scenario: str, legs, weights: Dict[str, float],
-           estimator: str, trials: Optional[int] = None,
-           errors=None) -> "RateReport":
-        """Report the four rates ``legs`` of :func:`scenario_rates`, with
-        their standard errors ``errors`` when given."""
-        # rate_weights rejects an unknown scenario.
+    def of(cls, config: SystemConfig, legs, estimator: str,
+           trials: Optional[int] = None, errors=None) -> "RateReport":
+        """Report the four rates ``legs`` of :func:`scenario_rates` on
+        ``config``, with their standard errors ``errors`` when given."""
         total = math.fsum(w * r for w, r in
-                          zip(rate_weights(scenario, legs, weights), legs))
-        picked = (range(len(USERS)) if scenario == "noma-pair"
+                          zip(rate_weights(config, legs), legs))
+        picked = (range(len(USERS)) if config.scenario == "noma-pair"
                   else binding_legs(legs))
-        names = RATE_NAMES[scenario]
-        return cls(scenario=scenario, estimator=estimator, sum_rate=total,
+        names = RATE_NAMES[config.scenario]
+        return cls(scenario=config.scenario, estimator=estimator,
+                   sum_rate=total,
                    rates={n: legs[k] for n, k in zip(names, picked)},
                    trials=trials,
                    stderr=None if errors is None else
@@ -270,30 +269,25 @@ def binding_legs(legs) -> Tuple[int, int]:
     return 0 if r_uc < r_u2u else 1, 2 if r_ue < r_u1u else 3
 
 
-def scenario_rates(terms, config: SystemConfig, pw: PowerConfig, si: float,
-                   scenario: str) -> Tuple[float, ...]:
-    """The four rates a scenario scores: the users' log2(1 + SINR) of a
-    NOMA pair, in ``USERS`` order, or the bidirectional case's
+def scenario_rates(terms, config: SystemConfig, pw: PowerConfig,
+                   si: float) -> Tuple[float, ...]:
+    """The four rates ``config``'s scenario scores: the users' log2(1 +
+    SINR) of a NOMA pair, in ``USERS`` order, or the bidirectional case's
     :func:`relay_leg_rates`. Terms are floats, arrays or complex probes.
     """
-    if scenario == "noma-pair":
+    if config.scenario == "noma-pair":
         sinrs = noma_sinrs(terms, config, pw, si)
         return tuple(_log2(1.0 + sinrs[u]) for u in USERS)
-    if scenario == "bidirectional":
-        return relay_leg_rates(terms, config, pw, si)
-    raise ValueError(f"unknown scenario {scenario!r}")
+    return relay_leg_rates(terms, config, pw, si)
 
 
-def rate_weights(scenario: str, legs,
-                 weights: Dict[str, float]) -> Tuple[float, ...]:
-    """Each of the four rates' weight in the scenario's sum rate: the
-    users' ``weights`` for a NOMA pair; for the bidirectional sum
+def rate_weights(config: SystemConfig, legs) -> Tuple[float, ...]:
+    """Each of the four rates' weight in the sum rate of ``config``'s
+    scenario: its user weights for a NOMA pair; for the bidirectional sum
     R_c + R_e, 1 on the two binding legs of ``legs`` and 0 elsewhere.
     """
-    if scenario == "noma-pair":
-        return tuple(weights[u] for u in USERS)
-    if scenario not in RATE_NAMES:
-        raise ValueError(f"unknown scenario {scenario!r}")
+    if config.scenario == "noma-pair":
+        return tuple(config.weights[u] for u in USERS)
     binding = binding_legs(legs)
     return tuple(float(k in binding) for k in range(len(legs)))
 

@@ -134,10 +134,10 @@ def _term_partials(f: Callable[[Dict[str, Tuple]], np.ndarray],
     return dict(zip(_TRIPLES, partials))
 
 
-def _make_objective(config: SystemConfig, pw: PowerConfig,
-                    scenario: str) -> Tuple[Callable, Callable]:
-    """The scenario's sum rate and its gradient in (phi_t, phi_r, rho_t,
-    rho_r).
+def _make_objective(config: SystemConfig,
+                    pw: PowerConfig) -> Tuple[Callable, Callable]:
+    """The sum rate of ``config``'s scenario and its gradient in (phi_t,
+    phi_r, rho_t, rho_r).
 
     ``evaluate(state)`` returns the objective with the state's assembly:
     its moments, their rate inputs and the kernel's rates.
@@ -147,13 +147,13 @@ def _make_objective(config: SystemConfig, pw: PowerConfig,
     si = config.si_variance(pw.P_b)
 
     def rates(terms):
-        return scenario_rates(terms, config, pw, si, scenario)
+        return scenario_rates(terms, config, pw, si)
 
     def evaluate(state: StarRisState) -> Tuple[float, Tuple]:
         moments = compute_moments(config, state)
         inputs = cf_rate_inputs(config, state, moments=moments)
         legs = rates(inputs)
-        report = RateReport.of(scenario, legs, config.weights, "cf")
+        report = RateReport.of(config, legs, "cf")
         return report.sum_rate, (moments, inputs, legs)
 
     def gradient(state: StarRisState,
@@ -161,7 +161,7 @@ def _make_objective(config: SystemConfig, pw: PowerConfig,
         moments, inputs, legs = assembly
         # Any choice between legs is fixed on the real rates, so the
         # probed sum stays analytic in the terms.
-        weights = rate_weights(scenario, legs, config.weights)
+        weights = rate_weights(config, legs)
 
         def rate_sum(terms):
             return sum(w * r for w, r in zip(weights, rates(terms)))
@@ -189,11 +189,11 @@ def _ascent_step(state: StarRisState, grads: Tuple[np.ndarray, ...],
 
 def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
          mu: float = 0.5, alpha_scale: float = 1.0, eps: float = 1e-9,
-         L: int = 500, scenario: str = "noma-pair") -> OptimizationResult:
+         L: int = 500) -> OptimizationResult:
     """Projected gradient ascent over surface phases and amplitudes.
 
-    Maximizes the scenario's closed-form sum rate, with the weights of
-    ``config``, starting from ``init``.
+    Maximizes the closed-form sum rate of ``config``'s scenario, with its
+    weights, starting from ``init``.
     Each iteration takes the analytic gradient at the current state (no
     objective evaluation, and no assembly: it reuses the moments, rate
     inputs and rates built when the state was evaluated) and evaluates
@@ -207,7 +207,7 @@ def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
         raise ValueError("need mu > 0, eps > 0 and L >= 1")
     if not alpha_scale > 0:
         raise ValueError("alpha_scale must be positive")
-    evaluate, gradient = _make_objective(config, pw, scenario)
+    evaluate, gradient = _make_objective(config, pw)
 
     current, assembly = evaluate(init)
     if not math.isfinite(current):
@@ -237,7 +237,7 @@ def pgam(config: SystemConfig, pw: PowerConfig, init: StarRisState,
             reason = "converged"
             break
 
-    report = (None if scenario == "bidirectional"
+    report = (None if config.scenario == "bidirectional"
               else _constraint_report(config, state, pw, assembly[1]))
     return OptimizationResult(state=state, pw=pw, trace=np.array(trace),
                               reason=reason, constraints=report)

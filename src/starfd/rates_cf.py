@@ -244,20 +244,17 @@ def cf_sinrs(config: SystemConfig, ris: StarRisState, pw: PowerConfig,
 
 
 def cf_rates(config: SystemConfig, ris: StarRisState, pw: PowerConfig,
-             scenario: str = "noma-pair",
              moments: Optional[MomentSet] = None) -> RateReport:
-    """The scenario's closed-form rates plus its sum rate."""
+    """The closed-form rates of ``config``'s scenario plus its sum rate."""
     inputs = cf_rate_inputs(config, ris, moments=moments)
-    return RateReport.of(scenario,
-                         scenario_rates(inputs, config, pw,
-                                        config.si_variance(pw.P_b), scenario),
-                         config.weights, "cf")
+    si = config.si_variance(pw.P_b)
+    return RateReport.of(config, scenario_rates(inputs, config, pw, si), "cf")
 
 
 def cf_rates_simplified(config: SystemConfig, ris: StarRisState,
                         pw: PowerConfig) -> RateReport:
-    """The short-form rates: perfect SIC and SI cancellation, no surface
-    boost on center-user signals, no BS loop-back.
+    """The NOMA pair's short-form rates: perfect SIC and SI cancellation,
+    no surface boost on center-user signals, no BS loop-back.
 
     The full moment terms with the four omitted surface terms cut back
     to their bases (the direct links, and zero for the loop-back), scored
@@ -268,9 +265,8 @@ def cf_rates_simplified(config: SystemConfig, ris: StarRisState,
     terms = {user: tuple(rows[i][0] if i in _SHORT_FORM_CUT else term
                          for i, term in zip(numbered, full[user]))
              for user, numbered in _NUMBERED.items()}
-    rates = scenario_rates(terms, config.replace(Xi=0.0, beta=0.0), pw, 0.0,
-                           "noma-pair")
-    return RateReport.of("noma-pair", rates, config.weights, "cf")
+    short = config.replace(Xi=0.0, beta=0.0, scenario="noma-pair")
+    return RateReport.of(short, scenario_rates(terms, short, pw, 0.0), "cf")
 
 
 def cf_rates_bidirectional(config: SystemConfig, ris: StarRisState,
@@ -278,6 +274,8 @@ def cf_rates_bidirectional(config: SystemConfig, ris: StarRisState,
                            moments: Optional[MomentSet] = None
                            ) -> Tuple[float, float]:
     """Closed-form rates (R_c, R_e) of the relayed connections: the
-    bidirectional :func:`cf_rates`, each the smaller of its two legs."""
-    report = cf_rates(config, ris, pw, "bidirectional", moments)
+    :func:`cf_rates` of ``config`` as a bidirectional cell, each the
+    smaller of its two legs."""
+    report = cf_rates(config.replace(scenario="bidirectional"), ris, pw,
+                      moments)
     return report.rate("c"), report.rate("e")

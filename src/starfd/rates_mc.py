@@ -238,8 +238,7 @@ def _checked_cells(cells) -> List[tuple]:
     return cells
 
 
-def ergodic_rate_mc(cells, trials: int, seed: int,
-                    scenario: str = "noma-pair") -> List[RateReport]:
+def ergodic_rate_mc(cells, trials: int, seed: int) -> List[RateReport]:
     """Monte-Carlo ergodic rates over positions, channels and SI draws.
 
     Scores every (config, surface state, powers) cell of ``cells`` on one
@@ -247,9 +246,9 @@ def ergodic_rate_mc(cells, trials: int, seed: int,
     reads only the configs' :data:`DRAW_FIELDS`, on which the cells must
     agree, so each block is drawn once, its terms are taken once per
     distinct surface response (equal states need not be one object), and
-    every cell is scored on them with its own config: the cells'
-    estimates use common random numbers, and a one-cell call gives the
-    same report as that cell in any longer list.
+    every cell is scored on them with its own config, under its own
+    scenario: the cells' estimates use common random numbers, and a
+    one-cell call gives the same report as that cell in any longer list.
 
     Trials are drawn and scored in blocks of at most ``_BLOCK``, block b
     from a generator keyed by (seed, b), so memory is one block plus the
@@ -278,7 +277,7 @@ def ergodic_rate_mc(cells, trials: int, seed: int,
             terms = _block_terms(block, ris)
             for k, config, pw in members:
                 rates = np.array(scenario_rates(
-                    terms, config, pw, _block_si(block, config, pw), scenario))
+                    terms, config, pw, _block_si(block, config, pw)))
                 # fsum runs faster over Python floats than numpy scalars.
                 sums[k].append([math.fsum(row) for row in rates.tolist()])
                 means = np.array(sums[k][-1]) / block.size
@@ -289,6 +288,5 @@ def ergodic_rate_mc(cells, trials: int, seed: int,
     for (config, _, _), cell_sums, cell_m2s in zip(cells, sums, m2s):
         means, errors = zip(*(_mean_and_stderr(counts, s, m) for s, m
                               in zip(zip(*cell_sums), zip(*cell_m2s))))
-        reports.append(RateReport.of(scenario, means, config.weights, "mc",
-                                     trials, errors))
+        reports.append(RateReport.of(config, means, "mc", trials, errors))
     return reports

@@ -45,12 +45,12 @@ def _design_state(spec: ExperimentSpec, config: SystemConfig,
             config.n_elements, 0.5,
             cli.keyed_rng(spec.seed, point, design_index, 1))
     if aligned is None:
-        aligned = cli.aligned_state(config, 0.5, pw, spec.scenario)
+        aligned = cli.aligned_state(config, 0.5, pw)
     if design == "aligned":
         return aligned
     result = cli.pgam(config, pw, aligned, mu=spec.pgam_mu,
                       alpha_scale=spec.pgam_alpha_scale, eps=spec.pgam_eps,
-                      L=spec.pgam_iters, scenario=spec.scenario)
+                      L=spec.pgam_iters)
     return result.state
 
 
@@ -58,7 +58,7 @@ def _csv_header(spec: ExperimentSpec) -> List[str]:
     head = [spec.sweep_variable, "design"]
     if spec.power_scheme == "tau-dl-target":
         head += ["target_dl", "feasible"]
-    names = RATE_NAMES[spec.scenario]
+    names = RATE_NAMES[spec.config.scenario]
     return (head + ["estimator"] + [f"R_{n}" for n in names] + ["sum"]
             + [f"stderr_{n}" for n in names])
 
@@ -93,7 +93,7 @@ def _point_rows(spec: ExperimentSpec, point: int, value: float
         from .power import power_allocation_closed_form, tau_split_powers
 
     pw0 = cli.PowerConfig.from_config(config)
-    aligned = (cli.aligned_state(config, 0.5, pw0, spec.scenario)
+    aligned = (cli.aligned_state(config, 0.5, pw0)
                if set(spec.designs) - {"random"} else None)
     # PGAM tunes the surface for the allocation at the aligned state under
     # closed-form (its row allocates again at PGAM's state).
@@ -126,8 +126,8 @@ def _point_rows(spec: ExperimentSpec, point: int, value: float
             for estimator in spec.estimators:
                 row = lead + [estimator]
                 if estimator == "cf":
-                    row += _report_cells(cli.cf_rates(
-                        config, state, pw, spec.scenario, moments))
+                    row += _report_cells(cli.cf_rates(config, state, pw,
+                                                      moments))
                 else:
                     mc_cells.append((row, (config, state, pw)))
                 rows.append(row)
@@ -147,7 +147,7 @@ def _all_rows(spec: ExperimentSpec, map_) -> List[List[str]]:
     def score(cells: List[_McCell]) -> List[RateReport]:
         # One stream keyed by the spec's seed scores the whole group.
         return cli.ergodic_rate_mc([cell for _, cell in cells], spec.trials,
-                                   spec.seed, spec.scenario)
+                                   spec.seed)
 
     for cells, reports in zip(groups.values(), map_(score, groups.values())):
         for (row, _), report in zip(cells, reports):

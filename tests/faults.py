@@ -323,6 +323,37 @@ FAULTS = (
           "",
           "tests/test_cli.py::TestSpecParsing::"
           "test_every_key_reaches_its_field"),
+    # The kernel scores a NOMA pair's cell as the relayed connections,
+    # and a bidirectional cell as the pair.
+    Fault("src/starfd/kernel.py",
+          '    if config.scenario == "noma-pair":\n'
+          "        sinrs = noma_sinrs(terms, config, pw, si)\n",
+          '    if config.scenario == "bidirectional":\n'
+          "        sinrs = noma_sinrs(terms, config, pw, si)\n",
+          "tests/test_rates_mc.py::TestBlockedStream::"
+          "test_every_row_matches_the_scalar_path[noma-pair-1]"),
+    # A cell with a misspelt scenario is built, and scored as whichever
+    # scenario each entry point falls through to.
+    Fault("src/starfd/config.py",
+          "        if self.scenario not in RATE_NAMES:\n"
+          '            raise ValueError(f"scenario: must be',
+          "        if False:\n"
+          '            raise ValueError(f"scenario: must be',
+          "tests/test_rates_mc.py::TestRateReport::"
+          "test_unknown_scenario_is_a_value_error[SystemConfig]"),
+    # The relayed connections' rates read off the cell as it is: a NOMA
+    # pair's report has no rates c and e.
+    Fault("src/starfd/rates_cf.py",
+          'cf_rates(config.replace(scenario="bidirectional"), ris, pw,',
+          "cf_rates(config, ris, pw,",
+          "tests/test_rates_cf.py::TestClosedFormRates::"
+          "test_bidirectional_against_monte_carlo"),
+    # The aligned design of each scenario is the other's.
+    Fault("src/starfd/designs.py",
+          '    if config.scenario == "bidirectional":\n',
+          '    if config.scenario == "noma-pair":\n',
+          "tests/test_optimize.py::TestSuboptimalPhases::"
+          "test_alignment_maximizes_the_cascade"),
 )
 
 

@@ -315,10 +315,9 @@ class TestAscentOptimizer:
         base = make_config(P_t=10_000.0)
         pw_base = PowerConfig.from_config(base)
         runs.append(pgam(base, pw_base, aligned_state(base, 0.5), L=40))
-        runs.append(pgam(
-            base, pw_base,
-            aligned_state(base, 0.5, pw_base, "bidirectional"), L=15,
-            scenario="bidirectional"))
+        bidir = base.replace(scenario="bidirectional")
+        runs.append(pgam(bidir, pw_base, aligned_state(bidir, 0.5, pw_base),
+                         L=15))
         for res in runs:
             drops = np.diff(res.trace)
             assert np.all(drops >= -1e-12), (

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 import starfd.cli as cli
 import starfd.rates_cf as rates_cf
 import starfd.rates_mc as rates_mc
+from conftest import make_config
 from starfd.cli import (ExperimentSpec, main, parse_spec_text,
                         run_experiment, _config_for_point)
 from starfd.sweep import _design_state, _report_cells, _summary_lines
@@ -50,7 +51,7 @@ class TestSpecParsing:
         assert spec.designs == ("aligned",)
         assert spec.power_scheme == "fixed"
         assert spec.trials == 100000
-        assert spec.scenario == "noma-pair"
+        assert spec.config.scenario == "noma-pair"
 
     def test_db_keys_convert_at_the_boundary(self):
         spec = make_spec(MINI + "total_power_dbw = 50\nnoise_bs_dbw = 10\n")
@@ -143,7 +144,7 @@ class TestSpecParsing:
             else:
                 assert value == expected[key], key
         assert make_spec(MINI + "scenario = bidirectional\n"
-                         ).scenario == "bidirectional"
+                         ).config.scenario == "bidirectional"
 
     def test_snr_point_sets_total_power(self):
         spec = make_spec(MINI)
@@ -197,6 +198,21 @@ class TestSpecParsing:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("cases, error", [
+        ("3, 3", "3.0"), ("3, 1, 3.0", "3.0"), ("0, 2, -0", "0.0")])
+    def test_repeated_dl_target_case_exits_1_and_writes_nothing(
+            self, tmp_path, capsys, cases, error):
+        # A repeated case would write each of its rows twice. Cases are
+        # compared by value, so 3 and 3.0 repeat.
+        path = write_spec(tmp_path, "sweep_variable = tau\nsweep_grid = 0.5\n"
+                          "power_scheme = tau-dl-target\n"
+                          f"dl_target_cases = {cases}\n")
+        out = tmp_path / "never.csv"
+        assert main(["run", str(path), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: dl_target_cases: {error} is listed more than once\n")
+        assert not out.exists()
+
     def test_negative_dl_target_case_exits_1_and_writes_nothing(
             self, tmp_path, capsys):
         # A negative case is a target rate below zero, as a negative
@@ -245,6 +261,24 @@ class TestSpecParsing:
         _, errors = parse_spec_text(
             "sweep_variable = target_rate\nsweep_grid = 1, 2\n")
         assert any("closed-form" in e for e in errors)
+
+    @pytest.mark.parametrize("extra, fault", [
+        ("sweep_grid = 0.5\nkappa_br = -1\n", "kappa_br must be non-negative"),
+        ("sweep_grid = 0, 0.5\n", "sweep_grid: tau = 0.0: tau must lie in "
+         "(0, 1]; an uplink-only split is modeled as a small positive tau "
+         "such as 0.01"),
+    ])
+    def test_unknown_scenario_is_reported_once_before_the_cell(self, extra,
+                                                               fault):
+        # The scenario is a field of the cell, but its key check reports
+        # it first and once, and the cell's own checks still run.
+        _, errors = parse_spec_text("sweep_variable = tau\n"
+                                    "scenario = bogus\n" + extra)
+        unknown = "scenario: must be noma-pair or bidirectional, got 'bogus'"
+        assert errors == [unknown, fault]
+        with pytest.raises(ValueError) as exc:
+            make_config(scenario="bogus")
+        assert str(exc.value) == unknown
 
     def test_target_rate_alias_with_hyphen(self):
         spec = make_spec("""
@@ -659,7 +693,7 @@ def one_pair_mc_cells(spec):
         for j in range(len(spec.designs)):
             state = _design_state(spec, config, pw, point, j)
             report, = ergodic_rate_mc([(config, state, pw)], spec.trials,
-                                      spec.seed, spec.scenario)
+                                      spec.seed)
             cells.append(",".join(_report_cells(report)))
     return cells
 

@@ -262,9 +262,9 @@ class TestAnalyticGradient:
                               weight_u1u=0.0, weight_u2u=0.8)}
 
     @staticmethod
-    def start_state(config, pw, start, scenario):
+    def start_state(config, pw, start):
         if start == "aligned":
-            return aligned_state(config, 0.5, pw, scenario)
+            return aligned_state(config, 0.5, pw)
         n = config.n_elements
         rng = np.random.default_rng(n)
         rho_t = rng.uniform(0.05, 0.95, n)
@@ -277,10 +277,11 @@ class TestAnalyticGradient:
     @pytest.mark.parametrize("start", ["aligned", "random"])
     @pytest.mark.parametrize("scenario", ["noma-pair", "bidirectional"])
     def test_matches_finite_differences(self, scenario, start, n, cell):
-        config = make_config(n_elements=n, **self.CELLS[cell])
+        config = make_config(n_elements=n, scenario=scenario,
+                             **self.CELLS[cell])
         pw = PowerConfig.from_config(config)
-        state = self.start_state(config, pw, start, scenario)
-        evaluate, gradient = _make_objective(config, pw, scenario)
+        state = self.start_state(config, pw, start)
+        evaluate, gradient = _make_objective(config, pw)
         _, moments = evaluate(state)
         for analytic, fd in zip(gradient(state, moments),
                                 fd_gradients(lambda s: evaluate(s)[0],
@@ -305,8 +306,7 @@ class TestAnalyticGradient:
                              **self.CELLS[cell])
         pw = PowerConfig.from_config(config)
         si = config.si_variance(pw.P_b)
-        inputs = cf_rate_inputs(config, self.start_state(config, pw, start,
-                                                         "noma-pair"))
+        inputs = cf_rate_inputs(config, self.start_state(config, pw, start))
         users = ("u1d", "u2d", "u1u")
         for name in ("decoding_order", "edge_dl_target", "edge_ul_target"):
             def margin(terms):
@@ -343,12 +343,12 @@ class TestAnalyticGradient:
             lambda *args, **kwargs: (calls.append(1),
                                      fn(*args, **kwargs))[1])
         for n in (4, 64):
-            config = make_config(n_elements=n)
+            config = make_config(n_elements=n, scenario=scenario)
             init = StarRisState.random_phases(n, 0.5,
                                               np.random.default_rng(5))
             calls.clear()
             result = pgam(config, PowerConfig.from_config(config), init,
-                          eps=1e-15, L=5, scenario=scenario)
+                          eps=1e-15, L=5)
             assert result.iterations == 5
             # One call for the initial state; the constraint check of a
             # NOMA-pair run reuses the last state's rate inputs.
@@ -406,10 +406,10 @@ class TestPgam:
         assert abs(again.objective - first.objective) < 1e-9
 
     def test_bidirectional_objective(self):
-        config = compact_config(n_elements=8)
+        config = compact_config(n_elements=8, scenario="bidirectional")
         pw = PowerConfig.from_config(config)
         init = StarRisState.random_phases(8, 0.5, np.random.default_rng(3))
-        result = pgam(config, pw, init, L=10, scenario="bidirectional")
+        result = pgam(config, pw, init, L=10)
         assert np.all(np.diff(result.trace) >= -1e-12)
 
     def test_nonfinite_objective_rejected(self):
@@ -427,8 +427,8 @@ class TestPgam:
             pgam(config, pw, init, mu=0.0)
         with pytest.raises(ValueError, match="alpha_scale"):
             pgam(config, pw, init, alpha_scale=-1.0)
-        with pytest.raises(ValueError, match="unknown scenario"):
-            pgam(config, pw, init, scenario="mesh")
+        with pytest.raises(ValueError, match="scenario: must be"):
+            pgam(config.replace(scenario="mesh"), pw, init)
         with pytest.raises(ValueError, match="reason"):
             OptimizationResult(state=init, pw=pw, trace=[0.0],
                                reason="stalled", constraints=None)
@@ -741,9 +741,8 @@ class TestValidateConstraints:
         # margin would read the NOMA-pair u2d rate minus R_dth.
         config = compact_config(n_elements=8, R_dth=0.5)
         pw = PowerConfig.from_config(config)
-        bidir = pgam(config, pw,
-                     aligned_state(config, 0.5, pw, "bidirectional"), L=3,
-                     scenario="bidirectional")
+        relayed = config.replace(scenario="bidirectional")
+        bidir = pgam(relayed, pw, aligned_state(relayed, 0.5, pw), L=3)
         assert bidir.constraints is None
         noma = pgam(config, pw, aligned_state(config, 0.5), L=3)
         assert noma.constraints == validate_constraints(config, noma.state,

@@ -12,8 +12,7 @@ from starfd.channel import StarRisState
 from starfd.config import CellGeometry, SystemConfig
 from starfd.designs import aligned_state
 from starfd.kernel import (PowerConfig, RateReport, binding_legs, dl_sinr,
-                           noma_sinrs, rate_weights, relay_leg_rates,
-                           scenario_rates)
+                           noma_sinrs, relay_leg_rates, scenario_rates)
 from starfd.rates_mc import (_BLOCK, DRAW_FIELDS, _block_si, _block_terms,
                              _blocks, draw_realization, ergodic_rate_mc)
 
@@ -114,17 +113,20 @@ class TestPowerConfig:
 
 
 class TestRateReport:
+    BIDIRECTIONAL = make_config(n_elements=4, scenario="bidirectional")
+
     def test_weighted_sum(self):
         rates = (1.0, 2.0, 3.0, 4.0)
-        weights = {"u1d": 0.8, "u2d": 0.8, "u1u": 0.8, "u2u": 0.8}
-        report = RateReport.of("noma-pair", rates, weights, "cf")
+        config = make_config(weight_u1d=0.8, weight_u2d=0.8, weight_u1u=0.8,
+                             weight_u2u=0.8)
+        report = RateReport.of(config, rates, "cf")
         assert_allclose(report.sum_rate, 8.0, rtol=1e-15)
         assert report.rate("u1u") == 3.0
 
     def test_bidirectional_fields(self):
         # Legs (r_uc, r_u2u, r_ue, r_u1u): each connection takes its
         # smaller leg.
-        report = RateReport.of("bidirectional", (1.5, 2.0, 0.7, 0.5), {},
+        report = RateReport.of(self.BIDIRECTIONAL, (1.5, 2.0, 0.7, 0.5),
                                "mc", trials=10)
         assert report.sum_rate == 2.0
         assert report.rate("c") == 1.5
@@ -133,12 +135,12 @@ class TestRateReport:
             report.rate("u1d")
 
     def test_leg_tie_binds_the_decode_leg_and_its_stderr(self):
-        report = RateReport.of("bidirectional", (1.25, 1.25, 0.5, 0.5), {},
+        report = RateReport.of(self.BIDIRECTIONAL, (1.25, 1.25, 0.5, 0.5),
                                "mc", trials=10,
                                errors=(0.1, 0.2, 0.3, 0.4))
         assert report.rates == {"c": 1.25, "e": 0.5}
         assert report.stderr == {"c": 0.2, "e": 0.4}
-        report = RateReport.of("bidirectional", (1.0, 1.25, 0.75, 0.5), {},
+        report = RateReport.of(self.BIDIRECTIONAL, (1.0, 1.25, 0.75, 0.5),
                                "mc", trials=10,
                                errors=(0.1, 0.2, 0.3, 0.4))
         assert report.stderr == {"c": 0.1, "e": 0.4}
@@ -147,35 +149,35 @@ class TestRateReport:
         rng = np.random.default_rng(8)
         for _ in range(200):
             legs = tuple(rng.uniform(0.0, 9.0, 4).tolist())
-            report = RateReport.of("bidirectional", legs, {}, "cf")
+            report = RateReport.of(self.BIDIRECTIONAL, legs, "cf")
             assert report.sum_rate == report.rate("c") + report.rate("e")
 
     @pytest.mark.parametrize("entry", [
-        lambda config: aligned_state(config, 0.5, None, "bidirectonal"),
-        lambda config: rate_weights("bidirectonal", (1.0, 2.0, 0.5, 0.7),
-                                    config.weights),
-        lambda config: RateReport.of("bidirectonal", (1.0, 2.0, 0.5, 0.7),
-                                     config.weights, "cf"),
-    ], ids=["aligned_state", "rate_weights", "RateReport.of"])
+        lambda: make_config(n_elements=4, scenario="bidirectonal"),
+        lambda: make_config(n_elements=4).replace(scenario="bidirectonal"),
+        lambda: RateReport(scenario="bidirectonal", estimator="cf",
+                           sum_rate=0.0, rates={}),
+    ], ids=["SystemConfig", "replace", "RateReport"])
     def test_unknown_scenario_is_a_value_error(self, entry):
-        # A misspelt scenario must not fall through to either scenario's
-        # design, weights or report.
-        with pytest.raises(ValueError, match="unknown scenario "
-                                             "'bidirectonal'"):
-            entry(make_config(n_elements=4))
+        # A misspelt scenario is refused where a cell or a report is
+        # built, so no design, weights or rates can fall through to either
+        # scenario's.
+        with pytest.raises(ValueError, match="'bidirectonal'"):
+            entry()
 
     @pytest.mark.parametrize("start", ["aligned", "random"])
     @pytest.mark.parametrize("scenario", ["noma-pair", "bidirectional"])
     def test_objective_is_the_reported_sum_rate(self, scenario, start):
         from starfd.optimize import _make_objective
         from starfd.rates_cf import cf_rates
-        config = make_config(weight_u1d=0.3, weight_u2u=1.7)
+        config = make_config(weight_u1d=0.3, weight_u2u=1.7,
+                             scenario=scenario)
         pw = PowerConfig.from_config(config)
-        state = (aligned_state(config, 0.5, pw, scenario)
+        state = (aligned_state(config, 0.5, pw)
                  if start == "aligned" else random_state())
-        evaluate, _ = _make_objective(config, pw, scenario)
+        evaluate, _ = _make_objective(config, pw)
         assert (evaluate(state)[0]
-                == cf_rates(config, state, pw, scenario).sum_rate)
+                == cf_rates(config, state, pw).sum_rate)
 
     def test_invalid_labels_rejected(self):
         with pytest.raises(ValueError, match="scenario"):
@@ -421,8 +423,9 @@ class TestErgodicRateMc:
             assert report.rate(user) < 1e-3
 
     def test_bidirectional_min_of_leg_means(self):
-        report = ergodic_rate_mc([(self.config, self.ris, self.pw)], 30,
-                                 seed=7, scenario="bidirectional")[0]
+        relayed = self.config.replace(scenario="bidirectional")
+        report = ergodic_rate_mc([(relayed, self.ris, self.pw)], 30,
+                                 seed=7)[0]
         block = first_block(self.config, 7, 30)
         legs = relay_leg_rates(_block_terms(block, self.ris), self.config,
                                self.pw, _block_si(block, self.config, self.pw))
@@ -447,8 +450,8 @@ class TestErgodicRateMc:
         with pytest.raises(ValueError, match="trial"):
             ergodic_rate_mc([(self.config, self.ris, self.pw)], 0, seed=1)
         with pytest.raises(ValueError, match="scenario"):
-            ergodic_rate_mc([(self.config, self.ris, self.pw)], 5, seed=1,
-                            scenario="duplex")
+            ergodic_rate_mc([(self.config.replace(scenario="duplex"),
+                              self.ris, self.pw)], 5, seed=1)
 
 
 def same_block(a, b) -> bool:
@@ -470,7 +473,7 @@ NOT_DRAWN = {
     "alpha2": dict(alpha1=0.1, alpha2=0.9), "ul_split": dict(ul_split=0.2),
     "Xi": dict(Xi=0.3), "beta": dict(beta=1e-3),
     "si_lambda": dict(si_lambda=0.7), "R_dth": dict(R_dth=0.5),
-    "R_uth": dict(R_uth=0.2),
+    "R_uth": dict(R_uth=0.2), "scenario": dict(scenario="bidirectional"),
 }
 
 # A valid change of every field of the draw key.
@@ -529,17 +532,34 @@ class TestSharedStream:
 
     @pytest.mark.parametrize("scenario", ["noma-pair", "bidirectional"])
     def test_each_pair_reports_as_its_one_pair_call(self, scenario):
-        cells = [(self.config, random_state(seed=1), self.pw),
-                 (self.config.replace(Xi=0.2, beta=0.0),
+        config = self.config.replace(scenario=scenario)
+        cells = [(config, random_state(seed=1), self.pw),
+                 (config.replace(Xi=0.2, beta=0.0),
                   random_state(rho_t=0.3, seed=2), baseline_power()),
-                 (self.config.replace(Xi=0.0, beta=0.1),
+                 (config.replace(Xi=0.0, beta=0.1),
                   random_state(seed=1), baseline_power(P_t=10.0))]
-        shared = ergodic_rate_mc(cells, self.TRIALS, 6, scenario)
+        shared = ergodic_rate_mc(cells, self.TRIALS, 6)
         assert len(shared) == len(cells)
         for cell, report in zip(cells, shared):
-            alone = ergodic_rate_mc([cell], self.TRIALS, 6, scenario)
+            alone = ergodic_rate_mc([cell], self.TRIALS, 6)
             assert alone == [report]
         assert shared[0] != shared[1] != shared[2]
+
+    def test_cells_of_both_scenarios_share_a_stream(self):
+        # The scenario is not a draw field: each cell is scored under its
+        # own config's scenario on the shared blocks.
+        relayed = self.config.replace(scenario="bidirectional")
+        cells = [(self.config, random_state(seed=1), self.pw),
+                 (relayed, random_state(seed=1), self.pw),
+                 (relayed.replace(Xi=0.2), random_state(rho_t=0.3, seed=2),
+                  baseline_power()),
+                 (self.config.replace(beta=0.1), random_state(seed=2),
+                  baseline_power(P_t=10.0))]
+        shared = ergodic_rate_mc(cells, self.TRIALS, 6)
+        assert [report.scenario for report in shared] == [
+            "noma-pair", "bidirectional", "bidirectional", "noma-pair"]
+        for cell, report in zip(cells, shared):
+            assert ergodic_rate_mc([cell], self.TRIALS, 6) == [report]
 
     @pytest.mark.parametrize("scenario, rates, stderr, total", [
         ("noma-pair",
@@ -557,8 +577,9 @@ class TestSharedStream:
                                        total):
         # The library stream of version 0.2.0, unchanged by scoring
         # several cells per block.
-        report, = ergodic_rate_mc([(self.config, random_state(), self.pw)],
-                                  self.TRIALS, 11, scenario)
+        config = self.config.replace(scenario=scenario)
+        report, = ergodic_rate_mc([(config, random_state(), self.pw)],
+                                  self.TRIALS, 11)
         assert report.rates == rates
         assert report.stderr == stderr
         assert report.sum_rate == total
@@ -618,12 +639,12 @@ class TestSharedStream:
     def test_old_form_call_is_a_type_error(self):
         pairs = [(random_state(), self.pw)]
         with pytest.raises(TypeError, match=r"\[\(config, state, pw\)\]"):
-            ergodic_rate_mc(self.config, pairs, 40, 3)
-        # Python itself rejects the keyword and five-argument forms.
+            ergodic_rate_mc(self.config, pairs, 40)
+        # Python itself rejects the keyword and four-argument forms.
         with pytest.raises(TypeError):
             ergodic_rate_mc(self.config, pairs, 40, seed=3)
         with pytest.raises(TypeError):
-            ergodic_rate_mc(self.config, pairs, 40, 3, "noma-pair")
+            ergodic_rate_mc(self.config, pairs, 40, 3)
 
     @pytest.mark.parametrize("cells", [
         [(make_config(), PowerConfig.from_splits(1000.0, 0.8, 0.2, 0.8),
@@ -698,15 +719,15 @@ class TestBlockedStream:
     @pytest.mark.parametrize("n", [1, 20, 100])
     @pytest.mark.parametrize("scenario", ["noma-pair", "bidirectional"])
     def test_every_row_matches_the_scalar_path(self, scenario, n):
-        config = make_config(n_elements=n, Xi=0.05, beta=1e-3)
+        config = make_config(n_elements=n, Xi=0.05, beta=1e-3,
+                             scenario=scenario)
         ris = random_state(n, rho_t=0.3, seed=n)
         pw = PowerConfig.from_config(config)
         block = first_block(config, 11, _BLOCK)
         assert block.size == _BLOCK
         si = _block_si(block, config, pw)
         batched_terms = _block_terms(block, ris)
-        batched = np.array(scenario_rates(batched_terms, config, pw, si,
-                                          scenario))
+        batched = np.array(scenario_rates(batched_terms, config, pw, si))
         for t in range(block.size):
             terms = scalar_terms(block, t, ris)
             for user, triple in terms.items():
